@@ -60,7 +60,14 @@ from .groupoid import (
     pair_groupoid,
     trace,
 )
-from .scalars import Chart, DomainError, NumericExpr, PolyScalar, RationalScalar
+from .scalars import (
+    AlgindexError,
+    Chart,
+    DomainError,
+    NumericExpr,
+    PolyScalar,
+    RationalScalar,
+)
 from .thom_index import (
     BoxDomain,
     Density,

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .scalars import Chart
+from .scalars import AlgindexError, Chart
 
 
-class PresentationError(ValueError):
+class PresentationError(AlgindexError):
     """Malformed arrays or dimension mismatches."""
 
 

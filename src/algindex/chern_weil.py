@@ -14,11 +14,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, MixedForm, Representation, d_g
-from .scalars import Chart, PolyScalar
+from .forms import AlgForm, MixedForm, Representation, _scalar_det, d_g
+from .scalars import AlgindexError, Chart, PolyScalar
 
 
 class GConnection:
@@ -31,12 +30,12 @@ class GConnection:
             [[algebroid.scalar(v) for v in row] for row in mat] for mat in matrices
         ]
         if len(self.matrices) != algebroid.rank:
-            raise ValueError("need one coefficient matrix per frame element")
+            raise AlgindexError("need one coefficient matrix per frame element")
         for mat in self.matrices:
             if len(mat) != self.bundle_rank or any(
                 len(row) != self.bundle_rank for row in mat
             ):
-                raise ValueError("coefficient matrices must be bundle_rank square")
+                raise AlgindexError("coefficient matrices must be bundle_rank square")
 
     @classmethod
     def zero(cls, algebroid, bundle_rank):
@@ -51,9 +50,6 @@ class GConnection:
     def from_representation(cls, rep: Representation):
         return cls(rep.algebroid, rep.bundle_rank, rep.matrices)
 
-    def as_representation(self) -> Representation:
-        return Representation(self.algebroid, self.bundle_rank, self.matrices)
-
 
 class FormMatrix:
     """A square matrix of even-degree forms on a common algebroid."""
@@ -64,12 +60,12 @@ class FormMatrix:
         self.size = len(entries)
         for row in entries:
             if len(row) != self.size:
-                raise ValueError("form matrix must be square")
+                raise AlgindexError("form matrix must be square")
             for form in row:
                 if form.algebroid is not algebroid:
-                    raise ValueError("entries live on different algebroids")
+                    raise AlgindexError("entries live on different algebroids")
                 if form.degree % 2 and not form.is_zero():
-                    raise ValueError("form matrix entries must have even degree")
+                    raise AlgindexError("form matrix entries must have even degree")
 
     @classmethod
     def zero(cls, algebroid, size, degree=2):
@@ -95,12 +91,6 @@ class FormMatrix:
             acc = acc + self.entries[i][i]
         return acc
 
-    def transpose(self):
-        return FormMatrix(
-            self.algebroid,
-            [[self.entries[j][i] for j in range(self.size)] for i in range(self.size)],
-        )
-
     def add(self, other):
         return FormMatrix(
             self.algebroid,
@@ -125,11 +115,11 @@ class Metric:
         self.entries = [[algebroid.scalar(v) for v in row] for row in entries]
         r = algebroid.rank
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
-            raise ValueError("metric must be rank x rank")
+            raise AlgindexError("metric must be rank x rank")
         for i in range(r):
             for j in range(i + 1, r):
                 if not (self.entries[i][j] - self.entries[j][i]).is_zero():
-                    raise ValueError(f"metric not symmetric at {(i, j)}")
+                    raise AlgindexError(f"metric not symmetric at {(i, j)}")
 
     @classmethod
     def identity(cls, algebroid):
@@ -165,7 +155,7 @@ class Metric:
         chart = self.algebroid.chart
         det = self.determinant()
         if det.is_zero():
-            raise ValueError("metric is symbolically singular")
+            raise AlgindexError("metric is symbolically singular")
         r = self.algebroid.rank
         out = []
         for i in range(r):
@@ -225,24 +215,6 @@ def _float_det(rows):
     return out
 
 
-def _scalar_det(rows, chart):
-    n = len(rows)
-    if n == 0:
-        return chart.one()
-    total = chart.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = chart.one()
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term if sign > 0 else total - term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # curvature and the Levi-Civita connection
 # ---------------------------------------------------------------------------
@@ -290,7 +262,7 @@ def validate_representation(rep: Representation):
 def levi_civita(A: AlgebroidPresentation, metric: Metric) -> GConnection:
     """The unique metric, torsion-free connection on the algebroid itself."""
     if metric.algebroid is not A:
-        raise ValueError("metric lives on a different algebroid")
+        raise AlgindexError("metric lives on a different algebroid")
     r = A.rank
     g = metric.entries
     ginv = metric.inverse()
@@ -367,7 +339,7 @@ def metric_residuals(conn: GConnection, metric: Metric):
 def connection_pullback(morphism: AlgebroidMorphism, conn: GConnection) -> GConnection:
     """Pull a g-connection back along a morphism (bundle kept trivialized)."""
     if conn.algebroid is not morphism.target:
-        raise ValueError("connection does not live on the morphism target")
+        raise AlgindexError("connection does not live on the morphism target")
     src = morphism.source
     m = conn.bundle_rank
     mats = []
@@ -388,7 +360,7 @@ def connection_pullback(morphism: AlgebroidMorphism, conn: GConnection) -> GConn
 
 def direct_sum(c1: GConnection, c2: GConnection) -> GConnection:
     if c1.algebroid is not c2.algebroid:
-        raise ValueError("connections live on different algebroids")
+        raise AlgindexError("connections live on different algebroids")
     A = c1.algebroid
     z = A.chart.zero()
     m1, m2 = c1.bundle_rank, c2.bundle_rank
@@ -407,7 +379,7 @@ def direct_sum(c1: GConnection, c2: GConnection) -> GConnection:
 
 def tensor_product(c1: GConnection, c2: GConnection) -> GConnection:
     if c1.algebroid is not c2.algebroid:
-        raise ValueError("connections live on different algebroids")
+        raise AlgindexError("connections live on different algebroids")
     A = c1.algebroid
     z = A.chart.zero()
     m1, m2 = c1.bundle_rank, c2.bundle_rank
@@ -454,7 +426,7 @@ def covariant_exterior_derivative(R: FormMatrix, conn: GConnection) -> AlgForm:
                 continue
             degree = form.degree if degree is None else degree
             if form.degree != degree:
-                raise ValueError("mixed-degree form matrix")
+                raise AlgindexError("mixed-degree form matrix")
             for T, values in form.coeffs.items():
                 vec = list(coeffs.get(T, [z] * (m * m)))
                 vec[i * m + j] = vec[i * m + j] + values[0]
@@ -498,27 +470,12 @@ def _s_div(a, b, n):
 def _s_log(a, n):
     """log of a series with constant term 1."""
     if a[0] != 1:
-        raise ValueError("series log needs constant term 1")
+        raise AlgindexError("series log needs constant term 1")
     da = [a[k] * k for k in range(1, len(a))]
     q = _s_div(da, a, max(n - 1, 0))
     out = [Fraction(0)] * (n + 1)
     for k in range(1, n + 1):
         out[k] = q[k - 1] / k
-    return out
-
-
-def _s_exp_of(a, n):
-    """exp of a series with constant term 0."""
-    if a[0] != 0:
-        raise ValueError("series exp needs constant term 0")
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    for k in range(1, n + 1):
-        acc = Fraction(0)
-        for j in range(1, k + 1):
-            if j < len(a) and a[j]:
-                acc += j * a[j] * out[k - j]
-        out[k] = acc / k
     return out
 
 
@@ -596,29 +553,27 @@ def _exp_mixed(argument: MixedForm) -> MixedForm:
     return out
 
 
+def _chern_classes(R: FormMatrix, k: int):
+    """[c_0, ..., c_k] by Newton's identities j c_j = sum_i (-1)^(i-1) c_(j-i) tr(R^i).
+
+    The identities hold because curvature entries are even forms, which commute.
+    """
+    A = R.algebroid
+    traces = _power_traces(R, k)
+    classes = [AlgForm.constant(A, 1)]
+    for j in range(1, k + 1):
+        acc = AlgForm.zero(A, 2 * j)
+        for i in range(1, j + 1):
+            if i in traces:
+                term = classes[j - i].wedge(traces[i])
+                acc = acc + term if i % 2 else acc - term
+        classes.append(acc.scale(Fraction(1, j)))
+    return classes
+
+
 def chern_class(R: FormMatrix, k: int) -> AlgForm:
     """k-th elementary invariant: sum of principal k x k wedge-minors."""
-    A = R.algebroid
-    if k == 0:
-        return AlgForm.constant(A, 1)
-    acc = AlgForm.zero(A, min(2 * k, A.rank))
-    for subset in combinations(range(R.size), k):
-        for perm in permutations(range(k)):
-            sign = 1
-            for i in range(k):
-                for j in range(i + 1, k):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            term = None
-            for i in range(k):
-                entry = R.entries[subset[i]][subset[perm[i]]]
-                term = entry if term is None else term.wedge(entry)
-                if term.is_zero():
-                    break
-            if term is None or term.is_zero():
-                continue
-            acc = acc + (term if sign > 0 else -term)
-    return acc
+    return _chern_classes(R, k)[k]
 
 
 def pontryagin_class(R: FormMatrix, k: int) -> AlgForm:
@@ -650,7 +605,7 @@ def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
     for i in range(m):
         for j in range(i, m):
             if not (lowered[i][j] + lowered[j][i]).is_zero():
-                raise ValueError(
+                raise AlgindexError(
                     "lowered curvature is not antisymmetric; Pfaffian needs a metric connection"
                 )
     return _pfaffian(lowered, A)
@@ -704,8 +659,8 @@ def char_class(
     if genus == "chern":
         if chern_degree is None:
             total = MixedForm.constant(A, 1)
-            for k in range(1, max_j + 1):
-                total = total + chern_class(R, k)
+            for c in _chern_classes(R, max_j)[1:]:
+                total = total + c
             return total.truncate(trunc)
         return MixedForm.from_form(chern_class(R, chern_degree)).truncate(trunc)
 
@@ -742,7 +697,7 @@ def char_class(
     if genus == "pfaffian":
         return MixedForm.from_form(pfaffian_form(R, metric)).truncate(trunc)
 
-    raise ValueError(f"unknown genus {genus!r}")
+    raise AlgindexError(f"unknown genus {genus!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -815,7 +770,7 @@ def roots_identity(identity: str, half_rank: int, truncation: int) -> RootsIdent
         ch_pair = [a - b for a, b in zip(exp_pos, exp_neg)]  # e^x - e^{-x}
         model = "2^(p - k) on the form-degree-2k component of the L-genus"
     else:
-        raise ValueError(f"unknown identity {identity!r}")
+        raise AlgindexError(f"unknown identity {identity!r}")
 
     pair = _s_mul(_s_mul(ch_pair, td_plus, n), td_minus, n)
     if pair[0] != 0:

@@ -6,15 +6,27 @@ of requested computations.  Subcommands filter the computation list by
 operation family; ``run`` executes everything.  Output is deterministic:
 byte-identical for identical documents and budgets.
 
-Exit codes: 0 success, 1 diagnostic/violation, 2 usage or parse error.
+Every error the library raises derives from ``AlgindexError``.  Raised while
+a computation runs, it fails that computation alone: it is reported as a
+``FAIL`` line and the rest of the document still runs.  A document that
+cannot be read, parsed or built, or that names an unknown object or leaves
+out a required field, is rejected with one ``error:`` line on stderr.
+
+Flags override the computation fields of the same name: ``--truncate`` takes
+an integer >= 0, ``--budget`` an integer >= 1 and ``--tolerance`` a finite
+number > 0; any other value is a usage error.
+
+Exit codes: 0 success, 1 a failed computation, 2 usage or document error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 try:
     from importlib import resources as _resources
@@ -29,15 +41,14 @@ from . import chern_weil as cw
 from . import groupoid as gp
 from . import thom_index as ti
 from .forms import AlgForm, MixedForm, Representation, cohomology_const
-from .quadrature import QuadratureError
-from .scalars import Chart, scalar_to_string
+from .scalars import AlgindexError, Chart, as_fraction, scalar_to_string
 
 
 class DocumentError(Exception):
-    """Parse or schema problem: exit code 2."""
+    """Parse, schema or reference problem: exit code 2."""
 
 
-class ComputationError(Exception):
+class ComputationError(AlgindexError):
     """Semantic violation or failed check: exit code 1."""
 
 
@@ -88,6 +99,18 @@ def load_document(path):
 # building the declared objects
 # ---------------------------------------------------------------------------
 
+# (document section, kind of object it declares), in build order
+_SECTIONS = (
+    ("algebroids", "algebroid"),
+    ("metrics", "metric"),
+    ("connections", "connection"),
+    ("representations", "representation"),
+    ("densities", "density"),
+    ("forms", "form"),
+    ("domains", "domain"),
+    ("groupoids", "groupoid"),
+)
+
 
 class JobContext:
     def __init__(self, document):
@@ -95,48 +118,25 @@ class JobContext:
         backend = document.get("backend", "poly")
         names = tuple(document.get("coordinates", ()))
         self.chart = Chart(names, backend)
-        self.algebroids = {}
-        self.metrics = {}
-        self.connections = {}
-        self.representations = {}
-        self.densities = {}
-        self.forms = {}
-        self.domains = {}
-        self.groupoids = {}
+        self.tables = {kind: {} for _, kind in _SECTIONS}
         try:
-            self._build()
-        except (ValueError, KeyError, alg.PresentationError) as exc:
+            for section, kind in _SECTIONS:
+                build = getattr(self, f"_build_{kind}")
+                for name, spec in sorted((document.get(section) or {}).items()):
+                    self.tables[kind][name] = build(name, spec)
+        except (ValueError, KeyError) as exc:
             raise DocumentError(f"document error: {exc}") from exc
 
-    def _build(self):
-        for name, spec in sorted((self.document.get("algebroids") or {}).items()):
-            self.algebroids[name] = self._build_algebroid(name, spec)
-        for name, spec in sorted((self.document.get("metrics") or {}).items()):
-            self.metrics[name] = self._build_metric(spec)
-        for name, spec in sorted((self.document.get("connections") or {}).items()):
-            self.connections[name] = self._build_connection(spec)
-        for name, spec in sorted((self.document.get("representations") or {}).items()):
-            conn = self._build_connection(spec)
-            rep = Representation(conn.algebroid, conn.bundle_rank, conn.matrices)
-            if not cw.validate_representation(rep):
-                raise DocumentError(
-                    f"representation {name!r} is not flat (nonzero curvature)"
-                )
-            self.representations[name] = rep
-        for name, spec in sorted((self.document.get("densities") or {}).items()):
-            A = self._algebroid(spec["algebroid"])
-            self.densities[name] = ti.Density(A, spec.get("coefficient", 1))
-        for name, spec in sorted((self.document.get("forms") or {}).items()):
-            self.forms[name] = self._build_form(spec)
-        for name, spec in sorted((self.document.get("domains") or {}).items()):
-            self.domains[name] = self._build_domain(spec)
-        for name, spec in sorted((self.document.get("groupoids") or {}).items()):
-            self.groupoids[name] = self._build_groupoid(spec)
+    def ref(self, kind, name):
+        """The declared object of a kind ("algebroid", "metric", ...) by name.
 
-    def _algebroid(self, name):
-        if name not in self.algebroids:
-            raise DocumentError(f"unknown algebroid {name!r}")
-        return self.algebroids[name]
+        ``None`` stands for an optional reference that was left out.
+        """
+        if name is None:
+            return None
+        if name not in self.tables[kind]:
+            raise DocumentError(f"unknown {kind} {name!r}")
+        return self.tables[kind][name]
 
     def _build_algebroid(self, name, spec):
         kind = spec["kind"]
@@ -166,16 +166,17 @@ class JobContext:
             A.pullback_data = None
             return A
         if kind == "pullback":
-            parent = self._algebroid(spec["parent"])
+            parent = self.ref("algebroid", spec["parent"])
             return alg.pullback(parent, spec.get("fiber_dim", parent.rank), name=name)
         if kind == "product":
             return alg.product(
-                self._algebroid(spec["left"]), self._algebroid(spec["right"]), name
+                self.ref("algebroid", spec["left"]), self.ref("algebroid", spec["right"]),
+                name,
             )
         raise DocumentError(f"unknown algebroid kind {kind!r}")
 
-    def _build_metric(self, spec):
-        A = self._algebroid(spec["algebroid"])
+    def _build_metric(self, name, spec):
+        A = self.ref("algebroid", spec["algebroid"])
         kind = spec.get("kind", "matrix")
         if kind == "identity":
             return cw.Metric.identity(A)
@@ -194,13 +195,13 @@ class JobContext:
             )
         return metric
 
-    def _build_connection(self, spec):
-        A = self._algebroid(spec["algebroid"])
+    def _build_connection(self, name, spec):
+        A = self.ref("algebroid", spec["algebroid"])
         m = spec.get("bundle_rank", A.rank)
         if spec.get("kind") == "zero":
             return cw.GConnection.zero(A, m)
         if spec.get("kind") == "levi_civita":
-            return cw.levi_civita(A, self._metric(spec["metric"]))
+            return cw.levi_civita(A, self.ref("metric", spec["metric"]))
         if spec.get("kind") == "adjoint":
             mats = [
                 [[A.bracket(a, b)[c] for b in range(A.rank)] for c in range(A.rank)]
@@ -213,13 +214,21 @@ class JobContext:
         ]
         return cw.GConnection(A, m, matrices)
 
-    def _metric(self, name):
-        if name not in self.metrics:
-            raise DocumentError(f"unknown metric {name!r}")
-        return self.metrics[name]
+    def _build_representation(self, name, spec):
+        conn = self._build_connection(name, spec)
+        rep = Representation(conn.algebroid, conn.bundle_rank, conn.matrices)
+        if not cw.validate_representation(rep):
+            raise DocumentError(
+                f"representation {name!r} is not flat (nonzero curvature)"
+            )
+        return rep
 
-    def _build_form(self, spec):
-        A = self._algebroid(spec["algebroid"])
+    def _build_density(self, name, spec):
+        A = self.ref("algebroid", spec["algebroid"])
+        return ti.Density(A, spec.get("coefficient", 1))
+
+    def _build_form(self, name, spec):
+        A = self.ref("algebroid", spec["algebroid"])
         degree = spec["degree"]
         coeffs = {}
         for key, value in (spec.get("coefficients") or {}).items():
@@ -227,18 +236,18 @@ class JobContext:
             coeffs[indices] = (A.chart.parse(str(value)),)
         return AlgForm(A, degree, coeffs)
 
-    def _build_domain(self, spec):
+    def _build_domain(self, name, spec):
         kind = spec["type"]
         if kind == "point":
             return ti.PointDomain()
         if kind == "box":
-            return ti.BoxDomain([(Fraction(str(lo)), Fraction(str(hi)))
+            return ti.BoxDomain([(as_fraction(str(lo)), as_fraction(str(hi)))
                                  for lo, hi in spec["bounds"]])
         if kind == "plane":
             return ti.PlaneDomain()
         raise DocumentError(f"unknown domain type {kind!r}")
 
-    def _build_groupoid(self, spec):
+    def _build_groupoid(self, name, spec):
         kind = spec["kind"]
         if kind == "pair":
             return gp.pair_groupoid(spec["size"])
@@ -309,173 +318,175 @@ def _serialize_integral(result: ti.IntegrationResult):
 
 
 # ---------------------------------------------------------------------------
-# computation dispatch
+# computation dispatch: one handler per op
 # ---------------------------------------------------------------------------
 
 
-def _lookup(table, name, kind, required=True):
-    if name is None:
-        if required:
-            raise DocumentError(f"missing required {kind} reference")
-        return None
-    if name not in table:
-        raise DocumentError(f"unknown {kind} {name!r}")
-    return table[name]
+class _Fields(dict):
+    """A computation's fields; indexing a missing one is a document error."""
+
+    def __missing__(self, key):
+        raise DocumentError(f"{self['op']} computation is missing the {key!r} field")
 
 
-def _run_computation(ctx: JobContext, comp, overrides):
-    op = comp["op"]
-    if op == "validate":
-        targets = [comp["algebroid"]] if "algebroid" in comp else sorted(ctx.algebroids)
-        results = {}
-        ok = True
-        for name in targets:
-            report = ctx._algebroid(name).validate()
-            results[name] = _serialize_report(report)
-            ok = ok and report.ok
-        if not ok:
-            raise ComputationError(json.dumps(results, sort_keys=True))
-        return results
+class _Settings(NamedTuple):
+    truncate: int | None
+    tolerance: float
+    budget: int
 
-    if op == "cohomology":
-        A = ctx._algebroid(comp["algebroid"])
-        rep = _lookup(ctx.representations, comp.get("representation"),
-                      "representation", required=False)
-        betti = cohomology_const(A, rep, comp.get("max_degree"))
-        return {"betti": betti}
 
-    if op == "curvature":
-        conn = _lookup(ctx.connections, comp["connection"], "connection")
-        R = cw.curvature(conn)
-        return {
-            "curvature": [[_serialize_form(f) for f in row] for row in R.entries]
-        }
+def _settings(comp, overrides):
+    """Each setting from its flag if given, else from the computation, else the default."""
 
-    if op == "charclass":
-        genus = comp["genus"]
-        truncate = overrides.get("truncate") or comp.get("truncate")
-        metric = ctx._metric(comp["metric"]) if "metric" in comp else None
-        if genus == "euler":
-            if metric is None:
-                raise DocumentError("the euler class needs a metric")
-            form = ti.euler_class(metric.algebroid, metric)
-            return {"class": _serialize_mixed(MixedForm.from_form(form))}
-        if "connection" in comp:
-            source = _lookup(ctx.connections, comp["connection"], "connection")
-        elif metric is not None:
-            source = cw.levi_civita(metric.algebroid, metric)
-        else:
-            raise DocumentError("charclass needs a connection or a metric")
-        chern_degree = None
-        if genus in ("chern1", "chern2", "chern3", "chern4"):
-            chern_degree = int(genus[-1])
-            genus = "chern"
-        mixed = cw.char_class(
-            source, genus, truncate, metric=metric, chern_degree=chern_degree
-        )
-        return {"class": _serialize_mixed(mixed)}
+    def pick(key, default):
+        value = overrides.get(key)
+        return comp.get(key, default) if value is None else value
 
-    if op == "index":
-        kind = comp["kind"]
-        A = ctx._algebroid(comp["algebroid"])
-        metric = ctx._metric(comp["metric"])
-        density = _lookup(ctx.densities, comp["density"], "density")
-        domain = _lookup(ctx.domains, comp.get("domain"), "domain", required=False)
-        nu = _lookup(ctx.forms, comp.get("nu"), "form", required=False)
-        E = _lookup(ctx.connections, comp.get("connection"), "connection",
-                    required=False)
-        tol = float(overrides.get("tolerance") or comp.get("tolerance", 1e-9))
-        budget = int(overrides.get("budget") or comp.get("budget", 4000))
-        try:
-            if kind == "euler":
-                result = ti.index_euler(A, metric, density, domain, tol, budget)
-            elif kind == "signature":
-                result = ti.index_signature(
-                    A, metric, nu, density, domain, E, tol, budget
-                )
-            elif kind == "dirac":
-                result = ti.index_dirac(A, metric, E, nu, density, domain, tol, budget)
-            else:
-                result = ti.index_general(
-                    A, metric, E, nu, density, kind, domain, tol, budget
-                )
-        except (ti.NonInvariantDensityError, ti.UnresolvedEulerDivisionError,
-                QuadratureError, ValueError) as exc:
-            raise ComputationError(str(exc)) from exc
-        out = _serialize_integral(result.integral)
-        out["i_power"] = result.i_power
-        if result.note:
-            out["note"] = result.note
-        return out
+    return _Settings(pick("truncate", None), float(pick("tolerance", 1e-9)),
+                     int(pick("budget", 4000)))
 
-    if op == "modular-cocycle":
-        A = ctx._algebroid(comp["algebroid"])
-        density = _lookup(ctx.densities, comp["density"], "density")
-        cocycle = ti.modular_cocycle(A, density)
-        return {
-            "cocycle": _serialize_form(cocycle),
-            "unimodular": cocycle.is_zero(),
-        }
 
-    if op == "thom-check":
-        A = ctx._algebroid(comp["algebroid"])
-        form = _lookup(ctx.forms, comp["form"], "form")
-        density = _lookup(ctx.densities, comp["density"], "density")
-        domain = _lookup(ctx.domains, comp.get("domain"), "domain", required=False)
-        tol = float(overrides.get("tolerance") or comp.get("tolerance", 1e-9))
-        budget = int(overrides.get("budget") or comp.get("budget", 4000))
-        try:
-            check = ti.thom_compatibility(A, form, density, domain, tol, budget)
-        except (ti.NonInvariantDensityError, QuadratureError, ValueError) as exc:
-            raise ComputationError(str(exc)) from exc
-        result = {
-            "base": _serialize_integral(check.base),
-            "mapped": _serialize_integral(check.mapped),
-            "compatible": check.compatible,
-            "theta_closed": check.theta_closed,
-            "theta_nondegenerate": check.theta_nondegenerate,
-            "roundtrip_identity": check.roundtrip_identity,
-        }
-        if not (check.compatible and check.theta_closed
-                and check.theta_nondegenerate and check.roundtrip_identity):
-            raise ComputationError(json.dumps(result, sort_keys=True))
-        return result
+def _validate(ctx, comp, settings):
+    names = [comp["algebroid"]] if "algebroid" in comp else sorted(ctx.tables["algebroid"])
+    reports = {name: ctx.ref("algebroid", name).validate() for name in names}
+    results = {name: _serialize_report(report) for name, report in reports.items()}
+    if not all(report.ok for report in reports.values()):
+        raise ComputationError(json.dumps(results, sort_keys=True))
+    return results
 
-    if op == "groupoid-cohomology":
-        G = _lookup(ctx.groupoids, comp["groupoid"], "groupoid")
-        rep = gp.FiniteRep.trivial(G, comp.get("fiber_dim", 1))
-        betti = gp.groupoid_cohomology(G, rep, comp.get("max_degree", 2))
-        return {"betti": betti}
 
-    if op == "convolution-table":
-        G = _lookup(ctx.groupoids, comp["groupoid"], "groupoid")
-        table = {}
-        for g1 in sorted(G.arrows, key=str):
-            f1 = gp.delta(G, g1)
-            for g2 in sorted(G.arrows, key=str):
-                conv = gp.convolve(f1, gp.delta(G, g2), G)
-                support = {
-                    str(g): str(v) for g, v in sorted(conv.items(), key=lambda kv: str(kv[0])) if v
-                }
-                if support:
-                    table[f"{g1}*{g2}"] = support
-        return {"table": table}
+def _cohomology(ctx, comp, settings):
+    A = ctx.ref("algebroid", comp["algebroid"])
+    rep = ctx.ref("representation", comp.get("representation"))
+    return {"betti": cohomology_const(A, rep, comp.get("max_degree"))}
 
-    if op == "trace":
-        G = _lookup(ctx.groupoids, comp["groupoid"], "groupoid")
-        weights = {x: Fraction(str(w)) for x, w in zip(G.objects, comp["weights"])}
-        f = {g: Fraction(str(v)) for g, v in zip(G.arrows, comp["function"])}
-        try:
-            value = gp.trace(f, weights, G)
-        except gp.GroupoidError as exc:
-            raise ComputationError(str(exc)) from exc
-        return {"trace": str(value)}
 
-    raise DocumentError(f"unknown operation {op!r}")
+def _curvature(ctx, comp, settings):
+    R = cw.curvature(ctx.ref("connection", comp["connection"]))
+    return {"curvature": [[_serialize_form(f) for f in row] for row in R.entries]}
+
+
+def _charclass(ctx, comp, settings):
+    genus = comp["genus"]
+    metric = ctx.ref("metric", comp.get("metric"))
+    if genus == "euler":
+        if metric is None:
+            raise DocumentError("the euler class needs a metric")
+        form = ti.euler_class(metric.algebroid, metric)
+        return {"class": _serialize_mixed(MixedForm.from_form(form))}
+    if "connection" in comp:
+        source = ctx.ref("connection", comp["connection"])
+    elif metric is not None:
+        source = cw.levi_civita(metric.algebroid, metric)
+    else:
+        raise DocumentError("charclass needs a connection or a metric")
+    chern_degree = None
+    if genus in ("chern1", "chern2", "chern3", "chern4"):
+        chern_degree = int(genus[-1])
+        genus = "chern"
+    mixed = cw.char_class(
+        source, genus, settings.truncate, metric=metric, chern_degree=chern_degree
+    )
+    return {"class": _serialize_mixed(mixed)}
+
+
+def _index(ctx, comp, settings):
+    result = ti.index_general(
+        ctx.ref("algebroid", comp["algebroid"]),
+        ctx.ref("metric", comp["metric"]),
+        ctx.ref("connection", comp.get("connection")),
+        ctx.ref("form", comp.get("nu")),
+        ctx.ref("density", comp["density"]),
+        comp["kind"],
+        ctx.ref("domain", comp.get("domain")),
+        settings.tolerance,
+        settings.budget,
+    )
+    out = _serialize_integral(result.integral)
+    out["i_power"] = result.i_power
+    if result.note:
+        out["note"] = result.note
+    return out
+
+
+def _modular_cocycle(ctx, comp, settings):
+    cocycle = ti.modular_cocycle(
+        ctx.ref("algebroid", comp["algebroid"]), ctx.ref("density", comp["density"])
+    )
+    return {"cocycle": _serialize_form(cocycle), "unimodular": cocycle.is_zero()}
+
+
+def _thom_check(ctx, comp, settings):
+    check = ti.thom_compatibility(
+        ctx.ref("algebroid", comp["algebroid"]),
+        ctx.ref("form", comp["form"]),
+        ctx.ref("density", comp["density"]),
+        ctx.ref("domain", comp.get("domain")),
+        settings.tolerance,
+        settings.budget,
+    )
+    result = {
+        "base": _serialize_integral(check.base),
+        "mapped": _serialize_integral(check.mapped),
+        "compatible": check.compatible,
+        "theta_closed": check.theta_closed,
+        "theta_nondegenerate": check.theta_nondegenerate,
+        "roundtrip_identity": check.roundtrip_identity,
+    }
+    if not (check.compatible and check.theta_closed
+            and check.theta_nondegenerate and check.roundtrip_identity):
+        raise ComputationError(json.dumps(result, sort_keys=True))
+    return result
+
+
+def _groupoid_cohomology(ctx, comp, settings):
+    G = ctx.ref("groupoid", comp["groupoid"])
+    rep = gp.FiniteRep.trivial(G, comp.get("fiber_dim", 1))
+    return {"betti": gp.groupoid_cohomology(G, rep, comp.get("max_degree", 2))}
+
+
+def _convolution_table(ctx, comp, settings):
+    G = ctx.ref("groupoid", comp["groupoid"])
+    table = {}
+    for g1 in sorted(G.arrows, key=str):
+        f1 = gp.delta(G, g1)
+        for g2 in sorted(G.arrows, key=str):
+            conv = gp.convolve(f1, gp.delta(G, g2), G)
+            support = {
+                str(g): str(v) for g, v in sorted(conv.items(), key=lambda kv: str(kv[0])) if v
+            }
+            if support:
+                table[f"{g1}*{g2}"] = support
+    return {"table": table}
+
+
+def _trace(ctx, comp, settings):
+    G = ctx.ref("groupoid", comp["groupoid"])
+    weights = {x: as_fraction(str(w)) for x, w in zip(G.objects, comp["weights"])}
+    f = {g: as_fraction(str(v)) for g, v in zip(G.arrows, comp["function"])}
+    return {"trace": str(gp.trace(f, weights, G))}
+
+
+_HANDLERS = {
+    "validate": _validate,
+    "cohomology": _cohomology,
+    "curvature": _curvature,
+    "charclass": _charclass,
+    "index": _index,
+    "modular-cocycle": _modular_cocycle,
+    "thom-check": _thom_check,
+    "groupoid-cohomology": _groupoid_cohomology,
+    "convolution-table": _convolution_table,
+    "trace": _trace,
+}
 
 
 def run_document(ctx: JobContext, families=None, overrides=None):
-    """Execute the document's computations (optionally one family only)."""
+    """Execute the document's computations (optionally one family only).
+
+    A library error fails its own computation and the next one still runs;
+    a ``DocumentError`` stops the document.
+    """
     overrides = overrides or {}
     computations = ctx.document.get("computations", [])
     if families is not None:
@@ -484,20 +495,22 @@ def run_document(ctx: JobContext, families=None, overrides=None):
             # bare `validate` runs every declared algebroid
             computations = [
                 {"op": "validate", "algebroid": name, "label": name}
-                for name in sorted(ctx.algebroids)
+                for name in sorted(ctx.tables["algebroid"])
             ]
     results = []
     failures = 0
     for position, comp in enumerate(computations):
-        label = comp.get("label", f"{comp['op']}#{position}")
+        comp = _Fields(comp)
+        op = comp["op"]
+        label = comp.get("label", f"{op}#{position}")
+        if op not in _HANDLERS:
+            raise DocumentError(f"unknown operation {op!r}")
         try:
-            outcome = _run_computation(ctx, comp, overrides)
-            results.append({"label": label, "op": comp["op"], "ok": True,
-                            "result": outcome})
-        except ComputationError as exc:
+            outcome = _HANDLERS[op](ctx, comp, _settings(comp, overrides))
+            results.append({"label": label, "op": op, "ok": True, "result": outcome})
+        except AlgindexError as exc:
             failures += 1
-            results.append({"label": label, "op": comp["op"], "ok": False,
-                            "error": str(exc)})
+            results.append({"label": label, "op": op, "ok": False, "error": str(exc)})
     return results, failures
 
 
@@ -515,6 +528,19 @@ def _emit(results, failures, fmt, out=None):
     out.write(f"{len(results) - failures}/{len(results)} computations succeeded\n")
 
 
+def _ranged(convert, accept, requirement):
+    """An argparse type: ``convert`` the text, then reject values out of range."""
+
+    def parse(text):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="algindex",
@@ -526,26 +552,17 @@ def main(argv=None):
     for command in list(_OP_FAMILIES) + ["run"]:
         p = sub.add_parser(command)
         p.add_argument("document", help="job document path, or - for stdin")
-        p.add_argument("--truncate", type=int, default=None)
-        p.add_argument("--tolerance", type=float, default=None)
-        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--truncate", type=_ranged(int, lambda v: v >= 0, "an integer >= 0"))
+        p.add_argument("--tolerance", type=_ranged(
+            float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"))
+        p.add_argument("--budget", type=_ranged(int, lambda v: v >= 1, "an integer >= 1"))
     args = parser.parse_args(argv)
 
-    try:
-        document = load_document(args.document)
-        ctx = JobContext(document)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
     families = None if args.command == "run" else _OP_FAMILIES[args.command]
-    overrides = {
-        "truncate": args.truncate,
-        "tolerance": args.tolerance,
-        "budget": args.budget,
-    }
-    overrides = {k: v for k, v in overrides.items() if v is not None}
+    overrides = {"truncate": args.truncate, "tolerance": args.tolerance,
+                 "budget": args.budget}
     try:
+        ctx = JobContext(load_document(args.document))
         results, failures = run_document(ctx, families, overrides)
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,10 +14,11 @@ differential, over a point it is the Chevalley-Eilenberg differential.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
+from .scalars import AlgindexError
 
 
 def _sort_sign(indices):
@@ -41,20 +42,20 @@ class AlgForm:
         self.degree = int(degree)
         self.bundle_rank = int(bundle_rank)
         if not 0 <= self.degree <= algebroid.rank:
-            raise ValueError(f"degree {degree} out of range for rank {algebroid.rank}")
+            raise AlgindexError(f"degree {degree} out of range for rank {algebroid.rank}")
         self.coeffs = {}
         for indices, values in (coeffs or {}).items():
             indices = tuple(int(i) for i in indices)
             if len(indices) != self.degree:
-                raise ValueError(f"index tuple {indices} has wrong length")
+                raise AlgindexError(f"index tuple {indices} has wrong length")
             if list(indices) != sorted(set(indices)):
-                raise ValueError(f"index tuple {indices} must be strictly increasing")
+                raise AlgindexError(f"index tuple {indices} must be strictly increasing")
             if any(not 0 <= i < algebroid.rank for i in indices):
-                raise ValueError(f"index tuple {indices} out of range")
+                raise AlgindexError(f"index tuple {indices} out of range")
             if not isinstance(values, (tuple, list)):
                 values = (values,)
             if len(values) != self.bundle_rank:
-                raise ValueError("coefficient vector has wrong bundle rank")
+                raise AlgindexError("coefficient vector has wrong bundle rank")
             values = tuple(algebroid.scalar(v) for v in values)
             if any(not v.is_zero() for v in values):
                 self.coeffs[indices] = values
@@ -80,9 +81,9 @@ class AlgForm:
 
     def _compatible(self, other):
         if self.algebroid is not other.algebroid:
-            raise ValueError("forms live on different algebroids")
+            raise AlgindexError("forms live on different algebroids")
         if self.bundle_rank != other.bundle_rank:
-            raise ValueError("forms have different bundle ranks")
+            raise AlgindexError("forms have different bundle ranks")
 
     def __add__(self, other):
         if not isinstance(other, AlgForm):
@@ -93,7 +94,7 @@ class AlgForm:
                 return other
             if other.is_zero():
                 return self
-            raise ValueError("cannot add forms of different degrees")
+            raise AlgindexError("cannot add forms of different degrees")
         out = {k: list(v) for k, v in self.coeffs.items()}
         for k, values in other.coeffs.items():
             if k in out:
@@ -128,9 +129,9 @@ class AlgForm:
 
     def wedge(self, other: "AlgForm") -> "AlgForm":
         if self.algebroid is not other.algebroid:
-            raise ValueError("forms live on different algebroids")
+            raise AlgindexError("forms live on different algebroids")
         if self.bundle_rank != 1 and other.bundle_rank != 1:
-            raise ValueError("wedge needs at least one scalar-valued factor")
+            raise AlgindexError("wedge needs at least one scalar-valued factor")
         rank = self.algebroid.rank
         degree = self.degree + other.degree
         out_rank = max(self.bundle_rank, other.bundle_rank)
@@ -321,7 +322,7 @@ class Representation:
             [[algebroid.scalar(v) for v in row] for row in mat] for mat in matrices
         ]
         if len(self.matrices) != algebroid.rank:
-            raise ValueError("need one coefficient matrix per frame element")
+            raise AlgindexError("need one coefficient matrix per frame element")
 
     @classmethod
     def trivial(cls, algebroid, bundle_rank=1):
@@ -347,9 +348,9 @@ def d_g(form: AlgForm, rep: Representation | None = None) -> AlgForm:
     if rep is None:
         rep = Representation.trivial(A, form.bundle_rank)
     if rep.algebroid is not A:
-        raise ValueError("form and representation live on different algebroids")
+        raise AlgindexError("form and representation live on different algebroids")
     if rep.bundle_rank != form.bundle_rank:
-        raise ValueError("bundle ranks of form and representation differ")
+        raise AlgindexError("bundle ranks of form and representation differ")
     k = form.degree
     if k >= A.rank:
         return AlgForm.zero(A, A.rank, form.bundle_rank)
@@ -395,21 +396,12 @@ def d_mixed(form: MixedForm, rep=None) -> MixedForm:
 
 def _scalar_det(rows, chart):
     """Determinant of a small matrix of chart scalars (Leibniz expansion)."""
-    n = len(rows)
-    if n == 0:
-        return chart.one()
-    from itertools import permutations
-
     total = chart.zero()
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
+    for perm in permutations(range(len(rows))):
+        sign, _ = _sort_sign(perm)
         term = chart.one()
-        for i in range(n):
-            term = term * rows[i][perm[i]]
+        for row, j in zip(rows, perm):
+            term = term * row[j]
         total = total + term if sign > 0 else total - term
     return total
 
@@ -417,9 +409,9 @@ def _scalar_det(rows, chart):
 def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
     """(f, phi)* of a scalar-valued form; commutes with the differential."""
     if form.algebroid is not morphism.target:
-        raise ValueError("form does not live on the morphism target")
+        raise AlgindexError("form does not live on the morphism target")
     if form.bundle_rank != 1:
-        raise ValueError("pull-back is implemented for scalar-valued forms")
+        raise AlgindexError("pull-back is implemented for scalar-valued forms")
     src = morphism.source
     k = form.degree
     if k > src.rank:
@@ -452,16 +444,16 @@ def pullback_mixed(morphism, form: MixedForm) -> MixedForm:
 
 def _constant_checks(algebroid, rep):
     if algebroid.base_dim != 0:
-        raise ValueError("constant-coefficient cohomology needs base_dim = 0")
+        raise AlgindexError("constant-coefficient cohomology needs base_dim = 0")
     for (_, _), coeffs in algebroid.structure.items():
         for c in coeffs:
             if not c.is_constant():
-                raise ValueError("non-constant structure functions")
+                raise AlgindexError("non-constant structure functions")
     for mat in rep.matrices:
         for row in mat:
             for v in row:
                 if not v.is_constant():
-                    raise ValueError("non-constant representation matrices")
+                    raise AlgindexError("non-constant representation matrices")
 
 
 def _differential_matrix(algebroid, rep, degree):
@@ -529,7 +521,7 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
         candidates = basis_forms(A, k, form.bundle_rank)
     else:
         if ansatz_degree is None:
-            raise ValueError("chart-case coboundary search needs an ansatz degree")
+            raise AlgindexError("chart-case coboundary search needs an ansatz degree")
         monomials = _monomials_up_to(A.chart, ansatz_degree)
         candidates = [
             base.scale(mono)
@@ -595,4 +587,4 @@ def _poly_terms(scalar):
         value = scalar.constant_value()
         expo = (0,) * len(scalar.vars)
         return [(expo, value)] if value else []
-    raise ValueError("exact coefficient matching needs polynomial scalars")
+    raise AlgindexError("exact coefficient matching needs polynomial scalars")

@@ -25,9 +25,10 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
+from .scalars import AlgindexError
 
 
-class GroupoidError(ValueError):
+class GroupoidError(AlgindexError):
     pass
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .scalars import AlgindexError
+
 
 def mat(rows):
     return [[Fraction(v) for v in row] for row in rows]
@@ -15,7 +17,7 @@ def identity(n):
 
 def matmul(a, b):
     if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch")
+        raise AlgindexError("matrix shape mismatch")
     return [
         [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
         for i in range(len(a))
@@ -109,12 +111,3 @@ def det(a) -> Fraction:
                 factor = rows[i][col] * inv
                 rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
     return result
-
-
-def inverse(a):
-    n = len(a)
-    augmented = [list(a[i]) + identity(n)[i] for i in range(n)]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]

@@ -10,6 +10,8 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
+from .scalars import AlgindexError
+
 # Gauss-Kronrod 7-15 abscissae/weights (QUADPACK qk15 constants)
 _XGK = (
     0.991455371120813,
@@ -59,7 +61,7 @@ def _nodes_1d(a, b):
     return nodes, wk, wg
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(AlgindexError, RuntimeError):
     """Budget exhausted before reaching the requested tolerance."""
 
     def __init__(self, message, value, estimate):

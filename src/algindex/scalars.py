@@ -19,7 +19,11 @@ import math
 from fractions import Fraction
 
 
-class DomainError(ArithmeticError):
+class AlgindexError(ValueError):
+    """Base of every error the library raises for a failed computation."""
+
+
+class DomainError(AlgindexError, ArithmeticError):
     """Evaluation left the declared domain (pole, sqrt of a negative, ...)."""
 
 
@@ -30,7 +34,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise DomainError(f"division by zero in {value!r}") from None
+        except ValueError:
+            raise AlgindexError(f"cannot interpret {value!r} as an exact rational") from None
     if isinstance(value, float):
         # floats are binary-exact; allow them so quadrature points can be
         # pushed through exact arithmetic without rounding.
@@ -57,7 +66,7 @@ class PolyScalar:
         for expo, coeff in terms.items():
             expo = tuple(int(e) for e in expo)
             if len(expo) != len(variables):
-                raise ValueError(
+                raise AlgindexError(
                     f"exponent {expo} does not match variables {variables}"
                 )
             coeff = as_fraction(coeff)
@@ -95,7 +104,7 @@ class PolyScalar:
     def _coerce(self, other):
         if isinstance(other, PolyScalar):
             if other.vars != self.vars:
-                raise ValueError("polynomials live on different charts")
+                raise AlgindexError("polynomials live on different charts")
             return other
         if isinstance(other, (int, Fraction)):
             return PolyScalar.const(self.vars, other)
@@ -145,7 +154,7 @@ class PolyScalar:
 
     def __pow__(self, power):
         if not isinstance(power, int) or power < 0:
-            raise ValueError("polynomial powers must be nonnegative integers")
+            raise AlgindexError("polynomial powers must be nonnegative integers")
         result = PolyScalar.const(self.vars, 1)
         base = self
         while power:
@@ -204,7 +213,7 @@ class PolyScalar:
     def eval(self, point) -> Fraction:
         """Exact evaluation; ``point`` entries may be ints/Fractions/floats."""
         if len(point) != len(self.vars):
-            raise ValueError("point dimension does not match variable count")
+            raise AlgindexError("point dimension does not match variable count")
         values = [as_fraction(p) for p in point]
         total = Fraction(0)
         for expo, coeff in self.terms.items():
@@ -238,7 +247,7 @@ class PolyScalar:
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
         if len(replacements) != len(self.vars):
-            raise ValueError("need one replacement per coordinate")
+            raise AlgindexError("need one replacement per coordinate")
         total = None
         for expo, coeff in self.terms.items():
             term = coeff
@@ -256,7 +265,7 @@ class PolyScalar:
         """Reinterpret on a larger chart whose leading names match."""
         variables = tuple(variables)
         if variables[: len(self.vars)] != self.vars:
-            raise ValueError("chart extension must keep leading coordinates")
+            raise AlgindexError("chart extension must keep leading coordinates")
         pad = (0,) * (len(variables) - len(self.vars))
         return PolyScalar(variables, {e + pad: c for e, c in self.terms.items()})
 
@@ -270,7 +279,7 @@ class PolyScalar:
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
-            raise ValueError(f"{self} is not constant")
+            raise AlgindexError(f"{self} is not constant")
         return next(iter(self.terms.values()), Fraction(0))
 
     def total_degree(self) -> int:
@@ -485,11 +494,11 @@ class RationalScalar:
     def _split(self, other):
         if isinstance(other, RationalScalar):
             if other.vars != self.vars:
-                raise ValueError("scalars live on different charts")
+                raise AlgindexError("scalars live on different charts")
             return other.num, other.den
         if isinstance(other, PolyScalar):
             if other.vars != self.vars:
-                raise ValueError("scalars live on different charts")
+                raise AlgindexError("scalars live on different charts")
             return other, PolyScalar.const(self.vars, 1)
         if isinstance(other, (int, Fraction)):
             return (
@@ -547,7 +556,7 @@ class RationalScalar:
 
     def __pow__(self, power):
         if not isinstance(power, int):
-            raise ValueError("powers must be integers")
+            raise AlgindexError("powers must be integers")
         if power < 0:
             return RationalScalar(self.den, self.num) ** (-power)
         return ratio(self.num**power, self.den**power)
@@ -615,7 +624,7 @@ class RationalScalar:
             return self.num.constant_value() / self.den.constant_value()
         q, r = poly_divmod(self.num, self.den)
         if not r.is_zero():
-            raise ValueError(f"{self} is not constant")
+            raise AlgindexError(f"{self} is not constant")
         return q.constant_value()
 
     def total_degree(self) -> int:
@@ -678,7 +687,7 @@ class NumericExpr:
     def _coerce(self, other):
         if isinstance(other, NumericExpr):
             if other.vars != self.vars:
-                raise ValueError("expressions live on different charts")
+                raise AlgindexError("expressions live on different charts")
             return other
         if isinstance(other, (int, Fraction, float)):
             return NumericExpr.const(self.vars, other)
@@ -749,7 +758,7 @@ class NumericExpr:
 
     def __pow__(self, power):
         if not isinstance(power, int):
-            raise ValueError("expression powers must be integers")
+            raise AlgindexError("expression powers must be integers")
         if power == 0:
             return NumericExpr.const(self.vars, 1)
         return NumericExpr(self.vars, ("pow", self, power))
@@ -768,7 +777,7 @@ class NumericExpr:
 
     def eval(self, point) -> float:
         if len(point) != len(self.vars):
-            raise ValueError("point dimension does not match variable count")
+            raise AlgindexError("point dimension does not match variable count")
         return self._eval(tuple(float(p) for p in point))
 
     eval_float = eval
@@ -811,7 +820,7 @@ class NumericExpr:
             elif kind == "cos":
                 out = math.cos(a)
             else:
-                raise ValueError(f"unknown node {kind}")
+                raise AlgindexError(f"unknown node {kind}")
         if not math.isfinite(out):
             raise DomainError(f"non-finite value at {point}")
         return out
@@ -844,7 +853,7 @@ class NumericExpr:
             return self.node[1].cos() * self.node[1].derive(index)
         if kind == "cos":
             return -(self.node[1].sin()) * self.node[1].derive(index)
-        raise ValueError(f"unknown node {kind}")
+        raise AlgindexError(f"unknown node {kind}")
 
     def substitute(self, replacements):
         kind = self.node[0]
@@ -894,7 +903,7 @@ class NumericExpr:
 
     def constant_value(self):
         if self.node[0] != "const":
-            raise ValueError("expression is not a literal constant")
+            raise AlgindexError("expression is not a literal constant")
         return self.node[1]
 
     def depends_on(self, index) -> bool:
@@ -912,7 +921,7 @@ class NumericExpr:
     def extend_vars(self, variables):
         variables = tuple(variables)
         if variables[: len(self.vars)] != self.vars:
-            raise ValueError("chart extension must keep leading coordinates")
+            raise AlgindexError("chart extension must keep leading coordinates")
         kind = self.node[0]
         if kind == "const":
             return NumericExpr(variables, self.node)
@@ -984,9 +993,9 @@ class Chart:
     def __init__(self, names, backend="poly"):
         names = tuple(names)
         if len(set(names)) != len(names):
-            raise ValueError("duplicate coordinate names")
+            raise AlgindexError("duplicate coordinate names")
         if backend not in ("poly", "numeric"):
-            raise ValueError(f"unknown backend {backend!r}")
+            raise AlgindexError(f"unknown backend {backend!r}")
         self.names = names
         self.backend = backend
 
@@ -1017,7 +1026,7 @@ class Chart:
         """Accept scalars, exact numbers, or source strings."""
         if isinstance(value, (PolyScalar, RationalScalar, NumericExpr)):
             if value.vars != self.names:
-                raise ValueError("scalar lives on a different chart")
+                raise AlgindexError("scalar lives on a different chart")
             return value
         if isinstance(value, (int, Fraction)):
             return self.const(value)
@@ -1085,7 +1094,7 @@ def parse_scalar(text, chart: Chart):
     tokens = _Tokens(str(text))
 
     def fail(message):
-        raise ValueError(f"scalar syntax error at position {tokens.pos}: {message}")
+        raise AlgindexError(f"scalar syntax error at position {tokens.pos}: {message}")
 
     def parse_sum():
         value = parse_product()

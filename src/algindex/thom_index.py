@@ -31,14 +31,14 @@ from .chern_weil import (
     pfaffian_form,
 )
 from .forms import AlgForm, MixedForm, d_g, pullback_mixed
-from .scalars import PolyScalar
+from .scalars import AlgindexError, PolyScalar
 
 
-class NonInvariantDensityError(ValueError):
+class NonInvariantDensityError(AlgindexError):
     """The chosen density violates the integration lemma's hypothesis."""
 
 
-class UnresolvedEulerDivisionError(ValueError):
+class UnresolvedEulerDivisionError(AlgindexError):
     """No closed-form roots identity resolves the requested Euler division."""
 
 
@@ -52,7 +52,7 @@ class Density:
     def __post_init__(self):
         self.coefficient = self.algebroid.scalar(self.coefficient)
         if self.coefficient.is_zero():
-            raise ValueError("density must be nonvanishing")
+            raise AlgindexError("density must be nonvanishing")
 
 
 def modular_cocycle(A: AlgebroidPresentation, density: Density) -> AlgForm:
@@ -63,7 +63,7 @@ def modular_cocycle(A: AlgebroidPresentation, density: Density) -> AlgForm:
     adjoint for a Lie algebra with unit density.
     """
     if density.algebroid is not A:
-        raise ValueError("density lives on a different algebroid")
+        raise AlgindexError("density lives on a different algebroid")
     f = density.coefficient
     coeffs = {}
     for a in range(A.rank):
@@ -166,9 +166,9 @@ def integrate(
     the deterministic adaptive quadrature.
     """
     if form.degree != A.rank:
-        raise ValueError("only top-degree forms can be integrated")
+        raise AlgindexError("only top-degree forms can be integrated")
     if form.bundle_rank != 1:
-        raise ValueError("integration needs a scalar-valued form")
+        raise AlgindexError("integration needs a scalar-valued form")
     if check_invariance:
         obstruction = modular_cocycle(A, density)
         if not obstruction.is_zero():
@@ -184,7 +184,7 @@ def integrate(
 
     if A.base_dim == 0 or isinstance(domain, PointDomain):
         if A.base_dim != 0:
-            raise ValueError("point domains need a zero-dimensional base")
+            raise AlgindexError("point domains need a zero-dimensional base")
         value = pairing.constant_value()
         return IntegrationResult(value, True, 0.0, normalization_degree)
 
@@ -193,7 +193,7 @@ def integrate(
 
     if isinstance(domain, BoxDomain):
         if len(domain.bounds) != A.base_dim:
-            raise ValueError("box bounds must match the base dimension")
+            raise AlgindexError("box bounds must match the base dimension")
         if isinstance(pairing, PolyScalar):
             return IntegrationResult(
                 _poly_box_integral(pairing, domain.bounds),
@@ -215,7 +215,7 @@ def integrate(
                 budget=budget,
             )
         else:
-            raise ValueError("numeric quadrature supports base dimension <= 2")
+            raise AlgindexError("numeric quadrature supports base dimension <= 2")
         return IntegrationResult(res.value, False, res.error, normalization_degree)
 
     if isinstance(domain, PlaneDomain):
@@ -237,7 +237,7 @@ def integrate(
                 f2, (-half, half), (-half, half), tol=tol, budget=budget
             )
         else:
-            raise ValueError("plane domains support base dimension <= 2")
+            raise AlgindexError("plane domains support base dimension <= 2")
         return IntegrationResult(res.value, False, res.error, normalization_degree)
 
     raise TypeError(f"unknown domain {domain!r}")
@@ -329,7 +329,7 @@ class ThomExtendedForm:
         if data is None:
             raise PresentationError("Thom calculus needs a pull-back presentation")
         if orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
+            raise AlgindexError("orientation must be +1 or -1")
         self.pullback = pullback_presentation
         self.orientation = orientation
         self.free = free if free is not None else MixedForm(pullback_presentation, {})
@@ -362,9 +362,9 @@ class ThomExtendedForm:
 
     def _check(self, other):
         if not isinstance(other, ThomExtendedForm) or other.pullback is not self.pullback:
-            raise ValueError("operands live on different pull-backs")
+            raise AlgindexError("operands live on different pull-backs")
         if other.orientation != self.orientation:
-            raise ValueError("orientation mismatch")
+            raise AlgindexError("orientation mismatch")
 
     def wedge(self, other) -> "ThomExtendedForm":
         if isinstance(other, (AlgForm, MixedForm)):
@@ -415,7 +415,7 @@ class ThomExtendedForm:
 def thom_class(pb: AlgebroidPresentation, orientation=1) -> ThomExtendedForm:
     """The formal class 1*Th of the trivialized oriented bundle."""
     if orientation not in (1, -1):
-        raise ValueError("the Thom class needs an orientation (+1 or -1)")
+        raise AlgindexError("the Thom class needs an orientation (+1 or -1)")
     unit = MixedForm.constant(pb, orientation)
     return ThomExtendedForm(pb, thom=unit, orientation=1)
 
@@ -466,7 +466,7 @@ def fiber_integrate(t: ThomExtendedForm):
     for part in t.free.components.values():
         for T in part.coeffs:
             if vertical <= set(T):
-                raise ValueError(
+                raise AlgindexError(
                     "free part has a vertical top component; not fiber-integrable "
                     "in the formal calculus"
                 )
@@ -483,7 +483,7 @@ def fiber_integrate(t: ThomExtendedForm):
             value = values[0]
             for u in data.fiber_coords:
                 if value.depends_on(u):
-                    raise ValueError(
+                    raise AlgindexError(
                         "Th coefficient depends on fiber coordinates; "
                         "not fiber-integrable in the formal calculus"
                     )
@@ -581,7 +581,7 @@ def _sqrt_det(metric: Metric):
         root = _fraction_sqrt(det.constant_value())
         if root is not None:
             return A.chart.const(root)
-    raise ValueError(
+    raise AlgindexError(
         "cannot take an exact square root of det(metric); use a conformal "
         "metric or a constant metric with perfect-square determinant"
     )
@@ -678,7 +678,7 @@ def index_signature(
 ) -> IndexResult:
     """Signature index: integral of nu ^ L(g) (optionally ^ ch(E))."""
     if nu is not None and not d_g(nu).is_zero():
-        raise ValueError("nu must be a closed algebroid form")
+        raise AlgindexError("nu must be a closed algebroid form")
     L = char_class(levi_civita(A, metric), "l_genus", A.rank)
     extra = char_class(E, "ch", A.rank) if E is not None else None
     integrand = _genus_integrand(nu, L, extra)
@@ -691,7 +691,7 @@ def index_dirac(
 ) -> IndexResult:
     """Twisted Dirac index: integral of nu ^ A-hat(g) ^ ch(E)."""
     if nu is not None and not d_g(nu).is_zero():
-        raise ValueError("nu must be a closed algebroid form")
+        raise AlgindexError("nu must be a closed algebroid form")
     a_hat = char_class(levi_civita(A, metric), "a_hat", A.rank)
     ch_e = char_class(E, "ch", A.rank)
     integrand = _genus_integrand(nu, a_hat, ch_e)
@@ -714,7 +714,7 @@ def index_general(
         return index_signature(A, metric, nu, density, domain, E, tol, budget)
     if operator == "dirac":
         if E is None:
-            raise ValueError("the Dirac reduction needs coefficient-bundle data")
+            raise AlgindexError("the Dirac reduction needs coefficient-bundle data")
         return index_dirac(A, metric, E, nu, density, domain, tol, budget)
     raise UnresolvedEulerDivisionError(
         f"a roots identity reducing ch(symbol)/e for operator {operator!r} "

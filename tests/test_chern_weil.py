@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -181,6 +182,25 @@ def test_chern_classes_of_diagonal_curvature(two_root_curvature):
     R, w1, w2 = two_root_curvature
     assert cw.chern_class(R, 1) == w1 + w2
     assert cw.chern_class(R, 2) == w1.wedge(w2)
+
+
+def test_chern_classes_are_principal_minor_sums_generic():
+    # Newton's identities against the defining sum of principal k x k minors,
+    # on a matrix of commuting indeterminate entries
+    size = 3
+    A = alg.abelian_bundle(size * size, size)
+    entries = [
+        [AlgForm.constant(A, A.chart.coord(size * i + j)) for j in range(size)]
+        for i in range(size)
+    ]
+    R = cw.FormMatrix(A, entries)
+    for k in range(1, size + 1):
+        minors = AlgForm.zero(A, 0)
+        for subset in combinations(range(size), k):
+            sub = cw.FormMatrix(A, [[entries[i][j] for j in subset] for i in subset])
+            minors = minors + form_det(sub)
+        assert cw.chern_class(R, k) == minors
+    assert cw.chern_class(R, size + 1).is_zero()
 
 
 def test_chern_character_series(two_root_curvature):

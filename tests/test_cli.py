@@ -176,3 +176,108 @@ def test_main_callable_directly(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "[1, 1, 0]" in out
+
+
+# Declarations shared by the failure cases below; each case appends one
+# computation labelled "bad", then a validate that must still run.
+_DECLARATIONS = """\
+version: 1
+backend: poly
+coordinates: [x, y]
+algebroids:
+  plane: {kind: tangent}
+  other: {kind: tangent}
+  su2:
+    kind: lie_algebra
+    rank: 3
+    structure: {"1,2": {"3": 1}, "2,3": {"1": 1}, "3,1": {"2": 1}}
+metrics:
+  flat: {algebroid: plane, kind: identity}
+connections:
+  line: {algebroid: su2, bundle_rank: 1, matrices: [[[1]], [[0]], [[0]]]}
+densities:
+  lebesgue: {algebroid: plane, coefficient: 1}
+  foreign: {algebroid: other, coefficient: 1}
+forms:
+  pole: {algebroid: plane, degree: 2, coefficients: {"1,2": "1/x"}}
+domains:
+  square: {type: box, bounds: [[-1, 1], [-1, 1]]}
+groupoids:
+  pair2: {kind: pair, size: 2}
+"""
+
+_CHERN = "{op: charclass, label: bad, genus: ch, connection: line}"
+
+FAILURE_CASES = {
+    # a library error fails its own computation (exit 1); the next one runs
+    "pole-in-thom-check": (
+        "{op: thom-check, label: bad, algebroid: plane, form: pole, "
+        "density: lebesgue, domain: square}", [], 1),
+    "dirac-without-connection": (
+        "{op: index, label: bad, kind: dirac, algebroid: plane, metric: flat, "
+        "density: lebesgue, domain: square}", [], 1),
+    "cohomology-of-tangent": ("{op: cohomology, label: bad, algebroid: plane}", [], 1),
+    "density-on-other-algebroid": (
+        "{op: modular-cocycle, label: bad, algebroid: plane, density: foreign}", [], 1),
+    "trace-weight-over-zero": (
+        "{op: trace, label: bad, groupoid: pair2, weights: ['1/0', 1], "
+        "function: [1, 0, 0, 1]}", [], 1),
+    # a build error rejects the document (exit 2)
+    "conformal-factor-over-zero": (None, [], 2),
+    # out-of-range flags are usage errors (exit 2)
+    "truncate-negative": (_CHERN, ["--truncate", "-3"], 2),
+    "budget-zero": (_CHERN, ["--budget", "0"], 2),
+    "tolerance-nan": (_CHERN, ["--tolerance", "nan"], 2),
+    "tolerance-inf": (_CHERN, ["--tolerance", "inf"], 2),
+    "tolerance-zero": (_CHERN, ["--tolerance", "0"], 2),
+    "tolerance-negative": (_CHERN, ["--tolerance=-1e-9"], 2),
+    # a zero override is kept, not dropped: only the degree-0 part remains
+    "truncate-zero": (_CHERN, ["--truncate", "0"], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FAILURE_CASES))
+def test_failures_are_diagnostics(tmp_path, case):
+    computation, flags, expected_exit = FAILURE_CASES[case]
+    text = _DECLARATIONS
+    if computation is None:
+        text = text.replace(
+            "metrics:\n", "metrics:\n  bad: {algebroid: plane, kind: conformal, factor: '1/0'}\n"
+        )
+        computation = "{op: cohomology, label: bad, algebroid: su2}"
+    text += (
+        "computations:\n"
+        f"  - {computation}\n"
+        "  - {op: validate, label: after, algebroid: plane}\n"
+    )
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(text)
+    proc = run_cli(["--format", "json", "run", str(doc)] + flags)
+    assert proc.returncode == expected_exit, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    if expected_exit == 2:
+        assert proc.stdout == ""
+        assert "error:" in proc.stderr
+        return
+    by_label = {item["label"]: item for item in json.loads(proc.stdout)["results"]}
+    assert by_label["bad"]["ok"] is (expected_exit == 0)
+    assert by_label["after"]["ok"] is True
+    assert by_label["after"]["result"]["plane"]["status"] == "valid"
+    if case == "truncate-zero":
+        assert by_label["bad"]["result"]["class"] == {"0": [["", "1"]]}
+
+
+def test_library_errors_share_one_base():
+    from algindex import algebroid, groupoid, quadrature, scalars, thom_index
+
+    for error, builtin in [
+        (scalars.DomainError, ArithmeticError),
+        (quadrature.QuadratureError, RuntimeError),
+        (algebroid.PresentationError, ValueError),
+        (groupoid.GroupoidError, ValueError),
+        (thom_index.NonInvariantDensityError, ValueError),
+        (thom_index.UnresolvedEulerDivisionError, ValueError),
+        (cli.ComputationError, ValueError),
+    ]:
+        assert issubclass(error, scalars.AlgindexError)
+        assert issubclass(error, builtin)
