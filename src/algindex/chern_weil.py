@@ -108,10 +108,16 @@ class FormMatrix:
 
 
 class Metric:
-    """A symmetric scalar matrix on the frame, assumed positive definite."""
+    """A symmetric scalar matrix on the frame, assumed positive definite.
+
+    A metric is immutable after construction.  ``euler_form`` holds its Euler
+    form once ``thom_index.euler_class`` has computed it, so later
+    computations on the same metric reuse it.
+    """
 
     def __init__(self, algebroid, entries):
         self.algebroid = algebroid
+        self.euler_form = None
         self.entries = [[algebroid.scalar(v) for v in row] for row in entries]
         r = algebroid.rank
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
@@ -174,7 +180,14 @@ class Metric:
         return out
 
     def check_positive_definite(self, sample_points=None):
-        """Leading minors for constant metrics, sampling otherwise."""
+        """Leading minors for constant metrics, sampling otherwise.
+
+        A non-constant metric is checked at ``sample_points``, by default
+        the fixed grid of :func:`_positivity_grid`, so the check is heuristic:
+        it can accept a metric that fails between the points.  A point where
+        an entry cannot be evaluated (a pole, or a value beyond float range)
+        is skipped; a metric with every point skipped is rejected.
+        """
         constant = all(v.is_constant() for row in self.entries for v in row)
         if constant:
             from . import linalg
@@ -185,16 +198,38 @@ class Metric:
                 if linalg.det(minor) <= 0:
                     return False
             return True
-        points = sample_points or [
-            tuple(Fraction(s, 7) for s in range(1, self.algebroid.base_dim + 1))
-        ]
+        points = sample_points or _positivity_grid(self.algebroid.base_dim)
+        checked = False
         for point in points:
-            numeric = [[float(v.eval(point)) for v in row] for row in self.entries]
+            try:
+                numeric = [[float(v.eval(point)) for v in row] for row in self.entries]
+            except ArithmeticError:  # DomainError, OverflowError
+                continue
+            checked = True
             for k in range(1, self.algebroid.rank + 1):
                 det = _float_det([row[:k] for row in numeric[:k]])
                 if det <= 0:
                     return False
-        return True
+        return checked
+
+
+def _positivity_grid(n):
+    """The sample points of the positivity check on an n-dimensional base.
+
+    b = (1/7, 2/7, ..., n/7) scaled by 1, 1/7 and 7 under four sign patterns
+    (all +, all -, and the two alternating ones), b itself first, then the
+    origin: at most 13 points, which give every coordinate both signs and
+    every pair of neighbouring coordinates both relative signs.
+    """
+    b = [Fraction(k, 7) for k in range(1, n + 1)]
+    patterns = [[1] * n, [-1] * n, [(-1) ** k for k in range(n)],
+                [(-1) ** (k + 1) for k in range(n)]]
+    points = [
+        tuple(scale * sign * v for sign, v in zip(signs, b))
+        for scale in (1, Fraction(1, 7), 7)
+        for signs in patterns
+    ]
+    return list(dict.fromkeys(points + [(Fraction(0),) * n]))
 
 
 def _float_det(rows):

@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 a failed computation, 2 usage or document error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,6 +69,16 @@ def load_schema():
     return json.loads(data)
 
 
+@functools.cache
+def _validator():
+    """The schema's validator, built on first use: the schema is checked once,
+    as ``jsonschema.validate`` checks it on every call."""
+    schema = load_schema()
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
 def load_document(path):
     if path == "-":
         text = sys.stdin.read()
@@ -87,11 +98,10 @@ def load_document(path):
         raise DocumentError(f"{name}: YAML parse error{where}: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError(f"{name}: document must be a mapping")
-    try:
-        jsonschema.validate(data, load_schema())
-    except jsonschema.ValidationError as exc:
-        path_str = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise DocumentError(f"{name}: schema violation at {path_str}: {exc.message}")
+    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
+    if error is not None:
+        path_str = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise DocumentError(f"{name}: schema violation at {path_str}: {error.message}")
     return data
 
 

@@ -226,23 +226,44 @@ class PolyScalar:
 
     def eval_float(self, point) -> float:
         """Fast float evaluation; falls back to exact arithmetic on overflow."""
+        return self.compile_float()(point)
+
+    def compile_float(self):
+        """A ``point -> float`` evaluator; ``eval_float`` is one call of it.
+
+        The float coefficients are converted once and zero exponents are
+        dropped.  Each call multiplies and sums the terms in dict order and
+        falls back to exact evaluation on overflow or catastrophic
+        cancellation, so an integrand evaluated many times gives the same
+        bits as ``eval_float``.
+        """
+        exact = self.eval
         try:
-            total = 0.0
-            largest = 0.0
-            values = [float(p) for p in point]
-            for expo, coeff in self.terms.items():
-                term = float(coeff)
-                for v, e in zip(values, expo):
-                    if e:
-                        term *= v**e
-                total += term
-                largest = max(largest, abs(term))
-            # fall back on overflow or catastrophic cancellation
-            if math.isfinite(total) and (largest == 0.0 or abs(total) >= 1e-8 * largest):
-                return total
-        except OverflowError:
-            pass
-        return float(self.eval(point))
+            terms = [
+                (float(coeff), [(i, e) for i, e in enumerate(expo) if e])
+                for expo, coeff in self.terms.items()
+            ]
+        except OverflowError:  # a coefficient beyond float range: always exact
+            return lambda point: float(exact(point))
+
+        def evaluate(point):
+            try:
+                total = 0.0
+                largest = 0.0
+                values = [float(p) for p in point]
+                for term, powers in terms:
+                    for i, e in powers:
+                        term *= values[i] ** e
+                    total += term
+                    largest = max(largest, abs(term))
+                # fall back on overflow or catastrophic cancellation
+                if math.isfinite(total) and (largest == 0.0 or abs(total) >= 1e-8 * largest):
+                    return total
+            except OverflowError:
+                pass
+            return float(exact(point))
+
+        return evaluate
 
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
@@ -586,19 +607,30 @@ class RationalScalar:
     def eval_float(self, point) -> float:
         """Float evaluation with an exact fallback for huge intermediates
         (unreduced quotients overflow floats long before their ratio does)."""
-        try:
-            n = self.num.eval_float(point)
-            d = self.den.eval_float(point)
-            if d != 0.0 and math.isfinite(n) and math.isfinite(d):
-                out = n / d
-                if math.isfinite(out):
-                    return out
-        except OverflowError:
-            pass
-        value = self.eval(point)
-        if value == 0:
-            return 0.0
-        return float(value)
+        return self.compile_float()(point)
+
+    def compile_float(self):
+        """A ``point -> float`` evaluator over the compiled numerator and
+        denominator, with the exact fallback of ``eval_float``, which is one
+        call of it; a pole raises :class:`DomainError`."""
+        num, den, exact = self.num.compile_float(), self.den.compile_float(), self.eval
+
+        def evaluate(point):
+            try:
+                n = num(point)
+                d = den(point)
+                if d != 0.0 and math.isfinite(n) and math.isfinite(d):
+                    out = n / d
+                    if math.isfinite(out):
+                        return out
+            except OverflowError:
+                pass
+            value = exact(point)
+            if value == 0:
+                return 0.0
+            return float(value)
+
+        return evaluate
 
     def substitute(self, replacements):
         return self.num.substitute(replacements) / self.den.substitute(replacements)
@@ -781,6 +813,10 @@ class NumericExpr:
         return self._eval(tuple(float(p) for p in point))
 
     eval_float = eval
+
+    def compile_float(self):
+        """``point -> float``: the evaluator itself, already float throughout."""
+        return self.eval
 
     def _eval(self, point) -> float:
         kind = self.node[0]

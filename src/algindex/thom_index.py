@@ -190,6 +190,7 @@ def integrate(
 
     if pairing.is_zero():
         return IntegrationResult(Fraction(0), True, 0.0, normalization_degree)
+    integrand = pairing.compile_float()  # one float evaluator for every quadrature path
 
     if isinstance(domain, BoxDomain):
         if len(domain.bounds) != A.base_dim:
@@ -204,11 +205,11 @@ def integrate(
         spans = [(float(lo), float(hi)) for lo, hi in domain.bounds]
         if A.base_dim == 1:
             res = quadrature.integrate_1d(
-                lambda x: pairing.eval_float((x,)), *spans[0], tol=tol, budget=budget
+                lambda x: integrand((x,)), *spans[0], tol=tol, budget=budget
             )
         elif A.base_dim == 2:
             res = quadrature.integrate_2d(
-                lambda x, y: pairing.eval_float((x, y)),
+                lambda x, y: integrand((x, y)),
                 spans[0],
                 spans[1],
                 tol=tol,
@@ -224,14 +225,14 @@ def integrate(
 
             def f1(s):
                 x = math.tan(s)
-                return pairing.eval_float((x,)) * (1.0 + x * x)
+                return integrand((x,)) * (1.0 + x * x)
 
             res = quadrature.integrate_1d(f1, -half, half, tol=tol, budget=budget)
         elif A.base_dim == 2:
 
             def f2(s, t):
                 x, y = math.tan(s), math.tan(t)
-                return pairing.eval_float((x, y)) * (1.0 + x * x) * (1.0 + y * y)
+                return integrand((x, y)) * (1.0 + x * x) * (1.0 + y * y)
 
             res = quadrature.integrate_2d(
                 f2, (-half, half), (-half, half), tol=tol, budget=budget
@@ -591,15 +592,19 @@ def euler_class(A: AlgebroidPresentation, metric: Metric) -> AlgForm:
     """Pf(R(levi_civita)) in the metric-orthonormal normalization.
 
     Odd rank gives the zero form (Pfaffian convention, makes index_euler
-    total); the result is a closed form of degree = rank.
+    total); the result is a closed form of degree = rank.  It is computed
+    once per metric and kept on it (``Metric.euler_form``).
     """
+    if A is metric.algebroid and metric.euler_form is not None:
+        return metric.euler_form
     if A.rank % 2:
         return AlgForm.zero(A, A.rank)
-    conn = levi_civita(A, metric)
+    conn = levi_civita(A, metric)  # raises unless A is metric.algebroid
     R = curvature(conn)
     pf = pfaffian_form(R, metric)
     root = _sqrt_det(metric)
-    return pf.scale(1 / root)
+    metric.euler_form = pf.scale(1 / root)
+    return metric.euler_form
 
 
 @dataclass

@@ -1,8 +1,17 @@
+import os
+from pathlib import Path
+
 import pytest
 
+import algindex
 from algindex import algebroid as alg
 from algindex.chern_weil import Metric
 from algindex.scalars import Chart
+
+# the processes the tests start (the CLI, the demos) import this same algindex
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(algindex.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 @pytest.fixture(scope="session")

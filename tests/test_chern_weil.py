@@ -145,6 +145,16 @@ def test_levi_civita_rejects_singular_metric(aff1):
         cw.levi_civita(aff1, cw.Metric(aff1, entries))
 
 
+def test_sampled_positivity_skips_poles_and_sees_both_signs(t2):
+    x, y = t2.chart.coord(0), t2.chart.coord(1)
+    assert not cw.Metric.conformal(t2, x).check_positive_definite()
+    assert not cw.Metric.conformal(t2, 1 + x * y).check_positive_definite()  # -1 at (1, -2)
+    # the origin is a pole and is skipped; with no other point there is nothing to check
+    punctured = cw.Metric.conformal(t2, 1 / (x * x + y * y))
+    assert punctured.check_positive_definite()
+    assert not punctured.check_positive_definite(sample_points=[(0, 0)])
+
+
 # -- characteristic series (paper rationals) ------------------------------------
 
 

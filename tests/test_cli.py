@@ -91,6 +91,22 @@ def test_schema_violation_exit_code(tmp_path):
     assert "schema violation" in proc.stderr
 
 
+@pytest.mark.parametrize("body,message", [
+    ("computations:\n  - op: frobnicate\n",
+     "computations/0/op: 'frobnicate' is not one of ['validate', 'cohomology', "
+     "'charclass', 'curvature', 'index', 'modular-cocycle', 'thom-check', "
+     "'groupoid-cohomology', 'convolution-table', 'trace']"),
+    ("algebroids:\n  A: {kind: abelian, rank: three}\ncomputations: []\n",
+     "algebroids/A/rank: 'three' is not of type 'integer'"),
+])
+def test_schema_violation_message_is_pinned(tmp_path, body, message):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text("version: 1\n" + body)
+    proc = run_cli(["run", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: {doc}: schema violation at {message}\n"
+
+
 def test_missing_version_rejected(tmp_path):
     doc = tmp_path / "doc.yaml"
     doc.write_text("computations: []\n")
@@ -224,6 +240,14 @@ FAILURE_CASES = {
         "function: [1, 0, 0, 1]}", [], 1),
     # a build error rejects the document (exit 2)
     "conformal-factor-over-zero": (None, [], 2),
+    "conformal-factor-x": (None, [], 2),  # negative for x < 0
+    # so does a tolerance field out of the range the flag accepts
+    "tolerance-field-zero": (
+        "{op: index, label: bad, kind: euler, algebroid: plane, metric: flat, "
+        "density: lebesgue, domain: square, tolerance: 0}", [], 2),
+    "tolerance-field-negative": (
+        "{op: thom-check, label: bad, algebroid: plane, form: pole, "
+        "density: lebesgue, domain: square, tolerance: -1.0e-9}", [], 2),
     # out-of-range flags are usage errors (exit 2)
     "truncate-negative": (_CHERN, ["--truncate", "-3"], 2),
     "budget-zero": (_CHERN, ["--budget", "0"], 2),
@@ -235,15 +259,25 @@ FAILURE_CASES = {
     "truncate-zero": (_CHERN, ["--truncate", "0"], 0),
 }
 
+# the conformal factor of the metric each build-error case declares
+_BAD_FACTORS = {"conformal-factor-over-zero": "'1/0'", "conformal-factor-x": "x"}
+
+# what the error line of an exit-2 case must say
+_ERRORS = {
+    "conformal-factor-over-zero": "division by the zero polynomial",
+    "conformal-factor-x": "not positive definite",
+    "tolerance-field-zero": "schema violation at computations/0/tolerance",
+    "tolerance-field-negative": "schema violation at computations/0/tolerance",
+}
+
 
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
 def test_failures_are_diagnostics(tmp_path, case):
     computation, flags, expected_exit = FAILURE_CASES[case]
     text = _DECLARATIONS
     if computation is None:
-        text = text.replace(
-            "metrics:\n", "metrics:\n  bad: {algebroid: plane, kind: conformal, factor: '1/0'}\n"
-        )
+        metric = f"  bad: {{algebroid: plane, kind: conformal, factor: {_BAD_FACTORS[case]}}}\n"
+        text = text.replace("metrics:\n", "metrics:\n" + metric)
         computation = "{op: cohomology, label: bad, algebroid: su2}"
     text += (
         "computations:\n"
@@ -258,6 +292,7 @@ def test_failures_are_diagnostics(tmp_path, case):
     if expected_exit == 2:
         assert proc.stdout == ""
         assert "error:" in proc.stderr
+        assert _ERRORS.get(case, "error:") in proc.stderr
         return
     by_label = {item["label"]: item for item in json.loads(proc.stdout)["results"]}
     assert by_label["bad"]["ok"] is (expected_exit == 0)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -185,6 +186,108 @@ def test_rational_eval_matches_float_path():
         exact = float(r.eval(point))
         fast = r.eval_float(point)
         assert abs(exact - fast) <= 1e-12 * max(1.0, abs(exact))
+
+
+# -- the compiled float evaluator ----------------------------------------------
+
+
+def _uncompiled_eval_float(p, point):
+    """The float path written out directly: each coefficient converted at
+    every call, every exponent visited, the same fallbacks."""
+    if isinstance(p, RationalScalar):
+        try:
+            n, d = _uncompiled_eval_float(p.num, point), _uncompiled_eval_float(p.den, point)
+            if d != 0.0 and math.isfinite(n) and math.isfinite(d) and math.isfinite(n / d):
+                return n / d
+        except OverflowError:
+            pass
+        value = p.eval(point)
+        return 0.0 if value == 0 else float(value)
+    try:
+        total = largest = 0.0
+        values = [float(v) for v in point]
+        for expo, coeff in p.terms.items():
+            term = float(coeff)
+            for v, e in zip(values, expo):
+                if e:
+                    term *= v**e
+            total += term
+            largest = max(largest, abs(term))
+        if math.isfinite(total) and (largest == 0.0 or abs(total) >= 1e-8 * largest):
+            return total
+    except OverflowError:
+        pass
+    return float(p.eval(point))
+
+
+def _outcome(evaluate, point):
+    """The float one evaluation returns, or the type of error it raises."""
+    try:
+        return evaluate(point)
+    except (DomainError, OverflowError) as exc:
+        return type(exc)
+
+
+def assert_same_bits(scalar, point):
+    compiled = _outcome(scalar.compile_float(), point)
+    for other in (_outcome(scalar.eval_float, point),
+                  _outcome(lambda q: _uncompiled_eval_float(scalar, q), point)):
+        if isinstance(compiled, float):
+            assert isinstance(other, float)
+            assert compiled == other and math.copysign(1, compiled) == math.copysign(1, other)
+        else:
+            assert compiled is other
+    return compiled
+
+
+def test_compiled_float_matches_eval_float_random():
+    rng = random.Random(606)
+    for _ in range(150):
+        p = random_poly(rng)
+        den = random_poly(rng)
+        scalars = [p] if den.is_zero() else [p, p / den]
+        for scalar in scalars:
+            for point in [
+                (rng.uniform(-3, 3), rng.uniform(-3, 3)),
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 9)), rng.randint(-2, 2)),
+                (0.0, -0.0),
+            ]:
+                assert_same_bits(scalar, point)
+
+
+def test_compiled_float_overflow_falls_back_to_exact():
+    big = 10**100
+    # terms overflow to inf - inf; the exact value 10^200 (2 * 10^100 + 1) is finite
+    p = PolyScalar(XY, {(2, 0): 10**200, (0, 2): -(10**200)})
+    point = (Fraction(big + 1), Fraction(big))
+    assert assert_same_bits(p, point) == float(p.eval(point))
+    # coefficients beyond float range are never converted
+    huge = PolyScalar(XY, {(1, 0): 10**400, (0, 1): -(10**400)})
+    assert assert_same_bits(huge, (1, 1)) == 0.0
+    assert assert_same_bits(huge, (2, 1)) is OverflowError
+    # an unreduced quotient whose parts overflow but whose ratio does not
+    r = P("x^2") / P("x^2 + 1")
+    assert assert_same_bits(r, (1e200, 0.5)) == 1.0
+
+
+def test_compiled_float_cancellation_falls_back_to_exact():
+    p = P("(x - 1)^8")  # expanded: nine terms of size up to 70 cancel near x = 1
+    assert len(p.terms) == 9
+    point = (1 + 2.0**-10, 0.25)
+    assert assert_same_bits(p, point) == 2.0**-80
+    assert assert_same_bits(p / P("1 + y^2"), point) == float((p / P("1 + y^2")).eval(point))
+
+
+def test_compiled_float_pole_is_domain_error():
+    r = P("1") / P("x - 1")
+    assert assert_same_bits(r, (1.0, 0.5)) is DomainError
+    assert assert_same_bits(r, (3.0, 0.5)) == 0.5
+
+
+def test_numeric_compile_float_is_its_evaluator():
+    expr = Chart(XY, "numeric").parse("exp(x) / (1 + y^2)")
+    assert expr.compile_float() == expr.eval
+    assert expr.compile_float()((0.0, 1.0)) == 0.5
 
 
 def test_poly_gcd():

@@ -1,14 +1,16 @@
 import math
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
+from algindex import cli, quadrature
 from algindex import thom_index as ti
 from algindex.forms import AlgForm, MixedForm, basis_forms, d_g, pullback_form
-from algindex.scalars import Chart
+from algindex.scalars import AlgindexError, Chart
 
 import oracles
 
@@ -324,6 +326,48 @@ def test_euler_class_round_sphere_is_gauss_curvature_form(t2, sphere_metric):
     anchor = alg.anchor_morphism(t2, alg.tangent(2, t2.chart, name="T"))
     lifted = AlgForm(anchor.target, 2, {(0, 1): (lam,)})
     assert pullback_form(anchor, lifted) == e
+
+
+def test_euler_class_is_computed_once_per_metric(t2, monkeypatch):
+    x, y = t2.chart.coord(0), t2.chart.coord(1)
+    metric = cw.Metric.conformal(t2, 1 / (1 + x * x + 2 * y * y))
+    calls = []
+
+    def counting(A, g):
+        calls.append(A)
+        return cw.levi_civita(A, g)
+
+    monkeypatch.setattr(ti, "levi_civita", counting)
+    first = ti.euler_class(t2, metric)
+    second = ti.euler_class(t2, metric)
+    assert len(calls) == 1
+    assert first == second and not first.is_zero()
+    # the kept form is for the metric's own algebroid only
+    with pytest.raises(AlgindexError, match="different algebroid"):
+        ti.euler_class(alg.tangent(2), metric)
+    assert len(calls) == 2
+
+
+def test_sphere_plane_quadrature_is_pinned(monkeypatch):
+    # the raw integral of the bundled sphere job's index, bit for bit
+    original = quadrature.integrate_2d
+    results = []
+
+    def spy(*args, **kwargs):
+        results.append(original(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(quadrature, "integrate_2d", spy)
+    job = resources.files("algindex").joinpath("jobs/sphere-stereographic.yaml")
+    ctx = cli.JobContext(cli.load_document(str(job)))
+    result = ti.index_euler(
+        ctx.ref("algebroid", "sphere_chart"), ctx.ref("metric", "round"),
+        ctx.ref("density", "lebesgue"), ctx.ref("domain", "plane"),
+        tol=1e-8, budget=6000,
+    )
+    assert result.integral.raw == 12.566370619856325
+    assert result.integral.error == 1.0986086516414886e-07
+    assert [r.panels for r in results] == [106]
 
 
 def test_index_euler_flat_torus(t2):
