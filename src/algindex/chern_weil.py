@@ -15,6 +15,7 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
 from .forms import AlgForm, MixedForm, Representation, _scalar_det, d_g
 from .scalars import AlgindexError, Chart, PolyScalar
@@ -180,37 +181,35 @@ class Metric:
         return out
 
     def check_positive_definite(self, sample_points=None):
-        """Leading minors for constant metrics, sampling otherwise.
+        """Leading minors, exact: of a constant metric, or at sample points.
 
         A non-constant metric is checked at ``sample_points``, by default
         the fixed grid of :func:`_positivity_grid`, so the check is heuristic:
-        it can accept a metric that fails between the points.  A point where
-        an entry cannot be evaluated (a pole, or a value beyond float range)
-        is skipped; a metric with every point skipped is rejected.
+        it can accept a metric that fails between the points.  The verdict at
+        each point is exact.  A point where an entry cannot be evaluated (a
+        pole, or a numeric value beyond float range) is skipped; a metric with
+        every point skipped is rejected.
         """
-        constant = all(v.is_constant() for row in self.entries for v in row)
-        if constant:
-            from . import linalg
-
-            numeric = [[v.constant_value() for v in row] for row in self.entries]
-            for k in range(1, self.algebroid.rank + 1):
-                minor = [row[:k] for row in numeric[:k]]
-                if linalg.det(minor) <= 0:
-                    return False
-            return True
-        points = sample_points or _positivity_grid(self.algebroid.base_dim)
+        if all(v.is_constant() for row in self.entries for v in row):
+            return _leading_minors_positive(
+                [[v.constant_value() for v in row] for row in self.entries]
+            )
         checked = False
-        for point in points:
+        for point in sample_points or _positivity_grid(self.algebroid.base_dim):
             try:
-                numeric = [[float(v.eval(point)) for v in row] for row in self.entries]
+                values = [[v.eval(point) for v in row] for row in self.entries]
             except ArithmeticError:  # DomainError, OverflowError
                 continue
+            if not _leading_minors_positive(values):
+                return False
             checked = True
-            for k in range(1, self.algebroid.rank + 1):
-                det = _float_det([row[:k] for row in numeric[:k]])
-                if det <= 0:
-                    return False
         return checked
+
+
+def _leading_minors_positive(values):
+    return all(
+        linalg.det([row[:k] for row in values[:k]]) > 0 for k in range(1, len(values) + 1)
+    )
 
 
 def _positivity_grid(n):
@@ -230,24 +229,6 @@ def _positivity_grid(n):
         for signs in patterns
     ]
     return list(dict.fromkeys(points + [(Fraction(0),) * n]))
-
-
-def _float_det(rows):
-    n = len(rows)
-    rows = [list(r) for r in rows]
-    out = 1.0
-    for c in range(n):
-        pivot = max(range(c, n), key=lambda i: abs(rows[i][c]))
-        if rows[pivot][c] == 0.0:
-            return 0.0
-        if pivot != c:
-            rows[c], rows[pivot] = rows[pivot], rows[c]
-            out = -out
-        out *= rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c] / rows[c][c]
-            rows[i] = [v - f * w for v, w in zip(rows[i], rows[c])]
-    return out
 
 
 # ---------------------------------------------------------------------------

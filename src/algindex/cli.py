@@ -164,7 +164,12 @@ class JobContext:
                 a, b = (int(i) - 1 for i in key.split(","))
                 coeffs = [chart.zero()] * rank
                 for c, value in row.items():
-                    coeffs[int(c) - 1] = chart.parse(str(value))
+                    c = int(c)
+                    if not 1 <= c <= rank:
+                        raise DocumentError(
+                            f"structure coefficient index {c} of [{key}] is outside 1..{rank}"
+                        )
+                    coeffs[c - 1] = chart.parse(str(value))
                 structure[(a, b)] = coeffs
             if kind == "lie_algebra":
                 anchor = [[] for _ in range(rank)]
@@ -472,6 +477,11 @@ def _convolution_table(ctx, comp, settings):
 
 def _trace(ctx, comp, settings):
     G = ctx.ref("groupoid", comp["groupoid"])
+    for key, labels, noun in (("weights", G.objects, "object"), ("function", G.arrows, "arrow")):
+        if len(comp[key]) != len(labels):
+            raise DocumentError(
+                f"trace {key}: need {len(labels)}, one per {noun}, got {len(comp[key])}"
+            )
     weights = {x: as_fraction(str(w)) for x, w in zip(G.objects, comp["weights"])}
     f = {g: as_fraction(str(v)) for g, v in zip(G.arrows, comp["function"])}
     return {"trace": str(gp.trace(f, weights, G))}

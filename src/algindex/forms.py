@@ -492,12 +492,7 @@ def cohomology_const(algebroid, rep=None, max_degree=None):
             ranks.append(0)
         else:
             ranks.append(linalg.rank(_differential_matrix(algebroid, rep, k)))
-    betti = []
-    for k in range(max_degree + 1):
-        kernel = dims[k] - ranks[k]
-        image_prev = ranks[k - 1] if k > 0 else 0
-        betti.append(kernel - image_prev)
-    return betti
+    return linalg.betti_numbers(dims, ranks)
 
 
 def is_cocycle(form: AlgForm, rep=None) -> bool:

@@ -300,12 +300,7 @@ def groupoid_cohomology(groupoid, rep=None, max_degree=2):
         linalg.rank(differential_matrix(groupoid, rep, k))
         for k in range(max_degree + 1)
     ]
-    betti = []
-    for k in range(max_degree + 1):
-        kernel = dims[k] - ranks[k]
-        image_prev = ranks[k - 1] if k > 0 else 0
-        betti.append(kernel - image_prev)
-    return betti
+    return linalg.betti_numbers(dims, ranks)
 
 
 # ---------------------------------------------------------------------------

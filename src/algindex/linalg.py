@@ -1,4 +1,8 @@
-"""Exact linear algebra over the rationals (dense, Fraction-valued)."""
+"""Exact linear algebra over the rationals.
+
+Matrices come in as dense lists of rows.  ``rank``, ``det``, ``solve`` and
+``nullspace`` all run on one sparse forward elimination, ``_eliminate``.
+"""
 
 from __future__ import annotations
 
@@ -24,39 +28,65 @@ def matmul(a, b):
     ]
 
 
-def rref(matrix):
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in matrix]
-    pivots = []
-    lead = 0
-    n_cols = len(rows[0]) if rows else 0
-    for r in range(len(rows)):
-        while lead < n_cols:
-            pivot_row = next(
-                (i for i in range(r, len(rows)) if rows[i][lead] != 0), None
-            )
-            if pivot_row is None:
-                lead += 1
+def _eliminate(matrix):
+    """Sparse exact forward elimination of a dense matrix.
+
+    Each row keeps only its nonzero entries, as ``{column: Fraction}``.
+    Column by column, the pivot is the sparsest remaining row with a nonzero
+    in that column, ties going to the lowest row index, and it is subtracted
+    from every other remaining row with a nonzero there.  Returns the pivot
+    rows, their pivot columns and the original indices of the pivot rows, all
+    in pivot order.  Pivot row k is zero left of its pivot column, and the
+    pivot columns are the leftmost independent columns whichever rows are
+    chosen as pivots.
+    """
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
+    remaining = [i for i, row in enumerate(rows) if row]
+    pivots, columns, order = [], [], []
+    for col in range(len(matrix[0]) if matrix else 0):
+        hits = [i for i in remaining if col in rows[i]]
+        if not hits:
+            continue
+        p = min(hits, key=lambda i: len(rows[i]))
+        pivot = rows[p]
+        for i in hits:
+            if i == p:
                 continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            scale = rows[r][lead]
-            rows[r] = [v / scale for v in rows[r]]
-            for i in range(len(rows)):
-                if i != r and rows[i][lead] != 0:
-                    factor = rows[i][lead]
-                    rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
-            pivots.append(lead)
-            lead += 1
-            break
-        else:
-            break
-    return rows, pivots
+            row = rows[i]
+            factor = row[col] / pivot[col]
+            for j, v in pivot.items():
+                w = row.get(j, 0) - factor * v
+                if w:
+                    row[j] = w
+                else:
+                    del row[j]
+        remaining = [i for i in remaining if i != p and rows[i]]
+        pivots.append(pivot)
+        columns.append(col)
+        order.append(p)
+    return pivots, columns, order
+
+
+def _back_substitute(pivots, columns, x):
+    """Set x on the pivot columns so that every pivot row annihilates x."""
+    for row, col in zip(reversed(pivots), reversed(columns)):
+        x[col] = -sum((v * x[j] for j, v in row.items() if j != col), Fraction(0)) / row[col]
+    return x
 
 
 def rank(matrix) -> int:
-    if not matrix or not matrix[0]:
-        return 0
-    return len(rref(matrix)[1])
+    return len(_eliminate(matrix)[1])
+
+
+def det(a) -> Fraction:
+    pivots, columns, order = _eliminate(a)
+    if len(pivots) < len(a):
+        return Fraction(0)
+    inversions = sum(p > q for k, p in enumerate(order) for q in order[k + 1:])
+    result = Fraction((-1) ** inversions)
+    for row, col in zip(pivots, columns):
+        result *= row[col]
+    return result
 
 
 def solve(a, b):
@@ -64,50 +94,27 @@ def solve(a, b):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    n_rows = len(a)
     n_cols = len(a[0]) if a else 0
-    augmented = [list(a[i]) + [Fraction(b[i])] for i in range(n_rows)]
-    reduced, pivots = rref(augmented)
-    if n_cols in pivots:
+    pivots, columns, _ = _eliminate([list(row) + [b_i] for row, b_i in zip(a, b)])
+    if columns and columns[-1] == n_cols:
         return None
-    x = [Fraction(0)] * n_cols
-    for row, col in zip(reduced, pivots):
-        x[col] = row[-1]
-    return x
+    # the right-hand side is column n_cols, with x = -1 there
+    x = [Fraction(0)] * n_cols + [Fraction(-1)]
+    return _back_substitute(pivots, columns, x)[:n_cols]
 
 
 def nullspace(a):
     """Basis of ker A, deterministic (one vector per free column)."""
-    if not a:
-        return []
-    n_cols = len(a[0])
-    reduced, pivots = rref(a)
-    free = [j for j in range(n_cols) if j not in pivots]
+    n_cols = len(a[0]) if a else 0
+    pivots, columns, _ = _eliminate(a)
     basis = []
-    for j in free:
-        vec = [Fraction(0)] * n_cols
-        vec[j] = Fraction(1)
-        for row, col in zip(reduced, pivots):
-            vec[col] = -row[j]
-        basis.append(vec)
+    for free in sorted(set(range(n_cols)) - set(columns)):
+        x = [Fraction(0)] * n_cols
+        x[free] = Fraction(1)
+        basis.append(_back_substitute(pivots, columns, x))
     return basis
 
 
-def det(a) -> Fraction:
-    n = len(a)
-    rows = [list(r) for r in a]
-    result = Fraction(1)
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != col:
-            rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
-            result = -result
-        result *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
-        for i in range(col + 1, n):
-            if rows[i][col] != 0:
-                factor = rows[i][col] * inv
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
-    return result
+def betti_numbers(dims, ranks):
+    """Betti numbers of a cochain complex: dim C^k - rank d_k - rank d_{k-1}."""
+    return [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(len(dims))]

@@ -237,7 +237,7 @@ class PolyScalar:
         cancellation, so an integrand evaluated many times gives the same
         bits as ``eval_float``.
         """
-        exact = self.eval
+        exact, n_vars = self.eval, len(self.vars)
         try:
             terms = [
                 (float(coeff), [(i, e) for i, e in enumerate(expo) if e])
@@ -247,6 +247,8 @@ class PolyScalar:
             return lambda point: float(exact(point))
 
         def evaluate(point):
+            if len(point) != n_vars:
+                raise AlgindexError("point dimension does not match variable count")
             try:
                 total = 0.0
                 largest = 0.0

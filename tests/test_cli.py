@@ -238,9 +238,19 @@ FAILURE_CASES = {
     "trace-weight-over-zero": (
         "{op: trace, label: bad, groupoid: pair2, weights: ['1/0', 1], "
         "function: [1, 0, 0, 1]}", [], 1),
+    # a trace needs one weight per object and one function value per arrow
+    "trace-weights-short": (
+        "{op: trace, label: bad, groupoid: pair2, weights: [1], function: [1, 0, 0, 1]}", [], 2),
+    "trace-weights-long": (
+        "{op: trace, label: bad, groupoid: pair2, weights: [1, 1, 1], "
+        "function: [1, 0, 0, 1]}", [], 2),
+    "trace-function-short": (
+        "{op: trace, label: bad, groupoid: pair2, weights: [1, 1], function: [1, 0]}", [], 2),
     # a build error rejects the document (exit 2)
     "conformal-factor-over-zero": (None, [], 2),
     "conformal-factor-x": (None, [], 2),  # negative for x < 0
+    "structure-index-above-rank": (None, [], 2),
+    "structure-index-zero": (None, [], 2),  # once read as the last basis element
     # so does a tolerance field out of the range the flag accepts
     "tolerance-field-zero": (
         "{op: index, label: bad, kind: euler, algebroid: plane, metric: flat, "
@@ -259,13 +269,25 @@ FAILURE_CASES = {
     "truncate-zero": (_CHERN, ["--truncate", "0"], 0),
 }
 
-# the conformal factor of the metric each build-error case declares
-_BAD_FACTORS = {"conformal-factor-over-zero": "'1/0'", "conformal-factor-x": "x"}
+# the declaration each build-error case adds: a metric, or a rank-2 Lie algebra
+_BAD_DECLARATIONS = {
+    "conformal-factor-over-zero": ("metrics", "{algebroid: plane, kind: conformal, factor: '1/0'}"),
+    "conformal-factor-x": ("metrics", "{algebroid: plane, kind: conformal, factor: x}"),
+    "structure-index-above-rank": (
+        "algebroids", '{kind: lie_algebra, rank: 2, structure: {"1,2": {"5": 1}}}'),
+    "structure-index-zero": (
+        "algebroids", '{kind: lie_algebra, rank: 2, structure: {"1,2": {"0": 1}}}'),
+}
 
 # what the error line of an exit-2 case must say
 _ERRORS = {
     "conformal-factor-over-zero": "division by the zero polynomial",
     "conformal-factor-x": "not positive definite",
+    "structure-index-above-rank": "structure coefficient index 5 of [1,2] is outside 1..2",
+    "structure-index-zero": "structure coefficient index 0 of [1,2] is outside 1..2",
+    "trace-weights-short": "trace weights: need 2, one per object, got 1",
+    "trace-weights-long": "trace weights: need 2, one per object, got 3",
+    "trace-function-short": "trace function: need 4, one per arrow, got 2",
     "tolerance-field-zero": "schema violation at computations/0/tolerance",
     "tolerance-field-negative": "schema violation at computations/0/tolerance",
 }
@@ -276,8 +298,8 @@ def test_failures_are_diagnostics(tmp_path, case):
     computation, flags, expected_exit = FAILURE_CASES[case]
     text = _DECLARATIONS
     if computation is None:
-        metric = f"  bad: {{algebroid: plane, kind: conformal, factor: {_BAD_FACTORS[case]}}}\n"
-        text = text.replace("metrics:\n", "metrics:\n" + metric)
+        section, declaration = _BAD_DECLARATIONS[case]
+        text = text.replace(f"{section}:\n", f"{section}:\n  bad: {declaration}\n")
         computation = "{op: cohomology, label: bad, algebroid: su2}"
     text += (
         "computations:\n"

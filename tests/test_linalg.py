@@ -1,0 +1,104 @@
+"""The exact elimination behind rank, det, solve and nullspace, against the
+independent row reduction and Leibniz determinant of ``oracles``."""
+
+import operator
+import random
+from fractions import Fraction
+
+import pytest
+
+from algindex import linalg
+
+import oracles
+
+
+def _random_sparse(rng, rows, cols, density):
+    return [
+        [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density else Fraction(0)
+         for _ in range(cols)]
+        for _ in range(rows)
+    ]
+
+
+def _random_matrix(rng, rows, cols):
+    """Sparse, or a product of thin factors (rank deficient), with a zero row
+    and a zero column now and then."""
+    if rng.random() < 0.4 and min(rows, cols) > 1:
+        inner = rng.randint(1, min(rows, cols) - 1)
+        m = linalg.matmul(_random_sparse(rng, rows, inner, 0.6),
+                          _random_sparse(rng, inner, cols, 0.6))
+    else:
+        m = _random_sparse(rng, rows, cols, rng.choice([0.15, 0.3, 0.6]))
+    if rng.random() < 0.3:
+        m[rng.randrange(rows)] = [Fraction(0)] * cols
+    if rng.random() < 0.3:
+        j = rng.randrange(cols)
+        for row in m:
+            row[j] = Fraction(0)
+    return m
+
+
+def _matrices(seed, count=150, max_size=7):
+    rng = random.Random(seed)
+    fixed = [[], [[], []], [[Fraction(0)] * 3 for _ in range(2)], [[Fraction(2)]]]
+    return fixed + [
+        _random_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
+        for _ in range(count)
+    ]
+
+
+def _apply(a, x):
+    return [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
+
+
+def _oracle_pivot_columns(a):
+    """Column j is a pivot column iff the rank rises when j is added."""
+    n_cols = len(a[0]) if a else 0
+    ranks = [oracles.row_reduce_rank([row[:j] for row in a]) for j in range(n_cols + 1)]
+    return [j for j in range(n_cols) if ranks[j + 1] > ranks[j]]
+
+
+def test_rank_matches_row_reduction():
+    for m in _matrices(101):
+        assert linalg.rank(m) == oracles.row_reduce_rank(m), m
+
+
+def test_det_matches_leibniz():
+    rng = random.Random(202)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        m = _random_matrix(rng, n, n)
+        expected = oracles.leibniz_determinant(m, operator.mul, operator.add, Fraction(0))
+        assert linalg.det(m) == expected, m
+    assert linalg.det([]) == 1
+
+
+@pytest.mark.parametrize("consistent", [True, False])
+def test_solve_zeroes_free_columns(consistent):
+    rng = random.Random(303 + consistent)
+    for a in _matrices(304 + consistent):
+        n_cols = len(a[0]) if a else 0
+        if consistent:
+            b = _apply(a, [Fraction(rng.randint(-3, 3)) for _ in range(n_cols)])
+        else:
+            b = [Fraction(rng.randint(-3, 3)) for _ in a]
+        x = linalg.solve(a, b)
+        augmented = [row + [v] for row, v in zip(a, b)]
+        if oracles.row_reduce_rank(augmented) > oracles.row_reduce_rank(a):
+            assert x is None, (a, b)
+            continue
+        assert x is not None and len(x) == n_cols, (a, b)
+        assert _apply(a, x) == b
+        pivots = _oracle_pivot_columns(a)
+        assert all(x[j] == 0 for j in range(n_cols) if j not in pivots), (a, b, x)
+
+
+def test_nullspace_has_one_unit_vector_per_free_column():
+    for a in _matrices(404):
+        n_cols = len(a[0]) if a else 0
+        basis = linalg.nullspace(a)
+        assert len(basis) == n_cols - oracles.row_reduce_rank(a)
+        free = [j for j in range(n_cols) if j not in _oracle_pivot_columns(a)]
+        for v, j in zip(basis, free):
+            assert _apply(a, v) == [0] * len(a)
+            assert [v[k] for k in free] == [int(k == j) for k in free]

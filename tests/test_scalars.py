@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from algindex.scalars import (
+    AlgindexError,
     Chart,
     DomainError,
     PolyScalar,
@@ -282,6 +283,16 @@ def test_compiled_float_pole_is_domain_error():
     r = P("1") / P("x - 1")
     assert assert_same_bits(r, (1.0, 0.5)) is DomainError
     assert assert_same_bits(r, (3.0, 0.5)) == 0.5
+
+
+def test_compiled_float_checks_point_length():
+    huge = PolyScalar(XY, {(1, 0): 10**400})  # evaluated exactly, never compiled
+    for scalar in [P("x^2 + 3*y"), P("5"), P("x") / P("1 + y^2"), huge]:
+        for point in [(), (1.0,), (1.0, 2.0, 3.0)]:
+            for evaluate in (scalar.compile_float(), scalar.eval_float, scalar.eval):
+                with pytest.raises(AlgindexError, match="point dimension"):
+                    evaluate(point)
+        assert_same_bits(scalar, (0.5, -2.0))
 
 
 def test_numeric_compile_float_is_its_evaluator():
