@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
@@ -457,24 +458,43 @@ def _constant_checks(algebroid, rep):
 
 
 def _differential_matrix(algebroid, rep, degree):
-    """Matrix of d on the (tuple, bundle-index) basis, exact rationals."""
-    m = rep.bundle_rank
-    rows_basis = list(combinations(range(algebroid.rank), degree + 1))
-    cols_basis = list(combinations(range(algebroid.rank), degree))
-    matrix = [
-        [Fraction(0)] * (len(cols_basis) * m) for _ in range(len(rows_basis) * m)
+    """Matrix of d on the (tuple, bundle-index) basis, exact rationals.
+
+    Built straight from the structure constants c and the representation
+    matrices w, as the differential acts on the basis form of (T, j): the row
+    of (S, l) gets (-1)^i w_{S_i}[l][j] where T is S without S_i, and, for
+    l = j, (-1)^(i+j) c^g_{S_i S_j} times the sorting sign of
+    (g, S without S_i and S_j) where that sorts to T.  Zero entries are the
+    int 0, so a scan for the nonzero entries is cheap.
+    """
+    r, m = algebroid.rank, rep.bundle_rank
+    n_rows, n_cols = comb(r, degree + 1) * m, comb(r, degree) * m
+    linalg.check_size(n_rows * n_cols, f"the degree-{degree} differential matrix")
+    brackets = {
+        key: [(g, c.constant_value()) for g, c in enumerate(coeffs) if not c.is_zero()]
+        for key, coeffs in algebroid.structure.items()
+    }
+    weights = [
+        [[(j, v.constant_value()) for j, v in enumerate(row) if not v.is_zero()] for row in w]
+        for w in rep.matrices
     ]
-    for col, T in enumerate(cols_basis):
-        for j in range(m):
-            values = tuple(
-                algebroid.chart.one() if l == j else algebroid.chart.zero()
-                for l in range(m)
-            )
-            image = d_g(AlgForm(algebroid, degree, {T: values}, m), rep)
-            for S, vals in image.coeffs.items():
-                row = rows_basis.index(S)
-                for l in range(m):
-                    matrix[row * m + l][col * m + j] = vals[l].constant_value()
+    column = {T: n * m for n, T in enumerate(combinations(range(r), degree))}
+    matrix = [[0] * n_cols for _ in range(n_rows)]
+    for n, S in enumerate(combinations(range(r), degree + 1)):
+        rows = matrix[n * m:(n + 1) * m]
+        for i, alpha in enumerate(S):
+            col = column[S[:i] + S[i + 1:]]
+            for row, entries in zip(rows, weights[alpha]):
+                for j, v in entries:
+                    row[col + j] += v if i % 2 == 0 else -v
+        for i, j in combinations(range(degree + 1), 2):
+            rest = S[:i] + S[i + 1:j] + S[j + 1:]
+            for gamma, c in brackets.get((S[i], S[j]), ()):
+                sign, T = _sort_sign((gamma,) + rest)
+                if sign:
+                    value = c if sign * (-1) ** (i + j) > 0 else -c
+                    for l, row in enumerate(rows):
+                        row[column[T] + l] += value
     return matrix
 
 
@@ -485,7 +505,7 @@ def cohomology_const(algebroid, rep=None, max_degree=None):
     r = algebroid.rank
     max_degree = r if max_degree is None else min(max_degree, r)
     m = rep.bundle_rank
-    dims = [len(list(combinations(range(r), k))) * m for k in range(max_degree + 1)]
+    dims = [comb(r, k) * m for k in range(max_degree + 1)]
     ranks = []
     for k in range(max_degree + 1):
         if k == r:

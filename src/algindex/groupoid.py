@@ -199,6 +199,8 @@ class FiniteRep:
 
     @classmethod
     def trivial(cls, groupoid, dim=1):
+        linalg.check_size(len(groupoid.arrows) * dim * dim,
+                          f"the {dim} x {dim} identity of every arrow")
         dims = {x: dim for x in groupoid.objects}
         matrices = {g: linalg.identity(dim) for g in groupoid.arrows}
         return cls(groupoid, dims, matrices)
@@ -251,13 +253,44 @@ def _cochain_basis(groupoid, rep, k):
     return out
 
 
-def differential_matrix(groupoid, rep, k):
-    """Matrix of d: C^k -> C^{k+1} on the canonical bases, exact."""
+def _cochain_dims(groupoid, rep, top):
+    """dim C^0 .. dim C^top, from the number of chains ending at each object.
+
+    No chain is built: the chains of length k ending at y are the chains of
+    length k - 1 ending at s(g), for each arrow g with t(g) = y.
+    """
     G = groupoid
+    ending = dict.fromkeys(G.objects, 1)
+    dims = []
+    for _ in range(top + 1):
+        dims.append(sum(n * rep.dims[x] for x, n in ending.items()))
+        walks = dict.fromkeys(G.objects, 0)
+        for g in G.arrows:
+            walks[G.target[g]] += ending[G.source[g]]
+        ending = walks
+    return dims
+
+
+def _check_differential(dims, k):
+    linalg.check_size(dims[k + 1] * dims[k], f"the degree-{k} differential matrix")
+
+
+def differential_matrix(groupoid, rep, k):
+    """Matrix of d: C^k -> C^{k+1} on the canonical bases, exact.
+
+    Zero entries are the int 0, so a scan for the nonzero entries is cheap.
+    """
+    G = groupoid
+    _check_differential(_cochain_dims(G, rep, k + 1), k)
     domain = _cochain_basis(G, rep, k)
     codomain = _cochain_basis(G, rep, k + 1)
     index = {label: i for i, label in enumerate(domain)}
-    matrix = [[Fraction(0)] * len(domain) for _ in codomain]
+    # the nonzero entries (j, value) of each row of each arrow's matrix
+    transport = {
+        g: [[(j, v) for j, v in enumerate(row) if v] for row in mat]
+        for g, mat in rep.matrices.items()
+    }
+    matrix = [[0] * len(domain) for _ in codomain]
 
     def add(row, chain, j, coeff):
         col = index.get((chain, j))
@@ -268,13 +301,12 @@ def differential_matrix(groupoid, rep, k):
         if k == 0:
             (g,) = chain
             # d phi(g) = lambda_g phi(s(g)) - phi(t(g))
-            mat = rep.matrices[g]
-            for j in range(rep.dims[G.source[g]]):
-                add(row, (G.source[g],), j, mat[comp][j])
-            add(row, (G.target[g],), comp, Fraction(-1))
+            for j, v in transport[g][comp]:
+                add(row, (G.source[g],), j, v)
+            add(row, (G.target[g],), comp, -1)
             continue
         # front face: drop g1
-        add(row, chain[1:], comp, Fraction(1))
+        add(row, chain[1:], comp, 1)
         # middle faces: compose g_i g_{i+1}
         for i in range(1, k + 1):
             merged = (
@@ -282,25 +314,25 @@ def differential_matrix(groupoid, rep, k):
                 + (G.compose(chain[i - 1], chain[i]),)
                 + chain[i + 1 :]
             )
-            add(row, merged, comp, Fraction((-1) ** i))
+            add(row, merged, comp, (-1) ** i)
         # back face: drop g_{k+1}, transported by lambda
-        g_last = chain[-1]
-        mat = rep.matrices[g_last]
-        sign = Fraction((-1) ** (k + 1))
-        for j in range(rep.dims[G.source[g_last]]):
-            add(row, chain[:-1], j, sign * mat[comp][j])
+        sign = (-1) ** (k + 1)
+        for j, v in transport[chain[-1]][comp]:
+            add(row, chain[:-1], j, sign * v)
     return matrix
 
 
 def groupoid_cohomology(groupoid, rep=None, max_degree=2):
     """Betti numbers of the finite cochain complex by exact ranks."""
     rep = rep or FiniteRep.trivial(groupoid)
-    dims = [len(_cochain_basis(groupoid, rep, k)) for k in range(max_degree + 1)]
+    dims = _cochain_dims(groupoid, rep, max_degree + 1)
+    for k in range(max_degree + 1):
+        _check_differential(dims, k)
     ranks = [
         linalg.rank(differential_matrix(groupoid, rep, k))
         for k in range(max_degree + 1)
     ]
-    return linalg.betti_numbers(dims, ranks)
+    return linalg.betti_numbers(dims[:-1], ranks)
 
 
 # ---------------------------------------------------------------------------

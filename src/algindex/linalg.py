@@ -1,14 +1,28 @@
 """Exact linear algebra over the rationals.
 
 Matrices come in as dense lists of rows.  ``rank``, ``det``, ``solve`` and
-``nullspace`` all run on one sparse forward elimination, ``_eliminate``.
+``nullspace`` all run on one sparse, fraction-free forward elimination,
+``_eliminate``, over primitive integer rows.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress
 
 from .scalars import AlgindexError
+
+# the most entries a dense matrix, or a set of them, may have
+MAX_ENTRIES = 2 ** 24
+
+
+def check_size(entries, what):
+    """Refuse ``what`` before it is allocated if it has more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise AlgindexError(
+            f"{what} would have {entries} entries, above the limit of 2^24 = {MAX_ENTRIES}"
+        )
 
 
 def mat(rows):
@@ -20,51 +34,92 @@ def identity(n):
 
 
 def matmul(a, b):
+    """a @ b; each row of a meets only the nonzero entries of the rows of b it needs."""
     if a and b and len(a[0]) != len(b):
         raise AlgindexError("matrix shape mismatch")
-    return [
-        [sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0)) for j in range(len(b[0]))]
-        for i in range(len(a))
-    ]
+    n_cols = len(b[0]) if b else 0
+    b_rows = [[(j, w) for j, w in enumerate(row) if w] for row in b]
+    out = []
+    for row in a:
+        acc = [Fraction(0)] * n_cols
+        for k, v in enumerate(row):
+            if v:
+                for j, w in b_rows[k]:
+                    acc[j] += v * w
+        out.append(acc)
+    return out
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries, and that gcd (1 if zero)."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        row = {j: v // g for j, v in row.items()}
+    return row, g or 1
 
 
 def _eliminate(matrix):
-    """Sparse exact forward elimination of a dense matrix.
+    """Sparse fraction-free forward elimination of a dense matrix.
 
-    Each row keeps only its nonzero entries, as ``{column: Fraction}``.
-    Column by column, the pivot is the sparsest remaining row with a nonzero
-    in that column, ties going to the lowest row index, and it is subtracted
-    from every other remaining row with a nonzero there.  Returns the pivot
-    rows, their pivot columns and the original indices of the pivot rows, all
-    in pivot order.  Pivot row k is zero left of its pivot column, and the
-    pivot columns are the leftmost independent columns whichever rows are
-    chosen as pivots.
+    Each row is scaled by the lcm of its denominators to a primitive integer
+    row, kept as its nonzero entries ``{column: int}``.  Column by column, the
+    pivot is the sparsest remaining row with a nonzero ``p`` in that column,
+    ties going to the lowest row index.  Every other remaining row with a
+    nonzero ``a`` there becomes ``(p/g) row - (a/g) pivot`` with g = gcd(a, p),
+    divided by the gcd of its entries.  Each row is thus always a nonzero
+    multiple of the row that elimination over the rationals leaves, and
+    ``scales`` holds that multiple.  Returns the pivot rows, their pivot
+    columns, the original indices of the pivot rows and their scales, all in
+    pivot order.  Pivot row k is zero left of its pivot column, and the pivot
+    columns are the leftmost independent columns whichever rows are chosen as
+    pivots.
+
+    A remaining row is zero left of the current column, so the rows with a
+    nonzero in it are those whose first nonzero is there: rows wait in
+    ``starting[column]`` of their first nonzero column.
     """
-    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
-    remaining = [i for i, row in enumerate(rows) if row]
+    n_cols = len(matrix[0]) if matrix else 0
+    rows, scales = [], []
+    starting = [[] for _ in range(n_cols)]
+    for i, dense in enumerate(matrix):
+        row = {j: Fraction(dense[j]) for j in compress(range(n_cols), dense)}
+        lcm = math.lcm(*(v.denominator for v in row.values()))
+        row, g = _primitive({j: v.numerator * (lcm // v.denominator) for j, v in row.items()})
+        rows.append(row)
+        scales.append(Fraction(lcm, g))
+        if row:
+            starting[min(row)].append(i)
     pivots, columns, order = [], [], []
-    for col in range(len(matrix[0]) if matrix else 0):
-        hits = [i for i in remaining if col in rows[i]]
+    for col, hits in enumerate(starting):
         if not hits:
             continue
-        p = min(hits, key=lambda i: len(rows[i]))
+        p = min(hits, key=lambda i: (len(rows[i]), i))
         pivot = rows[p]
         for i in hits:
             if i == p:
                 continue
             row = rows[i]
-            factor = row[col] / pivot[col]
+            g = math.gcd(row[col], pivot[col])
+            u, w = pivot[col] // g, row[col] // g
+            if u != 1:
+                for j in row:
+                    row[j] *= u
             for j, v in pivot.items():
-                w = row.get(j, 0) - factor * v
-                if w:
-                    row[j] = w
+                x = row.get(j, 0) - w * v
+                if x:
+                    row[j] = x
                 else:
                     del row[j]
-        remaining = [i for i in remaining if i != p and rows[i]]
+            row, g = _primitive(row)
+            rows[i] = row
+            if u != 1 or g != 1:
+                scales[i] *= Fraction(u, g)
+            if row:
+                starting[min(row)].append(i)
         pivots.append(pivot)
         columns.append(col)
         order.append(p)
-    return pivots, columns, order
+    return pivots, columns, order, [scales[p] for p in order]
 
 
 def _back_substitute(pivots, columns, x):
@@ -79,13 +134,13 @@ def rank(matrix) -> int:
 
 
 def det(a) -> Fraction:
-    pivots, columns, order = _eliminate(a)
+    pivots, columns, order, scales = _eliminate(a)
     if len(pivots) < len(a):
         return Fraction(0)
     inversions = sum(p > q for k, p in enumerate(order) for q in order[k + 1:])
     result = Fraction((-1) ** inversions)
-    for row, col in zip(pivots, columns):
-        result *= row[col]
+    for row, col, scale in zip(pivots, columns, scales):
+        result *= row[col] / scale
     return result
 
 
@@ -95,7 +150,7 @@ def solve(a, b):
     Free variables are set to zero, so the answer is deterministic.
     """
     n_cols = len(a[0]) if a else 0
-    pivots, columns, _ = _eliminate([list(row) + [b_i] for row, b_i in zip(a, b)])
+    pivots, columns, _, _ = _eliminate([list(row) + [b_i] for row, b_i in zip(a, b)])
     if columns and columns[-1] == n_cols:
         return None
     # the right-hand side is column n_cols, with x = -1 there
@@ -106,7 +161,7 @@ def solve(a, b):
 def nullspace(a):
     """Basis of ker A, deterministic (one vector per free column)."""
     n_cols = len(a[0]) if a else 0
-    pivots, columns, _ = _eliminate(a)
+    pivots, columns, _, _ = _eliminate(a)
     basis = []
     for free in sorted(set(range(n_cols)) - set(columns)):
         x = [Fraction(0)] * n_cols

@@ -1,10 +1,13 @@
 import random
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from algindex import algebroid as alg
 from algindex.forms import (
+    _differential_matrix,
     AlgForm,
     Representation,
     basis_forms,
@@ -15,6 +18,7 @@ from algindex.forms import (
     pullback_form,
     wedge,
 )
+from algindex.scalars import Chart
 
 import oracles
 
@@ -281,6 +285,82 @@ def test_adjoint_coefficients_whitehead(su2, aff1):
         ]
         adjoint = Representation(A, A.rank, mats)
         assert cohomology_const(A, adjoint) == [0] * (A.rank + 1)
+
+
+def _d_g_matrix(A, rep, degree):
+    """The matrix of d built by running d_g on every basis form."""
+    m = rep.bundle_rank
+    rows_basis = list(combinations(range(A.rank), degree + 1))
+    columns = basis_forms(A, degree, bundle_rank=m)  # column (T, j) is number T * m + j
+    matrix = [[Fraction(0)] * len(columns) for _ in range(len(rows_basis) * m)]
+    for col, base in enumerate(columns):
+        for S, values in d_g(base, rep).coeffs.items():
+            for l, v in enumerate(values):
+                matrix[rows_basis.index(S) * m + l][col] = v.constant_value()
+    return matrix
+
+
+def test_differential_matrix_matches_raw_oracle():
+    # seeded structure constants, Jacobi or not: the matrix only reads them
+    rng = random.Random(808)
+    for _ in range(25):
+        rank = rng.randint(1, 6)
+        structure = {}
+        for a, b in combinations(range(rank), 2):
+            if rng.random() < 0.6:
+                structure[(a, b)] = {
+                    c: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                    for c in range(rank) if rng.random() < 0.4
+                }
+        A = alg.AlgebroidPresentation(
+            Chart((), "poly"), rank, [[] for _ in range(rank)],
+            {key: [row.get(c, 0) for c in range(rank)] for key, row in structure.items()},
+        )
+        trivial = Representation.trivial(A)
+        for degree in range(rank):
+            assert _differential_matrix(A, trivial, degree) == oracles.ce_differential_matrix(
+                structure, rank, degree), (structure, degree)
+
+
+def test_differential_matrix_with_representation_matches_d_g(su2, aff1):
+    adjoint = [
+        [[su2.bracket(a, b)[c] for b in range(3)] for c in range(3)] for a in range(3)
+    ]
+    # [rho(e1), rho(e2)] = rho(e2): a flat 2-dimensional representation of aff1
+    plane = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
+    for A, rep in ((su2, Representation(su2, 3, adjoint)), (aff1, Representation(aff1, 2, plane))):
+        for degree in range(A.rank):
+            assert _differential_matrix(A, rep, degree) == _d_g_matrix(A, rep, degree)
+        assert cohomology_const(A, rep) == [0] * (A.rank + 1)
+
+
+def _gl(n):
+    """gl(n) on the basis E_ij: [E_ij, E_kl] = d_jk E_il - d_li E_kj."""
+    basis = [(i, j) for i in range(n) for j in range(n)]
+    structure = {}
+    for (a, (i, j)), (b, (k, l)) in combinations(enumerate(basis), 2):
+        row = {}
+        if j == k:
+            row[basis.index((i, l))] = 1
+        if l == i:
+            c = basis.index((k, j))
+            row[c] = row.get(c, 0) - 1
+        if any(row.values()):
+            structure[(a, b)] = {c: v for c, v in row.items() if v}
+    return len(basis), structure
+
+
+def test_gl3_full_cohomology():
+    # Poincare polynomial (1+t)(1+t^3)(1+t^5)
+    rank, structure = _gl(3)
+    A = alg.lie_algebra(
+        {key: [row.get(c, 0) for c in range(rank)] for key, row in structure.items()}, rank)
+    start = time.monotonic()
+    betti = cohomology_const(A)
+    elapsed = time.monotonic() - start
+    assert betti == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
+    assert elapsed < 5.0, f"H* of gl(3) took {elapsed:.2f}s (budget 5s)"
+    assert oracles.ce_betti_numbers(structure, rank) == betti
 
 
 def test_cohomology_rejects_positive_dimensional_base(t2):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from importlib import resources
 
 import pytest
@@ -207,6 +208,7 @@ algebroids:
     kind: lie_algebra
     rank: 3
     structure: {"1,2": {"3": 1}, "2,3": {"1": 1}, "3,1": {"2": 1}}
+  rank30: {kind: lie_algebra, rank: 30, structure: {"1,2": {"3": 1}}}
 metrics:
   flat: {algebroid: plane, kind: identity}
 connections:
@@ -220,6 +222,7 @@ domains:
   square: {type: box, bounds: [[-1, 1], [-1, 1]]}
 groupoids:
   pair2: {kind: pair, size: 2}
+  pair4: {kind: pair, size: 4}
 """
 
 _CHERN = "{op: charclass, label: bad, genus: ch, connection: line}"
@@ -238,6 +241,12 @@ FAILURE_CASES = {
     "trace-weight-over-zero": (
         "{op: trace, label: bad, groupoid: pair2, weights: ['1/0', 1], "
         "function: [1, 0, 0, 1]}", [], 1),
+    # a dense matrix above 2^24 entries is refused before it is allocated
+    "groupoid-degree-12": (
+        "{op: groupoid-cohomology, label: bad, groupoid: pair4, max_degree: 12}", [], 1),
+    "lie-rank-30": ("{op: cohomology, label: bad, algebroid: rank30}", [], 1),
+    "fiber-dim-100000": (
+        "{op: groupoid-cohomology, label: bad, groupoid: pair2, fiber_dim: 100000}", [], 1),
     # a trace needs one weight per object and one function value per arrow
     "trace-weights-short": (
         "{op: trace, label: bad, groupoid: pair2, weights: [1], function: [1, 0, 0, 1]}", [], 2),
@@ -293,6 +302,17 @@ _ERRORS = {
 }
 
 
+# what the error of an oversized case must say; these fail within 2 s
+_SIZE_ERRORS = {
+    "groupoid-degree-12": "the degree-5 differential matrix would have 67108864 entries, "
+                          "above the limit of 2^24",
+    "lie-rank-30": "the degree-3 differential matrix would have 111264300 entries, "
+                   "above the limit of 2^24",
+    "fiber-dim-100000": "the 100000 x 100000 identity of every arrow would have "
+                        "40000000000 entries, above the limit of 2^24",
+}
+
+
 @pytest.mark.parametrize("case", sorted(FAILURE_CASES))
 def test_failures_are_diagnostics(tmp_path, case):
     computation, flags, expected_exit = FAILURE_CASES[case]
@@ -308,7 +328,9 @@ def test_failures_are_diagnostics(tmp_path, case):
     )
     doc = tmp_path / "doc.yaml"
     doc.write_text(text)
+    start = time.monotonic()
     proc = run_cli(["--format", "json", "run", str(doc)] + flags)
+    elapsed = time.monotonic() - start
     assert proc.returncode == expected_exit, proc.stdout + proc.stderr
     assert "Traceback" not in proc.stderr
     if expected_exit == 2:
@@ -320,8 +342,29 @@ def test_failures_are_diagnostics(tmp_path, case):
     assert by_label["bad"]["ok"] is (expected_exit == 0)
     assert by_label["after"]["ok"] is True
     assert by_label["after"]["result"]["plane"]["status"] == "valid"
+    if case in _SIZE_ERRORS:
+        assert _SIZE_ERRORS[case] in by_label["bad"]["error"]
+        assert elapsed < 2.0, f"{case} took {elapsed:.2f}s (budget 2s)"
     if case == "truncate-zero":
         assert by_label["bad"]["result"]["class"] == {"0": [["", "1"]]}
+
+
+def test_wide_fiber_groupoid_cohomology_within_budget(tmp_path):
+    # the functoriality check multiplies 48 x 48 identities for every composable pair
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "groupoids:\n"
+        "  pair3: {kind: pair, size: 3}\n"
+        "computations:\n"
+        "  - {op: groupoid-cohomology, label: wide, groupoid: pair3, fiber_dim: 48}\n"
+    )
+    start = time.monotonic()
+    proc = run_cli(["--format", "json", "run", str(doc)])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["result"]["betti"] == [48, 0, 0]
+    assert elapsed < 5.0, f"pair(3) with fiber 48 took {elapsed:.2f}s (budget 5s)"
 
 
 def test_library_errors_share_one_base():

@@ -1,0 +1,173 @@
+"""Documents built from the fragments of schema.json: whatever they hold, the
+CLI exits 0, 1 or 2 and never shows a traceback.
+
+Every object and computation takes its keys, enums and integer minimums from
+the schema.  Integers stay small (sizes and ranks at most 4, degrees at most
+3), references name declared objects or a missing one, and scalars come from
+a pool that holds poles, a division by zero and a syntax error.
+"""
+
+import io
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+import yaml
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from algindex import cli
+
+SCHEMA = cli.load_schema()
+NAMES = ["a", "b"]
+COORDINATES = ["x", "y"]
+# properties that refer to a declared object, most often the first name (each
+# section declares it); "missing" is never declared
+REFERENCES = {"algebroid", "metric", "connection", "representation", "density", "form",
+              "domain", "groupoid", "parent", "left", "right", "nu"}
+# the section each reference of a computation names
+SECTION_OF = {"algebroid": "algebroids", "metric": "metrics", "connection": "connections",
+              "representation": "representations", "density": "densities", "form": "forms",
+              "nu": "forms", "domain": "domains", "groupoid": "groupoids"}
+# the properties each kind of declared object needs to be built; the schema
+# requires fewer
+BUILD_FIELDS = {"algebroids": ["rank"], "metrics": ["kind", "factor"], "connections": ["matrices"],
+                "representations": ["matrices"], "domains": ["bounds"],
+                "groupoids": ["size", "order"]}
+# the largest value of each integer property; 4 for the others
+INTEGER_CAPS = {"degree": 3, "max_degree": 3, "truncate": 3}
+
+scalars = st.sampled_from(
+    ["0", "1", "-2", "1/2", "x", "y", "x*y", "1+x^2", "1/(1+x^2)", 0, 1, -1] * 2
+    + ["1/x", "1/0", "x +", 0.5])
+indices = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, 5])  # now and then out of range
+
+
+def _index_key(size):
+    return st.lists(indices, min_size=size, max_size=size).map(
+        lambda items: ",".join(str(i) for i in items))
+
+
+def _matrix(entries):
+    return st.lists(st.lists(entries, max_size=4), max_size=4)
+
+
+# properties the schema leaves loose, or whose values need a shape of their own
+SPECIAL = {
+    "structure": st.dictionaries(_index_key(2), st.dictionaries(indices.map(str), scalars,
+                                                                 max_size=3), max_size=4),
+    "coefficients": st.dictionaries(st.integers(0, 3).flatmap(_index_key), scalars,
+                                    max_size=3),
+    "anchor": _matrix(scalars),
+    "entries": _matrix(scalars),
+    "matrices": st.lists(_matrix(scalars), max_size=4),
+    "bounds": st.lists(st.lists(scalars, min_size=2, max_size=2), max_size=3),
+    "weights": st.lists(scalars, max_size=5),
+    "function": st.lists(scalars, max_size=10),
+    "coordinates": st.lists(st.sampled_from(COORDINATES), max_size=2, unique=True),
+    "label": st.sampled_from(["one", "two"]),
+    "kind": st.sampled_from(["euler", "signature", "dirac", "todd"]),
+    # in range: test_cli pins the rejection of the others
+    "tolerance": st.sampled_from([1e-3, 1e-6]),
+    "budget": st.integers(1, 4),
+}
+
+# the fields each operation reads; the schema requires only "op"
+OP_FIELDS = {
+    "validate": [],
+    "cohomology": ["algebroid"],
+    "charclass": ["genus"],
+    "curvature": ["connection"],
+    "index": ["algebroid", "metric", "density", "kind"],
+    "modular-cocycle": ["algebroid", "density"],
+    "thom-check": ["algebroid", "form", "density"],
+    "groupoid-cohomology": ["groupoid"],
+    "convolution-table": ["groupoid"],
+    "trace": ["groupoid", "weights", "function"],
+}
+
+
+def from_fragment(key, fragment):
+    """A strategy for the value of one schema property."""
+    if key in SPECIAL and "enum" not in fragment:
+        return SPECIAL[key]
+    if key in REFERENCES:
+        return st.sampled_from(NAMES[:1] * 8 + NAMES[1:] + ["missing"])
+    if "enum" in fragment:
+        # the first values (tangent, abelian and lie_algebra, pair and cyclic,
+        # identity and conformal, ...) build most often, so they come more often
+        return st.sampled_from(fragment["enum"][:3] * 3 + fragment["enum"])
+    if "const" in fragment:
+        return st.just(fragment["const"])
+    kind = fragment.get("type")
+    if kind == "integer":
+        low = fragment.get("minimum", 0)
+        return st.integers(low, max(low, INTEGER_CAPS.get(key, 4)))
+    if kind == "object" and "properties" in fragment:
+        return from_object(fragment)
+    return scalars
+
+
+def from_object(fragment, required=()):
+    """A mapping with every required property of the fragment, and of ``required``,
+    and some of the others."""
+    properties = fragment.get("properties", {})
+    required = set(fragment.get("required", ())) | set(required)
+    return st.fixed_dictionaries(
+        {key: from_fragment(key, properties.get(key, {})) for key in sorted(required)},
+        optional={key: from_fragment(key, value)
+                  for key, value in properties.items() if key not in required},
+    )
+
+
+def _section(name):
+    entry = SCHEMA["properties"][name]["additionalProperties"]
+    if name == "representations":  # built as connections are
+        entry = SCHEMA["properties"]["connections"]["additionalProperties"]
+    declared = from_object(entry, BUILD_FIELDS.get(name, ()))
+    return st.fixed_dictionaries({NAMES[0]: declared}, optional={NAMES[1]: declared})
+
+
+_COMPUTATION = SCHEMA["properties"]["computations"]["items"]
+computations = st.sampled_from(sorted(OP_FIELDS)).flatmap(
+    lambda op: from_object(_COMPUTATION, OP_FIELDS[op]).map(lambda comp: {**comp, "op": op}))
+
+
+@st.composite
+def documents(draw):
+    """Computations, and the sections their references name (algebroids always)."""
+    document = {"version": 1, "coordinates": draw(SPECIAL["coordinates"]),
+                "computations": draw(st.lists(computations, min_size=1, max_size=3))}
+    if draw(st.booleans()):
+        document["backend"] = draw(from_fragment("backend", SCHEMA["properties"]["backend"]))
+    named = {SECTION_OF[key] for comp in document["computations"] for key in comp
+             if key in SECTION_OF}
+    for name in sorted(named | {"algebroids"}):
+        document[name] = draw(_section(name))
+    return document
+
+
+commands = st.sampled_from(["run"] * 4 + sorted(cli._OP_FAMILIES))
+
+
+def run_main(argv, text):
+    """cli.main on a document read from stdin: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejects a flag
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(document=documents(), command=commands, fmt=st.sampled_from(["text", "json"]))
+def test_schema_documents_exit_cleanly(document, command, fmt):
+    code, out, err = run_main(["--format", fmt, command, "-"], yaml.safe_dump(document))
+    assert code in (0, 1, 2), (code, out, err)
+    assert "Traceback" not in err

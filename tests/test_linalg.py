@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from algindex import linalg
+from algindex.scalars import AlgindexError
 
 import oracles
 
@@ -102,3 +103,37 @@ def test_nullspace_has_one_unit_vector_per_free_column():
         for v, j in zip(basis, free):
             assert _apply(a, v) == [0] * len(a)
             assert [v[k] for k in free] == [int(k == j) for k in free]
+
+
+def test_det_tracks_row_scales():
+    # every row has its own denominator, so every row is scaled differently
+    # to an integer row, and every elimination step rescales a row again
+    rng = random.Random(505)
+    primes = [2, 3, 5, 7, 11, 13]
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        m = [[Fraction(rng.randint(-9, 9), primes[i] ** rng.randint(1, 2)) for _ in range(n)]
+             for i in range(n)]
+        expected = oracles.leibniz_determinant(m, operator.mul, operator.add, Fraction(0))
+        assert linalg.det(m) == expected, m
+
+
+def test_matmul_matches_triple_loop():
+    rng = random.Random(606)
+    for _ in range(100):
+        rows, inner, cols = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 6)
+        a = _random_sparse(rng, rows, inner, rng.choice([0.15, 0.4, 1.0]))
+        b = _random_sparse(rng, inner, cols, rng.choice([0.15, 0.4, 1.0]))
+        expected = [[sum((a[i][k] * b[k][j] for k in range(inner)), Fraction(0))
+                     for j in range(cols)] for i in range(rows)]
+        product = linalg.matmul(a, b)
+        assert product == expected
+        assert all(type(v) is Fraction for row in product for v in row)
+    with pytest.raises(AlgindexError):
+        linalg.matmul([[Fraction(1), Fraction(2)]], [[Fraction(1)]])
+
+
+def test_size_check_is_at_2_to_the_24():
+    linalg.check_size(2 ** 24, "a matrix")
+    with pytest.raises(AlgindexError, match="a matrix would have 16777217 entries"):
+        linalg.check_size(2 ** 24 + 1, "a matrix")
