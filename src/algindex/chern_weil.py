@@ -146,7 +146,7 @@ class Metric:
 
     def is_conformal(self):
         r = self.algebroid.rank
-        f = self.entries[0][0]
+        f = self.entries[0][0] if r else None  # rank 0 has no diagonal to read
         for i in range(r):
             for j in range(r):
                 expected = f if i == j else self.algebroid.chart.zero()

@@ -269,15 +269,18 @@ class JobContext:
         if kind == "cyclic":
             return gp.cyclic_group_groupoid(spec["order"])
         if kind == "explicit":
-            return gp.FiniteGroupoid(
-                spec["objects"],
-                [tuple(a) if isinstance(a, list) else a for a in spec["arrows"]],
-                spec["source"],
-                spec["target"],
-                spec["unit"],
-                spec["inverse"],
-                {tuple(k.split("|")): v for k, v in spec["compose"].items()},
-            )
+            try:
+                return gp.FiniteGroupoid.from_table(
+                    spec["objects"],
+                    [tuple(a) if isinstance(a, list) else a for a in spec["arrows"]],
+                    spec["source"],
+                    spec["target"],
+                    spec["unit"],
+                    spec["inverse"],
+                    {tuple(str(k).split("|")): v for k, v in spec["compose"].items()},
+                )
+            except TypeError as exc:  # a list or mapping where a label belongs
+                raise DocumentError(f"document error: {exc}") from exc
         raise DocumentError(f"unknown groupoid kind {kind!r}")
 
 
@@ -461,18 +464,10 @@ def _groupoid_cohomology(ctx, comp, settings):
 
 
 def _convolution_table(ctx, comp, settings):
+    # delta_g1 * delta_g2 is delta_(g1 g2) when g1, g2 compose, and 0 otherwise
     G = ctx.ref("groupoid", comp["groupoid"])
-    table = {}
-    for g1 in sorted(G.arrows, key=str):
-        f1 = gp.delta(G, g1)
-        for g2 in sorted(G.arrows, key=str):
-            conv = gp.convolve(f1, gp.delta(G, g2), G)
-            support = {
-                str(g): str(v) for g, v in sorted(conv.items(), key=lambda kv: str(kv[0])) if v
-            }
-            if support:
-                table[f"{g1}*{g2}"] = support
-    return {"table": table}
+    return {"table": {f"{g1}*{g2}": {str(G.compose(g1, g2)): "1"}
+                      for g1 in G.arrows for g2 in G.leaving[G.target[g1]]}}
 
 
 def _trace(ctx, comp, settings):

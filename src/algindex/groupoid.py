@@ -18,10 +18,15 @@ The differential transports the last face:
 
 and in degree zero d phi(g) = lambda_g phi(s(g)) - phi(t(g)), so H^0 is the
 space of invariant sections.  All scalars are exact rationals.
+
+Composition is a function: the pair groupoid and Z/n compose by formula and
+are valid by construction.  A table from outside enters through
+``FiniteGroupoid.from_table``, which checks it in full.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from . import linalg
@@ -33,7 +38,11 @@ class GroupoidError(AlgindexError):
 
 
 class FiniteGroupoid:
-    """Finite arrows/objects with source, target, unit, inverse, composition."""
+    """Finite arrows/objects with source, target, unit, inverse, composition.
+
+    ``compose`` is a function of composable pairs; construction checks only
+    endpoints, units and inverses, in O(arrows).
+    """
 
     def __init__(self, objects, arrows, source, target, unit, inverse, compose):
         self.objects = list(objects)
@@ -42,26 +51,62 @@ class FiniteGroupoid:
         self.target = dict(target)
         self.unit = dict(unit)
         self.inverse = dict(inverse)
-        self.compose_table = dict(compose)
+        self._compose = compose
+        self.leaving = {x: [] for x in self.objects}  # the arrows out of each object
+        for g in self.arrows:
+            self.leaving.setdefault(self.source[g], []).append(g)
         self._validate()
+
+    @classmethod
+    def from_table(cls, objects, arrows, source, target, unit, inverse, table):
+        """The groupoid composing by ``table`` {(g1, g2): g1 * g2}, fully checked.
+
+        The composable triples are counted, and refused above 2^24, before the
+        table is matched against composability and checked for associativity.
+        """
+        arrows = list(arrows)
+        n_in, n_out = Counter(target[g] for g in arrows), Counter(source[g] for g in arrows)
+        linalg.check_size(sum(n_in[source[g]] * n_out[target[g]] for g in arrows),
+                          "the associativity check of the composition table")
+        known = set(arrows)
+        for (g1, g2), g in table.items():
+            if not (g1 in known and g2 in known and target[g1] == source[g2]
+                    and g in known and source[g] == source[g1] and target[g] == target[g2]):
+                raise GroupoidError(
+                    f"composition table entry {(g1, g2)} -> {g} disagrees with composability"
+                )
+        pairs = sum(n * n_out[x] for x, n in n_in.items())
+        if len(table) != pairs:
+            raise GroupoidError(
+                f"composition table has {len(table)} entries for {pairs} composable pairs"
+            )
+        G = cls(objects, arrows, source, target, unit, inverse,
+                lambda g1, g2: table[(g1, g2)])
+        for g1 in arrows:
+            for g2 in G.leaving[G.target[g1]]:
+                g12 = table[(g1, g2)]
+                for g3 in G.leaving[G.target[g2]]:
+                    if table[(g12, g3)] != table[(g1, table[(g2, g3)])]:
+                        raise GroupoidError(f"associativity fails on {(g1, g2, g3)}")
+        return G
 
     def compose(self, g1, g2):
         """g1 * g2, defined when t(g1) = s(g2)."""
-        key = (g1, g2)
-        if key not in self.compose_table:
+        if not self.composable(g1, g2):
             raise GroupoidError(f"arrows {g1} and {g2} are not composable")
-        return self.compose_table[key]
+        return self._compose(g1, g2)
 
     def composable(self, g1, g2) -> bool:
         return self.target[g1] == self.source[g2]
 
     def _validate(self):
+        objects = set(self.objects)
         for x in self.objects:
             u = self.unit[x]
             if self.source[u] != x or self.target[u] != x:
                 raise GroupoidError(f"unit of {x} is not a loop at {x}")
         for g in self.arrows:
-            if self.source[g] not in self.objects or self.target[g] not in self.objects:
+            if self.source[g] not in objects or self.target[g] not in objects:
                 raise GroupoidError(f"arrow {g} has unknown endpoints")
             inv = self.inverse[g]
             if self.source[inv] != self.target[g] or self.target[inv] != self.source[g]:
@@ -74,38 +119,16 @@ class FiniteGroupoid:
                 raise GroupoidError(f"unit does not act trivially on {g}")
             if self.compose(g, self.unit[self.target[g]]) != g:
                 raise GroupoidError(f"unit does not act trivially on {g}")
-        for g1 in self.arrows:
-            for g2 in self.arrows:
-                if self.composable(g1, g2) != ((g1, g2) in self.compose_table):
-                    raise GroupoidError(
-                        f"composition table disagrees with composability for {(g1, g2)}"
-                    )
-        for g1 in self.arrows:
-            for g2 in self.arrows:
-                if not self.composable(g1, g2):
-                    continue
-                for g3 in self.arrows:
-                    if not self.composable(g2, g3):
-                        continue
-                    left = self.compose(self.compose(g1, g2), g3)
-                    right = self.compose(g1, self.compose(g2, g3))
-                    if left != right:
-                        raise GroupoidError(
-                            f"associativity fails on {(g1, g2, g3)}"
-                        )
 
     def composable_tuples(self, k):
         """Chains (g1..gk) with t(g_i) = s(g_{i+1})."""
         if k == 0:
             return [()]
-        by_source = {}
-        for g in self.arrows:
-            by_source.setdefault(self.source[g], []).append(g)
         tuples = [(g,) for g in self.arrows]
         for _ in range(k - 1):
             extended = []
             for chain in tuples:
-                for g in by_source.get(self.target[chain[-1]], []):
+                for g in self.leaving[self.target[chain[-1]]]:
                     extended.append(chain + (g,))
             tuples = extended
         return tuples
@@ -140,13 +163,8 @@ def pair_groupoid(n) -> FiniteGroupoid:
     target = {(x, y): y for (x, y) in arrows}
     unit = {x: (x, x) for x in objects}
     inverse = {(x, y): (y, x) for (x, y) in arrows}
-    compose = {
-        ((x, y), (y2, z)): (x, z)
-        for (x, y) in arrows
-        for (y2, z) in arrows
-        if y == y2
-    }
-    return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
+    return FiniteGroupoid(objects, arrows, source, target, unit, inverse,
+                          lambda g1, g2: (g1[0], g2[1]))
 
 
 def cyclic_group_groupoid(n) -> FiniteGroupoid:
@@ -157,31 +175,21 @@ def cyclic_group_groupoid(n) -> FiniteGroupoid:
     target = {g: "*" for g in arrows}
     unit = {"*": 0}
     inverse = {g: (-g) % n for g in arrows}
-    compose = {(g, h): (g + h) % n for g in arrows for h in arrows}
-    return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
+    return FiniteGroupoid(objects, arrows, source, target, unit, inverse,
+                          lambda g, h: (g + h) % n)
 
 
 def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
-    def tag(which, item):
-        return (which, item)
-
-    objects = [tag(0, x) for x in g1.objects] + [tag(1, x) for x in g2.objects]
-    arrows = [tag(0, g) for g in g1.arrows] + [tag(1, g) for g in g2.arrows]
-    source = {}
-    target = {}
-    inverse = {}
-    for which, G in ((0, g1), (1, g2)):
-        for g in G.arrows:
-            source[tag(which, g)] = tag(which, G.source[g])
-            target[tag(which, g)] = tag(which, G.target[g])
-            inverse[tag(which, g)] = tag(which, G.inverse[g])
-    unit = {tag(0, x): tag(0, g1.unit[x]) for x in g1.objects}
-    unit.update({tag(1, x): tag(1, g2.unit[x]) for x in g2.objects})
-    compose = {}
-    for which, G in ((0, g1), (1, g2)):
-        for (a, b), c in G.compose_table.items():
-            compose[(tag(which, a), tag(which, b))] = tag(which, c)
-    return FiniteGroupoid(objects, arrows, source, target, unit, inverse, compose)
+    """Objects and arrows of part i are tagged (i, item); each part composes its own."""
+    parts = (g1, g2)
+    objects = [(i, x) for i, G in enumerate(parts) for x in G.objects]
+    arrows = [(i, g) for i, G in enumerate(parts) for g in G.arrows]
+    source = {(i, g): (i, parts[i].source[g]) for i, g in arrows}
+    target = {(i, g): (i, parts[i].target[g]) for i, g in arrows}
+    inverse = {(i, g): (i, parts[i].inverse[g]) for i, g in arrows}
+    unit = {(i, x): (i, parts[i].unit[x]) for i, x in objects}
+    return FiniteGroupoid(objects, arrows, source, target, unit, inverse,
+                          lambda a, b: (a[0], parts[a[0]].compose(a[1], b[1])))
 
 
 class FiniteRep:
@@ -201,9 +209,11 @@ class FiniteRep:
     def trivial(cls, groupoid, dim=1):
         linalg.check_size(len(groupoid.arrows) * dim * dim,
                           f"the {dim} x {dim} identity of every arrow")
-        dims = {x: dim for x in groupoid.objects}
-        matrices = {g: linalg.identity(dim) for g in groupoid.arrows}
-        return cls(groupoid, dims, matrices)
+        rep = cls.__new__(cls)  # identities compose by construction: nothing to check
+        rep.groupoid = groupoid
+        rep.dims = dict.fromkeys(groupoid.objects, dim)
+        rep.matrices = {g: linalg.identity(dim) for g in groupoid.arrows}
+        return rep
 
     def _validate(self):
         G = self.groupoid
@@ -219,9 +229,7 @@ class FiniteRep:
             ):
                 raise GroupoidError(f"matrix shape of {g} mismatches fiber dims")
         for g1 in G.arrows:
-            for g2 in G.arrows:
-                if not G.composable(g1, g2):
-                    continue
+            for g2 in G.leaving[G.target[g1]]:
                 composite = self.matrices[G.compose(g1, g2)]
                 product = linalg.matmul(self.matrices[g2], self.matrices[g1])
                 if composite != product:
@@ -347,17 +355,10 @@ def convolve(f1, f2, groupoid: FiniteGroupoid):
     for the pair groupoid this is matrix multiplication.
     """
     G = groupoid
-    out = {g: Fraction(0) for g in G.arrows}
-    by_target = {}
-    for h in G.arrows:
-        by_target.setdefault(G.target[h], []).append(h)
-    for g in G.arrows:
-        acc = Fraction(0)
-        for h in by_target.get(G.target[g], []):
-            gh_inv = G.compose(g, G.inverse[h])
-            acc += f1.get(gh_inv, Fraction(0)) * f2.get(h, Fraction(0))
-        out[g] = acc
-    return out
+    # h = k^-1 runs over the arrows into t(g) as k runs over those out of t(g)
+    return {g: sum((f1.get(G.compose(g, k), 0) * f2.get(G.inverse[k], 0)
+                    for k in G.leaving[G.target[g]]), Fraction(0))
+            for g in G.arrows}
 
 
 def unit_function(groupoid):

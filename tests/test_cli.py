@@ -5,6 +5,7 @@ import time
 from importlib import resources
 
 import pytest
+import yaml
 
 from algindex import cli
 
@@ -365,6 +366,100 @@ def test_wide_fiber_groupoid_cohomology_within_budget(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["results"][0]["result"]["betti"] == [48, 0, 0]
     assert elapsed < 5.0, f"pair(3) with fiber 48 took {elapsed:.2f}s (budget 5s)"
+
+
+def _explicit_group(n, table):
+    """A document declaring a group of order n on arrows g0..g(n-1) by its table."""
+    arrows = [f"g{i}" for i in range(n)]
+    return {
+        "version": 1,
+        "groupoids": {"G": {
+            "kind": "explicit", "objects": ["*"], "arrows": arrows,
+            "source": dict.fromkeys(arrows, "*"), "target": dict.fromkeys(arrows, "*"),
+            "unit": {"*": "g0"},
+            "inverse": {f"g{i}": f"g{-i % n}" for i in range(n)},
+            "compose": {f"{a}|{b}": c for (a, b), c in table.items()},
+        }},
+        "computations": [{"op": "groupoid-cohomology", "label": "G", "groupoid": "G"}],
+    }
+
+
+def _cyclic_table(n):
+    return {(f"g{i}", f"g{j}"): f"g{(i + j) % n}" for i in range(n) for j in range(n)}
+
+
+def _run_document(tmp_path, document, fmt="text"):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump(document))
+    start = time.monotonic()
+    proc = run_cli(["--format", fmt, "run", str(doc)])
+    return proc, time.monotonic() - start
+
+
+def test_explicit_groupoid_from_a_table(tmp_path):
+    proc, _ = _run_document(tmp_path, _explicit_group(3, _cyclic_table(3)), "json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["result"]["betti"] == [1, 0, 0]
+
+
+def test_explicit_groupoid_with_broken_associativity_is_rejected(tmp_path):
+    table = _cyclic_table(3)
+    table[("g1", "g1")] = "g0"  # should be g2
+    proc, _ = _run_document(tmp_path, _explicit_group(3, table))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "associativity fails" in lines[0]
+
+
+@pytest.mark.parametrize("field,value", [("compose", {"g0|g0": ["g0"]}),
+                                         ("source", {"g0": ["*"]}),
+                                         ("compose", {1: "g0"})])
+def test_malformed_explicit_groupoid_is_a_document_error(tmp_path, field, value):
+    document = _explicit_group(1, _cyclic_table(1))
+    document["groupoids"]["G"][field] = value
+    proc, _ = _run_document(tmp_path, document)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr.startswith("error: document error: ") and "Traceback" not in proc.stderr
+
+
+def test_oversized_explicit_groupoid_is_refused_before_its_check(tmp_path):
+    # 257 loops at one object: 257^3 composable triples, counted before the table is read
+    proc, elapsed = _run_document(tmp_path, _explicit_group(257, {("g0", "g0"): "g0"}))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert ("the associativity check of the composition table would have 16974593 entries, "
+            "above the limit of 2^24") in proc.stderr
+    assert elapsed < 2.0, f"257 loops took {elapsed:.2f}s (budget 2s)"
+
+
+def test_large_formula_groupoids_build_quickly(tmp_path):
+    # pair and cyclic compose by formula: no table, no associativity check
+    proc, elapsed = _run_document(tmp_path, {
+        "version": 1,
+        "groupoids": {"z1000": {"kind": "cyclic", "order": 1000},
+                      "pair100": {"kind": "pair", "size": 100}},
+        "computations": [{"op": "groupoid-cohomology", "label": "z1000",
+                          "groupoid": "z1000", "max_degree": 0}],
+    })
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith('ok groupoid-cohomology z1000: {"betti": [1]}\n')
+    assert elapsed < 2.0, f"cyclic(1000) and pair(100) took {elapsed:.2f}s (budget 2s)"
+
+
+def test_euler_index_of_a_point(tmp_path):
+    # the tangent algebroid of a chart without coordinates has rank 0; chi(point) = 1
+    proc, _ = _run_document(tmp_path, {
+        "version": 1, "coordinates": [],
+        "algebroids": {"point": {"kind": "tangent"}},
+        "metrics": {"g": {"algebroid": "point", "kind": "identity"}},
+        "densities": {"one": {"algebroid": "point", "coefficient": 1}},
+        "computations": [{"op": "index", "label": "chi", "kind": "euler",
+                          "algebroid": "point", "metric": "g", "density": "one"}],
+    }, "json")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["result"]["value"] == "1"
 
 
 def test_library_errors_share_one_base():

@@ -2,13 +2,16 @@
 CLI exits 0, 1 or 2 and never shows a traceback.
 
 Every object and computation takes its keys, enums and integer minimums from
-the schema.  Integers stay small (sizes and ranks at most 4, degrees at most
-3), references name declared objects or a missing one, and scalars come from
-a pool that holds poles, a division by zero and a syntax error.
+the schema.  Integers stay small (ranks at most 4, degrees at most 3), but a
+groupoid's order goes up to 64 and its size up to 32, and every document that
+loads must build within 1 s.  References name declared objects or a missing
+one, and scalars come from a pool that holds poles, a division by zero and a
+syntax error.
 """
 
 import io
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import yaml
@@ -34,7 +37,7 @@ BUILD_FIELDS = {"algebroids": ["rank"], "metrics": ["kind", "factor"], "connecti
                 "representations": ["matrices"], "domains": ["bounds"],
                 "groupoids": ["size", "order"]}
 # the largest value of each integer property; 4 for the others
-INTEGER_CAPS = {"degree": 3, "max_degree": 3, "truncate": 3}
+INTEGER_CAPS = {"degree": 3, "max_degree": 3, "truncate": 3, "order": 64, "size": 32}
 
 scalars = st.sampled_from(
     ["0", "1", "-2", "1/2", "x", "y", "x*y", "1+x^2", "1/(1+x^2)", 0, 1, -1] * 2
@@ -128,15 +131,19 @@ def _section(name):
 
 
 _COMPUTATION = SCHEMA["properties"]["computations"]["items"]
-computations = st.sampled_from(sorted(OP_FIELDS)).flatmap(
-    lambda op: from_object(_COMPUTATION, OP_FIELDS[op]).map(lambda comp: {**comp, "op": op}))
+
+
+def computations(ops):
+    return st.sampled_from(ops).flatmap(
+        lambda op: from_object(_COMPUTATION, OP_FIELDS[op]).map(lambda comp: {**comp, "op": op}))
 
 
 @st.composite
 def documents(draw):
     """Computations, and the sections their references name (algebroids always)."""
     document = {"version": 1, "coordinates": draw(SPECIAL["coordinates"]),
-                "computations": draw(st.lists(computations, min_size=1, max_size=3))}
+                "computations": draw(st.lists(computations(sorted(OP_FIELDS)),
+                                              min_size=1, max_size=3))}
     if draw(st.booleans()):
         document["backend"] = draw(from_fragment("backend", SCHEMA["properties"]["backend"]))
     named = {SECTION_OF[key] for comp in document["computations"] for key in comp
@@ -146,7 +153,31 @@ def documents(draw):
     return document
 
 
+# groupoids alone, so that no other section fails to build before them
+groupoid_documents = st.fixed_dictionaries({
+    "version": st.just(1),
+    "groupoids": _section("groupoids"),
+    "computations": st.lists(computations(cli._OP_FAMILIES["groupoid"]), min_size=1, max_size=3),
+})
+
 commands = st.sampled_from(["run"] * 4 + sorted(cli._OP_FAMILIES))
+
+
+def build_seconds(text):
+    """Seconds cli.JobContext takes on the document, or None if it does not load."""
+    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    try:
+        document = cli.load_document("-")
+    except cli.DocumentError:
+        return None
+    finally:
+        sys.stdin = stdin
+    start = time.perf_counter()
+    try:
+        cli.JobContext(document)
+    except cli.DocumentError:
+        pass
+    return time.perf_counter() - start
 
 
 def run_main(argv, text):
@@ -164,10 +195,28 @@ def run_main(argv, text):
     return code, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
-          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
-@given(document=documents(), command=commands, fmt=st.sampled_from(["text", "json"]))
-def test_schema_documents_exit_cleanly(document, command, fmt):
-    code, out, err = run_main(["--format", fmt, command, "-"], yaml.safe_dump(document))
+def check_document(document, argv):
+    """A document that loads builds within 1 s, and the CLI exits 0, 1 or 2 on it
+    without a traceback."""
+    text = yaml.safe_dump(document)
+    seconds = build_seconds(text)
+    assert seconds is None or seconds < 1.0, f"the document took {seconds:.2f}s to build"
+    code, out, err = run_main(argv + ["-"], text)
     assert code in (0, 1, 2), (code, out, err)
     assert "Traceback" not in err
+
+
+fuzz = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+@fuzz
+@given(document=documents(), command=commands, fmt=st.sampled_from(["text", "json"]))
+def test_schema_documents_exit_cleanly(document, command, fmt):
+    check_document(document, ["--format", fmt, command])
+
+
+@settings(fuzz, max_examples=50)
+@given(document=groupoid_documents)
+def test_groupoid_documents_build_within_budget(document):
+    check_document(document, ["run"])

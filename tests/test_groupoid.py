@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from algindex import cli
 from algindex import groupoid as gp
 from algindex import linalg
 
@@ -21,24 +23,60 @@ def random_function(rng, G):
     return {g: Fraction(rng.randint(-5, 5)) for g in G.arrows}
 
 
+def own_table(G):
+    """G's composition written out as a table {(g1, g2): g1 * g2}."""
+    return {(g1, g2): G.compose(g1, g2)
+            for g1 in G.arrows for g2 in G.arrows if G.composable(g1, g2)}
+
+
+def from_own_table(G, table=None):
+    table = own_table(G) if table is None else table
+    return gp.FiniteGroupoid.from_table(
+        G.objects, G.arrows, G.source, G.target, G.unit, G.inverse, table)
+
+
 # -- groupoid axioms ---------------------------------------------------------------
 
 
 def test_pair_groupoid_axioms_hold(pair3):
-    # construction runs the full axiom validation (units, inverses,
-    # associativity, composability bookkeeping)
+    # construction checks endpoints, units and inverses; associativity holds
+    # by the formula (x, y)(y, z) = (x, z) and is checked by the next test
     assert len(pair3.objects) == 3 and len(pair3.arrows) == 9
+
+
+@pytest.mark.parametrize("G", [
+    *(gp.pair_groupoid(n) for n in range(2, 5)),
+    *(gp.cyclic_group_groupoid(n) for n in range(2, 6)),
+    gp.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(3)),
+], ids=repr)
+def test_formula_compositions_pass_the_full_table_check(G):
+    H = from_own_table(G)
+    assert all(H.compose(g1, g2) == G.compose(g1, g2)
+               for g1 in G.arrows for g2 in G.leaving[G.target[g1]])
 
 
 def test_broken_associativity_is_rejected():
     # tamper with a composition entry of Z/3
-    G = gp.cyclic_group_groupoid(3)
-    compose = dict(G.compose_table)
-    compose[(1, 1)] = 0  # should be 2
-    with pytest.raises(gp.GroupoidError):
-        gp.FiniteGroupoid(
-            G.objects, G.arrows, G.source, G.target, G.unit, G.inverse, compose
-        )
+    table = own_table(gp.cyclic_group_groupoid(3))
+    table[(1, 1)] = 0  # should be 2
+    with pytest.raises(gp.GroupoidError, match="associativity fails"):
+        from_own_table(gp.cyclic_group_groupoid(3), table)
+
+
+def test_table_must_match_composability():
+    G = gp.pair_groupoid(2)
+    table = own_table(G)
+    del table[((0, 1), (1, 0))]
+    with pytest.raises(gp.GroupoidError, match="7 entries for 8 composable pairs"):
+        from_own_table(G, table)
+    table[((0, 1), (0, 1))] = (0, 1)  # t(0, 1) = 1 is not s(0, 1) = 0
+    with pytest.raises(gp.GroupoidError, match="disagrees with composability"):
+        from_own_table(G, table)
+
+
+def test_formula_composition_refuses_non_composable_pairs(pair3):
+    with pytest.raises(gp.GroupoidError, match="not composable"):
+        pair3.compose((0, 1), (2, 0))
 
 
 def test_representation_axioms_enforced(z2):
@@ -148,6 +186,24 @@ def test_convolution_associative(pair3, z2):
             left = gp.convolve(gp.convolve(f1, f2, G), f3, G)
             right = gp.convolve(f1, gp.convolve(f2, f3, G), G)
             assert left == right
+
+
+@pytest.mark.parametrize("G", [
+    gp.pair_groupoid(3),
+    gp.cyclic_group_groupoid(4),
+    gp.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(2)),
+], ids=repr)
+def test_convolution_table_matches_convolved_deltas(G):
+    ctx = SimpleNamespace(ref=lambda kind, name: G)
+    table = cli._convolution_table(ctx, {"groupoid": "G"}, {})["table"]
+    expected = {}
+    for g1 in G.arrows:
+        for g2 in G.arrows:
+            conv = gp.convolve(gp.delta(G, g1), gp.delta(G, g2), G)
+            support = {str(g): str(v) for g, v in conv.items() if v}
+            if support:
+                expected[f"{g1}*{g2}"] = support
+    assert table == expected
 
 
 def test_z2_group_algebra(z2):
