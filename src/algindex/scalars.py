@@ -257,7 +257,8 @@ class PolyScalar:
                     for i, e in powers:
                         term *= values[i] ** e
                     total += term
-                    largest = max(largest, abs(term))
+                    if abs(term) > largest:  # a NaN term leaves largest as it is
+                        largest = abs(term)
                 # fall back on overflow or catastrophic cancellation
                 if math.isfinite(total) and (largest == 0.0 or abs(total) >= 1e-8 * largest):
                     return total

@@ -31,7 +31,7 @@ from .chern_weil import (
     pfaffian_form,
 )
 from .forms import AlgForm, MixedForm, d_g, pullback_mixed
-from .scalars import AlgindexError, PolyScalar
+from .scalars import AlgindexError, PolyScalar, as_fraction
 
 
 class NonInvariantDensityError(AlgindexError):
@@ -92,11 +92,7 @@ class BoxDomain:
     bounds: list  # [(lo, hi)] per chart coordinate, exact rationals
 
     def __post_init__(self):
-        self.bounds = [
-            (Fraction(str(lo)) if not isinstance(lo, (int, Fraction, float)) else Fraction(lo),
-             Fraction(str(hi)) if not isinstance(hi, (int, Fraction, float)) else Fraction(hi))
-            for lo, hi in self.bounds
-        ]
+        self.bounds = [(as_fraction(lo), as_fraction(hi)) for lo, hi in self.bounds]
 
 
 @dataclass
@@ -163,7 +159,7 @@ def integrate(
 
     The density must be invariant (zero modular cocycle); polynomial
     integrands over boxes and points are exact, everything else goes through
-    the deterministic adaptive quadrature.
+    the deterministic adaptive quadrature, which stops at base dimension 2.
     """
     if form.degree != A.rank:
         raise AlgindexError("only top-degree forms can be integrated")
@@ -202,46 +198,30 @@ def integrate(
                 0.0,
                 normalization_degree,
             )
-        spans = [(float(lo), float(hi)) for lo, hi in domain.bounds]
-        if A.base_dim == 1:
-            res = quadrature.integrate_1d(
-                lambda x: integrand((x,)), *spans[0], tol=tol, budget=budget
-            )
-        elif A.base_dim == 2:
-            res = quadrature.integrate_2d(
-                lambda x, y: integrand((x, y)),
-                spans[0],
-                spans[1],
-                tol=tol,
-                budget=budget,
-            )
-        else:
-            raise AlgindexError("numeric quadrature supports base dimension <= 2")
-        return IntegrationResult(res.value, False, res.error, normalization_degree)
+        spans = domain.bounds
 
-    if isinstance(domain, PlaneDomain):
-        half = math.pi / 2
-        if A.base_dim == 1:
+        def f(*xs):
+            return integrand(xs)
 
-            def f1(s):
-                x = math.tan(s)
-                return integrand((x,)) * (1.0 + x * x)
+    elif isinstance(domain, PlaneDomain):
+        spans = [(-math.pi / 2, math.pi / 2)] * A.base_dim
 
-            res = quadrature.integrate_1d(f1, -half, half, tol=tol, budget=budget)
-        elif A.base_dim == 2:
+        def f(*ss):
+            xs = tuple(map(math.tan, ss))
+            value = integrand(xs)
+            for x in xs:  # the Jacobians 1 + tan^2, in axis order
+                value *= 1.0 + x * x
+            return value
 
-            def f2(s, t):
-                x, y = math.tan(s), math.tan(t)
-                return integrand((x, y)) * (1.0 + x * x) * (1.0 + y * y)
-
-            res = quadrature.integrate_2d(
-                f2, (-half, half), (-half, half), tol=tol, budget=budget
-            )
-        else:
-            raise AlgindexError("plane domains support base dimension <= 2")
-        return IntegrationResult(res.value, False, res.error, normalization_degree)
-
-    raise TypeError(f"unknown domain {domain!r}")
+    else:
+        raise TypeError(f"unknown domain {domain!r}")
+    if A.base_dim > 2:
+        raise AlgindexError("numeric quadrature supports base dimension <= 2")
+    # both entry points call quadrature._adaptive; they stay only because
+    # the benchmark's span recorder wraps them by name
+    entry = quadrature.integrate_1d if A.base_dim == 1 else quadrature.integrate_2d
+    res = entry(f, *spans, tol=tol, budget=budget)
+    return IntegrationResult(res.value, False, res.error, normalization_degree)
 
 
 # ---------------------------------------------------------------------------

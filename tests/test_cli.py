@@ -3,6 +3,7 @@ import subprocess
 import sys
 import time
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -35,10 +36,29 @@ BUNDLED = [
 ]
 
 
+GOLDENS = Path(__file__).parent / "goldens"  # stdout of each bundled job, byte for byte
+
+
 @pytest.mark.parametrize("name,expected_exit", BUNDLED)
 def test_bundled_documents_run(name, expected_exit):
     proc = run_cli(["run", job_path(name)])
     assert proc.returncode == expected_exit, proc.stdout + proc.stderr
+    assert proc.stdout == (GOLDENS / f"{name}.text").read_text()
+
+
+@pytest.mark.parametrize("name,expected_exit", BUNDLED)
+def test_bundled_json_output_matches_golden(name, expected_exit):
+    proc = run_cli(["--format", "json", "run", job_path(name)])
+    assert proc.returncode == expected_exit, proc.stdout + proc.stderr
+    assert proc.stdout == (GOLDENS / f"{name}.json").read_text()
+
+
+def test_every_bundled_job_has_goldens():
+    jobs = resources.files("algindex").joinpath("jobs")
+    names = sorted(p.name[:-len(".yaml")] for p in jobs.iterdir() if p.name.endswith(".yaml"))
+    assert names == sorted(name for name, _ in BUNDLED)
+    assert sorted(p.name for p in GOLDENS.iterdir()) == sorted(
+        f"{name}.{fmt}" for name in names for fmt in ("json", "text"))
 
 
 def test_su2_document_results():
@@ -368,6 +388,38 @@ def test_wide_fiber_groupoid_cohomology_within_budget(tmp_path):
     assert elapsed < 5.0, f"pair(3) with fiber 48 took {elapsed:.2f}s (budget 5s)"
 
 
+@pytest.mark.parametrize("domain", ["cube", "space"])
+def test_three_dimensional_quadrature_fails_its_own_computation(tmp_path, domain):
+    # quadrature stops at base dimension 2; a polynomial over a 3-D box stays exact
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "coordinates: [x, y, z]\n"
+        "algebroids: {space: {kind: tangent}}\n"
+        "densities: {one: {algebroid: space, coefficient: 1}}\n"
+        "forms:\n"
+        "  quadric: {algebroid: space, degree: 3, coefficients: {'1,2,3': '1/(1+x^2+y^2+z^2)'}}\n"
+        "  cubic: {algebroid: space, degree: 3, coefficients: {'1,2,3': 'x*y^2+z'}}\n"
+        "domains:\n"
+        "  cube: {type: box, bounds: [[0, 1], [0, 2], [0, 3]]}\n"
+        "  space: {type: plane}\n"
+        "computations:\n"
+        f"  - {{op: thom-check, label: bad, algebroid: space, form: quadric, density: one, "
+        f"domain: {domain}}}\n"
+        "  - {op: thom-check, label: exact, algebroid: space, form: cubic, density: one, "
+        "domain: cube}\n"
+    )
+    proc = run_cli(["run", str(doc)])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    failures = [line for line in lines if line.startswith("FAIL")]
+    assert len(failures) == 1 and failures[0].startswith("FAIL thom-check bad: ")
+    assert "base dimension <= 2" in failures[0]
+    assert lines[1].startswith('ok thom-check exact: {"base": {"error": "0", "exact": true, '
+                               '"value": "13"}')
+
+
 def _explicit_group(n, table):
     """A document declaring a group of order n on arrows g0..g(n-1) by its table."""
     arrows = [f"g{i}" for i in range(n)]
@@ -446,6 +498,21 @@ def test_large_formula_groupoids_build_quickly(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith('ok groupoid-cohomology z1000: {"betti": [1]}\n')
     assert elapsed < 2.0, f"cyclic(1000) and pair(100) took {elapsed:.2f}s (budget 2s)"
+
+
+def test_oversized_pair_groupoid_is_a_schema_violation(tmp_path):
+    # pair(3000) would hold 9 million arrows; the schema stops it before any build
+    proc, elapsed = _run_document(tmp_path, {
+        "version": 1,
+        "groupoids": {"big": {"kind": "pair", "size": 3000}},
+        "computations": [{"op": "groupoid-cohomology", "label": "big", "groupoid": "big"}],
+    })
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
+    assert "groupoids/big/size" in lines[0]
+    assert elapsed < 1.0, f"size 3000 took {elapsed:.2f}s to refuse (budget 1s)"
 
 
 def test_euler_index_of_a_point(tmp_path):

@@ -114,6 +114,14 @@ def test_one_dimensional_box(t2):
     assert result.value == Fraction(8, 3) and result.value_is_exact
 
 
+def test_box_bounds_are_exact_rationals():
+    assert ti.BoxDomain([("1/2", 1), (0.5, Fraction(3, 4))]).bounds == [
+        (Fraction(1, 2), Fraction(1)), (Fraction(1, 2), Fraction(3, 4))]
+    for bad in ("1/x", "1/0"):
+        with pytest.raises(AlgindexError):
+            ti.BoxDomain([(0, bad)])
+
+
 def test_rational_integrand_over_box_is_numeric(t2):
     x, y = t2.chart.coord(0), t2.chart.coord(1)
     coeff = t2.chart.const(1) / (1 + x * x + y * y)
@@ -368,6 +376,60 @@ def test_sphere_plane_quadrature_is_pinned(monkeypatch):
     assert result.integral.raw == 12.566370619856325
     assert result.integral.error == 1.0986086516414886e-07
     assert [r.panels for r in results] == [106]
+
+
+def _spy_quadrature(monkeypatch):
+    """The QuadResult of every quadrature entry-point call, in call order."""
+    results = []
+    for name in ("integrate_1d", "integrate_2d"):
+        original = getattr(quadrature, name)
+
+        def spy(*args, _original=original, **kwargs):
+            results.append(_original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(quadrature, name, spy)
+    return results
+
+
+def _inverse_quadric(A):
+    """The top form 1/(1 + x_1^2 + ... + x_n^2) on a tangent algebroid."""
+    xs = [A.chart.coord(i) for i in range(A.base_dim)]
+    denominator = 1 + sum(x * x for x in xs)
+    return AlgForm.dual_basis(A, tuple(range(A.rank))).scale(A.chart.const(1) / denominator)
+
+
+@pytest.mark.parametrize("dim,domain,tol,raw,error,panels", [
+    # int 1/(1+x^2) dx over the line is pi
+    (1, ti.PlaneDomain(), 1e-9, 3.141592653589783, 1.1546319456101628e-14, 1),
+    # atan(3) + pi/4
+    (1, ti.BoxDomain([(-1, 3)]), 1e-12, 2.0344439357956965, 4.691247390553599e-13, 6),
+    (2, ti.BoxDomain([(0, 1), (-1, 2)]), 1e-10, 1.5702264783779252, 7.47097730902091e-11, 13),
+])
+def test_quadrature_paths_are_pinned(monkeypatch, dim, domain, tol, raw, error, panels):
+    results = _spy_quadrature(monkeypatch)
+    A = alg.tangent(dim)
+    result = ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain, tol=tol)
+    assert not result.exact
+    assert result.raw == raw
+    assert result.error == error
+    assert [r.panels for r in results] == [panels]
+
+
+@pytest.mark.parametrize("domain", [ti.BoxDomain([(0, 1)] * 3), ti.PlaneDomain()])
+def test_three_dimensional_quadrature_is_refused(domain):
+    A = alg.tangent(3)
+    with pytest.raises(AlgindexError, match="base dimension <= 2"):
+        ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain)
+
+
+def test_three_dimensional_polynomial_box_is_exact():
+    A = alg.tangent(3)
+    x, y, z = (A.chart.coord(i) for i in range(3))
+    form = AlgForm.dual_basis(A, (0, 1, 2)).scale(x * y * y + z)
+    result = ti.integrate(A, form, ti.Density(A, 1), ti.BoxDomain([(0, 1), (0, 2), (0, 3)]))
+    # int x y^2 = 1/2 * 8/3 * 3 = 4, int z = 1 * 2 * 9/2 = 9
+    assert result.value == 13 and result.value_is_exact
 
 
 def test_index_euler_flat_torus(t2):
