@@ -26,7 +26,6 @@ from .algebroid import (
 )
 from .chern_weil import (
     FormMatrix,
-    GConnection,
     Metric,
     char_class,
     chern_class,
@@ -39,8 +38,8 @@ from .chern_weil import (
 )
 from .forms import (
     AlgForm,
+    GConnection,
     MixedForm,
-    Representation,
     basis_forms,
     coboundary_witness,
     cohomology_const,

@@ -189,8 +189,8 @@ class AlgebroidPresentation:
 # ---------------------------------------------------------------------------
 
 
-def _default_chart(n, backend="poly", stem="x"):
-    return Chart(tuple(f"{stem}{i + 1}" for i in range(n)), backend)
+def _default_chart(n):
+    return Chart(tuple(f"x{i + 1}" for i in range(n)))
 
 
 def tangent(n, chart=None, name=None):
@@ -296,7 +296,7 @@ def product(a1: AlgebroidPresentation, a2: AlgebroidPresentation, name=None):
     )
 
 
-def pullback(A: AlgebroidPresentation, fiber_dim, fiber_names=None, name=None):
+def pullback(A: AlgebroidPresentation, fiber_dim, name=None):
     """Pull-back along the projection of the trivial fibration M x R^m -> M.
 
     The frame consists of horizontal lifts h_a = (e_a, rho(e_a)) followed by
@@ -306,10 +306,7 @@ def pullback(A: AlgebroidPresentation, fiber_dim, fiber_names=None, name=None):
     in a trivialization, base for the symplectic/Thom machinery.
     """
     m = int(fiber_dim)
-    fiber_names = tuple(fiber_names or (f"u{j + 1}" for j in range(m)))
-    if len(fiber_names) != m:
-        raise PresentationError("need one name per fiber coordinate")
-    chart = A.chart.extended(fiber_names)
+    chart = A.chart.extended(f"u{j + 1}" for j in range(m))
     r = A.rank
 
     def lift(s):

@@ -17,39 +17,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, MixedForm, Representation, _scalar_det, d_g
+from .forms import AlgForm, GConnection, MixedForm, _scalar_det, d_g
 from .scalars import AlgindexError, Chart, PolyScalar
-
-
-class GConnection:
-    """Connection coefficient matrices Gamma_a on a rank-m bundle."""
-
-    def __init__(self, algebroid: AlgebroidPresentation, bundle_rank, matrices):
-        self.algebroid = algebroid
-        self.bundle_rank = int(bundle_rank)
-        self.matrices = [
-            [[algebroid.scalar(v) for v in row] for row in mat] for mat in matrices
-        ]
-        if len(self.matrices) != algebroid.rank:
-            raise AlgindexError("need one coefficient matrix per frame element")
-        for mat in self.matrices:
-            if len(mat) != self.bundle_rank or any(
-                len(row) != self.bundle_rank for row in mat
-            ):
-                raise AlgindexError("coefficient matrices must be bundle_rank square")
-
-    @classmethod
-    def zero(cls, algebroid, bundle_rank):
-        z = algebroid.chart.zero()
-        mats = [
-            [[z] * bundle_rank for _ in range(bundle_rank)]
-            for _ in range(algebroid.rank)
-        ]
-        return cls(algebroid, bundle_rank, mats)
-
-    @classmethod
-    def from_representation(cls, rep: Representation):
-        return cls(rep.algebroid, rep.bundle_rank, rep.matrices)
 
 
 class FormMatrix:
@@ -270,9 +239,9 @@ def curvature(conn: GConnection) -> FormMatrix:
     return FormMatrix(A, entries)
 
 
-def validate_representation(rep: Representation):
+def validate_representation(rep: GConnection):
     """Flatness check: the curvature of the declared connection vanishes."""
-    return curvature(GConnection.from_representation(rep)).is_zero()
+    return curvature(rep).is_zero()
 
 
 def levi_civita(A: AlgebroidPresentation, metric: Metric) -> GConnection:
@@ -432,7 +401,7 @@ def covariant_exterior_derivative(R: FormMatrix, conn: GConnection) -> AlgForm:
                     mat[i * m + j][k * m + j] = mat[i * m + j][k * m + j] + gamma[i][k]
                     mat[i * m + j][i * m + k] = mat[i * m + j][i * m + k] - gamma[k][j]
         end_mats.append(mat)
-    end_rep = Representation(A, m * m, end_mats)
+    end_rep = GConnection(A, m * m, end_mats)
     degree = None
     coeffs = {}
     for i in range(m):

@@ -41,7 +41,7 @@ from . import algebroid as alg
 from . import chern_weil as cw
 from . import groupoid as gp
 from . import thom_index as ti
-from .forms import AlgForm, MixedForm, Representation, cohomology_const
+from .forms import AlgForm, MixedForm, cohomology_const
 from .scalars import AlgindexError, Chart, as_fraction, scalar_to_string
 
 
@@ -231,12 +231,11 @@ class JobContext:
 
     def _build_representation(self, name, spec):
         conn = self._build_connection(name, spec)
-        rep = Representation(conn.algebroid, conn.bundle_rank, conn.matrices)
-        if not cw.validate_representation(rep):
+        if not cw.validate_representation(conn):
             raise DocumentError(
                 f"representation {name!r} is not flat (nonzero curvature)"
             )
-        return rep
+        return conn
 
     def _build_density(self, name, spec):
         A = self.ref("algebroid", spec["algebroid"])

@@ -298,36 +298,40 @@ class MixedForm:
 
 
 # ---------------------------------------------------------------------------
-# connections-as-representations and the differential
+# connections and the differential
 # ---------------------------------------------------------------------------
 
 
-class Representation:
-    """Connection coefficient matrices declaring nabla_{e_a} s = rho(e_a)s + w_a s.
+class GConnection:
+    """Connection coefficient matrices Gamma_a on a rank-m bundle, declaring
+    nabla_{e_a} s = rho(e_a)s + Gamma_a s.
 
-    A representation is a flat connection; flatness is checked by the
-    curvature operation (see chern_weil.validate_representation) and is a
-    precondition for d o d = 0 on bundle-valued forms.
+    A flat connection (zero curvature, see chern_weil.validate_representation)
+    is a representation, the precondition for d o d = 0 on bundle-valued forms.
     """
 
-    def __init__(self, algebroid, bundle_rank=1, matrices=None):
+    def __init__(self, algebroid, bundle_rank, matrices):
         self.algebroid = algebroid
         self.bundle_rank = int(bundle_rank)
-        if matrices is None:
-            zero = algebroid.chart.zero()
-            matrices = [
-                [[zero] * self.bundle_rank for _ in range(self.bundle_rank)]
-                for _ in range(algebroid.rank)
-            ]
         self.matrices = [
             [[algebroid.scalar(v) for v in row] for row in mat] for mat in matrices
         ]
         if len(self.matrices) != algebroid.rank:
             raise AlgindexError("need one coefficient matrix per frame element")
+        for mat in self.matrices:
+            if len(mat) != self.bundle_rank or any(
+                len(row) != self.bundle_rank for row in mat
+            ):
+                raise AlgindexError("coefficient matrices must be bundle_rank square")
 
     @classmethod
-    def trivial(cls, algebroid, bundle_rank=1):
-        return cls(algebroid, bundle_rank)
+    def zero(cls, algebroid, bundle_rank):
+        z = algebroid.chart.zero()
+        mats = [
+            [[z] * bundle_rank for _ in range(bundle_rank)]
+            for _ in range(algebroid.rank)
+        ]
+        return cls(algebroid, bundle_rank, mats)
 
     def apply(self, frame_index, values):
         """nabla_{e_a} on a coefficient vector of sections."""
@@ -343,11 +347,11 @@ class Representation:
         return tuple(out)
 
 
-def d_g(form: AlgForm, rep: Representation | None = None) -> AlgForm:
+def d_g(form: AlgForm, rep: GConnection | None = None) -> AlgForm:
     """The Koszul differential of a form with respect to a connection."""
     A = form.algebroid
     if rep is None:
-        rep = Representation.trivial(A, form.bundle_rank)
+        rep = GConnection.zero(A, form.bundle_rank)
     if rep.algebroid is not A:
         raise AlgindexError("form and representation live on different algebroids")
     if rep.bundle_rank != form.bundle_rank:
@@ -500,7 +504,7 @@ def _differential_matrix(algebroid, rep, degree):
 
 def cohomology_const(algebroid, rep=None, max_degree=None):
     """Betti numbers of the constant-coefficient complex, exact ranks."""
-    rep = rep or Representation.trivial(algebroid)
+    rep = rep or GConnection.zero(algebroid, 1)
     _constant_checks(algebroid, rep)
     r = algebroid.rank
     max_degree = r if max_degree is None else min(max_degree, r)
@@ -528,7 +532,7 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
     the ansatz", never "not exact".
     """
     A = form.algebroid
-    rep = rep or Representation.trivial(A, form.bundle_rank)
+    rep = rep or GConnection.zero(A, form.bundle_rank)
     if form.degree == 0:
         return None
     k = form.degree - 1

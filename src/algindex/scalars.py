@@ -7,7 +7,11 @@ Two families of scalars share one arithmetic interface:
   their quotients, :class:`RationalScalar`), so equality-to-zero is decidable
   and exact.
 * :class:`NumericExpr` -- an evaluable expression tree (exp, sqrt, sin, cos,
-  division) used only where a chart integrand is not polynomial.
+  division) used only where a chart integrand is not polynomial.  Its nodes
+  are plain nested tuples -- ``("const", v)``, ``("coord", i)``,
+  ``("pow", child, p)``, ``(op, a, b)`` for an op of ``_BINARY`` and
+  ``(fn, a)`` for a function of ``_FUNCTIONS`` -- and only the root carries
+  the chart; its zero test, and so its equality, is sampled.
 
 Scalars are immutable after construction; every operation returns a new
 value.  Monomials are ordered graded-lexicographically for canonical output.
@@ -16,6 +20,8 @@ value.  Monomials are ordered graded-lexicographically for canonical output.
 from __future__ import annotations
 
 import math
+import operator
+import random
 from fractions import Fraction
 
 
@@ -45,6 +51,15 @@ def as_fraction(value) -> Fraction:
         # pushed through exact arithmetic without rounding.
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _exact_float(exact, point) -> float:
+    """The exact value ``exact(point)`` as a float; a value beyond float
+    range raises :class:`DomainError`."""
+    try:
+        return float(exact(point))
+    except OverflowError:
+        raise DomainError(f"value beyond float range at {tuple(point)}") from None
 
 
 def _grlex_key(expo):
@@ -111,8 +126,6 @@ class PolyScalar:
         return None
 
     def __add__(self, other):
-        if isinstance(other, RationalScalar):
-            return other.__radd__(self)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -127,8 +140,6 @@ class PolyScalar:
         return PolyScalar(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, RationalScalar):
-            return (-other).__radd__(self)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -138,8 +149,6 @@ class PolyScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, RationalScalar):
-            return other.__rmul__(self)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -170,8 +179,6 @@ class PolyScalar:
             if q == 0:
                 raise DomainError("division by zero")
             return self * (Fraction(1) / q)
-        if isinstance(other, RationalScalar):
-            return RationalScalar(self, PolyScalar.const(self.vars, 1)) / other
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -186,8 +193,6 @@ class PolyScalar:
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PolyScalar.const(self.vars, other)
-        if isinstance(other, RationalScalar):
-            return other == self
         if not isinstance(other, PolyScalar):
             return NotImplemented
         return self.vars == other.vars and self.terms == other.terms
@@ -244,7 +249,7 @@ class PolyScalar:
                 for expo, coeff in self.terms.items()
             ]
         except OverflowError:  # a coefficient beyond float range: always exact
-            return lambda point: float(exact(point))
+            return lambda point: _exact_float(exact, point)
 
         def evaluate(point):
             if len(point) != n_vars:
@@ -264,7 +269,7 @@ class PolyScalar:
                     return total
             except OverflowError:
                 pass
-            return float(exact(point))
+            return _exact_float(exact, point)
 
         return evaluate
 
@@ -626,12 +631,9 @@ class RationalScalar:
                     out = n / d
                     if math.isfinite(out):
                         return out
-            except OverflowError:
+            except ArithmeticError:  # num or den beyond float range, as floats or exactly
                 pass
-            value = exact(point)
-            if value == 0:
-                return 0.0
-            return float(value)
+            return _exact_float(exact, point)
 
         return evaluate
 
@@ -679,16 +681,53 @@ class RationalScalar:
 # numeric expression trees
 # ---------------------------------------------------------------------------
 
-_UNARY = {"exp", "sqrt", "sin", "cos", "neg"}
-_BINARY = {"add", "sub", "mul", "div"}
+# kind -> (printed symbol, float operator); the function kinds are _FUNCTIONS
+_BINARY = {"add": ("+", operator.add), "sub": ("-", operator.sub),
+           "mul": ("*", operator.mul), "div": ("/", operator.truediv)}
+_FUNCTIONS = ("exp", "sqrt", "sin", "cos")
+
+# the sampled zero test: points drawn from a fixed seed in [-0.9, 0.9]^n
+_ZERO_SEED = 20210
+_ZERO_SAMPLES = 20
+_ZERO_TOL = 1e-10
+
+
+def _eval(node, point) -> float:
+    """The float value of a node; raises DomainError off the domain (and
+    OverflowError beyond float range, which ``NumericExpr.eval`` converts)."""
+    kind = node[0]
+    if kind == "const":
+        return float(node[1])
+    if kind == "coord":
+        return point[node[1]]
+    if kind == "pow":
+        base = _eval(node[1], point)
+        if node[2] < 0 and base == 0.0:
+            raise DomainError("zero raised to a negative power")
+        return base ** node[2]
+    a = _eval(node[1], point)
+    if kind in _BINARY:
+        b = _eval(node[2], point)
+        if kind == "div" and b == 0.0:
+            raise DomainError(f"division by zero at {point}")
+        out = _BINARY[kind][1](a, b)
+    else:
+        if kind == "sqrt" and a < 0.0:
+            raise DomainError(f"sqrt of negative value at {point}")
+        out = getattr(math, kind)(a)
+    if not math.isfinite(out):
+        raise DomainError(f"non-finite value at {point}")
+    return out
 
 
 class NumericExpr:
     """An evaluable expression tree over chart coordinates.
 
-    Supports +, -, *, /, integer powers, exp, sqrt, sin, cos.  Evaluation
-    returns a finite float or raises :class:`DomainError`; ``derive`` does
-    symbolic differentiation on the tree.
+    Supports +, -, *, /, integer powers, exp, sqrt, sin, cos.  ``node`` is a
+    plain tuple in the format of the module docstring (a ``const`` holds a
+    Fraction or a float); only this root carries the chart's ``vars``.
+    Evaluation returns a finite float or raises :class:`DomainError`;
+    ``derive`` does symbolic differentiation on the tree.
     """
 
     __slots__ = ("vars", "node")
@@ -714,10 +753,8 @@ class NumericExpr:
     def zero(cls, variables):
         return cls.const(variables, 0)
 
-    def _const_value(self):
-        if self.node[0] == "const":
-            return self.node[1]
-        return None
+    def _wrap(self, node):
+        return NumericExpr(self.vars, node)
 
     def _coerce(self, other):
         if isinstance(other, NumericExpr):
@@ -735,16 +772,11 @@ class NumericExpr:
         if other is None:
             return NotImplemented
         a, b = (other, self) if reflected else (self, other)
-        ca, cb = a._const_value(), b._const_value()
-        if ca is not None and cb is not None and not isinstance(ca, float) and not isinstance(cb, float):
-            if op == "add":
-                return NumericExpr.const(self.vars, ca + cb)
-            if op == "sub":
-                return NumericExpr.const(self.vars, ca - cb)
-            if op == "mul":
-                return NumericExpr.const(self.vars, ca * cb)
-            if op == "div" and cb != 0:
-                return NumericExpr.const(self.vars, Fraction(ca) / Fraction(cb))
+        ca = a.node[1] if a.node[0] == "const" else None
+        cb = b.node[1] if b.node[0] == "const" else None
+        exact = isinstance(ca, Fraction) and isinstance(cb, Fraction)
+        if exact and not (op == "div" and cb == 0):
+            return NumericExpr.const(self.vars, _BINARY[op][1](ca, cb))
         # light simplification keeps derivative trees readable
         if op == "add":
             if ca == 0:
@@ -762,7 +794,7 @@ class NumericExpr:
                 return a
         if op == "div" and cb == 1:
             return a
-        return NumericExpr(self.vars, (op, a, b))
+        return self._wrap((op, a.node, b.node))
 
     def __add__(self, other):
         return self._binary("add", other)
@@ -796,24 +828,27 @@ class NumericExpr:
             raise AlgindexError("expression powers must be integers")
         if power == 0:
             return NumericExpr.const(self.vars, 1)
-        return NumericExpr(self.vars, ("pow", self, power))
+        return self._wrap(("pow", self.node, power))
 
     def exp(self):
-        return NumericExpr(self.vars, ("exp", self))
+        return self._wrap(("exp", self.node))
 
     def sqrt(self):
-        return NumericExpr(self.vars, ("sqrt", self))
+        return self._wrap(("sqrt", self.node))
 
     def sin(self):
-        return NumericExpr(self.vars, ("sin", self))
+        return self._wrap(("sin", self.node))
 
     def cos(self):
-        return NumericExpr(self.vars, ("cos", self))
+        return self._wrap(("cos", self.node))
 
     def eval(self, point) -> float:
         if len(point) != len(self.vars):
             raise AlgindexError("point dimension does not match variable count")
-        return self._eval(tuple(float(p) for p in point))
+        try:
+            return _eval(self.node, tuple(float(p) for p in point))
+        except OverflowError:
+            raise DomainError(f"value beyond float range at {tuple(point)}") from None
 
     eval_float = eval
 
@@ -821,116 +856,64 @@ class NumericExpr:
         """``point -> float``: the evaluator itself, already float throughout."""
         return self.eval
 
-    def _eval(self, point) -> float:
-        kind = self.node[0]
-        if kind == "const":
-            return float(self.node[1])
-        if kind == "coord":
-            return point[self.node[1]]
-        if kind == "pow":
-            base = self.node[1]._eval(point)
-            power = self.node[2]
-            if power < 0 and base == 0.0:
-                raise DomainError("zero raised to a negative power")
-            return base**power
-        if kind in _BINARY:
-            a = self.node[1]._eval(point)
-            b = self.node[2]._eval(point)
-            if kind == "add":
-                out = a + b
-            elif kind == "sub":
-                out = a - b
-            elif kind == "mul":
-                out = a * b
-            else:
-                if b == 0.0:
-                    raise DomainError(f"division by zero at {point}")
-                out = a / b
-        else:
-            a = self.node[1]._eval(point)
-            if kind == "exp":
-                out = math.exp(a)
-            elif kind == "sqrt":
-                if a < 0.0:
-                    raise DomainError(f"sqrt of negative value at {point}")
-                out = math.sqrt(a)
-            elif kind == "sin":
-                out = math.sin(a)
-            elif kind == "cos":
-                out = math.cos(a)
-            else:
-                raise AlgindexError(f"unknown node {kind}")
-        if not math.isfinite(out):
-            raise DomainError(f"non-finite value at {point}")
-        return out
-
     def derive(self, index):
-        kind = self.node[0]
+        node = self.node
+        kind = node[0]
         if kind == "const":
             return NumericExpr.zero(self.vars)
         if kind == "coord":
-            return NumericExpr.const(self.vars, 1 if self.node[1] == index else 0)
-        if kind == "add":
-            return self.node[1].derive(index) + self.node[2].derive(index)
-        if kind == "sub":
-            return self.node[1].derive(index) - self.node[2].derive(index)
+            return NumericExpr.const(self.vars, 1 if node[1] == index else 0)
+        a = self._wrap(node[1])
+        if kind == "pow":
+            p = node[2]
+            return NumericExpr.const(self.vars, p) * a ** (p - 1) * a.derive(index)
+        if kind in ("add", "sub"):
+            return _BINARY[kind][1](a.derive(index), self._wrap(node[2]).derive(index))
         if kind == "mul":
-            a, b = self.node[1], self.node[2]
+            b = self._wrap(node[2])
             return a.derive(index) * b + a * b.derive(index)
         if kind == "div":
-            a, b = self.node[1], self.node[2]
+            b = self._wrap(node[2])
             return (a.derive(index) * b - a * b.derive(index)) / (b * b)
-        if kind == "pow":
-            a, p = self.node[1], self.node[2]
-            return NumericExpr.const(self.vars, p) * a ** (p - 1) * a.derive(index)
         if kind == "exp":
-            return self * self.node[1].derive(index)
+            return self * a.derive(index)
         if kind == "sqrt":
             half = NumericExpr.const(self.vars, Fraction(1, 2))
-            return half / self * self.node[1].derive(index)
+            return half / self * a.derive(index)
         if kind == "sin":
-            return self.node[1].cos() * self.node[1].derive(index)
-        if kind == "cos":
-            return -(self.node[1].sin()) * self.node[1].derive(index)
-        raise AlgindexError(f"unknown node {kind}")
+            return a.cos() * a.derive(index)
+        return -(a.sin()) * a.derive(index)  # cos
 
     def substitute(self, replacements):
-        kind = self.node[0]
-        if kind == "const":
-            return replacements[0] * 0 + self.node[1] if replacements else self
-        if kind == "coord":
-            return replacements[self.node[1]]
-        if kind == "pow":
-            return self.node[1].substitute(replacements) ** self.node[2]
-        if kind in _BINARY:
-            a = self.node[1].substitute(replacements)
-            b = self.node[2].substitute(replacements)
-            if kind == "add":
-                return a + b
-            if kind == "sub":
-                return a - b
-            if kind == "mul":
-                return a * b
-            return a / b
-        a = self.node[1].substitute(replacements)
-        return getattr(a, kind)()
+        def walk(node):
+            kind = node[0]
+            if kind == "const":
+                return replacements[0] * 0 + node[1] if replacements else self._wrap(node)
+            if kind == "coord":
+                return replacements[node[1]]
+            if kind == "pow":
+                return walk(node[1]) ** node[2]
+            if kind in _BINARY:
+                return _BINARY[kind][1](walk(node[1]), walk(node[2]))
+            return getattr(walk(node[1]), kind)()
 
-    def is_zero(self, rng=None, samples=20, tol=1e-10) -> bool:
+        return walk(self.node)
+
+    def is_zero(self) -> bool:
         """Structural zero after folding, else sampled near the origin.
 
         Numeric zero-testing is heuristic by nature; exact backends should be
-        used wherever an identity needs to be certified.
+        used wherever an identity needs to be certified.  A sample point off
+        the domain or beyond float range is skipped.
         """
-        if self.node == ("const", Fraction(0)) or self.node == ("const", 0.0):
+        if self.node == ("const", 0):
             return True
-        import random
-
-        rng = rng or random.Random(20210)
+        rng = random.Random(_ZERO_SEED)
         hits = 0
-        for _ in range(samples):
+        for _ in range(_ZERO_SAMPLES):
             point = [rng.uniform(-0.9, 0.9) for _ in self.vars]
             try:
-                if abs(self._eval(tuple(point))) > tol:
+                if abs(self.eval(point)) > _ZERO_TOL:
                     return False
                 hits += 1
             except DomainError:
@@ -946,40 +929,20 @@ class NumericExpr:
         return self.node[1]
 
     def depends_on(self, index) -> bool:
-        kind = self.node[0]
-        if kind == "const":
-            return False
-        if kind == "coord":
-            return self.node[1] == index
-        if kind == "pow":
-            return self.node[1].depends_on(index)
-        if kind in _BINARY:
-            return self.node[1].depends_on(index) or self.node[2].depends_on(index)
-        return self.node[1].depends_on(index)
+        def walk(node):
+            if node[0] == "const":
+                return False
+            if node[0] == "coord":
+                return node[1] == index
+            return any(walk(child) for child in node[1:] if isinstance(child, tuple))
+
+        return walk(self.node)
 
     def extend_vars(self, variables):
         variables = tuple(variables)
         if variables[: len(self.vars)] != self.vars:
             raise AlgindexError("chart extension must keep leading coordinates")
-        kind = self.node[0]
-        if kind == "const":
-            return NumericExpr(variables, self.node)
-        if kind == "coord":
-            return NumericExpr(variables, self.node)
-        if kind == "pow":
-            return NumericExpr(
-                variables, ("pow", self.node[1].extend_vars(variables), self.node[2])
-            )
-        if kind in _BINARY:
-            return NumericExpr(
-                variables,
-                (
-                    kind,
-                    self.node[1].extend_vars(variables),
-                    self.node[2].extend_vars(variables),
-                ),
-            )
-        return NumericExpr(variables, (kind, self.node[1].extend_vars(variables)))
+        return NumericExpr(variables, self.node)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -991,17 +954,19 @@ class NumericExpr:
     __hash__ = None
 
     def __str__(self):
-        kind = self.node[0]
-        if kind == "const":
-            return str(self.node[1])
-        if kind == "coord":
-            return self.vars[self.node[1]]
-        if kind == "pow":
-            return f"({self.node[1]})^{self.node[2]}"
-        if kind in _BINARY:
-            symbol = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
-            return f"({self.node[1]} {symbol} {self.node[2]})"
-        return f"{kind}({self.node[1]})"
+        def walk(node):
+            kind = node[0]
+            if kind == "const":
+                return str(node[1])
+            if kind == "coord":
+                return self.vars[node[1]]
+            if kind == "pow":
+                return f"({walk(node[1])})^{node[2]}"
+            if kind in _BINARY:
+                return f"({walk(node[1])} {_BINARY[kind][0]} {walk(node[2])})"
+            return f"{kind}({walk(node[1])})"
+
+        return walk(self.node)
 
     def __repr__(self):
         return f"NumericExpr({self})"
@@ -1075,8 +1040,8 @@ class Chart:
             return self.const(value)
         raise TypeError(f"cannot coerce {value!r} onto chart {self.names}")
 
-    def extended(self, extra_names, backend=None):
-        return Chart(self.names + tuple(extra_names), backend or self.backend)
+    def extended(self, extra_names):
+        return Chart(self.names + tuple(extra_names), self.backend)
 
     def __eq__(self, other):
         return (
@@ -1089,9 +1054,6 @@ class Chart:
 
     def __repr__(self):
         return f"Chart({self.names}, backend={self.backend!r})"
-
-
-_FUNCTIONS = ("exp", "sqrt", "sin", "cos")
 
 
 class _Tokens:

@@ -110,7 +110,6 @@ class IntegrationResult:
     exact: bool
     error: float = 0.0
     normalization_degree: int = 0
-    note: str = ""
 
     @property
     def value(self):
@@ -153,7 +152,6 @@ def integrate(
     normalization_degree: int = 0,
     tol: float = 1e-9,
     budget: int = 4000,
-    check_invariance: bool = True,
 ) -> IntegrationResult:
     """integral over the base of <form, density>, divided by (2 pi)^k.
 
@@ -165,12 +163,11 @@ def integrate(
         raise AlgindexError("only top-degree forms can be integrated")
     if form.bundle_rank != 1:
         raise AlgindexError("integration needs a scalar-valued form")
-    if check_invariance:
-        obstruction = modular_cocycle(A, density)
-        if not obstruction.is_zero():
-            raise NonInvariantDensityError(
-                f"density is not invariant; modular cocycle = {obstruction}"
-            )
+    obstruction = modular_cocycle(A, density)
+    if not obstruction.is_zero():
+        raise NonInvariantDensityError(
+            f"density is not invariant; modular cocycle = {obstruction}"
+        )
     top = tuple(range(A.rank))
     coefficient = form.coeffs.get(top)
     pairing = (
@@ -639,7 +636,7 @@ def _genus_integrand(nu, genus_form: MixedForm, extra: MixedForm | None = None):
     return integrand
 
 
-def _evaluate_index(A, integrand: MixedForm, nu, density, domain, tol, budget, note=""):
+def _evaluate_index(A, integrand: MixedForm, nu, density, domain, tol, budget):
     r = A.rank
     top = integrand.degree_part(r)
     k = r // 2
@@ -648,13 +645,13 @@ def _evaluate_index(A, integrand: MixedForm, nu, density, domain, tol, budget, n
         nu_degree = nu.degree if isinstance(nu, AlgForm) else max(nu.degrees(), default=0)
     i_power = nu_degree // 2
     if top.is_zero():
-        result = _exact_zero(A, k, note or "degree mismatch: no top-degree component")
+        result = _exact_zero(A, k, "degree mismatch: no top-degree component")
         result.i_power = i_power
         return result
     result = integrate(
         A, top, density, domain, normalization_degree=k, tol=tol, budget=budget
     )
-    return IndexResult(result, i_power, note)
+    return IndexResult(result, i_power)
 
 
 def index_signature(
@@ -742,9 +739,15 @@ def thom_compatibility(
     A: AlgebroidPresentation, form: AlgForm, density: Density, domain=None,
     tol=1e-9, budget=4000,
 ) -> ThomCheck:
-    """Both sides of the Thom/integration compatibility, evaluated through
-    the two independent paths (direct pairing vs. pull-back, Thom map, fiber
-    integration against Theta^r (x) pi* density)."""
+    """Both sides of the Thom/integration compatibility: the direct pairing,
+    and the pull-back, Thom map and fiber integration against
+    Theta^r (x) pi* density.
+
+    The fiber-integrated top form is compared with ``form`` (the round-trip
+    identity).  When they are equal its integral is ``base`` itself, so the
+    integral is computed once; only a failed round trip integrates the mapped
+    form on its own.
+    """
     base = integrate(A, form, density, domain, tol=tol, budget=budget)
     pb = pullback(A, A.rank)
     theta = symplectic_form(pb)
@@ -755,7 +758,7 @@ def thom_compatibility(
     roundtrip = reduced.degree_part(form.degree) == form and all(
         reduced.degree_part(d).is_zero() for d in reduced.degrees() if d != form.degree
     )
-    mapped_integral = integrate(
+    mapped_integral = base if roundtrip else integrate(
         A, reduced.degree_part(A.rank), density, domain, tol=tol, budget=budget,
     )
     return ThomCheck(

@@ -9,7 +9,7 @@ from algindex import algebroid as alg
 from algindex.forms import (
     _differential_matrix,
     AlgForm,
-    Representation,
+    GConnection,
     basis_forms,
     coboundary_witness,
     cohomology_const,
@@ -98,7 +98,7 @@ def test_degree_overflow_is_zero(su2):
 
 
 def test_mismatched_representation_rejected(su2, t2):
-    rep = Representation.trivial(t2)
+    rep = GConnection.zero(t2, 1)
     with pytest.raises(ValueError):
         d_g(AlgForm.dual_basis(su2, (0,)), rep)
 
@@ -179,7 +179,7 @@ def test_d_squared_with_flat_representation(su2):
         [[su2.bracket(a, b)[c] for b in range(3)] for c in range(3)]
         for a in range(3)
     ]
-    rep = Representation(su2, 3, mats)
+    rep = GConnection(su2, 3, mats)
     for k in range(su2.rank):
         for base in basis_forms(su2, k, bundle_rank=3):
             assert d_g(d_g(base, rep), rep).is_zero()
@@ -283,7 +283,7 @@ def test_adjoint_coefficients_whitehead(su2, aff1):
             [[A.bracket(a, b)[c] for b in range(A.rank)] for c in range(A.rank)]
             for a in range(A.rank)
         ]
-        adjoint = Representation(A, A.rank, mats)
+        adjoint = GConnection(A, A.rank, mats)
         assert cohomology_const(A, adjoint) == [0] * (A.rank + 1)
 
 
@@ -316,7 +316,7 @@ def test_differential_matrix_matches_raw_oracle():
             Chart((), "poly"), rank, [[] for _ in range(rank)],
             {key: [row.get(c, 0) for c in range(rank)] for key, row in structure.items()},
         )
-        trivial = Representation.trivial(A)
+        trivial = GConnection.zero(A, 1)
         for degree in range(rank):
             assert _differential_matrix(A, trivial, degree) == oracles.ce_differential_matrix(
                 structure, rank, degree), (structure, degree)
@@ -328,7 +328,7 @@ def test_differential_matrix_with_representation_matches_d_g(su2, aff1):
     ]
     # [rho(e1), rho(e2)] = rho(e2): a flat 2-dimensional representation of aff1
     plane = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
-    for A, rep in ((su2, Representation(su2, 3, adjoint)), (aff1, Representation(aff1, 2, plane))):
+    for A, rep in ((su2, GConnection(su2, 3, adjoint)), (aff1, GConnection(aff1, 2, plane))):
         for degree in range(A.rank):
             assert _differential_matrix(A, rep, degree) == _d_g_matrix(A, rep, degree)
         assert cohomology_const(A, rep) == [0] * (A.rank + 1)

@@ -6,7 +6,7 @@ import pytest
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
-from algindex.forms import AlgForm, Representation, d_mixed, pullback_mixed
+from algindex.forms import AlgForm, d_mixed, pullback_mixed
 from algindex.scalars import Chart
 
 import oracles
@@ -55,7 +55,7 @@ def test_su2_adjoint_is_flat(su2):
     ]
     adjoint = cw.GConnection(su2, 3, mats)
     assert cw.curvature(adjoint).is_zero()
-    assert cw.validate_representation(Representation(su2, 3, mats))
+    assert cw.validate_representation(adjoint)
 
 
 def test_su2_levi_civita_curvature(su2):

@@ -61,6 +61,18 @@ def test_every_bundled_job_has_goldens():
         f"{name}.{fmt}" for name in names for fmt in ("json", "text"))
 
 
+# a numeric-backend document: printed expression trees, transcendental
+# quadrature and sampled zero tests, with its stdout beside it
+NUMERIC = Path(__file__).parent / "documents" / "numeric-chart"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_numeric_document_matches_golden(fmt):
+    proc = run_cli(["--format", fmt, "run", f"{NUMERIC}.yaml"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == Path(f"{NUMERIC}.{fmt}").read_text()
+
+
 def test_su2_document_results():
     proc = run_cli(["--format", "json", "run", job_path("su2")])
     payload = json.loads(proc.stdout)
@@ -418,6 +430,39 @@ def test_three_dimensional_quadrature_fails_its_own_computation(tmp_path, domain
     assert "base dimension <= 2" in failures[0]
     assert lines[1].startswith('ok thom-check exact: {"base": {"error": "0", "exact": true, '
                                '"value": "13"}')
+
+
+@pytest.mark.parametrize("backend,form", [
+    ("numeric", "1 + exp(x*100)"),      # overflows in the quadrature
+    ("poly", "x^400/(1 + x^2)"),        # overflows in the exact fallback too
+    ("numeric", "exp(100000*x^2)"),     # overflows at most sample points of its zero test too
+])
+def test_value_beyond_float_range_fails_its_own_computation(tmp_path, backend, form):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        f"backend: {backend}\n"
+        "coordinates: [x, y]\n"
+        "algebroids: {plane: {kind: tangent}}\n"
+        "densities: {one: {algebroid: plane, coefficient: 1}}\n"
+        f"forms: {{big: {{algebroid: plane, degree: 2, coefficients: {{'1,2': '{form}'}}}}}}\n"
+        "domains: {wide: {type: box, bounds: [[0, 10], [0, 1]]}}\n"
+        "computations:\n"
+        "  - {op: thom-check, label: big, algebroid: plane, form: big, density: one, "
+        "domain: wide}\n"
+        "  - {op: validate, label: after, algebroid: plane}\n"
+    )
+    start = time.monotonic()
+    proc = run_cli(["run", str(doc)])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stdout.splitlines()
+    failures = [line for line in lines if line.startswith("FAIL")]
+    assert len(failures) == 1 and failures[0].startswith("FAIL thom-check big: ")
+    assert "beyond float range" in failures[0]
+    assert lines[1].startswith("ok validate after: ")
+    assert elapsed < 2.0, f"{form} took {elapsed:.2f}s (budget 2s)"
 
 
 def _explicit_group(n, table):

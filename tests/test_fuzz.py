@@ -5,8 +5,8 @@ Every object and computation takes its keys, enums and integer minimums from
 the schema.  Integers stay small (ranks at most 4, degrees at most 3), but a
 groupoid's order goes up to 64 and its size up to 32, and every document that
 loads must build within 1 s.  References name declared objects or a missing
-one, and scalars come from a pool that holds poles, a division by zero and a
-syntax error.
+one, and scalars come from a pool that holds poles, a division by zero, a
+syntax error and values beyond float range.
 """
 
 import io
@@ -41,7 +41,7 @@ INTEGER_CAPS = {"degree": 3, "max_degree": 3, "truncate": 3, "order": 64, "size"
 
 scalars = st.sampled_from(
     ["0", "1", "-2", "1/2", "x", "y", "x*y", "1+x^2", "1/(1+x^2)", 0, 1, -1] * 2
-    + ["1/x", "1/0", "x +", 0.5])
+    + ["1/x", "1/0", "x +", 0.5, "x^400", "exp(100000*x^2)"])
 indices = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, 5])  # now and then out of range
 
 

@@ -144,7 +144,7 @@ def test_integral_of_exact_forms_vanishes_point_base(su2, so3_action):
     # the integration lemma in the base_dim = 0 case, exactly
     density = ti.Density(su2, 1)
     for base in basis_forms(su2, su2.rank - 1):
-        result = ti.integrate(su2, d_g(base), density, check_invariance=True)
+        result = ti.integrate(su2, d_g(base), density)
         assert result.value == 0 and result.value_is_exact
 
 
@@ -306,11 +306,14 @@ def test_thom_compatibility_torus(t2):
     assert check.compatible and check.base.value == 1
 
 
-def test_thom_compatibility_sphere_numeric(t2, sphere_metric):
+def test_thom_compatibility_sphere_numeric(monkeypatch, t2, sphere_metric):
     e = ti.euler_class(t2, sphere_metric)
+    results = _spy_quadrature(monkeypatch)
     check = ti.thom_compatibility(t2, e, ti.Density(t2, 1), ti.PlaneDomain())
-    assert check.compatible
+    assert check.compatible and check.roundtrip_identity
     assert abs(float(check.base.value) - float(check.mapped.value)) <= 1e-9 + 2e-7
+    # the round trip holds, so the mapped integral is the base one: one quadrature
+    assert len(results) == 1
 
 
 # -- Euler class and index evaluators -----------------------------------------------------
@@ -376,6 +379,20 @@ def test_sphere_plane_quadrature_is_pinned(monkeypatch):
     assert result.integral.raw == 12.566370619856325
     assert result.integral.error == 1.0986086516414886e-07
     assert [r.panels for r in results] == [106]
+
+
+def test_transcendental_box_quadrature_is_pinned(monkeypatch):
+    # a numeric-backend integrand over a box, bit for bit
+    results = _spy_quadrature(monkeypatch)
+    A = alg.tangent(2, Chart(("x", "y"), "numeric"))
+    wave = A.chart.parse("sin(x)*cos(y) + sqrt(1 + x^2) - 2.5*x^3")
+    form = AlgForm.dual_basis(A, (0, 1)).scale(wave)
+    result = ti.integrate(A, form, ti.Density(A, 1), ti.BoxDomain([(0, 1), ("-1/2", 1)]),
+                          tol=1e-13)
+    assert not result.exact
+    assert result.raw == 1.3914034480438033
+    assert result.error == 1.1712852909795402e-14
+    assert [r.panels for r in results] == [4]
 
 
 def _spy_quadrature(monkeypatch):
