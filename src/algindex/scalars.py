@@ -5,7 +5,13 @@ Two families of scalars share one arithmetic interface:
 * :class:`PolyScalar` -- multivariate polynomials with exact rational
   coefficients.  All identity checking in the library runs on these (or on
   their quotients, :class:`RationalScalar`), so equality-to-zero is decidable
-  and exact.
+  and exact.  A quotient keeps its denominator as a product of the factors
+  that entered through division and cancels by trial division
+  (:func:`poly_divmod`); :func:`poly_gcd` runs only when a quotient leaves
+  arithmetic (printing, ``compile_float``, ``num``/``den``), once per
+  distinct factor, to find a divisor that a reducible factor shares with the
+  numerator.  It keeps its name because the benchmark's span recorder wraps
+  it by name.
 * :class:`NumericExpr` -- an evaluable expression tree (exp, sqrt, sin, cos,
   division) used only where a chart integrand is not polynomial.  Its nodes
   are plain nested tuples -- ``("const", v)``, ``("coord", i)``,
@@ -357,26 +363,42 @@ class PolyScalar:
         return f"PolyScalar({self})"
 
 
+def _grlex_descending(p: PolyScalar) -> PolyScalar:
+    """The same polynomial with its terms stored in graded-lex-descending order."""
+    order = sorted(p.terms, key=_grlex_key, reverse=True)
+    return PolyScalar(p.vars, {e: p.terms[e] for e in order})
+
+
+def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
+    return PolyScalar(p.vars, {e: k * c for e, k in p.terms.items()})
+
+
 def poly_divmod(num: PolyScalar, den: PolyScalar):
     """Multivariate division by graded-lex leading terms.
 
     Returns (quotient, remainder) with num = quotient*den + remainder; the
-    remainder is zero exactly when den divides num.
+    remainder is zero exactly when den divides num.  The quotient's terms are
+    stored in graded-lex-descending order, the order in which they are found.
     """
     if den.is_zero():
         raise DomainError("division by the zero polynomial")
-    quotient = PolyScalar.zero(num.vars)
-    remainder = num
     lead_e, lead_c = den.leading_term()
-    while not remainder.is_zero():
-        r_e, r_c = remainder.leading_term()
-        diff = tuple(a - b for a, b in zip(r_e, lead_e))
-        if any(d < 0 for d in diff):
+    remainder, quotient = dict(num.terms), {}
+    while remainder:
+        expo = max(remainder, key=_grlex_key)
+        shift = tuple(a - b for a, b in zip(expo, lead_e))
+        if any(d < 0 for d in shift):
             break
-        mono = PolyScalar(num.vars, {diff: r_c / lead_c})
-        quotient = quotient + mono
-        remainder = remainder - mono * den
-    return quotient, remainder
+        q = remainder[expo] / lead_c
+        quotient[shift] = q
+        for e, c in den.terms.items():
+            term = tuple(a + b for a, b in zip(shift, e))
+            value = remainder.get(term, 0) - q * c
+            if value:
+                remainder[term] = value
+            else:
+                remainder.pop(term, None)
+    return PolyScalar(num.vars, quotient), PolyScalar(num.vars, remainder)
 
 
 def _degree_in(p: PolyScalar, index) -> int:
@@ -429,8 +451,11 @@ def _monic_grlex(p: PolyScalar):
 
 def poly_gcd(a: PolyScalar, b: PolyScalar) -> PolyScalar:
     """Multivariate gcd over the rationals (primitive pseudo-remainder
-    sequence), normalized to graded-lex-monic.  Adequate for the small
-    polynomials this library produces; keeps rational functions reduced."""
+    sequence), normalized to graded-lex-monic.
+
+    Arithmetic never calls it: a :class:`RationalScalar` runs it once per
+    distinct denominator factor when it leaves arithmetic, against that one
+    factor only."""
     if a.is_zero():
         return _monic_grlex(b)
     if b.is_zero():
@@ -473,87 +498,201 @@ def _pseudo_rem(a: PolyScalar, b: PolyScalar, main):
         r = lc_b * r - _shift_in(lc_r, main, dr - db) * b
 
 
-def ratio(num: PolyScalar, den: PolyScalar):
-    """num/den, cancelled by their gcd; a PolyScalar when division is exact."""
-    if den.is_zero():
-        raise DomainError("division by the zero polynomial")
+# -- factor multisets: {key: (monic nonconstant factor, multiplicity)} ----------
+
+
+def _factor(f, k=1):
+    """The multiset of k copies of the monic polynomial f."""
+    return {frozenset(f.terms.items()): (f, k)}
+
+
+def _merged(a, b, rule):
+    """Multiplicities combined by ``rule`` (add for products, max for the lcm)."""
+    out = dict(a)
+    for key, (f, k) in b.items():
+        out[key] = (f, rule(out[key][1], k)) if key in out else (f, k)
+    return out
+
+
+def _without(a, b):
+    """The factors of ``a`` that ``b`` lacks: multiplicities subtracted, down to 0."""
+    out = {}
+    for key, (f, k) in a.items():
+        k -= b[key][1] if key in b else 0
+        if k > 0:
+            out[key] = (f, k)
+    return out
+
+
+def _times(p: PolyScalar, factors) -> PolyScalar:
+    """p * prod f^k, multiplied out in the order of the multiset."""
+    if p.is_zero():
+        return p
+    for f, k in factors.values():
+        p = p * f**k
+    return p
+
+
+def _quotient(num: PolyScalar, factors, cancelled=False):
+    """num / prod f^k with every factor that divides num divided out.
+
+    Each factor is trial-divided (:func:`poly_divmod`) as often as its
+    multiplicity allows.  When every factor divides out the result is the
+    polynomial quotient.  ``cancelled`` records whether anything cancelled,
+    here or before; it decides the term order of the value (see
+    :class:`RationalScalar`).
+    """
     if num.is_zero():
         return PolyScalar.zero(num.vars)
-    if den.is_constant():
-        c = den.constant_value()
-        return PolyScalar(num.vars, {e: k / c for e, k in num.terms.items()})
-    q, r = poly_divmod(num, den)
-    if r.is_zero():
-        return q
-    g = poly_gcd(num, den)
-    if not g.is_constant():
-        num, _ = poly_divmod(num, g)
-        den, _ = poly_divmod(den, g)
-        if den.is_constant():
-            return ratio(num, den)
-    return RationalScalar(num, den)
+    kept = {}
+    for key, (f, k) in factors.items():
+        while k:
+            q, r = poly_divmod(num, f)
+            if not r.is_zero():
+                break
+            num, k, cancelled = q, k - 1, True
+        if k:
+            kept[key] = (f, k)
+    if kept:
+        return RationalScalar(num, kept, cancelled)
+    return _grlex_descending(num) if cancelled else num
+
+
+def _divide(n1: PolyScalar, f1, n2: PolyScalar, f2):
+    """(n1 / prod f1) / (n2 / prod f2), for a nonzero n2.
+
+    Factors the two share cancel by multiplicity, without expanding them;
+    the rest of f2 multiplies n1 out, and n2 enters as one monic factor.
+    """
+    shared = any(key in f1 for key in f2)
+    num = _times(n1, _without(f2, f1))
+    factors = _without(f1, f2)
+    if n2.is_constant():
+        num = _scaled(num, 1 / n2.constant_value())
+    else:
+        lead = n2.leading_term()[1]
+        num = _scaled(num, 1 / lead)
+        factors = _merged(factors, _factor(_scaled(n2, 1 / lead)), operator.add)
+    return _quotient(num, factors, shared)
+
+
+def ratio(num: PolyScalar, den: PolyScalar):
+    """num/den: a PolyScalar when den divides num, else a RationalScalar
+    with den as its one factor."""
+    if den.is_zero():
+        raise DomainError("division by the zero polynomial")
+    return _divide(num, {}, den, {})
 
 
 class RationalScalar:
-    """An exact quotient of two polynomials on a common chart.
+    """An exact quotient num / prod f^k of polynomials on a common chart.
 
-    Produced automatically when a polynomial division is not exact (metric
-    inverses, modular cocycles).  Equality and zero-testing go through
-    cross-multiplication, so no gcd computation is required for correctness;
-    exact divisions are cancelled when they happen to exist.
+    Produced when a polynomial division is not exact (metric inverses,
+    modular cocycles).  The numerator ``_num`` is expanded; the denominator
+    is the multiset ``factors``, ``{key: (f, k)}``, of the monic polynomials
+    that entered through division (a RationalScalar divisor's numerator
+    enters as one factor).  Products and quotients add multiplicities, sums
+    take the lcm of the two multisets, and ``derive`` raises the
+    multiplicity of each factor it differentiates.  After every operation
+    the numerator is trial-divided by each factor, so a value whose factors
+    all divide out is a :class:`PolyScalar`, and a RationalScalar is never
+    constant.  Equality and zero tests cross-multiply.
+
+    Trial division misses a divisor that a reducible factor (``x^2 - 1``)
+    shares with the numerator.  So when a value leaves arithmetic --
+    printing, ``compile_float``, ``num``, ``den``, ``substitute``,
+    ``depends_on`` -- it is reduced once, by one :func:`poly_gcd` of the
+    numerator with each distinct factor, never with the whole denominator.
+    ``num`` and ``den`` are then the reduced numerator and the expanded,
+    graded-lex-monic denominator.
+
+    ``compile_float`` sums terms in stored order, so the order decides the
+    float bits of an integral.  A value that cancelled anything stores
+    ``num`` and ``den`` in graded-lex-descending order, the order of
+    :func:`poly_divmod` quotients; any other keeps ``num`` as built and
+    ``den`` as the product of its factor powers.  Scaling keeps the order.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_num", "factors", "_cancelled", "_lowest")
 
-    def __init__(self, num: PolyScalar, den: PolyScalar):
-        if den.is_zero():
-            raise DomainError("division by the zero polynomial")
-        # canonical: graded-lex-monic denominator
-        lead = den.leading_term()[1]
-        if lead != 1:
-            num = PolyScalar(num.vars, {e: c / lead for e, c in num.terms.items()})
-            den = PolyScalar(den.vars, {e: c / lead for e, c in den.terms.items()})
-        self.num = num
-        self.den = den
+    def __init__(self, num: PolyScalar, factors, cancelled):
+        self._num = num
+        self.factors = factors
+        self._cancelled = cancelled
+        self._lowest = None
 
     @property
     def vars(self):
-        return self.num.vars
+        return self._num.vars
+
+    def _lowest_terms(self) -> "RationalScalar":
+        """The value with each factor reduced by its gcd with the numerator."""
+        if self._lowest is None:
+            num, factors, reduced = self._num, {}, False
+            for f, k in self.factors.values():
+                while k:
+                    g = poly_gcd(num, f)
+                    if g.is_constant():
+                        break
+                    num = poly_divmod(num, g)[0]
+                    factors = _merged(factors, _factor(poly_divmod(f, g)[0]), operator.add)
+                    k, reduced = k - 1, True
+                if k:
+                    factors = _merged(factors, _factor(f, k), operator.add)
+            # False marks a value already in lowest terms, without a reference cycle
+            self._lowest = RationalScalar(num, factors, True) if reduced else False
+            if reduced:
+                self._lowest._lowest = False
+        return self._lowest or self
+
+    @property
+    def num(self) -> PolyScalar:
+        low = self._lowest_terms()
+        return _grlex_descending(low._num) if low._cancelled else low._num
+
+    @property
+    def den(self) -> PolyScalar:
+        low = self._lowest_terms()
+        den = _times(PolyScalar.const(self.vars, 1), low.factors)
+        return _grlex_descending(den) if low._cancelled else den
 
     def _split(self, other):
-        if isinstance(other, RationalScalar):
-            if other.vars != self.vars:
-                raise AlgindexError("scalars live on different charts")
-            return other.num, other.den
-        if isinstance(other, PolyScalar):
-            if other.vars != self.vars:
-                raise AlgindexError("scalars live on different charts")
-            return other, PolyScalar.const(self.vars, 1)
+        """(numerator, factors) of another exact scalar on this chart."""
         if isinstance(other, (int, Fraction)):
-            return (
-                PolyScalar.const(self.vars, other),
-                PolyScalar.const(self.vars, 1),
-            )
-        return None
+            return PolyScalar.const(self.vars, other), {}
+        if not isinstance(other, (RationalScalar, PolyScalar)):
+            return None
+        if other.vars != self.vars:
+            raise AlgindexError("scalars live on different charts")
+        return (other, {}) if isinstance(other, PolyScalar) else (other._num, other.factors)
+
+    def _scale(self, c: Fraction):
+        if c == 0:
+            return PolyScalar.zero(self.vars)
+        return RationalScalar(_scaled(self._num, c), self.factors, self._cancelled)
+
+    def _add(self, n: PolyScalar, factors):
+        lcm = _merged(self.factors, factors, max)
+        num = _times(self._num, _without(lcm, self.factors)) + _times(n, _without(lcm, factors))
+        return _quotient(num, lcm)
 
     def __add__(self, other):
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
-        return ratio(self.num * d + n * self.den, self.den * d)
+        return self._add(*parts)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalScalar(-self.num, self.den)
+        return self._scale(Fraction(-1))
 
     def __sub__(self, other):
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
-        return ratio(self.num * d - n * self.den, self.den * d)
+        n, factors = parts
+        return self._add(-n, factors)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -562,8 +701,10 @@ class RationalScalar:
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
-        return ratio(self.num * n, self.den * d)
+        n, factors = parts
+        if not factors and n.is_constant():
+            return self._scale(n.constant_value())
+        return _quotient(self._num * n, _merged(self.factors, factors, operator.add))
 
     __rmul__ = __mul__
 
@@ -571,46 +712,68 @@ class RationalScalar:
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
+        n, factors = parts
         if n.is_zero():
             raise DomainError("division by zero")
-        return ratio(self.num * d, self.den * n)
+        if not factors and n.is_constant():
+            return self._scale(1 / n.constant_value())
+        return _divide(self._num, self.factors, n, factors)
 
     def __rtruediv__(self, other):
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
-        return ratio(n * self.den, d * self.num)
+        return _divide(*parts, self._num, self.factors)
 
     def __pow__(self, power):
         if not isinstance(power, int):
             raise AlgindexError("powers must be integers")
         if power < 0:
-            return RationalScalar(self.den, self.num) ** (-power)
-        return ratio(self.num**power, self.den**power)
+            return (1 / self) ** (-power)
+        if power == 0:
+            return PolyScalar.const(self.vars, 1)
+        factors = {key: (f, k * power) for key, (f, k) in self.factors.items()}
+        return _quotient(self._num**power, factors)
 
     def __eq__(self, other):
         parts = self._split(other)
         if parts is None:
             return NotImplemented
-        n, d = parts
-        return (self.num * d - n * self.den).is_zero()
+        n, factors = parts
+        lcm = _merged(self.factors, factors, max)
+        return (_times(self._num, _without(lcm, self.factors))
+                == _times(n, _without(lcm, factors)))
 
     __hash__ = None
 
     def derive(self, index):
-        # (p/q)' = (p'q - pq')/q^2
-        return ratio(
-            self.num.derive(index) * self.den - self.num * self.den.derive(index),
-            self.den * self.den,
-        )
+        # d(N / prod f^k) = (N' P - N sum_i k_i f_i' P / f_i) / (P prod f^k), where P is
+        # the product of the factors f_i that depend on the coordinate
+        moving = {key: (f, k, f.derive(index)) for key, (f, k) in self.factors.items()}
+        moving = {key: entry for key, entry in moving.items() if not entry[2].is_zero()}
+        num = self._num.derive(index)
+        for f, _, _ in moving.values():
+            num = num * f
+        for key, (_, k, df) in moving.items():
+            term = self._num * df * k
+            for other, (g, _, _) in moving.items():
+                if other != key:
+                    term = term * g
+            num = num - term
+        raised = {key: (f, k + 1) for key, (f, k, _) in moving.items()}
+        return _quotient(num, {**self.factors, **raised})
 
     def eval(self, point) -> Fraction:
-        d = self.den.eval(point)
-        if d == 0:
+        den = Fraction(1)
+        for f, k in self.factors.values():
+            den *= f.eval(point) ** k
+        if den:
+            return self._num.eval(point) / den
+        low = self._lowest_terms()  # the pole may be removable
+        den = low.den.eval(point)
+        if den == 0:
             raise DomainError(f"pole of {self} at {tuple(point)}")
-        return self.num.eval(point) / d
+        return low._num.eval(point) / den
 
     def eval_float(self, point) -> float:
         """Float evaluation with an exact fallback for huge intermediates
@@ -638,37 +801,37 @@ class RationalScalar:
         return evaluate
 
     def substitute(self, replacements):
-        return self.num.substitute(replacements) / self.den.substitute(replacements)
+        low = self._lowest_terms()
+        value = low._num.substitute(replacements)
+        for f, k in low.factors.values():
+            g = f.substitute(replacements)
+            for _ in range(k):
+                value = value / g
+        return value
 
     def extend_vars(self, variables):
-        return ratio(self.num.extend_vars(variables), self.den.extend_vars(variables))
+        factors = {}
+        for f, k in self.factors.values():
+            factors.update(_factor(f.extend_vars(variables), k))
+        return RationalScalar(self._num.extend_vars(variables), factors, self._cancelled)
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return self._num.is_zero()
 
     def is_constant(self) -> bool:
-        if self.num.is_zero():
-            return True
-        if self.num.is_constant() and self.den.is_constant():
-            return True
-        q, r = poly_divmod(self.num, self.den)
-        return r.is_zero() and q.is_constant()
+        return False  # a constant value would have divided out
 
     def constant_value(self) -> Fraction:
-        if self.num.is_zero():
-            return Fraction(0)
-        if self.num.is_constant() and self.den.is_constant():
-            return self.num.constant_value() / self.den.constant_value()
-        q, r = poly_divmod(self.num, self.den)
-        if not r.is_zero():
-            raise AlgindexError(f"{self} is not constant")
-        return q.constant_value()
+        raise AlgindexError(f"{self} is not constant")
 
     def total_degree(self) -> int:
-        return max(self.num.total_degree(), self.den.total_degree())
+        low = self._lowest_terms()
+        return max(low._num.total_degree(), low.den.total_degree())
 
     def depends_on(self, index) -> bool:
-        return self.num.depends_on(index) or self.den.depends_on(index)
+        low = self._lowest_terms()
+        return low._num.depends_on(index) or any(
+            f.depends_on(index) for f, _ in low.factors.values())
 
     def __str__(self):
         return f"({self.num})/({self.den})"
@@ -1097,8 +1260,9 @@ def parse_scalar(text, chart: Chart):
     def fail(message):
         raise AlgindexError(f"scalar syntax error at position {tokens.pos}: {message}")
 
-    def parse_sum():
-        value = parse_product()
+    def parse_sum(value=None):
+        if value is None:
+            value = parse_product()
         while True:
             tok = tokens.peek()
             if tok == "+":
@@ -1110,18 +1274,57 @@ def parse_scalar(text, chart: Chart):
             else:
                 return value
 
-    def parse_product():
-        value = parse_factor()
+    def parse_product(value=None):
+        if value is None:
+            value = parse_factor()
         while True:
             tok = tokens.peek()
             if tok == "*":
                 tokens.take()
                 value = value * parse_factor()
+            elif tok == "/" and chart.backend == "poly":
+                tokens.take()
+                divisor, groups = parse_divisor()
+                if divisor.is_zero():
+                    groups = [(divisor, 1)]  # fail as division by the whole divisor
+                for group, power in groups:
+                    for _ in range(power):
+                        value = value / group
             elif tok == "/":
                 tokens.take()
                 value = value / parse_factor()
             else:
                 return value
+
+    def parse_divisor():
+        """A poly-backend divisor as (value, [(group, power), ...]).
+
+        A parenthesized product of factors is split into its factors, and a
+        power of it into their powers, so that the caller divides by each in
+        turn rather than by their product; any other divisor (a sum, a
+        quotient, a name, a negative power) is one group. Each token is read
+        once: a group found not to be a product resumes as a sum from the
+        product of the factors read so far.
+        """
+        if tokens.peek() != "(":
+            value = parse_factor()
+            return value, [(value, 1)]
+        tokens.take()
+        value, groups = parse_divisor()
+        while tokens.peek() == "*":
+            tokens.take()
+            factor, more = parse_divisor()
+            value, groups = value * factor, groups + more
+        if tokens.peek() != ")":
+            value = parse_sum(parse_product(value))
+            groups = [(value, 1)]
+        if tokens.take() != ")":
+            fail("expected ')'")
+        if tokens.peek() == "^":
+            power = parse_exponent()
+            value = value ** power
+            groups = [(g, p * power) for g, p in groups] if power >= 0 else [(value, 1)]
+        return value, groups
 
     def parse_factor():
         tok = tokens.peek()
@@ -1136,16 +1339,19 @@ def parse_scalar(text, chart: Chart):
     def parse_power():
         base = parse_atom()
         if tokens.peek() == "^":
-            tokens.take()
-            sign = 1
-            if tokens.peek() == "-":
-                tokens.take()
-                sign = -1
-            tok = tokens.take()
-            if tok is None or not tok.isdigit():
-                fail("expected integer exponent after '^'")
-            return base ** (sign * int(tok))
+            return base ** parse_exponent()
         return base
+
+    def parse_exponent():
+        tokens.take()  # '^'
+        sign = 1
+        if tokens.peek() == "-":
+            tokens.take()
+            sign = -1
+        tok = tokens.take()
+        if tok is None or not tok.isdigit():
+            fail("expected integer exponent after '^'")
+        return sign * int(tok)
 
     def parse_atom():
         tok = tokens.take()

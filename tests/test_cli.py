@@ -61,16 +61,19 @@ def test_every_bundled_job_has_goldens():
         f"{name}.{fmt}" for name in names for fmt in ("json", "text"))
 
 
-# a numeric-backend document: printed expression trees, transcendental
-# quadrature and sampled zero tests, with its stdout beside it
-NUMERIC = Path(__file__).parent / "documents" / "numeric-chart"
+# documents with their stdout beside them: a numeric-backend chart (printed
+# expression trees, transcendental quadrature, sampled zero tests) and three
+# rational charts of S^2, whose Euler forms' term order decides the printed
+# quadrature errors
+DOCUMENTS = Path(__file__).parent / "documents"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_numeric_document_matches_golden(fmt):
-    proc = run_cli(["--format", fmt, "run", f"{NUMERIC}.yaml"])
+@pytest.mark.parametrize("name", sorted(p.stem for p in DOCUMENTS.glob("*.yaml")))
+def test_document_matches_golden(name, fmt):
+    proc = run_cli(["--format", fmt, "run", str(DOCUMENTS / f"{name}.yaml")])
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout == Path(f"{NUMERIC}.{fmt}").read_text()
+    assert proc.stdout == (DOCUMENTS / f"{name}.{fmt}").read_text()
 
 
 def test_su2_document_results():

@@ -6,7 +6,9 @@ the schema.  Integers stay small (ranks at most 4, degrees at most 3), but a
 groupoid's order goes up to 64 and its size up to 32, and every document that
 loads must build within 1 s.  References name declared objects or a missing
 one, and scalars come from a pool that holds poles, a division by zero, a
-syntax error and values beyond float range.
+syntax error, values beyond float range and quotients over reducible and
+repeated factors.  A computation declares only the references its operation
+reads.
 """
 
 import io
@@ -41,7 +43,8 @@ INTEGER_CAPS = {"degree": 3, "max_degree": 3, "truncate": 3, "order": 64, "size"
 
 scalars = st.sampled_from(
     ["0", "1", "-2", "1/2", "x", "y", "x*y", "1+x^2", "1/(1+x^2)", 0, 1, -1] * 2
-    + ["1/x", "1/0", "x +", 0.5, "x^400", "exp(100000*x^2)"])
+    + ["1/x", "1/0", "x +", 0.5, "x^400", "exp(100000*x^2)",
+       "(x^2 - 1)/((x - 1)*(1 + y^2))", "x/(x^2 - y^2)", "1/((1 + x^2)^2*(2 + x^2 + y^2))"])
 indices = st.sampled_from([1, 2, 3, 4, 1, 2, 3, 4, 0, 5])  # now and then out of range
 
 
@@ -130,12 +133,27 @@ def _section(name):
     return st.fixed_dictionaries({NAMES[0]: declared}, optional={NAMES[1]: declared})
 
 
+# the references each operation reads when they are given
+OPTIONAL_REFERENCES = {"validate": ["algebroid"], "cohomology": ["representation"],
+                       "charclass": ["metric", "connection"],
+                       "index": ["connection", "nu", "domain"], "thom-check": ["domain"]}
+
 _COMPUTATION = SCHEMA["properties"]["computations"]["items"]
+
+
+def _computation(op):
+    """The fields ``op`` reads, and some optional ones: any that is not a
+    reference, and the references it reads, so that a document declares no
+    section that its operations never read."""
+    reads = set(OP_FIELDS[op]) | set(OPTIONAL_REFERENCES.get(op, ()))
+    properties = {key: value for key, value in _COMPUTATION["properties"].items()
+                  if key not in REFERENCES or key in reads}
+    return from_object({**_COMPUTATION, "properties": properties}, OP_FIELDS[op])
 
 
 def computations(ops):
     return st.sampled_from(ops).flatmap(
-        lambda op: from_object(_COMPUTATION, OP_FIELDS[op]).map(lambda comp: {**comp, "op": op}))
+        lambda op: _computation(op).map(lambda comp: {**comp, "op": op}))
 
 
 @st.composite

@@ -1,5 +1,7 @@
 import math
+import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -326,3 +328,75 @@ def test_immutability_of_operations():
     q = p + P("y")
     assert p == P("x + 1")
     assert q == P("x + y + 1")
+
+
+# -- rational functions against sympy.cancel -----------------------------------
+
+# reducible factors, and factors that recur across terms and quotients
+ORACLE_POOL = ["x^2 - 1", "x^2 - y^2", "x - 1", "x + y", "1 + x^2", "1 + x^2 + y^2",
+               "x", "y", "5/2", "1/(x^2 - 1)", "(x + y)/(x^2 - y^2)",
+               "(x - 1)^2/((x^2 - 1)*(1 + x^2))", "y/((1 + x^2)^2*(x - 1))"]
+
+
+def _oracle_pair(rng, sympy, depth):
+    """A random exact scalar of +, -, *, /, integer powers and derive over the
+    pool, and the same expression in sympy."""
+    if depth == 0:
+        text = rng.choice(ORACLE_POOL)
+        return P(text), sympy.sympify(text.replace("^", "**"))
+    a, sa = _oracle_pair(rng, sympy, depth - 1)
+    op = rng.choice("+-*/^d")
+    if op == "d":
+        i = rng.randrange(2)
+        return a.derive(i), sympy.diff(sa, sympy.Symbol(XY[i]))
+    if op == "^":
+        k = rng.choice([-2, -1, 2]) if not a.is_zero() else 2
+        return (a**k if k > 0 else 1 / a**-k), sa**k
+    b, sb = _oracle_pair(rng, sympy, depth - 1)
+    if op == "/" and b.is_zero():
+        op = "*"
+    combine = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
+    return combine(a, b), combine(sa, sb)
+
+
+def test_rational_arithmetic_matches_sympy_cancel():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols(XY)
+    rng = random.Random(707)
+    for _ in range(40):
+        value, expr = _oracle_pair(rng, sympy, rng.randint(1, 3))
+        num, den = sympy.fraction(sympy.cancel(expr))
+        lead = sympy.Poly(den, x, y).LC(order="grlex")  # the graded-lex-monic denominator
+        num, den = sympy.expand(num / lead), sympy.expand(den / lead)
+        # a polynomial value is a PolyScalar, any other a RationalScalar
+        assert isinstance(value, PolyScalar if den == 1 else RationalScalar), (value, expr)
+        if den == 1:
+            printed = (str(value), "1")
+        else:
+            printed = (str(value.num), str(value.den))
+            assert str(value) == f"({printed[0]})/({printed[1]})"
+        for text, want in zip(printed, (num, den)):
+            assert sympy.expand(sympy.sympify(text.replace("^", "**")) - want) == 0, (
+                value, expr)
+
+
+def test_divisor_groups_are_divided_in_turn():
+    u, v = P("1 + x^2 + y^2"), P("2 + x^2 + y^2")
+    phi = P("3*(3 + (x - 1)^2 + (y - 1)^2)/((2 + x^2 + y^2)*(1 + x^2 + y^2)^2)")
+    assert phi == P("3*(3 + (x - 1)^2 + (y - 1)^2)") / (v * u * u)
+    assert sorted(k for _, k in phi.factors.values()) == [1, 2]  # v and u, never (v u^2)
+    assert P("(x^2 - 1)/(-(x - 1)*(x + 1))") == P("-1")
+    assert P("1/((x*y)/(1 + x))") == P("1 + x") / P("x*y")
+    for text in ("1/(x/0)", "1/(x/(y - y))", "1/(x/0)^2", "y/(x*(y - y))^2"):
+        with pytest.raises(DomainError, match="division by the zero polynomial"):
+            P(text)
+
+
+def test_nested_divisors_are_parsed_once():
+    """Each group of a divisor is read once, so nesting costs linear time."""
+    text, want = "x", P("x")
+    for _ in range(40):
+        text, want = f"(1/{text} + 1)", 1 / want + 1
+    start = time.perf_counter()
+    assert P(f"1/{text}") == 1 / want
+    assert time.perf_counter() - start < 1.0

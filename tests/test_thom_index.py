@@ -1,7 +1,10 @@
 import math
 import random
+import runpy
+import time
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -337,6 +340,42 @@ def test_euler_class_round_sphere_is_gauss_curvature_form(t2, sphere_metric):
     anchor = alg.anchor_morphism(t2, alg.tangent(2, t2.chart, name="T"))
     lifted = AlgForm(anchor.target, 2, {(0, 1): (lam,)})
     assert pullback_form(anchor, lifted) == e
+
+
+def test_euler_class_of_the_round_s4_chart():
+    # 4/(1 + |x|^2)^2 is the unit round S^4; its Euler form is 48/(1 + |x|^2)^4,
+    # whose integral over R^4 divided by (2 pi)^2 is chi(S^4) = 2
+    start = time.monotonic()
+    A = alg.tangent(4)
+    u = 1 + sum(A.chart.coord(i) ** 2 for i in range(4))
+    e = ti.euler_class(A, cw.Metric.conformal(A, 4 / u**2))
+    elapsed = time.monotonic() - start
+    assert e == AlgForm.dual_basis(A, (0, 1, 2, 3)).scale(48 / u**4)
+    assert elapsed < 10.0, f"the S^4 Euler form took {elapsed:.2f}s (budget 10s)"
+
+
+def _perfbench_workloads():
+    """The names of perfbench/workloads.py, for its sample points and its exact evaluator."""
+    return runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"))
+
+
+def test_euler_class_of_the_probe_chart():
+    # a translated numerator over two distinct denominator factors (the chart
+    # perfbench/README.md leaves out); the Euler form is -1/2 Laplace(log phi)
+    workloads = _perfbench_workloads()
+    start = time.monotonic()
+    A = alg.tangent(2, Chart(("x", "y")))
+    phi = "7/3*(3 + (x - 1)^2 + (y - 1)^2)/((2 + x^2 + y^2)*(1 + x^2 + y^2)^2)"
+    printed = str(ti.euler_class(A, cw.Metric.conformal(A, phi)).coeffs[(0, 1)][0])
+    elapsed = time.monotonic() - start
+
+    def expected(x, y):
+        return (-6 / (3 + (x - 1) ** 2 + (y - 1) ** 2) ** 2
+                + 4 / (2 + x * x + y * y) ** 2 + 4 / (1 + x * x + y * y) ** 2)
+
+    for x, y in workloads["SAMPLE_POINTS"]:
+        assert workloads["eval_scalar"](printed, x, y) == expected(x, y)
+    assert elapsed < 10.0, f"the probe chart's Euler form took {elapsed:.2f}s (budget 10s)"
 
 
 def test_euler_class_is_computed_once_per_metric(t2, monkeypatch):
