@@ -14,6 +14,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
@@ -464,22 +465,15 @@ def _s_log(a, n):
     return out
 
 
-def _fact(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
-
-
 def _exp_series(n, sign=1):
-    return [Fraction(sign**k, _fact(k)) for k in range(n + 1)]
+    return [Fraction(sign**k, factorial(k)) for k in range(n + 1)]
 
 
 def todd_root_series(n):
     """x/(1 - e^{-x}) = 1 + x/2 + x^2/12 - ..."""
     body = [Fraction(0)] * (n + 2)
     for k in range(1, n + 2):
-        body[k] = -Fraction((-1) ** k, _fact(k))  # 1 - e^{-x}
+        body[k] = -Fraction((-1) ** k, factorial(k))  # 1 - e^{-x}
     shifted = body[1 : n + 2]  # (1 - e^{-x})/x
     one = [Fraction(1)] + [Fraction(0)] * n
     return _s_div(one, shifted, n)
@@ -489,9 +483,9 @@ def l_root_even_series(n_z):
     """x/tanh(x) as a series in z = x^2: 1 + z/3 - z^2/45 + ..."""
     n = 2 * n_z
     sinh_over_x = [
-        Fraction(1, _fact(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)
+        Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)
     ]
-    cosh = [Fraction(1, _fact(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)]
+    cosh = [Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)]
     ratio = _s_div(cosh, sinh_over_x, n)
     return [ratio[2 * j] for j in range(n_z + 1)]
 
@@ -499,7 +493,7 @@ def l_root_even_series(n_z):
 def a_hat_root_even_series(n_z):
     """(x/2)/sinh(x/2) as a series in z = x^2: 1 - z/24 + 7 z^2/5760 - ..."""
     # sinh(x/2)/(x/2) = sum_k (z/4)^k / (2k+1)!
-    body = [Fraction(1, 4**k * _fact(2 * k + 1)) for k in range(n_z + 1)]
+    body = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(n_z + 1)]
     one = [Fraction(1)] + [Fraction(0)] * n_z
     return _s_div(one, body, n_z)
 
@@ -533,7 +527,7 @@ def _exp_mixed(argument: MixedForm) -> MixedForm:
         power = power.wedge(argument)
         if power.is_zero():
             break
-        out = out + power.scale(Fraction(1, _fact(k)))
+        out = out + power.scale(Fraction(1, factorial(k)))
         k += 1
     return out
 
@@ -652,7 +646,7 @@ def char_class(
     if genus == "ch":
         total = MixedForm.constant(A, rank_e)
         for j, t in _power_traces(R, max_j).items():
-            total = total + t.scale(Fraction(1, _fact(j)))
+            total = total + t.scale(Fraction(1, factorial(j)))
         return total.truncate(trunc)
 
     if genus == "todd":

@@ -61,13 +61,8 @@ def _nodes_1d(a, b):
         for p in pts:
             nodes.append(p)
             wk.append(_WGK[i] * half)
-            # Gauss nodes are the odd-index Kronrod abscissae
-            if i % 2 == 1:
-                wg.append(_WG[i // 2] * half)
-            elif x == 0.0:
-                wg.append(_WG[3] * half)
-            else:
-                wg.append(0.0)
+            # Gauss nodes are the odd-index Kronrod abscissae, the centre included
+            wg.append(_WG[i // 2] * half if i % 2 else 0.0)
     return nodes, wk, wg
 
 

@@ -20,7 +20,9 @@ Two families of scalars share one arithmetic interface:
   the chart; its zero test, and so its equality, is sampled.
 
 Scalars are immutable after construction; every operation returns a new
-value.  Monomials are ordered graded-lexicographically for canonical output.
+value.  Monomials are printed graded-lex descending, and a compiled float
+evaluator (``compile_float``) sums them in that same order, so its bits
+depend only on the value, not on how it was built.
 """
 
 from __future__ import annotations
@@ -235,24 +237,20 @@ class PolyScalar:
             total += term
         return total
 
-    def eval_float(self, point) -> float:
-        """Fast float evaluation; falls back to exact arithmetic on overflow."""
-        return self.compile_float()(point)
-
     def compile_float(self):
-        """A ``point -> float`` evaluator; ``eval_float`` is one call of it.
+        """A ``point -> float`` evaluator.
 
         The float coefficients are converted once and zero exponents are
-        dropped.  Each call multiplies and sums the terms in dict order and
-        falls back to exact evaluation on overflow or catastrophic
-        cancellation, so an integrand evaluated many times gives the same
-        bits as ``eval_float``.
+        dropped.  Each call multiplies and sums the terms in print order
+        (graded-lex descending), so the bits depend only on the value, not
+        on how it was built, and falls back to exact evaluation on overflow
+        or catastrophic cancellation.
         """
         exact, n_vars = self.eval, len(self.vars)
         try:
             terms = [
-                (float(coeff), [(i, e) for i, e in enumerate(expo) if e])
-                for expo, coeff in self.terms.items()
+                (float(self.terms[expo]), [(i, e) for i, e in enumerate(expo) if e])
+                for expo in sorted(self.terms, key=_grlex_key, reverse=True)
             ]
         except OverflowError:  # a coefficient beyond float range: always exact
             return lambda point: _exact_float(exact, point)
@@ -361,12 +359,6 @@ class PolyScalar:
 
     def __repr__(self):
         return f"PolyScalar({self})"
-
-
-def _grlex_descending(p: PolyScalar) -> PolyScalar:
-    """The same polynomial with its terms stored in graded-lex-descending order."""
-    order = sorted(p.terms, key=_grlex_key, reverse=True)
-    return PolyScalar(p.vars, {e: p.terms[e] for e in order})
 
 
 def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
@@ -533,14 +525,12 @@ def _times(p: PolyScalar, factors) -> PolyScalar:
     return p
 
 
-def _quotient(num: PolyScalar, factors, cancelled=False):
+def _quotient(num: PolyScalar, factors):
     """num / prod f^k with every factor that divides num divided out.
 
     Each factor is trial-divided (:func:`poly_divmod`) as often as its
     multiplicity allows.  When every factor divides out the result is the
-    polynomial quotient.  ``cancelled`` records whether anything cancelled,
-    here or before; it decides the term order of the value (see
-    :class:`RationalScalar`).
+    polynomial quotient.
     """
     if num.is_zero():
         return PolyScalar.zero(num.vars)
@@ -550,12 +540,10 @@ def _quotient(num: PolyScalar, factors, cancelled=False):
             q, r = poly_divmod(num, f)
             if not r.is_zero():
                 break
-            num, k, cancelled = q, k - 1, True
+            num, k = q, k - 1
         if k:
             kept[key] = (f, k)
-    if kept:
-        return RationalScalar(num, kept, cancelled)
-    return _grlex_descending(num) if cancelled else num
+    return RationalScalar(num, kept) if kept else num
 
 
 def _divide(n1: PolyScalar, f1, n2: PolyScalar, f2):
@@ -564,7 +552,6 @@ def _divide(n1: PolyScalar, f1, n2: PolyScalar, f2):
     Factors the two share cancel by multiplicity, without expanding them;
     the rest of f2 multiplies n1 out, and n2 enters as one monic factor.
     """
-    shared = any(key in f1 for key in f2)
     num = _times(n1, _without(f2, f1))
     factors = _without(f1, f2)
     if n2.is_constant():
@@ -573,7 +560,7 @@ def _divide(n1: PolyScalar, f1, n2: PolyScalar, f2):
         lead = n2.leading_term()[1]
         num = _scaled(num, 1 / lead)
         factors = _merged(factors, _factor(_scaled(n2, 1 / lead)), operator.add)
-    return _quotient(num, factors, shared)
+    return _quotient(num, factors)
 
 
 def ratio(num: PolyScalar, den: PolyScalar):
@@ -605,30 +592,23 @@ class RationalScalar:
     numerator with each distinct factor, never with the whole denominator.
     ``num`` and ``den`` are then the reduced numerator and the expanded,
     graded-lex-monic denominator.
-
-    ``compile_float`` sums terms in stored order, so the order decides the
-    float bits of an integral.  A value that cancelled anything stores
-    ``num`` and ``den`` in graded-lex-descending order, the order of
-    :func:`poly_divmod` quotients; any other keeps ``num`` as built and
-    ``den`` as the product of its factor powers.  Scaling keeps the order.
     """
 
-    __slots__ = ("_num", "factors", "_cancelled", "_lowest")
+    __slots__ = ("_num", "factors", "_lowest")
 
-    def __init__(self, num: PolyScalar, factors, cancelled):
+    def __init__(self, num: PolyScalar, factors):
         self._num = num
         self.factors = factors
-        self._cancelled = cancelled
         self._lowest = None
 
     @property
     def vars(self):
         return self._num.vars
 
-    def _lowest_terms(self) -> "RationalScalar":
-        """The value with each factor reduced by its gcd with the numerator."""
+    def _lowest_terms(self):
+        """(numerator, factors) with each factor reduced by its gcd with the numerator."""
         if self._lowest is None:
-            num, factors, reduced = self._num, {}, False
+            num, factors = self._num, {}
             for f, k in self.factors.values():
                 while k:
                     g = poly_gcd(num, f)
@@ -636,25 +616,20 @@ class RationalScalar:
                         break
                     num = poly_divmod(num, g)[0]
                     factors = _merged(factors, _factor(poly_divmod(f, g)[0]), operator.add)
-                    k, reduced = k - 1, True
+                    k -= 1
                 if k:
                     factors = _merged(factors, _factor(f, k), operator.add)
-            # False marks a value already in lowest terms, without a reference cycle
-            self._lowest = RationalScalar(num, factors, True) if reduced else False
-            if reduced:
-                self._lowest._lowest = False
-        return self._lowest or self
+            # the unreduced value shares its own factors, so the cache is one tuple
+            self._lowest = (num, self.factors if num is self._num else factors)
+        return self._lowest
 
     @property
     def num(self) -> PolyScalar:
-        low = self._lowest_terms()
-        return _grlex_descending(low._num) if low._cancelled else low._num
+        return self._lowest_terms()[0]
 
     @property
     def den(self) -> PolyScalar:
-        low = self._lowest_terms()
-        den = _times(PolyScalar.const(self.vars, 1), low.factors)
-        return _grlex_descending(den) if low._cancelled else den
+        return _times(PolyScalar.const(self.vars, 1), self._lowest_terms()[1])
 
     def _split(self, other):
         """(numerator, factors) of another exact scalar on this chart."""
@@ -669,7 +644,7 @@ class RationalScalar:
     def _scale(self, c: Fraction):
         if c == 0:
             return PolyScalar.zero(self.vars)
-        return RationalScalar(_scaled(self._num, c), self.factors, self._cancelled)
+        return RationalScalar(_scaled(self._num, c), self.factors)
 
     def _add(self, n: PolyScalar, factors):
         lcm = _merged(self.factors, factors, max)
@@ -769,21 +744,16 @@ class RationalScalar:
             den *= f.eval(point) ** k
         if den:
             return self._num.eval(point) / den
-        low = self._lowest_terms()  # the pole may be removable
-        den = low.den.eval(point)
+        den = self.den.eval(point)  # the pole may be removable
         if den == 0:
             raise DomainError(f"pole of {self} at {tuple(point)}")
-        return low._num.eval(point) / den
-
-    def eval_float(self, point) -> float:
-        """Float evaluation with an exact fallback for huge intermediates
-        (unreduced quotients overflow floats long before their ratio does)."""
-        return self.compile_float()(point)
+        return self.num.eval(point) / den
 
     def compile_float(self):
-        """A ``point -> float`` evaluator over the compiled numerator and
-        denominator, with the exact fallback of ``eval_float``, which is one
-        call of it; a pole raises :class:`DomainError`."""
+        """A ``point -> float`` evaluator: the compiled reduced numerator
+        over the compiled expanded denominator, with an exact fallback for
+        huge intermediates (the two parts can overflow floats long before
+        their ratio does); a pole raises :class:`DomainError`."""
         num, den, exact = self.num.compile_float(), self.den.compile_float(), self.eval
 
         def evaluate(point):
@@ -801,9 +771,9 @@ class RationalScalar:
         return evaluate
 
     def substitute(self, replacements):
-        low = self._lowest_terms()
-        value = low._num.substitute(replacements)
-        for f, k in low.factors.values():
+        num, factors = self._lowest_terms()
+        value = num.substitute(replacements)
+        for f, k in factors.values():
             g = f.substitute(replacements)
             for _ in range(k):
                 value = value / g
@@ -813,7 +783,7 @@ class RationalScalar:
         factors = {}
         for f, k in self.factors.values():
             factors.update(_factor(f.extend_vars(variables), k))
-        return RationalScalar(self._num.extend_vars(variables), factors, self._cancelled)
+        return RationalScalar(self._num.extend_vars(variables), factors)
 
     def is_zero(self) -> bool:
         return self._num.is_zero()
@@ -825,13 +795,11 @@ class RationalScalar:
         raise AlgindexError(f"{self} is not constant")
 
     def total_degree(self) -> int:
-        low = self._lowest_terms()
-        return max(low._num.total_degree(), low.den.total_degree())
+        return max(self.num.total_degree(), self.den.total_degree())
 
     def depends_on(self, index) -> bool:
-        low = self._lowest_terms()
-        return low._num.depends_on(index) or any(
-            f.depends_on(index) for f, _ in low.factors.values())
+        num, factors = self._lowest_terms()
+        return num.depends_on(index) or any(f.depends_on(index) for f, _ in factors.values())
 
     def __str__(self):
         return f"({self.num})/({self.den})"
@@ -1012,8 +980,6 @@ class NumericExpr:
             return _eval(self.node, tuple(float(p) for p in point))
         except OverflowError:
             raise DomainError(f"value beyond float range at {tuple(point)}") from None
-
-    eval_float = eval
 
     def compile_float(self):
         """``point -> float``: the evaluator itself, already float throughout."""

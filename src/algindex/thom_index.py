@@ -5,8 +5,9 @@ Compact supports are modeled formally: the fiber generator Th is an
 algebraic symbol of degree r with Th ^ Th = 0 and the integration rule
 "integral of Th over the fiber = 1".  Characteristic forms arrive 2*pi-free
 (see chern_weil); the single normalization 1/(2*pi)^k is applied here, at
-integration time, and the (sqrt(-1))^k part of the index prefactor is
-reported as metadata instead of being folded into a float.
+integration time, to the value and its error estimate alike, and the
+(sqrt(-1))^k part of the index prefactor is reported as metadata instead of
+being folded into a float.
 """
 
 from __future__ import annotations
@@ -106,9 +107,12 @@ class PlaneDomain:
 
 @dataclass
 class IntegrationResult:
+    """``raw`` and ``raw_error`` are the integral and its quadrature error
+    estimate; ``value`` and ``error`` are both divided by (2 pi)^k."""
+
     raw: object  # Fraction (exact) or float
     exact: bool
-    error: float = 0.0
+    raw_error: float = 0.0
     normalization_degree: int = 0
 
     @property
@@ -123,6 +127,10 @@ class IntegrationResult:
         return self.raw / (2.0 * math.pi) ** k
 
     @property
+    def error(self) -> float:
+        return self.raw_error / (2.0 * math.pi) ** self.normalization_degree
+
+    @property
     def value_is_exact(self):
         return self.exact and (
             self.normalization_degree == 0
@@ -130,7 +138,7 @@ class IntegrationResult:
         )
 
     def __str__(self):
-        tag = "exact" if self.value_is_exact else f"approx (err<={self.error:.3e})"
+        tag = "exact" if self.value_is_exact else f"approx (error estimate {self.error:.3e})"
         return f"{self.value} [{tag}]"
 
 

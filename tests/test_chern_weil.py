@@ -110,13 +110,7 @@ def test_levi_civita_round_sphere_against_finite_differences(t2, sphere_metric):
     assert cw.metric_residuals(lc, sphere_metric) == {}
     # cross-check the Koszul solve against central differences of the metric
     point = (0.3, -0.7)
-    g = [
-        [
-            (lambda i0, j0: lambda q: sphere_metric.entries[i0][j0].eval_float(q))(i, j)
-            for j in range(2)
-        ]
-        for i in range(2)
-    ]
+    g = [[sphere_metric.entries[i][j].compile_float() for j in range(2)] for i in range(2)]
     gp = [[g[i][j](point) for j in range(2)] for i in range(2)]
     det = gp[0][0] * gp[1][1] - gp[0][1] * gp[1][0]
     ginv = [
@@ -135,7 +129,7 @@ def test_levi_civita_round_sphere_against_finite_differences(t2, sphere_metric):
                     )
                     for d in range(2)
                 )
-                got = lc.matrices[a][c][b].eval_float(point)
+                got = lc.matrices[a][c][b].compile_float()(point)
                 assert abs(koszul - got) <= 1e-5
 
 

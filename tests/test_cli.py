@@ -63,8 +63,7 @@ def test_every_bundled_job_has_goldens():
 
 # documents with their stdout beside them: a numeric-backend chart (printed
 # expression trees, transcendental quadrature, sampled zero tests) and three
-# rational charts of S^2, whose Euler forms' term order decides the printed
-# quadrature errors
+# rational charts of S^2, whose index and thom-check integrate over the plane
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -110,6 +109,19 @@ def test_byte_identical_output(name):
     second = run_cli(["--format", "json", "run", job_path(name)])
     assert first.stdout == second.stdout
     assert first.stdout
+
+
+def test_exhausted_quadrature_budget_fails_its_own_computations():
+    proc = run_cli(["run", job_path("sphere-stereographic"), "--budget", "1"])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    charclass, index, thom, summary = proc.stdout.splitlines()
+    assert charclass.startswith("ok charclass gauss-curvature-form: ")
+    for line, computation in [(index, "index sphere-euler-index"),
+                              (thom, "thom-check sphere-thom-compatibility")]:
+        assert line.startswith(f"FAIL {computation}: ")
+        assert "quadrature budget 1 exhausted" in line
+    assert summary == "1/3 computations succeeded"
+    assert proc.stderr == ""
 
 
 def test_parse_error_exit_code(tmp_path):

@@ -416,7 +416,7 @@ def test_sphere_plane_quadrature_is_pinned(monkeypatch):
         tol=1e-8, budget=6000,
     )
     assert result.integral.raw == 12.566370619856325
-    assert result.integral.error == 1.0986086516414886e-07
+    assert result.integral.raw_error == 1.0986086516414886e-07
     assert [r.panels for r in results] == [106]
 
 
@@ -470,6 +470,55 @@ def test_quadrature_paths_are_pinned(monkeypatch, dim, domain, tol, raw, error, 
     assert result.raw == raw
     assert result.error == error
     assert [r.panels for r in results] == [panels]
+
+
+def _raw_integral(A, scalar, domain, tol, budget=4000):
+    form = AlgForm.dual_basis(A, (0, 1)).scale(scalar)
+    result = ti.integrate(A, form, ti.Density(A, 1), domain, tol=tol, budget=budget)
+    return result.raw, result.raw_error
+
+
+def test_equal_integrands_integrate_to_the_same_bits():
+    # a compiled integrand sums in print order, so only its value decides the bits
+    A = alg.tangent(2, Chart(("x", "y")))
+    x, y = A.chart.coord(0), A.chart.coord(1)
+    box = ti.BoxDomain([(0, 1), (-1, 2)])
+    spellings = [A.chart.const(1) / (1 + sum(v * v for v in (x, y))),
+                 A.chart.const(1) / (1 + x * x + y * y),
+                 A.chart.parse("1/(1 + x^2 + y^2)"),
+                 A.chart.parse("1/(y^2 + x^2 + 1)")]
+    assert len({_raw_integral(A, s, box, 1e-10) for s in spellings}) == 1
+    u = 1 + x * x + y * y
+    spellings = [A.chart.parse("4/(1 + x^2 + y^2)^2"),
+                 A.chart.parse("4/((1 + x^2 + y^2)*(y^2 + x^2 + 1))"),
+                 A.chart.const(4) / u**2,
+                 A.chart.parse("4/(x^4 + 2*x^2*y^2 + y^4 + 2*x^2 + 2*y^2 + 1)")]
+    outcomes = {_raw_integral(A, s, ti.PlaneDomain(), 1e-8, 6000) for s in spellings}
+    assert len(outcomes) == 1
+    (raw, _), = outcomes
+    assert abs(raw - 4 * math.pi) <= 1e-6
+
+
+def test_sphere_job_index_and_thom_base_integrate_alike(monkeypatch):
+    # the index integrates the computed Euler form, thom-check the written one:
+    # one function, so one quadrature result
+    results = _spy_quadrature(monkeypatch)
+    job = resources.files("algindex").joinpath("jobs/sphere-stereographic.yaml")
+    cli.run_document(cli.JobContext(cli.load_document(str(job))))
+    index, base = results
+    assert index.error == base.error == 1.0986086516414886e-07
+    assert index == base
+
+
+def test_exhausted_budget_carries_value_and_estimate():
+    def f(x, y):
+        return 1 / (1 + x * x + y * y)
+
+    one_panel = quadrature.integrate_2d(f, (0, 1), (-1, 2), tol=1.0, budget=1)
+    assert one_panel.panels == 1
+    with pytest.raises(quadrature.QuadratureError, match="quadrature budget 1 exhausted") as info:
+        quadrature.integrate_2d(f, (0, 1), (-1, 2), tol=1e-12, budget=1)
+    assert (info.value.value, info.value.estimate) == (one_panel.value, one_panel.error)
 
 
 @pytest.mark.parametrize("domain", [ti.BoxDomain([(0, 1)] * 3), ti.PlaneDomain()])
