@@ -20,9 +20,18 @@ Two families of scalars share one arithmetic interface:
   the chart; its zero test, and so its equality, is sampled.
 
 Scalars are immutable after construction; every operation returns a new
-value.  Monomials are printed graded-lex descending, and a compiled float
-evaluator (``compile_float``) sums them in that same order, so its bits
-depend only on the value, not on how it was built.
+value.  Monomials are printed graded-lex descending.
+
+``compile_float`` of an exact scalar generates straight-line Python for its
+polynomials and compiles it once (:func:`_float_program`).  Each power of a
+coordinate is computed once per point, by the same ``**`` call a per-term
+loop would make; each term is its float coefficient times its powers in
+coordinate order, and the terms are added one at a time in print order.  So
+the float bits depend only on the value, not on how it was built.  A sum that
+is not finite, or that lost more than eight digits to cancellation, is
+replaced by the exact value; a quotient divides the two float sums only when
+both pass.  Coefficients are bound as floats in the program's namespace,
+never written into its source.
 """
 
 from __future__ import annotations
@@ -68,6 +77,9 @@ def _exact_float(exact, point) -> float:
         return float(exact(point))
     except OverflowError:
         raise DomainError(f"value beyond float range at {tuple(point)}") from None
+
+
+_POINT_LENGTH = "point dimension does not match variable count"
 
 
 def _grlex_key(expo):
@@ -226,7 +238,7 @@ class PolyScalar:
     def eval(self, point) -> Fraction:
         """Exact evaluation; ``point`` entries may be ints/Fractions/floats."""
         if len(point) != len(self.vars):
-            raise AlgindexError("point dimension does not match variable count")
+            raise AlgindexError(_POINT_LENGTH)
         values = [as_fraction(p) for p in point]
         total = Fraction(0)
         for expo, coeff in self.terms.items():
@@ -238,44 +250,8 @@ class PolyScalar:
         return total
 
     def compile_float(self):
-        """A ``point -> float`` evaluator.
-
-        The float coefficients are converted once and zero exponents are
-        dropped.  Each call multiplies and sums the terms in print order
-        (graded-lex descending), so the bits depend only on the value, not
-        on how it was built, and falls back to exact evaluation on overflow
-        or catastrophic cancellation.
-        """
-        exact, n_vars = self.eval, len(self.vars)
-        try:
-            terms = [
-                (float(self.terms[expo]), [(i, e) for i, e in enumerate(expo) if e])
-                for expo in sorted(self.terms, key=_grlex_key, reverse=True)
-            ]
-        except OverflowError:  # a coefficient beyond float range: always exact
-            return lambda point: _exact_float(exact, point)
-
-        def evaluate(point):
-            if len(point) != n_vars:
-                raise AlgindexError("point dimension does not match variable count")
-            try:
-                total = 0.0
-                largest = 0.0
-                values = [float(p) for p in point]
-                for term, powers in terms:
-                    for i, e in powers:
-                        term *= values[i] ** e
-                    total += term
-                    if abs(term) > largest:  # a NaN term leaves largest as it is
-                        largest = abs(term)
-                # fall back on overflow or catastrophic cancellation
-                if math.isfinite(total) and (largest == 0.0 or abs(total) >= 1e-8 * largest):
-                    return total
-            except OverflowError:
-                pass
-            return _exact_float(exact, point)
-
-        return evaluate
+        """A ``point -> float`` evaluator (see the module docstring)."""
+        return _float_program(self)
 
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
@@ -750,25 +726,10 @@ class RationalScalar:
         return self.num.eval(point) / den
 
     def compile_float(self):
-        """A ``point -> float`` evaluator: the compiled reduced numerator
-        over the compiled expanded denominator, with an exact fallback for
-        huge intermediates (the two parts can overflow floats long before
-        their ratio does); a pole raises :class:`DomainError`."""
-        num, den, exact = self.num.compile_float(), self.den.compile_float(), self.eval
-
-        def evaluate(point):
-            try:
-                n = num(point)
-                d = den(point)
-                if d != 0.0 and math.isfinite(n) and math.isfinite(d):
-                    out = n / d
-                    if math.isfinite(out):
-                        return out
-            except ArithmeticError:  # num or den beyond float range, as floats or exactly
-                pass
-            return _exact_float(exact, point)
-
-        return evaluate
+        """A ``point -> float`` evaluator of the reduced numerator over the
+        expanded denominator (:func:`_float_program`); a pole raises
+        :class:`DomainError`."""
+        return _float_program(self.num, self.den, self.eval)
 
     def substitute(self, replacements):
         num, factors = self._lowest_terms()
@@ -806,6 +767,129 @@ class RationalScalar:
 
     def __repr__(self):
         return f"RationalScalar({self})"
+
+
+# ---------------------------------------------------------------------------
+# compiled float evaluators
+# ---------------------------------------------------------------------------
+
+
+def _sum_block(j, p: PolyScalar, namespace):
+    """Statements that leave the float value of ``p`` in ``t{j}``, the
+    condition under which it is trusted, and the powers ``(i, e)`` they read.
+
+    In print order, each term ``a = c{j}_{k} * x{a}_{e} * x{b}_{f}`` is added
+    to ``t{j}`` by its own statement.  The float coefficients go into
+    ``namespace``; one beyond float range raises OverflowError.  A finite
+    sum has finite terms, so its largest |term| is max(h, -l) for the
+    largest term h and the smallest l.  When all terms have one sign (one
+    term, or coefficients of one sign on even exponents) |t| is at least
+    that, and only ``isfinite`` is tested.
+    """
+    order = sorted(p.terms, key=_grlex_key, reverse=True)
+    one_sign = len(order) < 2 or (len({p.terms[expo] > 0 for expo in order}) == 1
+                                  and all(e % 2 == 0 for expo in order for e in expo))
+    lines, powers = [f"t{j} = 0.0"], set()
+    for k, expo in enumerate(order):
+        namespace[f"c{j}_{k}"] = float(p.terms[expo])
+        used = [(i, e) for i, e in enumerate(expo) if e]
+        powers.update(used)
+        lines += ["a = " + " * ".join([f"c{j}_{k}"] + [f"x{i}_{e}" for i, e in used]),
+                  f"t{j} += a"]
+        if one_sign:
+            continue
+        if k == 0:
+            lines.append(f"h{j} = l{j} = a")
+        else:
+            lines += [f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"]
+    if one_sign:
+        return lines, f"isfinite(t{j})", powers
+    return lines, f"isfinite(t{j}) and abs(t{j}) >= 1e-8 * (h{j} if h{j} >= -l{j} else -l{j})", powers
+
+
+def _function(name, n_vars, blocks, tail, fallback):
+    """Source lines of ``def name(point)``: the point as floats, each power
+    the blocks read, the blocks, and ``tail``, which returns a trusted
+    result; otherwise, or on OverflowError, it returns ``fallback``."""
+    powers = sorted(set().union(*(used for _, _, used in blocks)))
+    body = [f"x{i} = float(point[{i}])" for i in range(n_vars)]
+    body += [f"x{i}_{e} = x{i} ** {e}" for i, e in powers]
+    for lines, _, _ in blocks:
+        body += lines
+    return [
+        f"def {name}(point):",
+        f"    if len(point) != {n_vars}:",
+        "        raise AlgindexError(POINT_LENGTH)",
+        "    try:",
+        *("        " + line for line in body + tail),
+        "    except OverflowError:",
+        "        pass",
+        f"    return {fallback}",
+        "",
+    ]
+
+
+def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
+    """The float evaluator of ``num``, or of the quotient ``num / den``
+    whose exact value is ``exact(point)``, from one generated program.
+
+    The program defines ``f{j}`` for each polynomial, which returns its
+    float sum when trusted and its exact value otherwise.  For a quotient it
+    also defines ``q``, which computes both sums on shared powers and
+    returns their ratio when both are trusted, the denominator is nonzero
+    and the ratio finite, and otherwise calls the composition of ``f0`` and
+    ``f1`` (:func:`_composed`).  A polynomial with a coefficient beyond
+    float range is always evaluated exactly, and its quotient is that
+    composition.  The source spells only generated names, integers and the
+    constants 0.0 and 1e-8; coefficients are bound in the namespace.
+    """
+    polys = [num] if den is None else [num, den]
+    n_vars = len(num.vars)
+    namespace = {"AlgindexError": AlgindexError, "POINT_LENGTH": _POINT_LENGTH,
+                 "isfinite": math.isfinite, "exact_float": _exact_float}
+    source, blocks = [], []
+    for j, p in enumerate(polys):
+        try:
+            block = _sum_block(j, p, namespace)
+        except OverflowError:  # a coefficient beyond float range: always exact
+            namespace[f"f{j}"] = lambda point, exact=p.eval: _exact_float(exact, point)
+            continue
+        namespace[f"exact{j}"] = p.eval
+        blocks.append(block)
+        source += _function(f"f{j}", n_vars, [block], [f"if {block[1]}:", f"    return t{j}"],
+                            f"exact_float(exact{j}, point)")
+    if len(blocks) == 2:
+        (_, trust_num, _), (_, trust_den, _) = blocks
+        tail = [f"if {trust_num} and {trust_den} and t1 != 0.0:",
+                "    out = t0 / t1",
+                "    if isfinite(out):",
+                "        return out"]
+        source += _function("q", n_vars, blocks, tail, "composed(point)")
+    exec(compile("\n".join(source), "<compiled polynomials>", "exec"), namespace)
+    if den is None:
+        return namespace["f0"]
+    namespace["composed"] = _composed(namespace["f0"], namespace["f1"], exact)
+    return namespace.get("q", namespace["composed"])
+
+
+def _composed(num, den, exact):
+    """The quotient of two float evaluators, with an exact fallback for huge
+    intermediates (the two parts can overflow floats long before their ratio
+    does); a pole raises :class:`DomainError`."""
+
+    def evaluate(point):
+        try:
+            n = num(point)
+            d = den(point)
+            if d != 0.0 and math.isfinite(n) and math.isfinite(d):
+                out = n / d
+                if math.isfinite(out):
+                    return out
+        except ArithmeticError:  # num or den beyond float range, as floats or exactly
+            pass
+        return _exact_float(exact, point)
+
+    return evaluate
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .chern_weil import (
     pfaffian_form,
 )
 from .forms import AlgForm, MixedForm, d_g, pullback_mixed
-from .scalars import AlgindexError, PolyScalar, as_fraction
+from .scalars import AlgindexError, DomainError, PolyScalar, as_fraction
 
 
 class NonInvariantDensityError(AlgindexError):
@@ -152,6 +152,18 @@ def _poly_box_integral(p: PolyScalar, bounds) -> Fraction:
     return total
 
 
+def _float_span(name, span):
+    """A box span as floats for quadrature; a bound beyond float range is a
+    :class:`DomainError` that names it."""
+    floats = []
+    for side, bound in zip(("lower", "upper"), span):
+        try:
+            floats.append(float(bound))
+        except OverflowError:
+            raise DomainError(f"the {side} box bound of {name} is beyond float range") from None
+    return tuple(floats)
+
+
 def integrate(
     A: AlgebroidPresentation,
     form: AlgForm,
@@ -191,8 +203,6 @@ def integrate(
 
     if pairing.is_zero():
         return IntegrationResult(Fraction(0), True, 0.0, normalization_degree)
-    integrand = pairing.compile_float()  # one float evaluator for every quadrature path
-
     if isinstance(domain, BoxDomain):
         if len(domain.bounds) != A.base_dim:
             raise AlgindexError("box bounds must match the base dimension")
@@ -203,13 +213,21 @@ def integrate(
                 0.0,
                 normalization_degree,
             )
-        spans = domain.bounds
+    elif not isinstance(domain, PlaneDomain):
+        raise TypeError(f"unknown domain {domain!r}")
+    # refused before anything is compiled
+    if A.base_dim > 2:
+        raise AlgindexError("numeric quadrature supports base dimension <= 2")
+    if isinstance(domain, BoxDomain):
+        spans = [_float_span(name, span) for name, span in zip(A.chart.names, domain.bounds)]
+        integrand = pairing.compile_float()
 
         def f(*xs):
             return integrand(xs)
 
-    elif isinstance(domain, PlaneDomain):
+    else:
         spans = [(-math.pi / 2, math.pi / 2)] * A.base_dim
+        integrand = pairing.compile_float()
 
         def f(*ss):
             xs = tuple(map(math.tan, ss))
@@ -218,10 +236,6 @@ def integrate(
                 value *= 1.0 + x * x
             return value
 
-    else:
-        raise TypeError(f"unknown domain {domain!r}")
-    if A.base_dim > 2:
-        raise AlgindexError("numeric quadrature supports base dimension <= 2")
     # both entry points call quadrature._adaptive; they stay only because
     # the benchmark's span recorder wraps them by name
     entry = quadrature.integrate_1d if A.base_dim == 1 else quadrature.integrate_2d

@@ -480,6 +480,34 @@ def test_value_beyond_float_range_fails_its_own_computation(tmp_path, backend, f
     assert elapsed < 2.0, f"{form} took {elapsed:.2f}s (budget 2s)"
 
 
+def test_box_bound_beyond_float_range_fails_its_own_computation(tmp_path):
+    # quadrature needs float bounds; a polynomial over the same box stays exact
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "coordinates: [x, y]\n"
+        "algebroids: {plane: {kind: tangent}}\n"
+        "densities: {one: {algebroid: plane, coefficient: 1}}\n"
+        "forms:\n"
+        "  bump: {algebroid: plane, degree: 2, coefficients: {'1,2': '1/(1 + x^2 + y^2)'}}\n"
+        "  unit: {algebroid: plane, degree: 2, coefficients: {'1,2': '1'}}\n"
+        "domains: {far: {type: box, bounds: [['1e400', 2], [0, 1]]}}\n"
+        "computations:\n"
+        "  - {op: thom-check, label: bump, algebroid: plane, form: bump, density: one, "
+        "domain: far}\n"
+        "  - {op: thom-check, label: unit, algebroid: plane, form: unit, density: one, "
+        "domain: far}\n"
+    )
+    proc = run_cli(["--format", "json", "run", str(doc)])
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    bump, unit = json.loads(proc.stdout)["results"]
+    assert not bump["ok"]
+    assert bump["error"] == "the lower box bound of x is beyond float range"
+    assert unit["ok"]
+    assert unit["result"]["base"] == {"error": "0", "exact": True, "value": str(2 - 10**400)}
+
+
 def _explicit_group(n, table):
     """A document declaring a group of order n on arrows g0..g(n-1) by its table."""
     arrows = [f"g{i}" for i in range(n)]

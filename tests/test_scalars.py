@@ -1,3 +1,4 @@
+import itertools
 import math
 import operator
 import random
@@ -232,16 +233,21 @@ def _uncompiled_eval_float(p, point):
 
 
 def _outcome(evaluate, point):
-    """The float one evaluation returns, or the type of error it raises."""
+    """The float one evaluation returns, or the type of error it raises (a
+    NaN coordinate reaches exact arithmetic as a ValueError)."""
     try:
         return evaluate(point)
-    except (DomainError, OverflowError) as exc:
+    except (DomainError, OverflowError, ValueError) as exc:
         return type(exc)
 
 
 def assert_same_bits(scalar, point):
     compiled = _outcome(scalar.compile_float(), point)
     other = _outcome(lambda q: _uncompiled_eval_float(scalar, q), point)
+    if other is OverflowError:
+        # the oracle makes an infinite coordinate exact outside its DomainError
+        # guard; for finite points it never raises OverflowError
+        other = DomainError
     if isinstance(compiled, float):
         assert isinstance(other, float)
         assert compiled == other and math.copysign(1, compiled) == math.copysign(1, other)
@@ -278,6 +284,8 @@ def test_compiled_float_overflow_falls_back_to_exact():
     # an unreduced quotient whose parts overflow but whose ratio does not
     r = P("x^2") / P("x^2 + 1")
     assert assert_same_bits(r, (1e200, 0.5)) == 1.0
+    # parts within float range whose ratio is not
+    assert assert_same_bits(P("x") / P("y"), (1e300, 1e-300)) is DomainError
 
 
 def test_compiled_float_cancellation_falls_back_to_exact():
@@ -302,6 +310,69 @@ def test_compiled_float_checks_point_length():
                 with pytest.raises(AlgindexError, match="point dimension"):
                     evaluate(point)
         assert_same_bits(scalar, (0.5, -2.0))
+
+
+_SPECIAL = (0.0, -0.0, 0.75, -1.5, 1e200, -1e200, math.inf, -math.inf, math.nan)
+
+
+@pytest.mark.parametrize("variables", [("x",), ("x", "y", "z"), ("w", "x", "y", "z")])
+def test_generated_evaluator_on_charts_of_other_sizes(variables):
+    rng = random.Random(len(variables))
+    chart = Chart(variables)
+    coords = [chart.coord(i) for i in range(len(variables))]
+    for _ in range(60):
+        p = random_poly(rng, variables)
+        # denominators whose gcd with p is cheap: 1 + k c^2 and a linear form
+        square = 1 + rng.randint(1, 3) * rng.choice(coords) ** 2
+        linear = Fraction(rng.randint(-3, 3), 2) + sum(rng.randint(-2, 2) * c for c in coords)
+        for scalar in [p] + [p / den for den in (square, linear) if not den.is_zero()]:
+            assert_same_bits(scalar, tuple(rng.uniform(-3, 3) for _ in variables))
+            assert_same_bits(scalar, tuple(rng.choice(_SPECIAL) for _ in variables))
+
+
+@pytest.mark.parametrize("text", ["0", "5", "-3/7", "-2*x^3*y", "x^2 + 3*y^4 + 1/2",
+                                  "-x^2*y^2 - 7*y^6 - 1"])
+def test_generated_evaluator_where_no_terms_can_cancel(text):
+    # one term, or coefficients of one sign on even exponents: the sum is
+    # trusted whenever it is finite
+    for point in itertools.product(_SPECIAL, repeat=2):
+        for scalar in [P(text), P(text) / P("1 + x^2"), P(text) / P("x^3 - y")]:
+            assert_same_bits(scalar, point)
+
+
+def test_generated_evaluator_falls_back_only_where_terms_cancel():
+    p = P("x^2 - 2*x*y + y^2")  # (x - y)^2 cancels near the diagonal only
+    assert assert_same_bits(p, (3.0, 1.0)) == 4.0
+    assert assert_same_bits(p, (1 + 2.0**-30, 1.0)) == 2.0**-60  # the float sum is 0.0
+    # |sum| is 1.5e-8: above 1e-8 times each positive term, below it times -2*x*y
+    point = (1.0, 1.0001224745)
+    assert assert_same_bits(p, point) == float(p.eval(point))
+    # coefficients of one sign cancel on odd exponents
+    odd, point = P("x^3 + y^3"), (1 + 2.0**-30, -1.0)
+    assert assert_same_bits(odd, point) == float(odd.eval(point))
+    r = p / P("1 + y^2")
+    assert assert_same_bits(r, (3.0, 1.0)) == 2.0
+    assert assert_same_bits(r, (1 + 2.0**-30, 1.0)) == 2.0**-61
+    for point in itertools.product(_SPECIAL, repeat=2):
+        assert_same_bits(p, point)
+        assert_same_bits(r, point)
+
+
+def test_generated_evaluator_of_twelve_thousand_terms():
+    # 110 x 110 terms: one sum statement per term, so no deeply nested expression
+    rng = random.Random(110)
+    terms = {(i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
+             for i in range(110) for j in range(110)}
+    p = PolyScalar(XY, terms)
+    assert len(p.terms) == 12100
+    for point in [(0.5, -0.25), (1.5, -0.0)]:
+        assert_same_bits(p, point)
+
+
+def test_generated_evaluator_holds_no_coefficient_as_text():
+    r = P("x/3 + 1/7") / P("5/11 + y^2")
+    constants = {c for c in r.compile_float().__code__.co_consts if isinstance(c, float)}
+    assert constants <= {0.0, 1e-8}
 
 
 def test_numeric_compile_float_is_its_evaluator():

@@ -13,7 +13,7 @@ from algindex import chern_weil as cw
 from algindex import cli, quadrature
 from algindex import thom_index as ti
 from algindex.forms import AlgForm, MixedForm, basis_forms, d_g, pullback_form
-from algindex.scalars import AlgindexError, Chart
+from algindex.scalars import AlgindexError, Chart, RationalScalar
 
 import oracles
 
@@ -522,8 +522,13 @@ def test_exhausted_budget_carries_value_and_estimate():
 
 
 @pytest.mark.parametrize("domain", [ti.BoxDomain([(0, 1)] * 3), ti.PlaneDomain()])
-def test_three_dimensional_quadrature_is_refused(domain):
+def test_three_dimensional_quadrature_is_refused(domain, monkeypatch):
     A = alg.tangent(3)
+
+    def compiled(scalar):
+        raise AssertionError("a refused integral compiles its integrand")
+
+    monkeypatch.setattr(RationalScalar, "compile_float", compiled)
     with pytest.raises(AlgindexError, match="base dimension <= 2"):
         ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain)
 
