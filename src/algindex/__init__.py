@@ -21,7 +21,6 @@ from .algebroid import (
     pullback,
     su2,
     tangent,
-    validate_morphism,
     zero_section_morphism,
 )
 from .chern_weil import (
@@ -78,10 +77,7 @@ from .thom_index import (
     UnresolvedEulerDivisionError,
     euler_class,
     fiber_integrate,
-    index_dirac,
-    index_euler,
     index_general,
-    index_signature,
     integrate,
     modular_cocycle,
     symplectic_form,

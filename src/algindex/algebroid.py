@@ -420,10 +420,6 @@ class AlgebroidMorphism:
         return f"AlgebroidMorphism({self.name!r}: {self.source.name} -> {self.target.name})"
 
 
-def validate_morphism(morphism: AlgebroidMorphism) -> ValidationReport:
-    return morphism.validate()
-
-
 def identity_morphism(A: AlgebroidPresentation):
     base = [A.chart.coord(i) for i in range(A.base_dim)]
     bundle = [

@@ -38,11 +38,6 @@ class FormMatrix:
                 if form.degree % 2 and not form.is_zero():
                     raise AlgindexError("form matrix entries must have even degree")
 
-    @classmethod
-    def zero(cls, algebroid, size, degree=2):
-        z = AlgForm.zero(algebroid, degree)
-        return cls(algebroid, [[z] * size for _ in range(size)])
-
     def matmul(self, other: "FormMatrix") -> "FormMatrix":
         out = []
         for i in range(self.size):
@@ -61,15 +56,6 @@ class FormMatrix:
         for i in range(1, self.size):
             acc = acc + self.entries[i][i]
         return acc
-
-    def add(self, other):
-        return FormMatrix(
-            self.algebroid,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-        )
 
     def is_zero(self):
         return all(f.is_zero() for row in self.entries for f in row)

@@ -177,9 +177,7 @@ class JobContext:
                 anchor = [
                     [chart.parse(str(v)) for v in row] for row in spec["anchor"]
                 ]
-            A = alg.AlgebroidPresentation(chart, rank, anchor, structure, name)
-            A.pullback_data = None
-            return A
+            return alg.AlgebroidPresentation(chart, rank, anchor, structure, name)
         if kind == "pullback":
             parent = self.ref("algebroid", spec["parent"])
             return alg.pullback(parent, spec.get("fiber_dim", parent.rank), name=name)
@@ -409,15 +407,15 @@ def _charclass(ctx, comp, settings):
 
 def _index(ctx, comp, settings):
     result = ti.index_general(
-        ctx.ref("algebroid", comp["algebroid"]),
-        ctx.ref("metric", comp["metric"]),
-        ctx.ref("connection", comp.get("connection")),
-        ctx.ref("form", comp.get("nu")),
-        ctx.ref("density", comp["density"]),
-        comp["kind"],
-        ctx.ref("domain", comp.get("domain")),
-        settings.tolerance,
-        settings.budget,
+        operator=comp["kind"],
+        A=ctx.ref("algebroid", comp["algebroid"]),
+        metric=ctx.ref("metric", comp["metric"]),
+        E=ctx.ref("connection", comp.get("connection")),
+        nu=ctx.ref("form", comp.get("nu")),
+        density=ctx.ref("density", comp["density"]),
+        domain=ctx.ref("domain", comp.get("domain")),
+        tol=settings.tolerance,
+        budget=settings.budget,
     )
     out = _serialize_integral(result.integral)
     out["i_power"] = result.i_power

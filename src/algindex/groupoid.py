@@ -237,12 +237,6 @@ class FiniteRep:
                         f"representation is not functorial on {(g1, g2)}"
                     )
 
-    def apply(self, g, vector):
-        return [
-            sum((row[j] * vector[j] for j in range(len(vector))), Fraction(0))
-            for row in self.matrices[g]
-        ]
-
 
 # ---------------------------------------------------------------------------
 # cohomology

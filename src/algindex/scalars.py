@@ -66,6 +66,8 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, float):
         # floats are binary-exact; allow them so quadrature points can be
         # pushed through exact arithmetic without rounding.
+        if not math.isfinite(value):
+            raise DomainError(f"{value} is not a finite rational")
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
@@ -290,9 +292,6 @@ class PolyScalar:
         if not self.is_constant():
             raise AlgindexError(f"{self} is not constant")
         return next(iter(self.terms.values()), Fraction(0))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def depends_on(self, index) -> bool:
         return any(e[index] for e in self.terms)
@@ -754,9 +753,6 @@ class RationalScalar:
 
     def constant_value(self) -> Fraction:
         raise AlgindexError(f"{self} is not constant")
-
-    def total_degree(self) -> int:
-        return max(self.num.total_degree(), self.den.total_degree())
 
     def depends_on(self, index) -> bool:
         num, factors = self._lowest_terms()

@@ -324,14 +324,11 @@ class ThomExtendedForm:
     top) and Th ^ Th = 0.
     """
 
-    def __init__(self, pullback_presentation, free=None, thom=None, orientation=1):
+    def __init__(self, pullback_presentation, free=None, thom=None):
         data = pullback_presentation.pullback_data
         if data is None:
             raise PresentationError("Thom calculus needs a pull-back presentation")
-        if orientation not in (1, -1):
-            raise AlgindexError("orientation must be +1 or -1")
         self.pullback = pullback_presentation
-        self.orientation = orientation
         self.free = free if free is not None else MixedForm(pullback_presentation, {})
         thom = thom if thom is not None else MixedForm(pullback_presentation, {})
         self.thom = self._drop_vertical(thom)
@@ -355,24 +352,16 @@ class ThomExtendedForm:
 
     def __add__(self, other):
         self._check(other)
-        return ThomExtendedForm(
-            self.pullback, self.free + other.free, self.thom + other.thom,
-            self.orientation,
-        )
+        return ThomExtendedForm(self.pullback, self.free + other.free, self.thom + other.thom)
 
     def _check(self, other):
         if not isinstance(other, ThomExtendedForm) or other.pullback is not self.pullback:
             raise AlgindexError("operands live on different pull-backs")
-        if other.orientation != self.orientation:
-            raise AlgindexError("orientation mismatch")
 
     def wedge(self, other) -> "ThomExtendedForm":
         if isinstance(other, (AlgForm, MixedForm)):
-            other = ThomExtendedForm(
-                self.pullback,
-                free=other if isinstance(other, MixedForm) else MixedForm.from_form(other),
-                orientation=self.orientation,
-            )
+            free = other if isinstance(other, MixedForm) else MixedForm.from_form(other)
+            other = ThomExtendedForm(self.pullback, free)
         self._check(other)
         r = self.fiber_rank
         free = self.free.wedge(other.free)
@@ -382,13 +371,10 @@ class ThomExtendedForm:
             sign = -1 if (r * degree) % 2 else 1
             extra = self.thom.wedge(part)
             thom = thom + (extra.scale(sign) if sign < 0 else extra)
-        return ThomExtendedForm(self.pullback, free, thom, self.orientation)
+        return ThomExtendedForm(self.pullback, free, thom)
 
     def scale(self, scalar):
-        return ThomExtendedForm(
-            self.pullback, self.free.scale(scalar), self.thom.scale(scalar),
-            self.orientation,
-        )
+        return ThomExtendedForm(self.pullback, self.free.scale(scalar), self.thom.scale(scalar))
 
     def is_zero(self):
         return self.free.is_zero() and self.thom.is_zero()
@@ -398,7 +384,6 @@ class ThomExtendedForm:
             return NotImplemented
         return (
             self.pullback is other.pullback
-            and self.orientation == other.orientation
             and (self.free - other.free).is_zero()
             and (self.thom - other.thom).is_zero()
         )
@@ -417,7 +402,7 @@ def thom_class(pb: AlgebroidPresentation, orientation=1) -> ThomExtendedForm:
     if orientation not in (1, -1):
         raise AlgindexError("the Thom class needs an orientation (+1 or -1)")
     unit = MixedForm.constant(pb, orientation)
-    return ThomExtendedForm(pb, thom=unit, orientation=1)
+    return ThomExtendedForm(pb, thom=unit)
 
 
 def pi_star(form, pb: AlgebroidPresentation):
@@ -534,7 +519,7 @@ def pullback_extended(
     """Naturality: pull a Thom-extended form back along a lifted morphism."""
     free = pullback_mixed(lifted, t.free)
     thom = pullback_mixed(lifted, t.thom)
-    return ThomExtendedForm(pb_src, free, thom, t.orientation)
+    return ThomExtendedForm(pb_src, free, thom)
 
 
 def restrict_extended(morphism: AlgebroidMorphism, t: ThomExtendedForm):
@@ -590,9 +575,9 @@ def _sqrt_det(metric: Metric):
 def euler_class(A: AlgebroidPresentation, metric: Metric) -> AlgForm:
     """Pf(R(levi_civita)) in the metric-orthonormal normalization.
 
-    Odd rank gives the zero form (Pfaffian convention, makes index_euler
-    total); the result is a closed form of degree = rank.  It is computed
-    once per metric and kept on it (``Metric.euler_form``).
+    Odd rank gives the zero form (Pfaffian convention, makes the Euler index
+    total); the result is a closed form of degree = rank.  It is computed once
+    per metric and kept on it (``Metric.euler_form``).
     """
     if A is metric.algebroid and metric.euler_form is not None:
         return metric.euler_form
@@ -630,101 +615,56 @@ class IndexResult:
         return f"{self.integral}{extra}{note}"
 
 
-def _exact_zero(A, k, note):
-    return IndexResult(
-        IntegrationResult(Fraction(0), True, 0.0, k), 0, note
-    )
-
-
-def index_euler(
-    A, metric: Metric, density: Density, domain=None, tol=1e-9, budget=4000
-) -> IndexResult:
-    """Topological side of the Euler-operator index: integral of <e, density>."""
-    e = euler_class(A, metric)
-    k = A.rank // 2
-    if A.rank % 2:
-        return _exact_zero(A, 0, "odd rank: Euler form vanishes")
-    result = integrate(
-        A, e, density, domain, normalization_degree=k, tol=tol, budget=budget
-    )
-    return IndexResult(result, 0)
-
-
-def _genus_integrand(nu, genus_form: MixedForm, extra: MixedForm | None = None):
-    integrand = genus_form if extra is None else genus_form.wedge(extra)
-    if nu is not None:
-        nu_mixed = MixedForm.from_form(nu) if isinstance(nu, AlgForm) else nu
-        integrand = nu_mixed.wedge(integrand)
-    return integrand
-
-
-def _evaluate_index(A, integrand: MixedForm, nu, density, domain, tol, budget):
-    r = A.rank
-    top = integrand.degree_part(r)
-    k = r // 2
-    nu_degree = 0
-    if nu is not None:
-        nu_degree = nu.degree if isinstance(nu, AlgForm) else max(nu.degrees(), default=0)
-    i_power = nu_degree // 2
-    if top.is_zero():
-        result = _exact_zero(A, k, "degree mismatch: no top-degree component")
-        result.i_power = i_power
-        return result
-    result = integrate(
-        A, top, density, domain, normalization_degree=k, tol=tol, budget=budget
-    )
-    return IndexResult(result, i_power)
-
-
-def index_signature(
-    A, metric: Metric, nu, density: Density, domain=None, E: GConnection | None = None,
-    tol=1e-9, budget=4000,
-) -> IndexResult:
-    """Signature index: integral of nu ^ L(g) (optionally ^ ch(E))."""
-    if nu is not None and not d_g(nu).is_zero():
-        raise AlgindexError("nu must be a closed algebroid form")
-    L = char_class(levi_civita(A, metric), "l_genus", A.rank)
-    extra = char_class(E, "ch", A.rank) if E is not None else None
-    integrand = _genus_integrand(nu, L, extra)
-    return _evaluate_index(A, integrand, nu, density, domain, tol, budget)
-
-
-def index_dirac(
-    A, metric: Metric, E: GConnection, nu, density: Density, domain=None,
-    tol=1e-9, budget=4000,
-) -> IndexResult:
-    """Twisted Dirac index: integral of nu ^ A-hat(g) ^ ch(E)."""
-    if nu is not None and not d_g(nu).is_zero():
-        raise AlgindexError("nu must be a closed algebroid form")
-    a_hat = char_class(levi_civita(A, metric), "a_hat", A.rank)
-    ch_e = char_class(E, "ch", A.rank)
-    integrand = _genus_integrand(nu, a_hat, ch_e)
-    return _evaluate_index(A, integrand, nu, density, domain, tol, budget)
-
-
-_KNOWN_OPERATORS = ("euler", "signature", "dirac")
+_GENERA = {"signature": "l_genus", "dirac": "a_hat"}
 
 
 def index_general(
-    A, metric: Metric, E: GConnection | None, nu, density: Density, operator: str,
-    domain=None, tol=1e-9, budget=4000,
+    operator: str, A, metric: Metric, density: Density, domain=None, *,
+    nu: AlgForm | None = None, E: GConnection | None = None, tol=1e-9, budget=4000,
 ) -> IndexResult:
-    """The general topological index, through the known roots-identity
+    """The topological index of ``operator``, through the known roots-identity
     reductions only; the division by the Euler class is never performed on
-    forms directly."""
+    forms directly.
+
+    ``euler`` integrates <e(metric), density> and takes neither ``nu`` nor
+    ``E``; an odd rank gives an exact 0.  ``signature`` and ``dirac``
+    integrate the top-degree part of nu ^ genus(metric) [^ ch(E)] with the
+    L-genus and the A-hat genus; Dirac needs ``E``, ``nu`` must be closed,
+    and a nu of degree 2j contributes (sqrt(-1))^j to ``i_power``.
+    """
+    k = A.rank // 2
+    i_power = 0
     if operator == "euler":
-        return index_euler(A, metric, density, domain, tol, budget)
-    if operator == "signature":
-        return index_signature(A, metric, nu, density, domain, E, tol, budget)
-    if operator == "dirac":
-        if E is None:
+        for name, given in (("nu", nu), ("coefficient-bundle connection E", E)):
+            if given is not None:
+                raise AlgindexError(f"the Euler index takes no {name}")
+        top = euler_class(A, metric)
+        if A.rank % 2:
+            zero = IntegrationResult(Fraction(0), True)
+            return IndexResult(zero, note="odd rank: Euler form vanishes")
+    else:
+        if operator not in _GENERA:
+            raise UnresolvedEulerDivisionError(
+                f"a roots identity reducing ch(symbol)/e for operator {operator!r} "
+                f"would be needed; the Euler division is only resolved for "
+                f"euler, {', '.join(_GENERA)}"
+            )
+        if operator == "dirac" and E is None:
             raise AlgindexError("the Dirac reduction needs coefficient-bundle data")
-        return index_dirac(A, metric, E, nu, density, domain, tol, budget)
-    raise UnresolvedEulerDivisionError(
-        f"a roots identity reducing ch(symbol)/e for operator {operator!r} "
-        f"would be needed; the Euler division is only resolved for "
-        f"{', '.join(_KNOWN_OPERATORS)}"
-    )
+        if nu is not None and not d_g(nu).is_zero():
+            raise AlgindexError("nu must be a closed algebroid form")
+        integrand = char_class(levi_civita(A, metric), _GENERA[operator], A.rank)
+        if E is not None:
+            integrand = integrand.wedge(char_class(E, "ch", A.rank))
+        if nu is not None:
+            integrand = MixedForm.from_form(nu).wedge(integrand)
+            i_power = nu.degree // 2
+        top = integrand.degree_part(A.rank)
+        if top.is_zero():
+            zero = IntegrationResult(Fraction(0), True, 0.0, k)
+            return IndexResult(zero, i_power, "degree mismatch: no top-degree component")
+    result = integrate(A, top, density, domain, normalization_degree=k, tol=tol, budget=budget)
+    return IndexResult(result, i_power)
 
 
 # ---------------------------------------------------------------------------

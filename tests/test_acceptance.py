@@ -183,16 +183,16 @@ def test_criterion_5_roots_identities():
 
 def test_criterion_6_gauss_bonnet_desk_scale(t2, sphere_metric):
     start = time.monotonic()
-    flat = ti.index_euler(
-        t2, cw.Metric.identity(t2), ti.Density(t2, 1),
+    flat = ti.index_general(
+        "euler", t2, cw.Metric.identity(t2), ti.Density(t2, 1),
         ti.BoxDomain([(0, 1), (0, 1)]),
     )
     assert flat.value == 0 and flat.exact
 
     chi = oracles.euler_characteristic(oracles.octahedron_faces())
     assert chi == 2
-    sphere = ti.index_euler(
-        t2, sphere_metric, ti.Density(t2, 1), ti.PlaneDomain(),
+    sphere = ti.index_general(
+        "euler", t2, sphere_metric, ti.Density(t2, 1), ti.PlaneDomain(),
         tol=1e-8, budget=6000,
     )
     assert abs(sphere.value - chi) <= 1e-6
@@ -262,14 +262,16 @@ def test_criterion_9_rank_only_mechanism(su2, t2):
     density = ti.Density(t2, 1)
     domain = ti.BoxDomain([(0, 1), (0, 1)])
     nu = AlgForm.dual_basis(t2, (0, 1))
-    base = ti.index_dirac(t2, metric, cw.GConnection.zero(t2, 1), nu, density, domain)
+    base = ti.index_general(
+        "dirac", t2, metric, density, domain, nu=nu, E=cw.GConnection.zero(t2, 1)
+    )
     for rank in (2, 3, 5):
-        scaled = ti.index_dirac(
-            t2, metric, cw.GConnection.zero(t2, rank), nu, density, domain
+        scaled = ti.index_general(
+            "dirac", t2, metric, density, domain, nu=nu, E=cw.GConnection.zero(t2, rank)
         )
         assert scaled.value == rank * base.value
     report(9, "flat rank-3 ch has exactly zero positive-degree components; "
-              "index_dirac scales linearly in the rank on flat inputs")
+              "the Dirac index scales linearly in the rank on flat inputs")
 
 
 def test_criterion_10_finite_convolution_algebra():

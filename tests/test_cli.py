@@ -631,3 +631,61 @@ def test_library_errors_share_one_base():
     ]:
         assert issubclass(error, scalars.AlgindexError)
         assert issubclass(error, builtin)
+
+
+# the round chart of S^2 over the plane, with nu the area form of the round metric
+_ROUND_CHART = {
+    "version": 1, "coordinates": ["x", "y"],
+    "algebroids": {"sphere": {"kind": "tangent"}},
+    "metrics": {"round": {"algebroid": "sphere", "kind": "conformal",
+                          "factor": "4/(1 + x^2 + y^2)^2"}},
+    "connections": {"line": {"algebroid": "sphere", "kind": "zero", "bundle_rank": 1},
+                    "lc": {"algebroid": "sphere", "kind": "levi_civita", "metric": "round"}},
+    "densities": {"one": {"algebroid": "sphere", "coefficient": 1}},
+    "forms": {"area": {"algebroid": "sphere", "degree": 2,
+                       "coefficients": {"1,2": "4/(1 + x^2 + y^2)^2"}}},
+    "domains": {"plane": {"type": "plane"}},
+}
+
+
+def _round_chart_indices(tmp_path, capsys, *fields):
+    """Run one index computation per dict of ``fields`` in-process; the JSON
+    results and the exit code."""
+    base = {"op": "index", "algebroid": "sphere", "metric": "round", "density": "one",
+            "domain": "plane", "tolerance": 1.0e-8, "budget": 6000}
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump({**_ROUND_CHART, "computations": [
+        {**base, **extra} for extra in fields
+    ] + [{"op": "validate", "label": "after", "algebroid": "sphere"}]}))
+    code = cli.main(["--format", "json", "run", str(doc)])
+    return json.loads(capsys.readouterr().out)["results"], code
+
+
+def test_signature_and_dirac_indices_of_the_round_sphere(tmp_path, capsys):
+    # nu ^ genus has top part nu, times ch = rank for a flat line bundle; the
+    # Levi-Civita connection has tr R = 0, so ch = 2
+    results, code = _round_chart_indices(
+        tmp_path, capsys,
+        {"label": "signature", "kind": "signature", "nu": "area"},
+        {"label": "dirac-line", "kind": "dirac", "nu": "area", "connection": "line"},
+        {"label": "dirac-lc", "kind": "dirac", "nu": "area", "connection": "lc"},
+    )
+    assert code == 0
+    for item, expected in zip(results, (2, 2, 4)):
+        assert item["ok"], item
+        assert abs(float(item["result"]["value"]) - expected) <= 1e-6, item
+        assert item["result"]["i_power"] == 1
+
+
+def test_euler_index_refuses_nu_and_connection(tmp_path, capsys):
+    results, code = _round_chart_indices(
+        tmp_path, capsys,
+        {"label": "nu", "kind": "euler", "nu": "area"},
+        {"label": "connection", "kind": "euler", "connection": "line"},
+    )
+    assert code == 1
+    nu, connection, after = results
+    assert not nu["ok"] and nu["error"] == "the Euler index takes no nu"
+    assert not connection["ok"]
+    assert connection["error"] == "the Euler index takes no coefficient-bundle connection E"
+    assert after["ok"] and after["result"]["sphere"]["status"] == "valid"

@@ -410,8 +410,8 @@ def test_sphere_plane_quadrature_is_pinned(monkeypatch):
     monkeypatch.setattr(quadrature, "integrate_2d", spy)
     job = resources.files("algindex").joinpath("jobs/sphere-stereographic.yaml")
     ctx = cli.JobContext(cli.load_document(str(job)))
-    result = ti.index_euler(
-        ctx.ref("algebroid", "sphere_chart"), ctx.ref("metric", "round"),
+    result = ti.index_general(
+        "euler", ctx.ref("algebroid", "sphere_chart"), ctx.ref("metric", "round"),
         ctx.ref("density", "lebesgue"), ctx.ref("domain", "plane"),
         tol=1e-8, budget=6000,
     )
@@ -543,8 +543,8 @@ def test_three_dimensional_polynomial_box_is_exact():
 
 
 def test_index_euler_flat_torus(t2):
-    result = ti.index_euler(
-        t2, cw.Metric.identity(t2), ti.Density(t2, 1), ti.BoxDomain([(0, 1), (0, 1)])
+    result = ti.index_general(
+        "euler", t2, cw.Metric.identity(t2), ti.Density(t2, 1), ti.BoxDomain([(0, 1), (0, 1)])
     )
     assert result.value == 0 and result.exact
 
@@ -552,8 +552,8 @@ def test_index_euler_flat_torus(t2):
 def test_index_euler_sphere_matches_triangulation_oracle(t2, sphere_metric):
     chi = oracles.euler_characteristic(oracles.octahedron_faces())
     assert chi == 2
-    result = ti.index_euler(
-        t2, sphere_metric, ti.Density(t2, 1), ti.PlaneDomain(),
+    result = ti.index_general(
+        "euler", t2, sphere_metric, ti.Density(t2, 1), ti.PlaneDomain(),
         tol=1e-8, budget=6000,
     )
     assert abs(result.value - chi) <= 1e-6
@@ -562,7 +562,7 @@ def test_index_euler_sphere_matches_triangulation_oracle(t2, sphere_metric):
 
 def test_index_euler_rejects_non_invariant_density(aff1):
     with pytest.raises(ti.NonInvariantDensityError):
-        ti.index_euler(aff1, cw.Metric.identity(aff1), ti.Density(aff1, 1))
+        ti.index_general("euler", aff1, cw.Metric.identity(aff1), ti.Density(aff1, 1))
 
 
 def test_index_dirac_rank_scaling(t2):
@@ -574,7 +574,7 @@ def test_index_dirac_rank_scaling(t2):
     values = []
     for rank in (1, 2, 3):
         E = cw.GConnection.zero(t2, rank)
-        result = ti.index_dirac(t2, metric, E, nu, density, domain)
+        result = ti.index_general("dirac", t2, metric, density, domain, nu=nu, E=E)
         values.append(result.value)
         assert result.i_power == 1  # nu has degree 2
     assert values[1] == 2 * values[0]
@@ -583,8 +583,8 @@ def test_index_dirac_rank_scaling(t2):
 
 
 def test_index_signature_degree_mismatch_is_exact_zero(t2):
-    result = ti.index_signature(
-        t2, cw.Metric.identity(t2), None, ti.Density(t2, 1),
+    result = ti.index_general(
+        "signature", t2, cw.Metric.identity(t2), ti.Density(t2, 1),
         ti.BoxDomain([(0, 1), (0, 1)]),
     )
     assert result.value == 0 and result.exact
@@ -593,9 +593,9 @@ def test_index_signature_degree_mismatch_is_exact_zero(t2):
 
 def test_index_signature_with_supplied_class(t2):
     nu = AlgForm.dual_basis(t2, (0, 1))
-    result = ti.index_signature(
-        t2, cw.Metric.identity(t2), nu, ti.Density(t2, 1),
-        ti.BoxDomain([(0, 1), (0, 1)]),
+    result = ti.index_general(
+        "signature", t2, cw.Metric.identity(t2), ti.Density(t2, 1),
+        ti.BoxDomain([(0, 1), (0, 1)]), nu=nu,
     )
     # flat L-genus = 1: the integral is the nu volume, normalized
     assert abs(result.value - 1 / (2 * math.pi)) <= 1e-12
@@ -606,21 +606,32 @@ def test_index_signature_requires_closed_nu(t2):
     x = t2.chart.coord(0)
     not_closed = AlgForm.dual_basis(t2, (1,)).scale(x)
     with pytest.raises(ValueError):
-        ti.index_signature(
-            t2, cw.Metric.identity(t2), not_closed, ti.Density(t2, 1)
+        ti.index_general(
+            "signature", t2, cw.Metric.identity(t2), ti.Density(t2, 1), nu=not_closed
         )
 
 
 def test_index_general_dispatch_and_refusal(t2, sphere_metric):
     result = ti.index_general(
-        t2, sphere_metric, None, None, ti.Density(t2, 1), "euler",
-        ti.PlaneDomain(), tol=1e-6, budget=6000,
+        "euler", t2, sphere_metric, ti.Density(t2, 1), ti.PlaneDomain(),
+        tol=1e-6, budget=6000,
     )
     assert abs(result.value - 2) <= 1e-4
     with pytest.raises(ti.UnresolvedEulerDivisionError, match="euler, signature, dirac"):
-        ti.index_general(
-            t2, sphere_metric, None, None, ti.Density(t2, 1), "dolbeault"
-        )
+        ti.index_general("dolbeault", t2, sphere_metric, ti.Density(t2, 1))
+
+
+def test_index_general_checks_its_inputs_before_computing(t2, monkeypatch):
+    def never(*args):
+        raise AssertionError("levi_civita ran")
+
+    monkeypatch.setattr(ti, "levi_civita", never)
+    metric, density = cw.Metric.identity(t2), ti.Density(t2, 1)
+    with pytest.raises(ValueError, match="coefficient-bundle data"):
+        ti.index_general("dirac", t2, metric, density)
+    not_closed = AlgForm.dual_basis(t2, (1,)).scale(t2.chart.coord(0))
+    with pytest.raises(ValueError, match="closed"):
+        ti.index_general("signature", t2, metric, density, nu=not_closed)
 
 
 def test_sqrt_det_failure_is_reported(aff1):
