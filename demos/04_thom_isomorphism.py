@@ -1,10 +1,11 @@
 """The formal Thom calculus and its compatibility with integration.
 
 Pulling an algebroid back over its own dual gives a presentation carrying a
-canonical symplectic form (with Lie-Poisson corrections solved for exactly
-when the structure functions are nonzero).  The Thom map alpha -> pi*alpha
-^ Th composed with fiber integration is the identity, and the twisted
-integral over the dual agrees with the base integral.
+canonical symplectic form (with the Lie-Poisson correction
+sum C^c_ab u_c h^a ^ h^b when the structure functions are nonzero).  The
+Thom map alpha -> pi*alpha ^ Th composed with fiber integration is the
+identity, and the twisted integral over the dual agrees with the base
+integral.
 """
 
 from algindex import (

@@ -1,12 +1,15 @@
 """Curvature, Levi-Civita connections and characteristic-class series.
 
-Characteristic forms are produced by exact power-series manipulation of
-trace/determinant formulas (power sums of the curvature matrix, never
-numerical eigenvalues) and are stored WITHOUT 2*pi factors; the single
-normalization happens at integration time.  A formal Chern-roots engine
-(`roots_identity`) independently checks the multiplicative-genus identities
-behind the Euler and signature index formulas and reports the normalization
-factor they actually require.
+Characteristic forms are exact polynomials in the power sums tr(R^j) of
+the curvature matrix (never numerical eigenvalues) and are stored WITHOUT
+2*pi factors; the single normalization happens at integration time.  Every
+multiplicative genus (chern, todd, l_genus, a_hat) is exp(sum_j b_j tr(R^j))
+for one table of exact coefficients b_j, expanded by a single recurrence
+(:func:`_genus_parts`); ``ch`` is the additive tr exp(R) and the Pfaffian is
+expanded by rows.  A formal Chern-roots engine (`roots_identity`)
+independently checks the multiplicative-genus identities behind the Euler
+and signature index formulas and reports the normalization factor they
+actually require.
 """
 
 from __future__ import annotations
@@ -488,9 +491,6 @@ def a_hat_root_even_series(n_z):
 # characteristic classes of a curvature matrix
 # ---------------------------------------------------------------------------
 
-GENERA = ("chern", "ch", "todd", "l_genus", "a_hat", "pfaffian")
-
-
 def _power_traces(R: FormMatrix, count):
     traces = {}
     power = R
@@ -503,42 +503,47 @@ def _power_traces(R: FormMatrix, count):
     return traces
 
 
-def _exp_mixed(argument: MixedForm) -> MixedForm:
-    """exp of a positive-degree mixed form (terminates at top degree)."""
-    A = argument.algebroid
-    out = MixedForm.constant(A, 1)
-    power = MixedForm.constant(A, 1)
-    k = 1
-    while True:
-        power = power.wedge(argument)
-        if power.is_zero():
-            break
-        out = out + power.scale(Fraction(1, factorial(k)))
-        k += 1
-    return out
+def _log_coefficients(genus, n):
+    """[b_0, ..., b_n] with genus(R) = exp(sum_j b_j tr(R^j)), b_0 = 0."""
+    if genus == "chern":  # log det(1 + R) = sum_j (-1)^(j-1) tr(R^j) / j
+        return [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, n + 1)]
+    if genus == "todd":
+        return _s_log(todd_root_series(n), n)
+    if genus in ("l_genus", "a_hat"):
+        # a series in z = x^2 over the roots +-i x_j of an antisymmetric R,
+        # whose power sums are sum_j x_j^2k = (-1)^k tr(R^2k) / 2
+        even = l_root_even_series if genus == "l_genus" else a_hat_root_even_series
+        beta = _s_log(even(n // 2), n // 2)
+        return [Fraction(0) if j % 2 else beta[j // 2] * Fraction((-1) ** (j // 2), 2)
+                for j in range(n + 1)]
+    raise AlgindexError(f"unknown genus {genus!r}")
 
 
-def _chern_classes(R: FormMatrix, k: int):
-    """[c_0, ..., c_k] by Newton's identities j c_j = sum_i (-1)^(i-1) c_(j-i) tr(R^i).
+def _genus_parts(R: FormMatrix, genus, k):
+    """[G_0, ..., G_k]: G_j is the part of the multiplicative genus with j
+    curvature factors, by j G_j = sum_(i<=j) i b_i tr(R^i) ^ G_(j-i) with the
+    b_i of :func:`_log_coefficients` (Newton's identities for ``chern``).
 
-    The identities hold because curvature entries are even forms, which commute.
+    The grading counts curvature factors, not form degree, so it also holds
+    for matrices of degree-0 entries.  Curvature entries are even forms,
+    which commute.
     """
     A = R.algebroid
+    b = _log_coefficients(genus, k)
     traces = _power_traces(R, k)
-    classes = [AlgForm.constant(A, 1)]
+    parts = [AlgForm.constant(A, 1)]
     for j in range(1, k + 1):
         acc = AlgForm.zero(A, 2 * j)
-        for i in range(1, j + 1):
-            if i in traces:
-                term = classes[j - i].wedge(traces[i])
-                acc = acc + term if i % 2 else acc - term
-        classes.append(acc.scale(Fraction(1, j)))
-    return classes
+        for i, trace in traces.items():
+            if i <= j and b[i]:
+                acc = acc + parts[j - i].wedge(trace).scale(i * b[i])
+        parts.append(acc.scale(Fraction(1, j)))
+    return parts
 
 
 def chern_class(R: FormMatrix, k: int) -> AlgForm:
-    """k-th elementary invariant: sum of principal k x k wedge-minors."""
-    return _chern_classes(R, k)[k]
+    """c_k: the sum of principal k x k wedge-minors, by Newton's identities."""
+    return _genus_parts(R, "chern", k)[k]
 
 
 def pontryagin_class(R: FormMatrix, k: int) -> AlgForm:
@@ -597,19 +602,15 @@ def _pfaffian(entries, algebroid):
     return acc
 
 
-def char_class(
-    source,
-    genus: str,
-    truncation_degree=None,
-    metric: Metric | None = None,
-    chern_degree=None,
-) -> MixedForm:
+def char_class(source, genus: str, truncation_degree=None,
+               metric: Metric | None = None) -> MixedForm:
     """Characteristic form of a connection or of an explicit curvature matrix.
 
-    ``genus`` is one of chern / ch / todd / l_genus / a_hat / pfaffian;
-    ``chern_degree`` selects c_k for the chern kind.  The result is the
-    inhomogeneous form truncated at ``truncation_degree`` (top degree when
-    beyond the rank).
+    ``genus`` is one of chern / ch / todd / l_genus / a_hat / pfaffian.  The
+    result is the inhomogeneous form truncated at ``truncation_degree`` (top
+    degree when beyond the rank).  ``ch`` is additive, rank + sum_j
+    tr(R^j)/j!; the Pfaffian lowers R with ``metric``; every other genus is
+    multiplicative and sums the parts of :func:`_genus_parts`.
     """
     if isinstance(source, GConnection):
         R = curvature(source)
@@ -621,48 +622,17 @@ def char_class(
     trunc = A.rank if truncation_degree is None else min(truncation_degree, A.rank)
     max_j = trunc // 2
 
-    if genus == "chern":
-        if chern_degree is None:
-            total = MixedForm.constant(A, 1)
-            for c in _chern_classes(R, max_j)[1:]:
-                total = total + c
-            return total.truncate(trunc)
-        return MixedForm.from_form(chern_class(R, chern_degree)).truncate(trunc)
-
+    if genus == "pfaffian":
+        return MixedForm.from_form(pfaffian_form(R, metric)).truncate(trunc)
     if genus == "ch":
         total = MixedForm.constant(A, rank_e)
         for j, t in _power_traces(R, max_j).items():
             total = total + t.scale(Fraction(1, factorial(j)))
         return total.truncate(trunc)
-
-    if genus == "todd":
-        log_coeffs = _s_log(todd_root_series(max_j), max_j)
-        traces = _power_traces(R, max_j)
-        argument = MixedForm(A, {})
-        for j, t in traces.items():
-            if j < len(log_coeffs) and log_coeffs[j]:
-                argument = argument + t.scale(log_coeffs[j])
-        return _exp_mixed(argument).truncate(trunc)
-
-    if genus in ("l_genus", "a_hat"):
-        n_z = max_j // 2
-        even = (
-            l_root_even_series(n_z) if genus == "l_genus" else a_hat_root_even_series(n_z)
-        )
-        beta = _s_log(even, n_z)
-        traces = _power_traces(R, 2 * n_z)
-        argument = MixedForm(A, {})
-        for k in range(1, n_z + 1):
-            t = traces.get(2 * k)
-            if t is not None and beta[k]:
-                scale = beta[k] * Fraction((-1) ** k, 2)
-                argument = argument + t.scale(scale)
-        return _exp_mixed(argument).truncate(trunc)
-
-    if genus == "pfaffian":
-        return MixedForm.from_form(pfaffian_form(R, metric)).truncate(trunc)
-
-    raise AlgindexError(f"unknown genus {genus!r}")
+    total = MixedForm(A, {})
+    for part in _genus_parts(R, genus, max_j):
+        total = total + part
+    return total.truncate(trunc)
 
 
 # ---------------------------------------------------------------------------

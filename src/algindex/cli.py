@@ -42,7 +42,7 @@ from . import chern_weil as cw
 from . import groupoid as gp
 from . import thom_index as ti
 from .forms import AlgForm, MixedForm, cohomology_const
-from .scalars import AlgindexError, Chart, as_fraction, scalar_to_string
+from .scalars import AlgindexError, Chart, as_fraction
 
 
 class DocumentError(Exception):
@@ -298,7 +298,7 @@ def _fmt_value(value):
 
 def _serialize_form(form: AlgForm):
     return [
-        [",".join(str(i + 1) for i in indices), scalar_to_string(values[0])]
+        [",".join(str(i + 1) for i in indices), str(values[0])]
         for indices, values in sorted(form.coeffs.items())
     ]
 
@@ -317,7 +317,7 @@ def _serialize_report(report):
             {
                 "kind": v.kind,
                 "indices": list(v.indices),
-                "residual": scalar_to_string(v.residual),
+                "residual": str(v.residual),
             }
             for v in report.violations
         ],
@@ -395,13 +395,11 @@ def _charclass(ctx, comp, settings):
         source = cw.levi_civita(metric.algebroid, metric)
     else:
         raise DocumentError("charclass needs a connection or a metric")
-    chern_degree = None
-    if genus in ("chern1", "chern2", "chern3", "chern4"):
-        chern_degree = int(genus[-1])
-        genus = "chern"
-    mixed = cw.char_class(
-        source, genus, settings.truncate, metric=metric, chern_degree=chern_degree
-    )
+    if genus in ("chern1", "chern2", "chern3", "chern4"):  # c_k: a part of the total class
+        total = cw.char_class(source, "chern", settings.truncate)
+        mixed = MixedForm.from_form(total.degree_part(2 * int(genus[-1])))
+    else:
+        mixed = cw.char_class(source, genus, settings.truncate, metric=metric)
     return {"class": _serialize_mixed(mixed)}
 
 

@@ -1432,7 +1432,3 @@ def parse_scalar(text, chart: Chart):
         fail(f"trailing input {tokens.peek()!r}")
     return value
 
-
-def scalar_to_string(value) -> str:
-    """Canonical infix serialization used by the job-document format."""
-    return str(value)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg, quadrature
+from . import quadrature
 from .algebroid import (
     AlgebroidPresentation,
     AlgebroidMorphism,
@@ -251,10 +251,12 @@ def integrate(
 def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
     """Theta on the pull-back over the dual bundle, closed and nondegenerate.
 
-    The canonical-splitting pairing gives sum_a h^a ^ v^a; when structure
-    functions are nonzero the Lie-Poisson corrections (linear in the fiber
-    coordinates, horizontal-horizontal) are solved for exactly so that
-    d Theta = 0.
+    Theta = sum_a h^a ^ v^a + sum_(a<b) sum_c C^c_ab u_c h^a ^ h^b: the
+    canonical-splitting pairing plus the Lie-Poisson correction, linear in
+    the fiber coordinates u_c.  The correction's d u_c ^ h^a ^ h^b terms
+    cancel d of the pairing; what is left vanishes exactly when the
+    structure constants C^c_ab satisfy Jacobi, which is checked.  Structure
+    functions that are not constant are refused.
     """
     data = pb.pullback_data
     if data is None:
@@ -262,42 +264,26 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
     A = data.parent
     if data.fiber_dim != A.rank:
         raise PresentationError("the symplectic form lives on the dual pull-back")
-    r = A.rank
-    theta0 = AlgForm(
-        pb,
-        2,
-        {(a, data.vertical[a]): (1,) for a in range(r)},
-    )
-    d_theta0 = d_g(theta0)
-    if d_theta0.is_zero():
-        return theta0
-    for coeffs in A.structure.values():
-        for c in coeffs:
-            if not c.is_constant():
-                raise PresentationError(
-                    "Lie-Poisson corrections are implemented for constant "
-                    "structure functions only"
-                )
-    candidates = []
-    images = []
+    r, h = A.rank, data.horizontal
+    coeffs = {(h[a], data.vertical[a]): (1,) for a in range(r)}
+    if not A.structure:
+        return AlgForm(pb, 2, coeffs)
+    if any(not c.is_constant() for cs in A.structure.values() for c in cs):
+        raise PresentationError(
+            "Lie-Poisson corrections are implemented for constant "
+            "structure functions only"
+        )
+    u = [pb.chart.coord(i) for i in data.fiber_coords]
     for a in range(r):
         for b in range(a + 1, r):
-            for c in range(r):
-                u_c = pb.chart.coord(data.fiber_coords[c])
-                candidate = AlgForm(pb, 2, {(a, b): (u_c,)})
-                candidates.append(candidate)
-                images.append(d_g(candidate))
-    from .forms import _match_coefficients
-
-    matrix, rhs = _match_coefficients(images, -d_theta0)
-    solution = linalg.solve(matrix, rhs)
-    if solution is None:
+            correction = pb.chart.zero()
+            for c, coeff in enumerate(A.bracket(a, b)):
+                if not coeff.is_zero():
+                    correction = correction + u[c] * coeff.constant_value()
+            coeffs[(h[a], h[b])] = (correction,)
+    theta = AlgForm(pb, 2, coeffs)
+    if not d_g(theta).is_zero():
         raise PresentationError("no Lie-Poisson correction closes Theta")
-    theta = theta0
-    for coeff, candidate in zip(solution, candidates):
-        if coeff:
-            theta = theta + candidate.scale(coeff)
-    assert d_g(theta).is_zero()
     return theta
 
 
@@ -463,8 +449,6 @@ def fiber_integrate(t: ThomExtendedForm):
     for degree, part in t.thom.components.items():
         coeffs = {}
         for T, values in part.coeffs.items():
-            if set(T) & vertical:
-                continue  # annihilated against Th already, defensive
             value = values[0]
             for u in data.fiber_coords:
                 if value.depends_on(u):

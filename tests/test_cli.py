@@ -75,6 +75,17 @@ def test_document_matches_golden(name, fmt):
     assert proc.stdout == (DOCUMENTS / f"{name}.{fmt}").read_text()
 
 
+# every charclass genus on one 4-D chart, with its stdout recorded beside it
+GENERA = Path(__file__).parent / "charclass" / "genera"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_every_charclass_genus_matches_golden(fmt, capsys):
+    code = cli.main(["--format", fmt, "run", str(GENERA.with_suffix(".yaml"))])
+    assert code == 0
+    assert capsys.readouterr().out == GENERA.with_suffix(f".{fmt}").read_text()
+
+
 def test_su2_document_results():
     proc = run_cli(["--format", "json", "run", job_path("su2")])
     payload = json.loads(proc.stdout)

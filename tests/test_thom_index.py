@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import runpy
@@ -7,6 +8,7 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+import yaml
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
@@ -169,19 +171,78 @@ def test_symplectic_abelian_line():
     assert not ti.symplectic_top_power(pb, theta).is_zero()
 
 
-def test_symplectic_su2_lie_poisson(pullback_su2):
+def test_symplectic_su2_lie_poisson(pullback_su2, su2, aff1):
     theta = ti.symplectic_form(pullback_su2)
-    assert d_g(theta).is_zero()
-    assert not ti.symplectic_top_power(pullback_su2, theta).is_zero()
-    # canonical pairing part present
-    data = pullback_su2.pullback_data
-    for a in range(3):
-        assert theta.value_on((a, data.vertical[a]))[0] == 1
     # Lie-Poisson corrections are linear in the fiber coordinates on h^h pairs
     correction = theta.value_on((0, 1))[0]
-    assert not correction.is_zero()
+    data = pullback_su2.pullback_data
     u3 = pullback_su2.chart.coord(data.fiber_coords[2])
     assert (correction - u3).is_zero() or (correction + u3).is_zero()
+    # the same shape on a non-unimodular algebra and on a product
+    for A in (su2, aff1, alg.product(su2, aff1)):
+        pb = pullback_su2 if A is su2 else alg.pullback(A, A.rank)
+        theta = ti.symplectic_form(pb)
+        assert d_g(theta).is_zero()
+        assert not ti.symplectic_top_power(pb, theta).is_zero()
+        data = pb.pullback_data
+        # canonical pairing part present
+        for a in range(A.rank):
+            assert theta.value_on((a, data.vertical[a]))[0] == 1
+        for a in range(A.rank):
+            for b in range(a + 1, A.rank):
+                correction = theta.value_on((a, b))[0]
+                bracketed = any(not c.is_zero() for c in A.bracket(a, b))
+                assert correction.is_zero() != bracketed, (A.name, a, b)
+                for u in data.fiber_coords:
+                    assert correction.derive(u).is_constant()
+
+
+def _thom_check_then(tmp_path, capsys, algebroid, after, coordinates=(), domain=None):
+    """Run a thom-check of the top form of ``algebroid`` and then ``after``
+    in-process; the JSON results and the exit code."""
+    rank = algebroid["rank"]
+    top = ",".join(str(i + 1) for i in range(rank))
+    check = {"op": "thom-check", "label": "theta", "algebroid": "g", "form": "top",
+             "density": "omega"}
+    doc = {"version": 1, "backend": "poly", "coordinates": list(coordinates),
+           "algebroids": {"g": algebroid},
+           "densities": {"omega": {"algebroid": "g", "coefficient": "1"}},
+           "forms": {"top": {"algebroid": "g", "degree": rank, "coefficients": {top: "1"}}},
+           "computations": [check, {**after, "label": "after", "algebroid": "g"}]}
+    if domain is not None:
+        doc["domains"] = {"cell": domain}
+        check["domain"] = "cell"
+    path = tmp_path / "doc.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    code = cli.main(["--format", "json", "run", str(path)])
+    return json.loads(capsys.readouterr().out)["results"], code
+
+
+def test_symplectic_form_refuses_a_jacobi_violation(tmp_path, capsys):
+    # unimodular (every structure matrix is traceless) but not a Lie algebra
+    structure = {"1,2": {"2": -1, "4": -1}, "1,3": {"2": -1, "4": 1}, "1,4": {"4": 1},
+                 "2,3": {"2": -1, "4": -1}, "2,4": {"2": 1}, "3,4": {"3": -1, "4": -1}}
+    results, code = _thom_check_then(
+        tmp_path, capsys, {"kind": "lie_algebra", "rank": 4, "structure": structure},
+        {"op": "cohomology"})
+    assert code == 1
+    theta, after = results
+    assert not theta["ok"] and theta["error"] == "no Lie-Poisson correction closes Theta"
+    assert after["ok"] and after["result"]["betti"] == [1, 1, 0, 1, 1]
+
+
+def test_symplectic_form_refuses_varying_structure_functions(tmp_path, capsys):
+    algebroid = {"kind": "explicit", "rank": 3, "anchor": [["0"], ["0"], ["0"]],
+                 "structure": {"1,2": {"3": "x"}}}
+    results, code = _thom_check_then(
+        tmp_path, capsys, algebroid, {"op": "validate"}, coordinates=["x"],
+        domain={"type": "box", "bounds": [["0", "1"]]})
+    assert code == 1
+    theta, after = results
+    assert not theta["ok"]
+    assert theta["error"] == (
+        "Lie-Poisson corrections are implemented for constant structure functions only")
+    assert after["ok"] and after["result"]["g"]["status"] == "valid"
 
 
 # -- the formal Thom calculus ----------------------------------------------------------
