@@ -1,8 +1,10 @@
 """Curvature, characteristic series and the formal Chern-roots oracle.
 
 Characteristic forms are produced from the curvature matrix by exact series
-manipulation of trace/determinant formulas.  On formal test curvatures the
-graded components reproduce the classical rationals:
+manipulation of trace/determinant formulas.  Each class is one graded
+AlgForm holding every degree at once; ``degree_part(k)`` reads its degree-k
+component.  On formal test curvatures the graded components reproduce the
+classical rationals:
 
     Td    = 1 + c1/2 + (c2 + c1^2)/12 + ...
     ch    = rk + c1 + (c1^2 - 2 c2)/2 + ...
@@ -31,11 +33,12 @@ from algindex import (
 A = abelian_bundle(0, 8)
 w1 = AlgForm.dual_basis(A, (0, 1)) + AlgForm.dual_basis(A, (2, 3))
 w2 = AlgForm.dual_basis(A, (4, 5)) + AlgForm.dual_basis(A, (6, 7))
-zero = AlgForm.zero(A, 2)
+zero = AlgForm.zero(A)
 R = FormMatrix(A, [[w1, zero], [zero, w2]])
 
 c1, c2 = chern_class(R, 1), chern_class(R, 2)
 todd = char_class(R, "todd", 4)
+print("Td is one form of degrees", todd.degrees())
 print("Td degree-2 component == c1/2:", todd.degree_part(2) == c1.scale(Fraction(1, 2)))
 print(
     "Td degree-4 component == (c2 + c1^2)/12:",
@@ -62,7 +65,7 @@ print("su2 Levi-Civita curvature entry R^1_2(e1,e2):",
 # entry, the p = 1 case of Pf(A)^2 = det(A).
 A4 = abelian_bundle(0, 4)
 a = AlgForm.dual_basis(A4, (0, 1))
-z4 = AlgForm.zero(A4, 2)
+z4 = AlgForm.zero(A4)
 print("Pf of [[0, a], [-a, 0]] == a:",
       pfaffian_form(FormMatrix(A4, [[z4, a], [-a, z4]])) == a)
 

@@ -4,8 +4,9 @@ Pulling an algebroid back over its own dual gives a presentation carrying a
 canonical symplectic form (with the Lie-Poisson correction
 sum C^c_ab u_c h^a ^ h^b when the structure functions are nonzero).  The
 Thom map alpha -> pi*alpha ^ Th composed with fiber integration is the
-identity, and the twisted integral over the dual agrees with the base
-integral.
+identity on forms of every degree at once (a Thom-extended form is two
+graded AlgForms, the Th-free part and the coefficient of Th), and the
+twisted integral over the dual agrees with the base integral.
 """
 
 from algindex import (
@@ -31,12 +32,15 @@ print("Theta =", theta)
 print("d Theta = 0:", d_g(theta).is_zero())
 print("Theta^3 nondegenerate:", not symplectic_top_power(pb, theta).is_zero())
 
-# Thom map and fiber integration are mutually inverse on representatives.
+# Thom map and fiber integration are mutually inverse on representatives,
+# homogeneous or not: the Thom map shifts every degree by the fiber rank.
 alpha = AlgForm.dual_basis(A, (0, 1))
 extended = thom_map(alpha, pb)
 print("thom_map(e^1^e^2) =", extended)
-print("fiber_integrate o thom_map == id:",
-      fiber_integrate(extended).degree_part(2) == alpha)
+print("fiber_integrate o thom_map == id:", fiber_integrate(extended) == alpha)
+mixed = AlgForm.constant(A, 2) + alpha
+print(f"... and on 2 + e^1^e^2, of degrees {mixed.degrees()}:",
+      fiber_integrate(thom_map(mixed, pb)) == mixed)
 
 # Th is nilpotent and vertical directions die against it.
 th = thom_class(pb)

@@ -38,15 +38,12 @@ from .chern_weil import (
 from .forms import (
     AlgForm,
     GConnection,
-    MixedForm,
     basis_forms,
     coboundary_witness,
     cohomology_const,
     d_g,
-    d_mixed,
     is_cocycle,
     pullback_form,
-    pullback_mixed,
     wedge,
 )
 from .groupoid import (

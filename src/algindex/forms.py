@@ -1,14 +1,17 @@
 """E-valued algebroid forms, the Koszul differential and wedge algebra.
 
-Coefficients are stored on strictly increasing frame-index tuples; the value
-on an arbitrary tuple is recovered with the sorting sign.  The differential
+One graded type holds forms of every degree: coefficients sit on strictly
+increasing frame-index tuples of any length, and a term's degree is the
+length of its tuple.  The value on an arbitrary tuple is recovered with the
+sorting sign.  The differential
 
     d w(X_0..X_k) = sum_i (-1)^i  nabla_{X_i} w(.. X_i omitted ..)
                   + sum_{i<j} (-1)^{i+j} w([X_i,X_j], .. X_i, X_j omitted ..)
 
-is the unique sign arrangement with d o d = 0 (enforced by the test suite);
-on the tangent algebroid with the trivial connection it is the de Rham
-differential, over a point it is the Chevalley-Eilenberg differential.
+acts degree by degree and is the unique sign arrangement with d o d = 0
+(enforced by the test suite); on the tangent algebroid with the trivial
+connection it is the de Rham differential, over a point it is the
+Chevalley-Eilenberg differential.  Pull-back also acts degree by degree.
 """
 
 from __future__ import annotations
@@ -36,19 +39,15 @@ def _sort_sign(indices):
 
 
 class AlgForm:
-    """A bundle-valued algebroid form of one degree."""
+    """A bundle-valued algebroid form, homogeneous or not: the degree of a
+    term is the length of its frame-index tuple."""
 
-    def __init__(self, algebroid: AlgebroidPresentation, degree, coeffs=None, bundle_rank=1):
+    def __init__(self, algebroid: AlgebroidPresentation, coeffs=None, *, bundle_rank=1):
         self.algebroid = algebroid
-        self.degree = int(degree)
         self.bundle_rank = int(bundle_rank)
-        if not 0 <= self.degree <= algebroid.rank:
-            raise AlgindexError(f"degree {degree} out of range for rank {algebroid.rank}")
         self.coeffs = {}
         for indices, values in (coeffs or {}).items():
             indices = tuple(int(i) for i in indices)
-            if len(indices) != self.degree:
-                raise AlgindexError(f"index tuple {indices} has wrong length")
             if list(indices) != sorted(set(indices)):
                 raise AlgindexError(f"index tuple {indices} must be strictly increasing")
             if any(not 0 <= i < algebroid.rank for i in indices):
@@ -64,19 +63,46 @@ class AlgForm:
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, algebroid, degree=0, bundle_rank=1):
-        return cls(algebroid, min(degree, algebroid.rank), {}, bundle_rank)
+    def zero(cls, algebroid, *, bundle_rank=1):
+        return cls(algebroid, bundle_rank=bundle_rank)
 
     @classmethod
     def constant(cls, algebroid, value, bundle_rank=1):
         if bundle_rank == 1 and not isinstance(value, (tuple, list)):
             value = (value,)
-        return cls(algebroid, 0, {(): tuple(value)}, bundle_rank)
+        return cls(algebroid, {(): tuple(value)}, bundle_rank=bundle_rank)
 
     @classmethod
     def dual_basis(cls, algebroid, indices):
         """The basis form e^{i1} ^ ... ^ e^{ik} (0-based increasing indices)."""
-        return cls(algebroid, len(indices), {tuple(indices): (1,)})
+        return cls(algebroid, {tuple(indices): (1,)})
+
+    # -- grading -------------------------------------------------------------
+
+    def degrees(self):
+        """The degrees of the nonzero terms, ascending."""
+        return sorted({len(indices) for indices in self.coeffs})
+
+    @property
+    def degree(self) -> int:
+        """The degree of a homogeneous form; 0 for the zero form."""
+        degrees = self.degrees()
+        if len(degrees) > 1:
+            raise AlgindexError(f"a form of degrees {degrees} has no single degree")
+        return degrees[0] if degrees else 0
+
+    def _select(self, keep):
+        return AlgForm(
+            self.algebroid,
+            {k: v for k, v in self.coeffs.items() if keep(len(k))},
+            bundle_rank=self.bundle_rank,
+        )
+
+    def degree_part(self, degree) -> "AlgForm":
+        return self._select(lambda d: d == degree)
+
+    def truncate(self, max_degree) -> "AlgForm":
+        return self._select(lambda d: d <= max_degree)
 
     # -- algebra -------------------------------------------------------------
 
@@ -90,19 +116,13 @@ class AlgForm:
         if not isinstance(other, AlgForm):
             return NotImplemented
         self._compatible(other)
-        if self.degree != other.degree:
-            if self.is_zero():
-                return other
-            if other.is_zero():
-                return self
-            raise AlgindexError("cannot add forms of different degrees")
         out = {k: list(v) for k, v in self.coeffs.items()}
         for k, values in other.coeffs.items():
             if k in out:
                 out[k] = [a + b for a, b in zip(out[k], values)]
             else:
                 out[k] = list(values)
-        return AlgForm(self.algebroid, self.degree, out, self.bundle_rank)
+        return AlgForm(self.algebroid, out, bundle_rank=self.bundle_rank)
 
     def __neg__(self):
         return self.scale(-1)
@@ -115,7 +135,7 @@ class AlgForm:
         out = {
             k: tuple(scalar * v for v in values) for k, values in self.coeffs.items()
         }
-        return AlgForm(self.algebroid, self.degree, out, self.bundle_rank)
+        return AlgForm(self.algebroid, out, bundle_rank=self.bundle_rank)
 
     def value_on(self, indices):
         """Value on a frame tuple in any order; repeats give zero."""
@@ -133,11 +153,6 @@ class AlgForm:
             raise AlgindexError("forms live on different algebroids")
         if self.bundle_rank != 1 and other.bundle_rank != 1:
             raise AlgindexError("wedge needs at least one scalar-valued factor")
-        rank = self.algebroid.rank
-        degree = self.degree + other.degree
-        out_rank = max(self.bundle_rank, other.bundle_rank)
-        if degree > rank:
-            return AlgForm.zero(self.algebroid, rank, out_rank)
         out = {}
         for left, lv in self.coeffs.items():
             for right, rv in other.coeffs.items():
@@ -154,7 +169,9 @@ class AlgForm:
                     out[key] = [a + b for a, b in zip(out[key], values)]
                 else:
                     out[key] = values
-        return AlgForm(self.algebroid, degree, out, out_rank)
+        return AlgForm(
+            self.algebroid, out, bundle_rank=max(self.bundle_rank, other.bundle_rank)
+        )
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for values in self.coeffs.values() for v in values)
@@ -164,9 +181,7 @@ class AlgForm:
             return NotImplemented
         if self.algebroid is not other.algebroid or self.bundle_rank != other.bundle_rank:
             return False
-        return (self - other).is_zero() if self.degree == other.degree else (
-            self.is_zero() and other.is_zero()
-        )
+        return (self - other).is_zero()
 
     __hash__ = None
 
@@ -177,7 +192,7 @@ class AlgForm:
         if not self.coeffs:
             return "0"
         pieces = []
-        for indices in sorted(self.coeffs):
+        for indices in sorted(self.coeffs, key=lambda k: (len(k), k)):
             values = self.coeffs[indices]
             basis = "^".join(f"e{i + 1}" for i in indices) or "1"
             body = (
@@ -189,7 +204,7 @@ class AlgForm:
         return " + ".join(pieces)
 
     def __repr__(self):
-        return f"AlgForm(deg={self.degree}, {self})"
+        return f"AlgForm({self})"
 
 
 def wedge(a: AlgForm, b: AlgForm) -> AlgForm:
@@ -205,96 +220,8 @@ def basis_forms(algebroid, degree, bundle_rank=1):
                 algebroid.chart.one() if i == j else algebroid.chart.zero()
                 for i in range(bundle_rank)
             )
-            out.append(AlgForm(algebroid, degree, {indices: values}, bundle_rank))
+            out.append(AlgForm(algebroid, {indices: values}, bundle_rank=bundle_rank))
     return out
-
-
-class MixedForm:
-    """An inhomogeneous form: one AlgForm per occurring degree."""
-
-    def __init__(self, algebroid, components=None, bundle_rank=1):
-        self.algebroid = algebroid
-        self.bundle_rank = bundle_rank
-        self.components = {}
-        for degree, form in (components or {}).items():
-            if form.is_zero():
-                continue
-            self.components[int(degree)] = form
-
-    @classmethod
-    def from_form(cls, form: AlgForm):
-        return cls(form.algebroid, {form.degree: form}, form.bundle_rank)
-
-    @classmethod
-    def constant(cls, algebroid, value):
-        return cls.from_form(AlgForm.constant(algebroid, value))
-
-    def degree_part(self, degree) -> AlgForm:
-        return self.components.get(
-            degree, AlgForm.zero(self.algebroid, min(degree, self.algebroid.rank), self.bundle_rank)
-        )
-
-    def degrees(self):
-        return sorted(self.components)
-
-    def __add__(self, other):
-        if isinstance(other, AlgForm):
-            other = MixedForm.from_form(other)
-        out = dict(self.components)
-        for degree, form in other.components.items():
-            out[degree] = out[degree] + form if degree in out else form
-        return MixedForm(self.algebroid, out, self.bundle_rank)
-
-    def __neg__(self):
-        return self.scale(-1)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, scalar):
-        return MixedForm(
-            self.algebroid,
-            {d: f.scale(scalar) for d, f in self.components.items()},
-            self.bundle_rank,
-        )
-
-    def wedge(self, other):
-        if isinstance(other, AlgForm):
-            other = MixedForm.from_form(other)
-        total = MixedForm(self.algebroid, {}, max(self.bundle_rank, other.bundle_rank))
-        for da, fa in self.components.items():
-            for db, fb in other.components.items():
-                if da + db > self.algebroid.rank:
-                    continue
-                total = total + fa.wedge(fb)
-        return total
-
-    def truncate(self, max_degree):
-        return MixedForm(
-            self.algebroid,
-            {d: f for d, f in self.components.items() if d <= max_degree},
-            self.bundle_rank,
-        )
-
-    def is_zero(self):
-        return all(f.is_zero() for f in self.components.values())
-
-    def __eq__(self, other):
-        if isinstance(other, AlgForm):
-            other = MixedForm.from_form(other)
-        if not isinstance(other, MixedForm):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    __hash__ = None
-
-    def __str__(self):
-        if not self.components:
-            return "0"
-        return "  +  ".join(f"[deg {d}] {f}" for d, f in sorted(self.components.items()))
-
-    def __repr__(self):
-        return f"MixedForm({self})"
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +275,8 @@ class GConnection:
 
 
 def d_g(form: AlgForm, rep: GConnection | None = None) -> AlgForm:
-    """The Koszul differential of a form with respect to a connection."""
+    """The Koszul differential of a form with respect to a connection, taken
+    degree by degree."""
     A = form.algebroid
     if rep is None:
         rep = GConnection.zero(A, form.bundle_rank)
@@ -356,42 +284,33 @@ def d_g(form: AlgForm, rep: GConnection | None = None) -> AlgForm:
         raise AlgindexError("form and representation live on different algebroids")
     if rep.bundle_rank != form.bundle_rank:
         raise AlgindexError("bundle ranks of form and representation differ")
-    k = form.degree
-    if k >= A.rank:
-        return AlgForm.zero(A, A.rank, form.bundle_rank)
     zero = A.chart.zero()
     out = {}
-    for T in combinations(range(A.rank), k + 1):
-        total = [zero] * form.bundle_rank
-        for i, alpha in enumerate(T):
-            rest = T[:i] + T[i + 1 :]
-            nabla = rep.apply(alpha, form.value_on(rest))
-            if i % 2 == 0:
-                total = [t + v for t, v in zip(total, nabla)]
-            else:
-                total = [t - v for t, v in zip(total, nabla)]
-        for i in range(k + 1):
-            for j in range(i + 1, k + 1):
-                rest = tuple(T[l] for l in range(k + 1) if l != i and l != j)
-                coeffs = A.bracket(T[i], T[j])
-                for gamma in range(A.rank):
-                    if coeffs[gamma].is_zero():
-                        continue
-                    values = form.value_on((gamma,) + rest)
-                    sign = 1 if (i + j) % 2 == 0 else -1
-                    for l in range(form.bundle_rank):
-                        term = coeffs[gamma] * values[l]
-                        total[l] = total[l] + term if sign > 0 else total[l] - term
-        if any(not t.is_zero() for t in total):
-            out[T] = tuple(total)
-    return AlgForm(A, k + 1, out, form.bundle_rank)
-
-
-def d_mixed(form: MixedForm, rep=None) -> MixedForm:
-    out = MixedForm(form.algebroid, {}, form.bundle_rank)
-    for _, part in form.components.items():
-        out = out + d_g(part, rep)
-    return out
+    for k in form.degrees():
+        for T in combinations(range(A.rank), k + 1):
+            total = [zero] * form.bundle_rank
+            for i, alpha in enumerate(T):
+                rest = T[:i] + T[i + 1 :]
+                nabla = rep.apply(alpha, form.value_on(rest))
+                if i % 2 == 0:
+                    total = [t + v for t, v in zip(total, nabla)]
+                else:
+                    total = [t - v for t, v in zip(total, nabla)]
+            for i in range(k + 1):
+                for j in range(i + 1, k + 1):
+                    rest = tuple(T[l] for l in range(k + 1) if l != i and l != j)
+                    coeffs = A.bracket(T[i], T[j])
+                    for gamma in range(A.rank):
+                        if coeffs[gamma].is_zero():
+                            continue
+                        values = form.value_on((gamma,) + rest)
+                        sign = 1 if (i + j) % 2 == 0 else -1
+                        for l in range(form.bundle_rank):
+                            term = coeffs[gamma] * values[l]
+                            total[l] = total[l] + term if sign > 0 else total[l] - term
+            if any(not t.is_zero() for t in total):
+                out[T] = tuple(total)
+    return AlgForm(A, out, bundle_rank=form.bundle_rank)
 
 
 # ---------------------------------------------------------------------------
@@ -412,34 +331,27 @@ def _scalar_det(rows, chart):
 
 
 def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
-    """(f, phi)* of a scalar-valued form; commutes with the differential."""
+    """(f, phi)* of a scalar-valued form, degree by degree; commutes with the
+    differential."""
     if form.algebroid is not morphism.target:
         raise AlgindexError("form does not live on the morphism target")
     if form.bundle_rank != 1:
         raise AlgindexError("pull-back is implemented for scalar-valued forms")
     src = morphism.source
-    k = form.degree
-    if k > src.rank:
-        return AlgForm.zero(src, src.rank)
     phi = morphism.bundle_map
     out = {}
-    for alpha in combinations(range(src.rank), k):
-        value = src.chart.zero()
-        for beta, coeff in form.coeffs.items():
-            rows = [[phi[a][b] for b in beta] for a in alpha]
-            minor = _scalar_det(rows, src.chart)
-            if not minor.is_zero():
-                value = value + morphism.compose_scalar(coeff[0]) * minor
-        if not value.is_zero():
-            out[alpha] = (value,)
-    return AlgForm(src, k, out)
-
-
-def pullback_mixed(morphism, form: MixedForm) -> MixedForm:
-    out = MixedForm(morphism.source, {})
-    for _, part in form.components.items():
-        out = out + pullback_form(morphism, part)
-    return out
+    for k in form.degrees():
+        terms = [(beta, coeff) for beta, coeff in form.coeffs.items() if len(beta) == k]
+        for alpha in combinations(range(src.rank), k):
+            value = src.chart.zero()
+            for beta, coeff in terms:
+                rows = [[phi[a][b] for b in beta] for a in alpha]
+                minor = _scalar_det(rows, src.chart)
+                if not minor.is_zero():
+                    value = value + morphism.compose_scalar(coeff[0]) * minor
+            if not value.is_zero():
+                out[alpha] = (value,)
+    return AlgForm(src, out)
 
 
 # ---------------------------------------------------------------------------
@@ -529,10 +441,13 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
     In the constant case this solves the exact linear system and the answer
     is definitive.  Over a chart it searches polynomial coefficients up to
     ``ansatz_degree`` and returning None then only means "not found within
-    the ansatz", never "not exact".
+    the ansatz", never "not exact".  The zero form is d of the zero form; a
+    form of mixed degree raises :class:`AlgindexError`.
     """
     A = form.algebroid
     rep = rep or GConnection.zero(A, form.bundle_rank)
+    if form.is_zero():
+        return AlgForm.zero(A, bundle_rank=form.bundle_rank)
     if form.degree == 0:
         return None
     k = form.degree - 1
@@ -552,7 +467,7 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
     solution = linalg.solve(equations, rhs)
     if solution is None:
         return None
-    witness = AlgForm.zero(A, k, form.bundle_rank)
+    witness = AlgForm.zero(A, bundle_rank=form.bundle_rank)
     for coeff, candidate in zip(solution, candidates):
         if coeff:
             witness = witness + candidate.scale(coeff)

@@ -31,7 +31,7 @@ from .chern_weil import (
     levi_civita,
     pfaffian_form,
 )
-from .forms import AlgForm, MixedForm, d_g, pullback_mixed
+from .forms import AlgForm, d_g, pullback_form
 from .scalars import AlgindexError, DomainError, PolyScalar, as_fraction
 
 
@@ -75,7 +75,7 @@ def modular_cocycle(A: AlgebroidPresentation, density: Density) -> AlgForm:
             value = value + A.anchor[a][i].derive(i)
         if not value.is_zero():
             coeffs[(a,)] = (value,)
-    return AlgForm(A, 1 if A.rank else 0, coeffs)
+    return AlgForm(A, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +179,7 @@ def integrate(
     integrands over boxes and points are exact, everything else goes through
     the deterministic adaptive quadrature, which stops at base dimension 2.
     """
-    if form.degree != A.rank:
+    if any(len(indices) != A.rank for indices in form.coeffs):
         raise AlgindexError("only top-degree forms can be integrated")
     if form.bundle_rank != 1:
         raise AlgindexError("integration needs a scalar-valued form")
@@ -255,8 +255,9 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
     canonical-splitting pairing plus the Lie-Poisson correction, linear in
     the fiber coordinates u_c.  The correction's d u_c ^ h^a ^ h^b terms
     cancel d of the pairing; what is left vanishes exactly when the
-    structure constants C^c_ab satisfy Jacobi, which is checked.  Structure
-    functions that are not constant are refused.
+    structure constants C^c_ab satisfy Jacobi.  d Theta = 0 is checked here,
+    once, for every algebra.  Structure functions that are not constant are
+    refused.
     """
     data = pb.pullback_data
     if data is None:
@@ -266,8 +267,6 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
         raise PresentationError("the symplectic form lives on the dual pull-back")
     r, h = A.rank, data.horizontal
     coeffs = {(h[a], data.vertical[a]): (1,) for a in range(r)}
-    if not A.structure:
-        return AlgForm(pb, 2, coeffs)
     if any(not c.is_constant() for cs in A.structure.values() for c in cs):
         raise PresentationError(
             "Lie-Poisson corrections are implemented for constant "
@@ -281,7 +280,7 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
                 if not coeff.is_zero():
                     correction = correction + u[c] * coeff.constant_value()
             coeffs[(h[a], h[b])] = (correction,)
-    theta = AlgForm(pb, 2, coeffs)
+    theta = AlgForm(pb, coeffs)
     if not d_g(theta).is_zero():
         raise PresentationError("no Lie-Poisson correction closes Theta")
     return theta
@@ -305,9 +304,10 @@ def symplectic_top_power(pb, theta=None) -> AlgForm:
 class ThomExtendedForm:
     """free + (thom ^ Th) on a pull-back presentation.
 
-    Th is the formal rank-r compactly supported fiber generator: vertical
-    monomials in the Th factor are annihilated (they exceed the vertical
-    top) and Th ^ Th = 0.
+    ``free`` and ``thom`` are two (generally inhomogeneous) forms on the
+    pull-back.  Th is the formal rank-r compactly supported fiber generator:
+    vertical monomials in the Th factor are annihilated (they exceed the
+    vertical top) and Th ^ Th = 0.
     """
 
     def __init__(self, pullback_presentation, free=None, thom=None):
@@ -315,22 +315,12 @@ class ThomExtendedForm:
         if data is None:
             raise PresentationError("Thom calculus needs a pull-back presentation")
         self.pullback = pullback_presentation
-        self.free = free if free is not None else MixedForm(pullback_presentation, {})
-        thom = thom if thom is not None else MixedForm(pullback_presentation, {})
-        self.thom = self._drop_vertical(thom)
-
-    def _drop_vertical(self, mixed: MixedForm) -> MixedForm:
-        vertical = set(self.pullback.pullback_data.vertical)
-        out = {}
-        for degree, part in mixed.components.items():
-            kept = {
-                T: values
-                for T, values in part.coeffs.items()
-                if not (set(T) & vertical)
-            }
-            if kept:
-                out[degree] = AlgForm(self.pullback, degree, kept)
-        return MixedForm(self.pullback, out)
+        self.free = free if free is not None else AlgForm.zero(pullback_presentation)
+        thom = thom if thom is not None else AlgForm.zero(pullback_presentation)
+        vertical = set(data.vertical)
+        self.thom = AlgForm(pullback_presentation, {
+            T: values for T, values in thom.coeffs.items() if not set(T) & vertical
+        })
 
     @property
     def fiber_rank(self):
@@ -345,18 +335,16 @@ class ThomExtendedForm:
             raise AlgindexError("operands live on different pull-backs")
 
     def wedge(self, other) -> "ThomExtendedForm":
-        if isinstance(other, (AlgForm, MixedForm)):
-            free = other if isinstance(other, MixedForm) else MixedForm.from_form(other)
-            other = ThomExtendedForm(self.pullback, free)
+        if isinstance(other, AlgForm):
+            other = ThomExtendedForm(self.pullback, other)
         self._check(other)
         r = self.fiber_rank
         free = self.free.wedge(other.free)
         thom = self.free.wedge(other.thom)
         # thom ^ Th ^ free' = (-1)^(r * deg free') (thom ^ free') ^ Th
-        for degree, part in other.free.components.items():
-            sign = -1 if (r * degree) % 2 else 1
-            extra = self.thom.wedge(part)
-            thom = thom + (extra.scale(sign) if sign < 0 else extra)
+        for degree in other.free.degrees():
+            extra = self.thom.wedge(other.free.degree_part(degree))
+            thom = thom + (extra.scale(-1) if (r * degree) % 2 else extra)
         return ThomExtendedForm(self.pullback, free, thom)
 
     def scale(self, scalar):
@@ -370,8 +358,8 @@ class ThomExtendedForm:
             return NotImplemented
         return (
             self.pullback is other.pullback
-            and (self.free - other.free).is_zero()
-            and (self.thom - other.thom).is_zero()
+            and self.free == other.free
+            and self.thom == other.thom
         )
 
     __hash__ = None
@@ -387,8 +375,7 @@ def thom_class(pb: AlgebroidPresentation, orientation=1) -> ThomExtendedForm:
     """The formal class 1*Th of the trivialized oriented bundle."""
     if orientation not in (1, -1):
         raise AlgindexError("the Thom class needs an orientation (+1 or -1)")
-    unit = MixedForm.constant(pb, orientation)
-    return ThomExtendedForm(pb, thom=unit)
+    return ThomExtendedForm(pb, thom=AlgForm.constant(pb, orientation))
 
 
 def pi_star(form, pb: AlgebroidPresentation):
@@ -396,29 +383,16 @@ def pi_star(form, pb: AlgebroidPresentation):
     data = pb.pullback_data
     if data is None:
         raise PresentationError("pi_star needs a pull-back presentation")
-    A = data.parent
-
-    def lift_one(part: AlgForm) -> AlgForm:
-        coeffs = {}
-        for T, values in part.coeffs.items():
-            lifted = tuple(v.extend_vars(pb.chart.names) for v in values)
-            coeffs[tuple(data.horizontal[i] for i in T)] = lifted
-        return AlgForm(pb, part.degree, coeffs, part.bundle_rank)
-
-    if isinstance(form, MixedForm):
-        out = MixedForm(pb, {})
-        for part in form.components.values():
-            out = out + lift_one(part)
-        return out
-    return lift_one(form)
+    coeffs = {
+        tuple(data.horizontal[i] for i in T): tuple(v.extend_vars(pb.chart.names) for v in values)
+        for T, values in form.coeffs.items()
+    }
+    return AlgForm(pb, coeffs, bundle_rank=form.bundle_rank)
 
 
 def thom_map(form, pb: AlgebroidPresentation) -> ThomExtendedForm:
     """alpha -> (pi* alpha) ^ Th, the Thom isomorphism on representatives."""
-    lifted = pi_star(form, pb)
-    if isinstance(lifted, AlgForm):
-        lifted = MixedForm.from_form(lifted)
-    return ThomExtendedForm(pb, thom=lifted)
+    return ThomExtendedForm(pb, thom=pi_star(form, pb))
 
 
 def fiber_integrate(t: ThomExtendedForm):
@@ -434,34 +408,27 @@ def fiber_integrate(t: ThomExtendedForm):
     data = pb.pullback_data
     A = data.parent
     vertical = set(data.vertical)
-    for part in t.free.components.values():
-        for T in part.coeffs:
-            if vertical <= set(T):
-                raise AlgindexError(
-                    "free part has a vertical top component; not fiber-integrable "
-                    "in the formal calculus"
-                )
+    for T in t.free.coeffs:
+        if vertical <= set(T):
+            raise AlgindexError(
+                "free part has a vertical top component; not fiber-integrable "
+                "in the formal calculus"
+            )
     restriction = [A.chart.coord(i) for i in range(A.base_dim)] + [
         A.chart.zero() for _ in range(data.fiber_dim)
     ]
-    out = MixedForm(A, {})
     horizontal_index = {h: i for i, h in enumerate(data.horizontal)}
-    for degree, part in t.thom.components.items():
-        coeffs = {}
-        for T, values in part.coeffs.items():
-            value = values[0]
-            for u in data.fiber_coords:
-                if value.depends_on(u):
-                    raise AlgindexError(
-                        "Th coefficient depends on fiber coordinates; "
-                        "not fiber-integrable in the formal calculus"
-                    )
-            coeffs[tuple(horizontal_index[i] for i in T)] = (
-                value.substitute(restriction),
-            )
-        if coeffs:
-            out = out + AlgForm(A, degree, coeffs)
-    return out
+    coeffs = {}
+    for T, values in t.thom.coeffs.items():
+        value = values[0]
+        for u in data.fiber_coords:
+            if value.depends_on(u):
+                raise AlgindexError(
+                    "Th coefficient depends on fiber coordinates; "
+                    "not fiber-integrable in the formal calculus"
+                )
+        coeffs[tuple(horizontal_index[i] for i in T)] = (value.substitute(restriction),)
+    return AlgForm(A, coeffs)
 
 
 def lift_morphism_to_pullbacks(
@@ -501,9 +468,9 @@ def pullback_extended(
     lifted: AlgebroidMorphism, t: ThomExtendedForm, pb_src: AlgebroidPresentation
 ) -> ThomExtendedForm:
     """Naturality: pull a Thom-extended form back along a lifted morphism."""
-    free = pullback_mixed(lifted, t.free)
-    thom = pullback_mixed(lifted, t.thom)
-    return ThomExtendedForm(pb_src, free, thom)
+    return ThomExtendedForm(
+        pb_src, pullback_form(lifted, t.free), pullback_form(lifted, t.thom)
+    )
 
 
 def restrict_extended(morphism: AlgebroidMorphism, t: ThomExtendedForm):
@@ -511,16 +478,16 @@ def restrict_extended(morphism: AlgebroidMorphism, t: ThomExtendedForm):
     pull-back; the Th symbol itself is left to the caller's interpretation
     (fiber generator for fiber inclusions, Euler form for the zero section).
     """
-    return pullback_mixed(morphism, t.free), pullback_mixed(morphism, t.thom)
+    return pullback_form(morphism, t.free), pullback_form(morphism, t.thom)
 
 
-def zero_section_restrict(t: ThomExtendedForm, euler_form: AlgForm) -> MixedForm:
+def zero_section_restrict(t: ThomExtendedForm, euler_form: AlgForm) -> AlgForm:
     """Restrict along the zero section, substituting the Euler form for Th."""
     from .algebroid import zero_section_morphism
 
     zs = zero_section_morphism(t.pullback)
     free, thom = restrict_extended(zs, t)
-    return free + thom.wedge(MixedForm.from_form(euler_form))
+    return free + thom.wedge(euler_form)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +533,7 @@ def euler_class(A: AlgebroidPresentation, metric: Metric) -> AlgForm:
     if A is metric.algebroid and metric.euler_form is not None:
         return metric.euler_form
     if A.rank % 2:
-        return AlgForm.zero(A, A.rank)
+        return AlgForm.zero(A)
     conn = levi_civita(A, metric)  # raises unless A is metric.algebroid
     R = curvature(conn)
     pf = pfaffian_form(R, metric)
@@ -614,7 +581,8 @@ def index_general(
     ``E``; an odd rank gives an exact 0.  ``signature`` and ``dirac``
     integrate the top-degree part of nu ^ genus(metric) [^ ch(E)] with the
     L-genus and the A-hat genus; Dirac needs ``E``, ``nu`` must be closed,
-    and a nu of degree 2j contributes (sqrt(-1))^j to ``i_power``.
+    and a nu of degree 2j contributes (sqrt(-1))^j to ``i_power`` (the zero
+    form has degree 0; a nu of mixed degree is refused).
     """
     k = A.rank // 2
     i_power = 0
@@ -641,7 +609,7 @@ def index_general(
         if E is not None:
             integrand = integrand.wedge(char_class(E, "ch", A.rank))
         if nu is not None:
-            integrand = MixedForm.from_form(nu).wedge(integrand)
+            integrand = nu.wedge(integrand)
             i_power = nu.degree // 2
         top = integrand.degree_part(A.rank)
         if top.is_zero():
@@ -660,9 +628,10 @@ def index_general(
 class ThomCheck:
     base: IntegrationResult
     mapped: IntegrationResult
-    theta_closed: bool
     theta_nondegenerate: bool
     roundtrip_identity: bool
+    # not a field: symplectic_form raises unless d Theta = 0
+    theta_closed = True
 
     @property
     def compatible(self):
@@ -689,7 +658,7 @@ def thom_compatibility(
     and the pull-back, Thom map and fiber integration against
     Theta^r (x) pi* density.
 
-    The fiber-integrated top form is compared with ``form`` (the round-trip
+    The fiber-integrated form is compared with ``form`` (the round-trip
     identity).  When they are equal its integral is ``base`` itself, so the
     integral is computed once; only a failed round trip integrates the mapped
     form on its own.
@@ -697,20 +666,16 @@ def thom_compatibility(
     base = integrate(A, form, density, domain, tol=tol, budget=budget)
     pb = pullback(A, A.rank)
     theta = symplectic_form(pb)
-    theta_closed = d_g(theta).is_zero()
     theta_nondegenerate = not symplectic_top_power(pb, theta).is_zero()
     mapped = thom_map(form, pb)
     reduced = fiber_integrate(mapped)
-    roundtrip = reduced.degree_part(form.degree) == form and all(
-        reduced.degree_part(d).is_zero() for d in reduced.degrees() if d != form.degree
-    )
+    roundtrip = reduced == form
     mapped_integral = base if roundtrip else integrate(
         A, reduced.degree_part(A.rank), density, domain, tol=tol, budget=budget,
     )
     return ThomCheck(
         base=base,
         mapped=mapped_integral,
-        theta_closed=theta_closed,
         theta_nondegenerate=theta_nondegenerate,
         roundtrip_identity=roundtrip,
     )

@@ -31,7 +31,7 @@ def test_criterion_1_series_coefficients():
     A = alg.abelian_bundle(0, 8)
     w1 = AlgForm.dual_basis(A, (0, 1)) + AlgForm.dual_basis(A, (2, 3))
     w2 = AlgForm.dual_basis(A, (4, 5)) + AlgForm.dual_basis(A, (6, 7))
-    zero = AlgForm.zero(A, 2)
+    zero = AlgForm.zero(A)
     R = cw.FormMatrix(A, [[w1, zero], [zero, w2]])
     c1, c2 = cw.chern_class(R, 1), cw.chern_class(R, 2)
 
@@ -129,7 +129,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
                     sum(
                         (R.entries[k][j].scale(metric.entries[i][k])
                          for k in range(A.rank)),
-                        AlgForm.zero(A, 2),
+                        AlgForm.zero(A),
                     )
                     for j in range(A.rank)
                 ]
@@ -143,7 +143,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
     for size in (2, 4):
         names = tuple(f"a{i}{j}" for i in range(size) for j in range(i + 1, size))
         B = alg.abelian_bundle(len(names), size, Chart(names))
-        entries = [[AlgForm.zero(B, 0)] * size for _ in range(size)]
+        entries = [[AlgForm.zero(B)] * size for _ in range(size)]
         k = 0
         for i in range(size):
             for j in range(i + 1, size):

@@ -18,20 +18,20 @@ from algindex.forms import (
     pullback_form,
     wedge,
 )
-from algindex.scalars import Chart
+from algindex.scalars import AlgindexError, Chart
 
 import oracles
 
 
 def random_form(rng, A, degree, max_coeff=6):
-    form = AlgForm.zero(A, degree)
+    form = AlgForm.zero(A)
     for base in basis_forms(A, degree):
         form = form + base.scale(Fraction(rng.randint(-max_coeff, max_coeff)))
     return form
 
 
 def random_chart_form(rng, A, degree, monomial_degree=2):
-    form = AlgForm.zero(A, degree)
+    form = AlgForm.zero(A)
     chart = A.chart
     for base in basis_forms(A, degree):
         coeff = chart.const(rng.randint(-3, 3))
@@ -76,7 +76,7 @@ def test_tangent_differential_is_de_rham():
     df = d_g(AlgForm.constant(t3, f))
     for i in range(3):
         assert df.value_on((i,))[0] == f.derive(i)
-    omega = AlgForm.zero(t3, 1)
+    omega = AlgForm.zero(t3)
     for i, poly in enumerate(components):
         omega = omega + AlgForm.dual_basis(t3, (i,)).scale(poly)
     domega = d_g(omega)
@@ -138,6 +138,51 @@ def test_wedge_top_truncation(su2):
     top = AlgForm.dual_basis(su2, (0, 1, 2))
     e1 = AlgForm.dual_basis(su2, (0,))
     assert wedge(top, e1).is_zero()
+
+
+# -- one graded form type -----------------------------------------------------------
+
+
+def test_graded_form_degrees(su2):
+    one, e1 = AlgForm.constant(su2, 1), AlgForm.dual_basis(su2, (0,))
+    top = AlgForm.dual_basis(su2, (0, 1, 2))
+    mixed = one + e1.scale(2) + top
+    assert mixed.degrees() == [0, 1, 3]
+    assert mixed.degree_part(1) == e1.scale(2)
+    assert mixed.degree_part(2).is_zero()
+    assert mixed.truncate(1) == one + e1.scale(2)
+    assert top.degree == 3 and AlgForm.zero(su2).degree == 0
+    with pytest.raises(AlgindexError, match="no single degree"):
+        mixed.degree
+    with pytest.raises(TypeError):  # the degree argument is gone
+        AlgForm.zero(su2, 2)
+
+
+def test_forms_on_different_algebroids_do_not_mix(su2, aff1):
+    homogeneous = (AlgForm.dual_basis(su2, (0,)), AlgForm.dual_basis(aff1, (0,)))
+    mixed = (AlgForm.constant(su2, 1) + homogeneous[0], AlgForm.constant(aff1, 1) + homogeneous[1])
+    for a, b in (homogeneous, mixed, (homogeneous[0], mixed[1]), (mixed[0], homogeneous[1])):
+        with pytest.raises(AlgindexError, match="different algebroids"):
+            a + b
+        with pytest.raises(AlgindexError, match="different algebroids"):
+            a.wedge(b)
+        assert a != b and not a == b
+
+
+@pytest.mark.parametrize("algebroid", ["su2", "so3_action"])
+def test_d_g_of_a_mixed_form_acts_degree_by_degree(algebroid, request):
+    A = request.getfixturevalue(algebroid)
+    rng = random.Random(808)
+    w = AlgForm.zero(A)
+    for k in range(A.rank + 1):
+        w = w + (random_chart_form(rng, A, k) if A.base_dim else random_form(rng, A, k))
+    assert len(w.degrees()) == A.rank + 1
+    dw = d_g(w)
+    parts = AlgForm.zero(A)
+    for k in w.degrees():
+        parts = parts + d_g(w.degree_part(k))
+    assert not dw.is_zero() and dw == parts
+    assert d_g(dw).is_zero()
 
 
 # -- d^2 = 0 and the Leibniz property ----------------------------------------------
@@ -397,3 +442,9 @@ def test_coboundary_witness_chart_ansatz(t2):
     assert d_g(witness) == target
     # not-found-within-ansatz is reported as None, never as "not exact"
     assert coboundary_witness(target, ansatz_degree=0) is None
+
+
+def test_coboundary_witness_of_zero_is_zero(su2, t2):
+    for A in (su2, t2):
+        witness = coboundary_witness(AlgForm.zero(A))
+        assert witness is not None and witness.is_zero() and witness.algebroid is A

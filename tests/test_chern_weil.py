@@ -6,7 +6,7 @@ import pytest
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
-from algindex.forms import AlgForm, d_mixed, pullback_mixed
+from algindex.forms import AlgForm, d_g, pullback_form
 from algindex.scalars import Chart
 
 import oracles
@@ -14,7 +14,7 @@ import oracles
 
 def form_det(R):
     """Determinant of a form matrix by the test's own Leibniz expansion."""
-    zero = AlgForm.zero(R.algebroid, 0)
+    zero = AlgForm.zero(R.algebroid)
     return oracles.leibniz_determinant(
         R.entries, lambda a, b: a.wedge(b), lambda a, b: a + b, zero
     )
@@ -157,7 +157,7 @@ def two_root_curvature():
     A = alg.abelian_bundle(0, 8)
     w1 = AlgForm.dual_basis(A, (0, 1)) + AlgForm.dual_basis(A, (2, 3))
     w2 = AlgForm.dual_basis(A, (4, 5)) + AlgForm.dual_basis(A, (6, 7))
-    zero = AlgForm.zero(A, 2)
+    zero = AlgForm.zero(A)
     return cw.FormMatrix(A, [[w1, zero], [zero, w2]]), w1, w2
 
 
@@ -166,7 +166,7 @@ def two_block_antisymmetric():
     A = alg.abelian_bundle(0, 8)
     a1 = AlgForm.dual_basis(A, (0, 1)) + AlgForm.dual_basis(A, (2, 3))
     a2 = AlgForm.dual_basis(A, (4, 5)) + AlgForm.dual_basis(A, (6, 7))
-    z = AlgForm.zero(A, 2)
+    z = AlgForm.zero(A)
     return (
         cw.FormMatrix(
             A,
@@ -199,7 +199,7 @@ def test_chern_classes_are_principal_minor_sums_generic():
     ]
     R = cw.FormMatrix(A, entries)
     for k in range(1, size + 1):
-        minors = AlgForm.zero(A, 0)
+        minors = AlgForm.zero(A)
         for subset in combinations(range(size), k):
             sub = cw.FormMatrix(A, [[entries[i][j] for j in subset] for i in subset])
             minors = minors + form_det(sub)
@@ -259,7 +259,7 @@ def test_a_hat_with_vanishing_p2():
     # p1 = p, p2 = 0: degree-8 coefficient is 7 p^2 / 5760
     A = alg.abelian_bundle(0, 8)
     a1 = AlgForm.dual_basis(A, (0, 1)) + AlgForm.dual_basis(A, (2, 3))
-    z = AlgForm.zero(A, 2)
+    z = AlgForm.zero(A)
     R = cw.FormMatrix(A, [[z, a1], [-a1, z]])
     p1 = cw.pontryagin_class(R, 1)
     assert cw.pontryagin_class(R, 2).is_zero()
@@ -279,14 +279,14 @@ def test_truncation_beyond_top_is_silent(two_root_curvature):
 def test_pfaffian_2x2_block():
     A = alg.abelian_bundle(0, 4)
     a = AlgForm.dual_basis(A, (0, 1))
-    z = AlgForm.zero(A, 2)
+    z = AlgForm.zero(A)
     R = cw.FormMatrix(A, [[z, a], [-a, z]])
     assert cw.pfaffian_form(R) == a
 
 
 def test_pfaffian_odd_rank_warns_and_vanishes(su2):
     A = alg.abelian_bundle(0, 3)
-    z = AlgForm.zero(A, 2)
+    z = AlgForm.zero(A)
     R = cw.FormMatrix(A, [[z] * 3 for _ in range(3)])
     with pytest.warns(UserWarning):
         assert cw.pfaffian_form(R).is_zero()
@@ -300,7 +300,7 @@ def test_pfaffian_squared_is_determinant_generic():
         )
         chart = Chart(names)
         A = alg.abelian_bundle(len(names), size)
-        entries = [[AlgForm.zero(A, 0) for _ in range(size)] for _ in range(size)]
+        entries = [[AlgForm.zero(A) for _ in range(size)] for _ in range(size)]
         k = 0
         for i in range(size):
             for j in range(i + 1, size):
@@ -328,7 +328,7 @@ def test_pfaffian_squared_is_determinant_levi_civita():
                 [
                     sum(
                         (R.entries[k][j].scale(metric.entries[i][k]) for k in range(A.rank)),
-                        AlgForm.zero(A, 2),
+                        AlgForm.zero(A),
                     )
                     for j in range(A.rank)
                 ]
@@ -391,7 +391,7 @@ def test_char_class_naturality(shear_morphism):
     pulled_conn = cw.connection_pullback(shear_morphism, conn)
     for genus in ("ch", "todd", "chern"):
         direct = cw.char_class(pulled_conn, genus, 2)
-        transported = pullback_mixed(shear_morphism, cw.char_class(conn, genus, 2))
+        transported = pullback_form(shear_morphism, cw.char_class(conn, genus, 2))
         assert (direct - transported).is_zero(), genus
 
 
@@ -471,9 +471,9 @@ def test_characteristic_forms_are_closed():
     conn = cw.GConnection(t4, 2, mats)
     for genus in ("ch", "todd", "chern"):
         mixed = cw.char_class(conn, genus, 4)
-        assert d_mixed(mixed).is_zero(), genus
+        assert d_g(mixed).is_zero(), genus
     su2 = alg.su2()
     metric = cw.Metric.identity(su2)
     lc = cw.levi_civita(su2, metric)
     for genus in ("ch", "todd"):
-        assert d_mixed(cw.char_class(lc, genus)).is_zero()
+        assert d_g(cw.char_class(lc, genus)).is_zero()

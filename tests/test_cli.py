@@ -700,3 +700,42 @@ def test_euler_index_refuses_nu_and_connection(tmp_path, capsys):
     assert not connection["ok"]
     assert connection["error"] == "the Euler index takes no coefficient-bundle connection E"
     assert after["ok"] and after["result"]["sphere"]["status"] == "valid"
+
+
+def test_all_zero_forms_have_degree_zero(tmp_path, capsys):
+    # an all-zero form has degree 0 whatever degree it is declared with: as nu
+    # it contributes no (sqrt(-1))^j, and its thom-check integrates to exact zeros
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump({
+        **_ROUND_CHART,
+        "forms": {"zero2": {"algebroid": "sphere", "degree": 2},
+                  "zero1": {"algebroid": "sphere", "degree": 1}},
+        "computations": [
+            {"op": "index", "label": "nu", "kind": "signature", "algebroid": "sphere",
+             "metric": "round", "density": "one", "domain": "plane", "nu": "zero2"},
+            {"op": "thom-check", "label": "thom", "algebroid": "sphere", "form": "zero1",
+             "density": "one", "domain": "plane"},
+        ],
+    }))
+    assert cli.main(["run", str(doc)]) == 0
+    zero = '{"error": "0", "exact": true, "value": "0"}'
+    assert capsys.readouterr().out.splitlines() == [
+        'ok index nu: {"error": "0", "exact": true, "i_power": 0, '
+        '"note": "degree mismatch: no top-degree component", "value": "0"}',
+        f'ok thom-check thom: {{"base": {zero}, "compatible": true, "mapped": {zero}, '
+        '"roundtrip_identity": true, "theta_closed": true, "theta_nondegenerate": true}',
+        "2/2 computations succeeded",
+    ]
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
+def test_non_finite_document_tolerance_is_a_document_error(tmp_path, tolerance):
+    # the schema's exclusiveMinimum lets NaN and infinity through
+    with open(job_path("torus-flat")) as handle:
+        document = yaml.safe_load(handle)
+    document["computations"][-1]["tolerance"] = tolerance
+    proc, _ = _run_document(tmp_path, document)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        f"error: thom-check computation: tolerance must be finite, got {tolerance}"
+    ]

@@ -14,7 +14,7 @@ from algindex import algebroid as alg
 from algindex import chern_weil as cw
 from algindex import cli, quadrature
 from algindex import thom_index as ti
-from algindex.forms import AlgForm, MixedForm, basis_forms, d_g, pullback_form
+from algindex.forms import AlgForm, basis_forms, d_g, pullback_form
 from algindex.scalars import AlgindexError, Chart, RationalScalar
 
 import oracles
@@ -111,6 +111,15 @@ def test_degree_restriction(su2):
         ti.integrate(su2, AlgForm.dual_basis(su2, (0,)), ti.Density(su2, 1))
 
 
+def test_integrate_refuses_a_mixed_form_below_top_degree(su2):
+    top, density = AlgForm.dual_basis(su2, (0, 1, 2)), ti.Density(su2, 1)
+    for lower in (AlgForm.constant(su2, 1), AlgForm.dual_basis(su2, (0, 1))):
+        with pytest.raises(AlgindexError, match="only top-degree"):
+            ti.integrate(su2, top + lower, density)
+    zero = ti.integrate(su2, AlgForm.zero(su2), density)
+    assert zero.value == 0 and zero.value_is_exact
+
+
 def test_one_dimensional_box(t2):
     t1 = alg.tangent(1)
     x = t1.chart.coord(0)
@@ -159,7 +168,7 @@ def test_integral_of_exact_forms_vanishes_point_base(su2, so3_action):
 def test_symplectic_tangent_is_darboux():
     pb = alg.pullback(alg.tangent(2), 2)
     theta = ti.symplectic_form(pb)
-    expected = AlgForm(pb, 2, {(0, 2): (1,), (1, 3): (1,)})
+    expected = AlgForm(pb, {(0, 2): (1,), (1, 3): (1,)})
     assert theta == expected
     assert d_g(theta).is_zero()
 
@@ -167,7 +176,7 @@ def test_symplectic_tangent_is_darboux():
 def test_symplectic_abelian_line():
     pb = alg.pullback(alg.abelian_bundle(1, 1), 1)
     theta = ti.symplectic_form(pb)
-    assert theta == AlgForm(pb, 2, {(0, 1): (1,)})
+    assert theta == AlgForm(pb, {(0, 1): (1,)})
     assert not ti.symplectic_top_power(pb, theta).is_zero()
 
 
@@ -263,7 +272,7 @@ def test_vertical_factors_die_against_thom(pullback_su2):
     vertical = AlgForm.dual_basis(
         pullback_su2, (pullback_su2.pullback_data.vertical[0],)
     )
-    assert th.wedge(MixedForm.from_form(vertical)).is_zero()
+    assert th.wedge(vertical).is_zero()
 
 
 def test_fiber_restriction_gives_generator(pullback_su2):
@@ -271,7 +280,7 @@ def test_fiber_restriction_gives_generator(pullback_su2):
     free, thom = ti.restrict_extended(inclusion, ti.thom_class(pullback_su2))
     fiber = inclusion.source
     assert free.is_zero()
-    assert thom == MixedForm.constant(fiber, 1)
+    assert thom == AlgForm.constant(fiber, 1)
 
 
 def test_thom_pullback_along_identity(pullback_su2, su2):
@@ -310,21 +319,21 @@ def test_fiber_integrate_rejects_vertical_top_free_part(pullback_su2):
     vertical_top = AlgForm.dual_basis(
         pullback_su2, tuple(pullback_su2.pullback_data.vertical)
     )
-    bad = ti.ThomExtendedForm(pullback_su2, free=MixedForm.from_form(vertical_top))
+    bad = ti.ThomExtendedForm(pullback_su2, free=vertical_top)
     with pytest.raises(ValueError, match="vertical top"):
         ti.fiber_integrate(bad)
 
 
 def test_fiber_integrate_free_part_without_vertical_top_is_dropped(pullback_su2):
     horizontal = AlgForm.dual_basis(pullback_su2, (0, 1))
-    t = ti.ThomExtendedForm(pullback_su2, free=MixedForm.from_form(horizontal))
+    t = ti.ThomExtendedForm(pullback_su2, free=horizontal)
     assert ti.fiber_integrate(t).is_zero()
 
 
 def test_fiber_integrate_rejects_fiber_dependent_thom_part(pullback_su2):
     u1 = pullback_su2.chart.coord(pullback_su2.pullback_data.fiber_coords[0])
     part = AlgForm.dual_basis(pullback_su2, (0,)).scale(u1)
-    bad = ti.ThomExtendedForm(pullback_su2, thom=MixedForm.from_form(part))
+    bad = ti.ThomExtendedForm(pullback_su2, thom=part)
     with pytest.raises(ValueError, match="fiber coordinates"):
         ti.fiber_integrate(bad)
 
@@ -333,7 +342,7 @@ def test_zero_section_restriction_substitutes_euler_form(t2, sphere_metric):
     pb = alg.pullback(t2, 2)
     e = ti.euler_class(t2, sphere_metric)
     restricted = ti.zero_section_restrict(ti.thom_class(pb), e)
-    assert restricted == MixedForm.from_form(e)
+    assert restricted == e
     # consistent with pulling the lifted representative back along the section
     zs = alg.zero_section_morphism(pb)
     assert pullback_form(zs, ti.pi_star(e, pb)) == e
@@ -349,6 +358,22 @@ def test_thom_compatibility_su2(su2):
     assert check.roundtrip_identity
     assert check.base.value == 1 and check.mapped.value == 1
     assert check.compatible
+
+
+def test_thom_check_closes_theta_once(su2, t2, monkeypatch):
+    calls = []
+
+    def counting_d_g(form, rep=None):
+        calls.append(form)
+        return d_g(form, rep)
+
+    monkeypatch.setattr(ti, "d_g", counting_d_g)
+    for A, domain in ((su2, None), (t2, ti.BoxDomain([(0, 1), (0, 1)]))):
+        calls.clear()
+        top = AlgForm.dual_basis(A, tuple(range(A.rank)))
+        check = ti.thom_compatibility(A, top, ti.Density(A, 1), domain)
+        assert check.theta_closed and check.compatible
+        assert len(calls) == 1, A.name
 
 
 def test_thom_compatibility_tangent_line():
@@ -399,7 +424,7 @@ def test_euler_class_round_sphere_is_gauss_curvature_form(t2, sphere_metric):
     assert e == expected
     # pull-back along the (identity) anchor morphism of the tangent algebroid
     anchor = alg.anchor_morphism(t2, alg.tangent(2, t2.chart, name="T"))
-    lifted = AlgForm(anchor.target, 2, {(0, 1): (lam,)})
+    lifted = AlgForm(anchor.target, {(0, 1): (lam,)})
     assert pullback_form(anchor, lifted) == e
 
 
