@@ -18,24 +18,26 @@ number > 0; any other value is a usage error.  A document's ``tolerance``
 that is not finite is a document error.
 
 Exit codes: 0 success, 1 a failed computation, 2 usage or document error.
+
+A document is parsed by libyaml where PyYAML was built with it, with every
+parse error worded by the pure-Python loader, and is checked against
+schema.json by a walk of its own (``schema_violation``) that reports what
+jsonschema would: jsonschema is a test dependency, not a runtime one.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
+import operator
+import re
 import sys
 from fractions import Fraction
+from importlib import resources
+from numbers import Number
 from typing import NamedTuple
 
-try:
-    from importlib import resources as _resources
-except ImportError:  # pragma: no cover
-    _resources = None
-
-import jsonschema
 import yaml
 
 from . import algebroid as alg
@@ -65,19 +67,222 @@ _OP_FAMILIES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# reading a document: YAML, then the schema
+# ---------------------------------------------------------------------------
+
+# libyaml's loader where PyYAML was built with it; both give the same data
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+# libyaml nests a C call per nested collection, and about 25 000 overflow an
+# 8 MB stack; a collection owns at least one of the characters [ { - ? :, so
+# text with at most this many of them nests no deeper
+_C_NESTING = 5000
+
+
+def _parse(text):
+    """The YAML data of ``text``.
+
+    Text that ``_Loader`` rejects, or that could nest too deep for it, is
+    parsed by the pure-Python loader, so every parse error is that loader's,
+    word for word, on every machine: libyaml words its errors otherwise, and
+    raises ``UnicodeEncodeError`` on the lone surrogates that undecodable
+    input bytes become.
+    """
+    if sum(map(text.count, "[{-?:")) <= _C_NESTING:
+        try:
+            return yaml.load(text, Loader=_Loader)
+        except (yaml.YAMLError, UnicodeError):
+            pass
+    return yaml.safe_load(text)
+
+
+def _equal(value, expected):
+    """JSON equality with a scalar from the schema: ``True`` is not ``1``."""
+    return value == expected and isinstance(value, bool) == isinstance(expected, bool)
+
+
+def _is_number(value):
+    return isinstance(value, Number) and not isinstance(value, bool)
+
+
+# a JSON type by the Python types the YAML loaders give; an integer is an int,
+# never an integral float such as 2.0
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "number": _is_number,
+    "integer": lambda value: isinstance(value, int) and not isinstance(value, bool),
+}
+
+
+# Each keyword check takes (keyword value, instance, its schema, its path, the
+# list of violations found) and appends a (path, message) per violation, with
+# jsonschema's message.
+
+
+def _names(types):
+    """The type names of a ``type`` keyword: one name or a list of them."""
+    return [types] if isinstance(types, str) else types
+
+
+def _type(types, value, schema, path, found):
+    names = _names(types)
+    if not any(_TYPES[name](value) for name in names):
+        found.append((path, f"{value!r} is not of type {', '.join(map(repr, names))}"))
+
+
+def _properties(properties, value, schema, path, found):
+    if isinstance(value, dict):
+        for key, subschema in properties.items():
+            if key in value:
+                _walk(subschema, value[key], path + (key,), found)
+
+
+def _additional_properties(subschema, value, schema, path, found):
+    if isinstance(value, dict):
+        named = schema.get("properties", ())
+        for key, item in value.items():
+            if key not in named:
+                _walk(subschema, item, path + (key,), found)
+
+
+def _items(subschema, value, schema, path, found):
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            _walk(subschema, item, path + (index,), found)
+
+
+def _required(keys, value, schema, path, found):
+    if isinstance(value, dict):
+        found.extend((path, f"{key!r} is a required property") for key in keys if key not in value)
+
+
+def _enum(values, value, schema, path, found):
+    if not any(_equal(value, each) for each in values):
+        found.append((path, f"{value!r} is not one of {values!r}"))
+
+
+def _const(expected, value, schema, path, found):
+    if not _equal(value, expected):
+        found.append((path, f"{expected!r} was expected"))
+
+
+def _pattern(pattern, value, schema, path, found):
+    if isinstance(value, str) and not re.search(pattern, value):
+        found.append((path, f"{value!r} does not match {pattern!r}"))
+
+
+def _bound(fails, words):
+    """A check of a number against a bound, e.g. ``minimum``."""
+
+    def check(bound, value, schema, path, found):
+        if _is_number(value) and fails(value, bound):
+            found.append((path, f"{value!r} is {words} {bound!r}"))
+
+    return check
+
+
+def _length(fails, words):
+    """A check of an array's length, e.g. ``minItems``: ``words(bound)`` is the message."""
+
+    def check(bound, value, schema, path, found):
+        if isinstance(value, list) and fails(len(value), bound):
+            found.append((path, f"{value!r} {words(bound)}"))
+
+    return check
+
+
+_KEYWORDS = {
+    "type": _type,
+    "properties": _properties,
+    "additionalProperties": _additional_properties,
+    "items": _items,
+    "required": _required,
+    "enum": _enum,
+    "const": _const,
+    "pattern": _pattern,
+    "minimum": _bound(operator.lt, "less than the minimum of"),
+    "maximum": _bound(operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": _bound(operator.le, "less than or equal to the minimum of"),
+    "minItems": _length(operator.lt,
+                        lambda n: "should be non-empty" if n == 1 else "is too short"),
+    "maxItems": _length(operator.gt,
+                        lambda n: "is expected to be empty" if n == 0 else "is too long"),
+}
+# the keywords the walk checks, and annotations it may ignore
+_KNOWN = _KEYWORDS.keys() | {"$schema", "title"}
+
+
+def _walk(schema, value, path, found):
+    for keyword, expected in schema.items():
+        check = _KEYWORDS.get(keyword)
+        if check is not None:
+            check(expected, value, schema, path, found)
+
+
+def _outranks(path, other):
+    """Whether jsonschema's ``best_match`` prefers a violation at ``path`` to
+    one at ``other``: the shorter path, then the later one.
+
+    Where a mapping holds keys that do not compare, such as 1 and "a",
+    jsonschema raises ``TypeError``; the printed paths are compared instead.
+    """
+    if len(path) != len(other):
+        return len(path) < len(other)
+    try:
+        return path > other
+    except TypeError:
+        return "/".join(map(str, path)) > "/".join(map(str, other))
+
+
+def schema_violation(schema, data):
+    """The (path, message) of the violation of ``schema`` that jsonschema
+    4.26's ``best_match`` reports for draft 7, or ``None`` if there is none.
+
+    The walk checks the keywords of ``_KEYWORDS`` in the schema's order, and
+    ``load_schema`` refuses any other.  A violation found first wins a tie, as
+    in jsonschema, whose messages it uses.  It differs from jsonschema in one
+    verdict: an ``integer`` is a Python int that is not a bool, so an integral
+    float such as ``rank: 2.0`` is a violation, which draft 7 lets through to
+    fail later in ``range()``.
+    """
+    found = []
+    _walk(schema, data, (), found)
+    best = None
+    for violation in found:
+        if best is None or _outranks(violation[0], best[0]):
+            best = violation
+    return best
+
+
+def _check_schema(schema, path=("<root>",)):
+    """Refuse a schema that uses a keyword, a type or a value the walk does not
+    check, so that the walk and schema.json cannot drift apart."""
+    problem = None
+    if not isinstance(schema, dict):
+        problem = "a schema must be an object"
+    elif not schema.keys() <= _KNOWN:
+        problem = f"unsupported keyword {next(k for k in schema if k not in _KNOWN)!r}"
+    elif "type" in schema and not set(_names(schema["type"])) <= _TYPES.keys():
+        problem = f"unsupported type {schema['type']!r}"
+    elif not all(isinstance(value, (str, int, float))
+                 for value in [*schema.get("enum", ()), schema.get("const", 0)]):
+        problem = "enum or const holds a value that is not a scalar"
+    if problem:
+        raise ValueError(f"schema.json at {'/'.join(path)}: {problem}")
+    for key, subschema in schema.get("properties", {}).items():
+        _check_schema(subschema, path + ("properties", key))
+    for keyword in ("additionalProperties", "items"):
+        if keyword in schema:
+            _check_schema(schema[keyword], path + (keyword,))
+
+
 def load_schema():
-    data = _resources.files("algindex").joinpath("schema.json").read_text()
-    return json.loads(data)
-
-
-@functools.cache
-def _validator():
-    """The schema's validator, built on first use: the schema is checked once,
-    as ``jsonschema.validate`` checks it on every call."""
-    schema = load_schema()
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    """schema.json, the published contract, checked to use only what the walk checks."""
+    schema = json.loads(resources.files("algindex").joinpath("schema.json").read_text())
+    _check_schema(schema)
+    return schema
 
 
 def load_document(path):
@@ -86,23 +291,28 @@ def load_document(path):
         name = "<stdin>"
     else:
         try:
-            with open(path, "r") as handle:
+            # undecodable bytes become lone surrogates, as they do on stdin,
+            # and the YAML reader rejects them
+            with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
         except OSError as exc:
             raise DocumentError(f"cannot read {path}: {exc}") from exc
         name = path
     try:
-        data = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+        data = _parse(text)
+    # ValueError: a date such as 2020-13-01, or an integer of over 4300 digits;
+    # RecursionError: nesting deeper than the pure-Python loader recurses
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
         mark = getattr(exc, "problem_mark", None)
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise DocumentError(f"{name}: YAML parse error{where}: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError(f"{name}: document must be a mapping")
-    error = jsonschema.exceptions.best_match(_validator().iter_errors(data))
-    if error is not None:
-        path_str = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise DocumentError(f"{name}: schema violation at {path_str}: {error.message}")
+    violation = schema_violation(load_schema(), data)
+    if violation is not None:
+        path, message = violation
+        raise DocumentError(
+            f"{name}: schema violation at {'/'.join(map(str, path)) or '<root>'}: {message}")
     return data
 
 

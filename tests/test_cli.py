@@ -140,7 +140,13 @@ def test_parse_error_exit_code(tmp_path):
     bad.write_text("version: 1\ncomputations: [\n")
     proc = run_cli(["run", str(bad)])
     assert proc.returncode == 2
-    assert "line" in proc.stderr
+    # the pure-Python loader's words, also where libyaml parsed first
+    assert proc.stderr == (
+        f"error: {bad}: YAML parse error at line 3, column 1: while parsing a flow node\n"
+        "expected the node content, but found '<stream end>'\n"
+        '  in "<unicode string>", line 3, column 1:\n'
+        "    \n"
+        "    ^\n")
 
 
 def test_schema_violation_exit_code(tmp_path):

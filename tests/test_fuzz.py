@@ -2,9 +2,9 @@
 CLI exits 0, 1 or 2 and never shows a traceback.
 
 Every object and computation takes its keys, enums and integer minimums from
-the schema.  Integers stay small (ranks at most 4, degrees at most 3), but a
-groupoid's order goes up to 64 and its size up to 32, and every document that
-loads must build within 1 s.  References name declared objects or a missing
+the schema; now and then an integer is an integral float.  Integers stay small
+(ranks at most 4, degrees at most 3), but a groupoid's order goes up to 64 and
+its size up to 32, and every document that loads must build within 1 s.  References name declared objects or a missing
 one, and scalars come from a pool that holds poles, a division by zero, a
 syntax error, values beyond float range and quotients over reducible and
 repeated factors.  A computation declares only the references its operation
@@ -107,7 +107,9 @@ def from_fragment(key, fragment):
     kind = fragment.get("type")
     if kind == "integer":
         low = fragment.get("minimum", 0)
-        return st.integers(low, max(low, INTEGER_CAPS.get(key, 4)))
+        # one value in ten an integral float, such as 2.0, which the schema refuses
+        return st.integers(low, max(low, INTEGER_CAPS.get(key, 4))).flatmap(
+            lambda n: st.sampled_from([n] * 9 + [float(n)]))
     if kind == "object" and "properties" in fragment:
         return from_object(fragment)
     return scalars
