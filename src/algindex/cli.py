@@ -286,13 +286,13 @@ def load_schema():
 
 
 def load_document(path):
+    # undecodable bytes become lone surrogates, whatever the locale's stdin
+    # errors handler, and the YAML reader rejects them
     if path == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
         name = "<stdin>"
     else:
         try:
-            # undecodable bytes become lone surrogates, as they do on stdin,
-            # and the YAML reader rejects them
             with open(path, encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
         except OSError as exc:

@@ -5,19 +5,20 @@ constants, Piessens et al. 1983) and worst-first subdivision that halves every
 axis.  The refinement order and the final summation order are fixed by panel
 creation index, so a given integrand, box and budget always produce
 bit-identical results.  The reported error is the Gauss-Kronrod difference
-|K - G| summed over the panels: an estimate, not a bound.
+|K - G| summed over the panels: an estimate, not a bound.  The integrand is a
+grid evaluator, called once per panel (see :func:`_panel`).
 
 ``integrate_1d`` and ``integrate_2d`` are the entry points, one line each over
 ``_adaptive``.  They stay separate because the benchmark's span recorder
-(``perfbench/spans.py``) wraps them by name and counts a panel as 15 or 225
-integrand evaluations.
+(``perfbench/spans.py``) wraps them by name; it counts integrand calls, so
+one call is one panel.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import product, starmap
+from itertools import product
 from operator import mul
 
 from .scalars import AlgindexError
@@ -85,7 +86,8 @@ class QuadResult:
 def _panel(f, box):
     """(Kronrod value, |Kronrod - Gauss|) of the tensor GK15 rule on a box.
 
-    Points run with the first axis outermost; each point's weight is the
+    ``f(*axes)`` gets the 15 nodes of each axis and returns the values at
+    ``product(*axes)``, the first axis outermost; each point's weight is the
     product of its axis weights, multiplied left to right from 1.0.  The
     Gauss rule uses the points whose every coordinate is a Gauss node.
     """
@@ -96,7 +98,7 @@ def _panel(f, box):
         kron_w = [w * c for w in kron_w for c in wk]
         gauss_w = [(i * len(nodes) + j, w * c) for i, w in gauss_w
                    for j, c in enumerate(wg) if c]
-    values = list(starmap(f, product(*axes)))
+    values = f(*axes)
     kron = gauss = 0.0
     for term in map(mul, kron_w, values):
         kron += term

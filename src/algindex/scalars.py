@@ -22,16 +22,18 @@ Two families of scalars share one arithmetic interface:
 Scalars are immutable after construction; every operation returns a new
 value.  Monomials are printed graded-lex descending.
 
-``compile_float`` of an exact scalar generates straight-line Python for its
-polynomials and compiles it once (:func:`_float_program`).  Each power of a
-coordinate is computed once per point, by the same ``**`` call a per-term
-loop would make; each term is its float coefficient times its powers in
-coordinate order, and the terms are added one at a time in print order.  So
-the float bits depend only on the value, not on how it was built.  A sum that
-is not finite, or that lost more than eight digits to cancellation, is
-replaced by the exact value; a quotient divides the two float sums only when
-both pass.  Coefficients are bound as floats in the program's namespace,
-never written into its source.
+``compile_grid`` of an exact scalar generates Python for its polynomials and
+compiles it once (:func:`_float_program`).  The program maps one list of nodes
+per axis to the values at ``product(*axes)``.  Each power of a coordinate is
+computed once per axis node, by the same ``**`` call a per-term loop would
+make, and each term's product through an outer axis once per node of that
+axis; a term is its float coefficient times its powers in coordinate order,
+multiplied left to right, and the terms are added in print order.  So the
+float bits depend only on the value and the point.  A sum that is not finite,
+or that lost more than eight digits to cancellation, is replaced by the exact
+value; a quotient divides the two float sums only when both pass.
+``compile_float`` is the grid of one node per axis.  Coefficients are bound
+as floats in the program's namespace, never written into its source.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import product
 
 
 class AlgindexError(ValueError):
@@ -251,9 +254,13 @@ class PolyScalar:
             total += term
         return total
 
-    def compile_float(self):
-        """A ``point -> float`` evaluator (see the module docstring)."""
+    def compile_grid(self):
+        """A grid evaluator ``(*axes) -> [float]`` (see the module docstring)."""
         return _float_program(self)
+
+    def compile_float(self):
+        """A ``point -> float`` evaluator: the grid of one node per axis."""
+        return _at_point(self.compile_grid(), len(self.vars))
 
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
@@ -724,11 +731,14 @@ class RationalScalar:
             raise DomainError(f"pole of {self} at {tuple(point)}")
         return self.num.eval(point) / den
 
-    def compile_float(self):
-        """A ``point -> float`` evaluator of the reduced numerator over the
-        expanded denominator (:func:`_float_program`); a pole raises
-        :class:`DomainError`."""
+    def compile_grid(self):
+        """A grid evaluator of the reduced numerator over the expanded
+        denominator; a pole raises :class:`DomainError`."""
         return _float_program(self.num, self.den, self.eval)
+
+    def compile_float(self):
+        """A ``point -> float`` evaluator: the grid of one node per axis."""
+        return _at_point(self.compile_grid(), len(self.vars))
 
     def substitute(self, replacements):
         num, factors = self._lowest_terms()
@@ -771,101 +781,130 @@ class RationalScalar:
 
 
 def _sum_block(j, p: PolyScalar, namespace):
-    """Statements that leave the float value of ``p`` in ``t{j}``, the
-    condition under which it is trusted, and the powers ``(i, e)`` they read.
-
-    In print order, each term ``a = c{j}_{k} * x{a}_{e} * x{b}_{f}`` is added
-    to ``t{j}`` by its own statement.  The float coefficients go into
-    ``namespace``; one beyond float range raises OverflowError.  A finite
-    sum has finite terms, so its largest |term| is max(h, -l) for the
-    largest term h and the smallest l.  When all terms have one sign (one
-    term, or coefficients of one sign on even exponents) |t| is at least
-    that, and only ``isfinite`` is tested.
+    """``(j, terms, trust, tracked)`` of the float sum ``t{j}`` of ``p``:
+    the terms ``(c{j}_{k}, [(i, e), ...])`` in print order, each coefficient
+    bound in ``namespace`` (OverflowError beyond float range).  A finite sum
+    has finite terms, so its largest |term| is max(h, -l) for the tracked
+    largest term h and smallest l; when all terms have one sign (one term,
+    or coefficients of one sign on even exponents) |t| is at least that,
+    and only ``isfinite`` is tested.
     """
     order = sorted(p.terms, key=_grlex_key, reverse=True)
     one_sign = len(order) < 2 or (len({p.terms[expo] > 0 for expo in order}) == 1
                                   and all(e % 2 == 0 for expo in order for e in expo))
-    lines, powers = [f"t{j} = 0.0"], set()
+    terms = []
     for k, expo in enumerate(order):
         namespace[f"c{j}_{k}"] = float(p.terms[expo])
-        used = [(i, e) for i, e in enumerate(expo) if e]
-        powers.update(used)
-        lines += ["a = " + " * ".join([f"c{j}_{k}"] + [f"x{i}_{e}" for i, e in used]),
-                  f"t{j} += a"]
-        if one_sign:
-            continue
-        if k == 0:
-            lines.append(f"h{j} = l{j} = a")
-        else:
-            lines += [f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"]
+        terms.append((f"c{j}_{k}", [(i, e) for i, e in enumerate(expo) if e]))
     if one_sign:
-        return lines, f"isfinite(t{j})", powers
-    return lines, f"isfinite(t{j}) and abs(t{j}) >= 1e-8 * (h{j} if h{j} >= -l{j} else -l{j})", powers
+        return j, terms, f"isfinite(t{j})", False
+    largest = f"(h{j} if h{j} >= -l{j} else -l{j})"
+    return j, terms, f"isfinite(t{j}) and abs(t{j}) >= 1e-8 * {largest}", True
 
 
-def _function(name, n_vars, blocks, tail, fallback):
-    """Source lines of ``def name(point)``: the point as floats, each power
-    the blocks read, the blocks, and ``tail``, which returns a trusted
-    result; otherwise, or on OverflowError, it returns ``fallback``."""
-    powers = sorted(set().union(*(used for _, _, used in blocks)))
-    body = [f"x{i} = float(point[{i}])" for i in range(n_vars)]
-    body += [f"x{i}_{e} = x{i} ** {e}" for i, e in powers]
-    for lines, _, _ in blocks:
-        body += lines
-    return [
-        f"def {name}(point):",
-        f"    if len(point) != {n_vars}:",
-        "        raise AlgindexError(POINT_LENGTH)",
-        "    try:",
-        *("        " + line for line in body + tail),
-        "    except OverflowError:",
-        "        pass",
-        f"    return {fallback}",
-        "",
-    ]
+def _grid(name, n_vars, blocks, tail, fallback):
+    """Source lines of ``def name(a0, a1, ...)``, the values at
+    ``product(a0, a1, ...)`` in that order.  Each axis's nodes become
+    ``(v, o, x ** e, ...)`` once per call: the node, whether ``float(v)``
+    and its powers stayed in range, and the powers.  The loop over axis i
+    multiplies each term's product, left to right from its coefficient,
+    through axis i; the innermost loop adds the finished terms into ``t{j}``
+    in print order, 32 to a statement where nothing is tracked.  ``tail``
+    sets ``ok`` and the trusted result ``r``; elsewhere the value is
+    ``fallback``, formatted with the ``point``.
+    """
+    used = sorted({power for _, terms, _, _ in blocks for _, powers in terms for power in powers})
+    exps = [[e for axis, e in used if axis == i] for i in range(n_vars)]
+    lines = [f"def {name}({', '.join(f'a{i}' for i in range(n_vars))}):",
+             "    out = []", "    append = out.append"]
+    for i, axis in enumerate(exps):
+        powers, zeros = "".join(f", x ** {e}" for e in axis), ", 0.0" * len(axis)
+        lines += [f"    n{i} = []", f"    for v in a{i}:", "        try:",
+                  "            x = float(v)", f"            n{i}.append((v, True{powers}))",
+                  "        except OverflowError:", f"            n{i}.append((v, False{zeros}))"]
+    prefix = {(j, k): c for j, terms, _, _ in blocks for k, (c, _) in enumerate(terms)}
+    indent = "    "
+    for i in range(n_vars):
+        targets = ", ".join([f"v{i}", f"o{i}"] + [f"x{i}_{e}" for e in exps[i]])
+        lines.append(f"{indent}for {targets} in n{i}:")
+        indent += "    "
+        extended = []
+        for j, terms, _, _ in blocks:
+            for k, (_, powers) in enumerate(terms):
+                for e in (e for axis, e in powers if axis == i):
+                    prefix[j, k] = f"{prefix[j, k]} * x{i}_{e}"
+                    if i < n_vars - 1:  # the last axis finishes each term inside its sum
+                        extended.append(f"{indent}    p{j}_{k}_{i} = {prefix[j, k]}")
+                        prefix[j, k] = f"p{j}_{k}_{i}"
+        in_range = " and ".join(f"o{a}" for a in range(i + 1))
+        lines += [f"{indent}if {in_range}:", *extended] if extended else []
+    body = []
+    for j, terms, _, tracked in blocks:
+        finished = [prefix[j, k] for k in range(len(terms))]
+        body.append(f"t{j} = 0.0")
+        if not tracked:
+            body += [" + ".join([f"t{j} = t{j}", *finished[c:c + 32]])
+                     for c in range(0, len(terms), 32)]
+            continue
+        for k, term in enumerate(finished):
+            body += [f"a = {term}", f"t{j} += a"] + ([f"h{j} = l{j} = a"] if k == 0 else [
+                f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"])
+    point = "(" + "".join(f"v{i}, " for i in range(n_vars)) + ")"
+    lines += [f"{indent}ok = {' and '.join(f'o{i}' for i in range(n_vars)) or True}",
+              f"{indent}if ok:", *(f"{indent}    {line}" for line in body + tail),
+              f"{indent}append(r if ok else {fallback.format(point=point)})", "    return out", ""]
+    return lines
 
 
 def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
-    """The float evaluator of ``num``, or of the quotient ``num / den``
-    whose exact value is ``exact(point)``, from one generated program.
-
-    The program defines ``f{j}`` for each polynomial, which returns its
-    float sum when trusted and its exact value otherwise.  For a quotient it
-    also defines ``q``, which computes both sums on shared powers and
-    returns their ratio when both are trusted, the denominator is nonzero
-    and the ratio finite, and otherwise calls the composition of ``f0`` and
-    ``f1`` (:func:`_composed`).  A polynomial with a coefficient beyond
-    float range is always evaluated exactly, and its quotient is that
-    composition.  The source spells only generated names, integers and the
-    constants 0.0 and 1e-8; coefficients are bound in the namespace.
+    """The grid evaluator of ``num``, or of ``num / den`` with exact value
+    ``exact(point)``: the grid ``g{j}`` of each polynomial (its float sum
+    where trusted, else its exact value) and a quotient's grid ``q`` (the
+    ratio of both sums where both are trusted, the denominator is nonzero
+    and the ratio finite, else :func:`_composed` of the polynomials' point
+    evaluators).  A polynomial with a coefficient beyond float range is
+    always exact, and its quotient is that composition.  The source spells
+    only generated names, integers and the constants 0.0 and 1e-8.
     """
-    polys = [num] if den is None else [num, den]
     n_vars = len(num.vars)
-    namespace = {"AlgindexError": AlgindexError, "POINT_LENGTH": _POINT_LENGTH,
-                 "isfinite": math.isfinite, "exact_float": _exact_float}
+    namespace = {"isfinite": math.isfinite, "exact_float": _exact_float}
     source, blocks = [], []
-    for j, p in enumerate(polys):
+    for j, p in enumerate([num] if den is None else [num, den]):
         try:
             block = _sum_block(j, p, namespace)
         except OverflowError:  # a coefficient beyond float range: always exact
-            namespace[f"f{j}"] = lambda point, exact=p.eval: _exact_float(exact, point)
+            namespace[f"g{j}"] = _lift(lambda point, exact=p.eval: _exact_float(exact, point))
             continue
         namespace[f"exact{j}"] = p.eval
         blocks.append(block)
-        source += _function(f"f{j}", n_vars, [block], [f"if {block[1]}:", f"    return t{j}"],
-                            f"exact_float(exact{j}, point)")
+        source += _grid(f"g{j}", n_vars, [block], [f"ok = {block[2]}", f"r = t{j}"],
+                        f"exact_float(exact{j}, {{point}})")
     if len(blocks) == 2:
-        (_, trust_num, _), (_, trust_den, _) = blocks
-        tail = [f"if {trust_num} and {trust_den} and t1 != 0.0:",
-                "    out = t0 / t1",
-                "    if isfinite(out):",
-                "        return out"]
-        source += _function("q", n_vars, blocks, tail, "composed(point)")
+        tail = [f"ok = {blocks[0][2]} and {blocks[1][2]} and t1 != 0.0",
+                "if ok:", "    r = t0 / t1", "    ok = isfinite(r)"]
+        source += _grid("q", n_vars, blocks, tail, "composed({point})")
     exec(compile("\n".join(source), "<compiled polynomials>", "exec"), namespace)
     if den is None:
-        return namespace["f0"]
-    namespace["composed"] = _composed(namespace["f0"], namespace["f1"], exact)
-    return namespace.get("q", namespace["composed"])
+        return namespace["g0"]
+    parts = [_at_point(namespace[f"g{j}"], n_vars) for j in (0, 1)]
+    namespace["composed"] = _composed(*parts, exact)
+    return namespace.get("q", _lift(namespace["composed"]))
+
+
+def _at_point(grid, n_vars):
+    """The point evaluator of a grid evaluator: the grid of one node per axis."""
+
+    def evaluate(point):
+        if len(point) != n_vars:
+            raise AlgindexError(_POINT_LENGTH)
+        return grid(*([v] for v in point))[0]
+
+    return evaluate
+
+
+def _lift(evaluate):
+    """The grid evaluator of a point evaluator: one call per point."""
+    return lambda *axes: [evaluate(point) for point in product(*axes)]
 
 
 def _composed(num, den, exact):
@@ -1064,6 +1103,10 @@ class NumericExpr:
     def compile_float(self):
         """``point -> float``: the evaluator itself, already float throughout."""
         return self.eval
+
+    def compile_grid(self):
+        """The evaluator at every point of ``product(*axes)``, in that order."""
+        return _lift(self.eval)
 
     def derive(self, index):
         node = self.node

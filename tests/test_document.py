@@ -11,7 +11,9 @@ import copy
 import importlib.util
 import io
 import json
+import os
 import random
+import subprocess
 import sys
 from importlib import resources
 from pathlib import Path
@@ -110,6 +112,22 @@ def test_invalid_utf8_is_a_parse_error(tmp_path, monkeypatch, capsys, source):
     assert capsys.readouterr() == ("", (
         f"error: {name}: YAML parse error: unacceptable character #xdcff: special "
         'characters are not allowed\n  in "<unicode string>", position 28\n'))
+
+
+def test_invalid_utf8_on_a_strict_stdin_is_a_parse_error():
+    # a locale whose stdin decodes strictly, e.g. en_US.UTF-8 without UTF-8 mode
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONIOENCODING": "utf-8:strict",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "algindex", "run", "-"],
+                          input=b"version: 1\ncomputations: []\n\xff\xfe\n",
+                          capture_output=True, env=env, timeout=120)
+    err = proc.stderr.decode()
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: <stdin>: YAML parse error: unacceptable character #xdcff: special "
+        "characters are not allowed"]
 
 
 @pytest.mark.parametrize("value,error", [

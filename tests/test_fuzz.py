@@ -191,9 +191,14 @@ groupoid_documents = st.fixed_dictionaries({
 commands = st.sampled_from(["run"] * 4 + sorted(cli._OP_FAMILIES))
 
 
+def _stdin(text):
+    """A text stdin over bytes, as the interpreter opens it."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
 def build_seconds(text):
     """Seconds cli.JobContext takes on the document, or None if it does not load."""
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin, sys.stdin = sys.stdin, _stdin(text)
     try:
         document = cli.load_document("-")
     except cli.DocumentError:
@@ -211,7 +216,7 @@ def build_seconds(text):
 def run_main(argv, text):
     """cli.main on a document read from stdin: (exit code, stdout, stderr)."""
     out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(text)
+    stdin, sys.stdin = sys.stdin, _stdin(text)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:

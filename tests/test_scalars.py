@@ -2,6 +2,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -374,8 +375,123 @@ def test_generated_evaluator_of_twelve_thousand_terms():
 
 def test_generated_evaluator_holds_no_coefficient_as_text():
     r = P("x/3 + 1/7") / P("5/11 + y^2")
-    constants = {c for c in r.compile_float().__code__.co_consts if isinstance(c, float)}
-    assert constants <= {0.0, 1e-8}
+    for evaluate in (r.compile_float(), r.compile_grid()):
+        constants = {c for c in evaluate.__code__.co_consts if isinstance(c, float)}
+        assert constants <= {0.0, 1e-8}
+
+
+# -- the grid evaluator against an independent per-point reference -------------
+
+
+def _reference_sum(p, point):
+    """The float sum of ``p`` at ``point`` by the per-term rule, or None
+    where it is not trusted: terms summed in print order, each its float
+    coefficient times its powers in coordinate order; trusted when finite
+    and at least 1e-8 times its largest |term|."""
+    try:
+        xs = [float(v) for v in point]
+        total = largest = 0.0
+        for expo in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
+            term = float(p.terms[expo])
+            for x, e in zip(xs, expo):
+                if e:
+                    term *= x**e
+            total += term
+            largest = max(largest, abs(term))
+    except OverflowError:
+        return None
+    return total if math.isfinite(total) and abs(total) >= 1e-8 * largest else None
+
+
+def _reference_exact(p, point):
+    """The exact value of ``p`` at ``point``, summed in Fractions."""
+    values = [Fraction(v) for v in point]
+    total = Fraction(0)
+    for expo, coeff in p.terms.items():
+        term = Fraction(coeff)
+        for v, e in zip(values, expo):
+            term *= v**e
+        total += term
+    return total
+
+
+def _reference_float(exact):
+    try:
+        return float(exact)
+    except OverflowError:
+        return DomainError
+
+
+def _reference_point(scalar, point):
+    """A polynomial's trusted float sum, else its exact value; a quotient's
+    ratio of its parts' values where finite, else its exact value, a pole
+    or a value beyond float range being DomainError."""
+    if isinstance(scalar, PolyScalar):
+        fast = _reference_sum(scalar, point)
+        return _reference_float(_reference_exact(scalar, point)) if fast is None else fast
+    n, d = _reference_point(scalar.num, point), _reference_point(scalar.den, point)
+    if DomainError not in (n, d) and d != 0.0 and math.isfinite(n / d):
+        return n / d
+    den = _reference_exact(scalar.den, point)
+    return DomainError if den == 0 else _reference_float(_reference_exact(scalar.num, point) / den)
+
+
+def assert_grid_matches_reference(scalar, axes):
+    """Every node of the grid has the reference's bits; where some point is
+    DomainError, the grid raises the point evaluator's error at the first."""
+    points = list(itertools.product(*axes))
+    expected = [_reference_point(scalar, point) for point in points]
+    if DomainError in expected:
+        first = points[expected.index(DomainError)]
+        with pytest.raises(DomainError) as at_point:
+            scalar.compile_float()(first)
+        with pytest.raises(DomainError, match=re.escape(str(at_point.value))):
+            scalar.compile_grid()(*axes)
+        return expected
+    got = scalar.compile_grid()(*axes)
+    assert len(got) == len(points)
+    for value, want in zip(got, expected):
+        assert value == want and math.copysign(1, value) == math.copysign(1, want)
+    return got
+
+
+@pytest.mark.parametrize("variables", [("x",), ("x", "y"), ("x", "y", "z")])
+def test_grid_evaluator_matches_per_point_reference(variables):
+    rng = random.Random(1700 + len(variables))
+    chart = Chart(variables)
+    coords = [chart.coord(i) for i in range(len(variables))]
+    nodes = (0.0, -0.0, 0.75, -1.5, 1e200, 3, Fraction(-2, 3))
+    size = {1: 7, 2: 4, 3: 3}[len(variables)]
+    for _ in range(40):
+        p = random_poly(rng, variables)
+        square = 1 + rng.randint(1, 3) * rng.choice(coords) ** 2
+        linear = Fraction(rng.randint(-3, 3), 2) + sum(rng.randint(-2, 2) * c for c in coords)
+        for scalar in [p] + [p / den for den in (square, linear) if not den.is_zero()]:
+            axes = [[rng.choice((rng.uniform(-3, 3),) + nodes) for _ in range(size)]
+                    for _ in variables]
+            assert_grid_matches_reference(scalar, axes)
+
+
+def test_grid_evaluator_overflow_cancellation_and_pole():
+    # 1e200 ** 2 overflows in the power of that node only: it falls back, the
+    # other nodes keep their float sums
+    r = P("x^2 - x*y") / P("x^2 + y^2")
+    assert assert_grid_matches_reference(r, [[1e200, 0.5], [2.0, -1.0]])[0] == 1.0
+    # (x - y)^2 cancels on the diagonal: that node is exact, the rest are sums
+    p = P("x^2 - 2*x*y + y^2")
+    assert assert_grid_matches_reference(p, [[1 + 2.0**-30, 3.0], [1.0]]) == [2.0**-60, 4.0]
+    three = Chart(("x", "y", "z")).parse("(x*y - z)^2")
+    assert assert_grid_matches_reference(three, [[1e200, 2.0], [0.5, 1.0], [1.0, 2.0]])[-1] == 0.0
+    # a pole raises the point evaluator's DomainError, naming the same point
+    with pytest.raises(DomainError, match=re.escape("at (1.0, 0.5)")):
+        (P("1") / P("x - 1")).compile_grid()([3.0, 1.0], [0.5])
+    assert_grid_matches_reference(P("x + y") / P("x - 1"), [[3.0, 1.0], [0.5, 2.0]])
+
+
+def test_grid_of_a_constant_and_of_an_empty_axis():
+    assert P("5").compile_grid()([1.0, 2.0], [3.0]) == [5.0, 5.0]
+    assert (P("x") / P("1 + y^2")).compile_grid()([], [1.0]) == []
+    assert PolyScalar((), {(): Fraction(1, 3)}).compile_grid()() == [1 / 3]
 
 
 def test_numeric_compile_float_is_its_evaluator():

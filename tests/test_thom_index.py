@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -558,6 +559,23 @@ def test_quadrature_paths_are_pinned(monkeypatch, dim, domain, tol, raw, error, 
     assert [r.panels for r in results] == [panels]
 
 
+@pytest.mark.parametrize("backend,text,bounds,raw,error,panels", [
+    ("poly", "(x^3 - 2*x + 1)/(x^2 + x + 1)", [(-2, "3/2")],
+     2.8189014379426434, 9.555273239314488e-13, 7),
+    ("numeric", "exp(-x^2)*cos(3*x) + sqrt(1 + x^2)", [(-1, 2)],
+     4.368196821187651, 2.441769009209338e-12, 6),
+])
+def test_line_box_quadrature_is_pinned(monkeypatch, backend, text, bounds, raw, error, panels):
+    # 1-D box integrals on both backends, bit for bit
+    results = _spy_quadrature(monkeypatch)
+    A = alg.tangent(1, Chart(("x",), backend))
+    form = AlgForm.dual_basis(A, (0,)).scale(A.chart.parse(text))
+    result = ti.integrate(A, form, ti.Density(A, 1), ti.BoxDomain(bounds), tol=1e-12)
+    assert not result.exact
+    assert (result.raw, result.raw_error) == (raw, error)
+    assert [r.panels for r in results] == [panels]
+
+
 def _raw_integral(A, scalar, domain, tol, budget=4000):
     form = AlgForm.dual_basis(A, (0, 1)).scale(scalar)
     result = ti.integrate(A, form, ti.Density(A, 1), domain, tol=tol, budget=budget)
@@ -597,8 +615,8 @@ def test_sphere_job_index_and_thom_base_integrate_alike(monkeypatch):
 
 
 def test_exhausted_budget_carries_value_and_estimate():
-    def f(x, y):
-        return 1 / (1 + x * x + y * y)
+    def f(xs, ys):  # a grid integrand: one node list per axis, values in product order
+        return [1 / (1 + x * x + y * y) for x, y in itertools.product(xs, ys)]
 
     one_panel = quadrature.integrate_2d(f, (0, 1), (-1, 2), tol=1.0, budget=1)
     assert one_panel.panels == 1
@@ -615,6 +633,7 @@ def test_three_dimensional_quadrature_is_refused(domain, monkeypatch):
         raise AssertionError("a refused integral compiles its integrand")
 
     monkeypatch.setattr(RationalScalar, "compile_float", compiled)
+    monkeypatch.setattr(RationalScalar, "compile_grid", compiled)
     with pytest.raises(AlgindexError, match="base dimension <= 2"):
         ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain)
 
