@@ -2,7 +2,8 @@
 
 Pulling an algebroid back over its own dual gives a presentation carrying a
 canonical symplectic form (with the Lie-Poisson correction
-sum C^c_ab u_c h^a ^ h^b when the structure functions are nonzero).  The
+sum C^c_ab u_c h^a ^ h^b when the structure functions are nonzero, constant
+or not).  The
 Thom map alpha -> pi*alpha ^ Th composed with fiber integration is the
 identity on forms of every degree at once (a Thom-extended form is two
 graded AlgForms, the Th-free part and the coefficient of Th), and the
@@ -10,7 +11,10 @@ twisted integral over the dual agrees with the base integral.
 """
 
 from algindex import (
+    AlgebroidPresentation,
     AlgForm,
+    BoxDomain,
+    Chart,
     Density,
     d_g,
     fiber_integrate,
@@ -52,3 +56,14 @@ print("Th ^ Th = 0:", th.wedge(th).is_zero())
 top = AlgForm.dual_basis(A, (0, 1, 2))
 check = thom_compatibility(A, top, Density(A, 1))
 print(check)
+
+# Structure functions need not be constant: on the line, rho(e1) = d/dx,
+# rho(e2) = x^2/2 d/dx and [e1, e2] = x e1 give Theta(h1, h2) = x u1, and
+# d Theta = 0 then also rests on the anchor acting on x.
+chart = Chart(("x",))
+x = chart.coord(0)
+B = AlgebroidPresentation(chart, 2, [[1], [x * x / 2]], {(0, 1): [x, 0]}, "sliding")
+pb_B = pullback(B, B.rank)
+print("Theta on the sliding algebroid's dual:", symplectic_form(pb_B))
+top_B = AlgForm.dual_basis(B, (0, 1)).scale(3 * x * x)
+print(thom_compatibility(B, top_B, Density(B, 1), BoxDomain([(0, 2)])))

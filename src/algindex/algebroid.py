@@ -15,6 +15,7 @@ morphisms (with their two compatibility conditions) live here as well.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count, islice
 
 from .scalars import AlgindexError, Chart
 
@@ -306,7 +307,9 @@ def pullback(A: AlgebroidPresentation, fiber_dim, name=None):
     in a trivialization, base for the symplectic/Thom machinery.
     """
     m = int(fiber_dim)
-    chart = A.chart.extended(f"u{j + 1}" for j in range(m))
+    # u1, u2, ..., skipping the names the base chart already holds
+    fresh = (f"u{k}" for k in count(1) if f"u{k}" not in A.chart.names)
+    chart = A.chart.extended(islice(fresh, m))
     r = A.rank
 
     def lift(s):

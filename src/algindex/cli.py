@@ -210,8 +210,6 @@ _KEYWORDS = {
     "maxItems": _length(operator.gt,
                         lambda n: "is expected to be empty" if n == 0 else "is too long"),
 }
-# the keywords the walk checks, and annotations it may ignore
-_KNOWN = _KEYWORDS.keys() | {"$schema", "title"}
 
 
 def _walk(schema, value, path, found):
@@ -240,12 +238,12 @@ def schema_violation(schema, data):
     """The (path, message) of the violation of ``schema`` that jsonschema
     4.26's ``best_match`` reports for draft 7, or ``None`` if there is none.
 
-    The walk checks the keywords of ``_KEYWORDS`` in the schema's order, and
-    ``load_schema`` refuses any other.  A violation found first wins a tie, as
-    in jsonschema, whose messages it uses.  It differs from jsonschema in one
-    verdict: an ``integer`` is a Python int that is not a bool, so an integral
-    float such as ``rank: 2.0`` is a violation, which draft 7 lets through to
-    fail later in ``range()``.
+    The walk checks the keywords of ``_KEYWORDS`` in the schema's order and
+    ignores any other; a test holds schema.json to those.  A violation found
+    first wins a tie, as in jsonschema, whose messages it uses.  It differs
+    from jsonschema in one verdict: an ``integer`` is a Python int that is not
+    a bool, so an integral float such as ``rank: 2.0`` is a violation, which
+    draft 7 lets through to fail later in ``range()``.
     """
     found = []
     _walk(schema, data, (), found)
@@ -256,33 +254,9 @@ def schema_violation(schema, data):
     return best
 
 
-def _check_schema(schema, path=("<root>",)):
-    """Refuse a schema that uses a keyword, a type or a value the walk does not
-    check, so that the walk and schema.json cannot drift apart."""
-    problem = None
-    if not isinstance(schema, dict):
-        problem = "a schema must be an object"
-    elif not schema.keys() <= _KNOWN:
-        problem = f"unsupported keyword {next(k for k in schema if k not in _KNOWN)!r}"
-    elif "type" in schema and not set(_names(schema["type"])) <= _TYPES.keys():
-        problem = f"unsupported type {schema['type']!r}"
-    elif not all(isinstance(value, (str, int, float))
-                 for value in [*schema.get("enum", ()), schema.get("const", 0)]):
-        problem = "enum or const holds a value that is not a scalar"
-    if problem:
-        raise ValueError(f"schema.json at {'/'.join(path)}: {problem}")
-    for key, subschema in schema.get("properties", {}).items():
-        _check_schema(subschema, path + ("properties", key))
-    for keyword in ("additionalProperties", "items"):
-        if keyword in schema:
-            _check_schema(schema[keyword], path + (keyword,))
-
-
 def load_schema():
-    """schema.json, the published contract, checked to use only what the walk checks."""
-    schema = json.loads(resources.files("algindex").joinpath("schema.json").read_text())
-    _check_schema(schema)
-    return schema
+    """schema.json, the published contract."""
+    return json.loads(resources.files("algindex").joinpath("schema.json").read_text())
 
 
 def load_document(path):
@@ -339,25 +313,34 @@ class JobContext:
         backend = document.get("backend", "poly")
         names = tuple(document.get("coordinates", ()))
         self.chart = Chart(names, backend)
+        self.declared = {kind: document.get(section) or {} for section, kind in _SECTIONS}
         self.tables = {kind: {} for _, kind in _SECTIONS}
         try:
-            for section, kind in _SECTIONS:
-                build = getattr(self, f"_build_{kind}")
-                for name, spec in sorted((document.get(section) or {}).items()):
-                    self.tables[kind][name] = build(name, spec)
-        except (ValueError, KeyError) as exc:
+            for kind, specs in self.declared.items():
+                for name in sorted(specs):
+                    self.ref(kind, name)
+        # RecursionError: a chain of pull-backs and products nested too deep
+        except (ValueError, KeyError, RecursionError) as exc:
             raise DocumentError(f"document error: {exc}") from exc
 
     def ref(self, kind, name):
-        """The declared object of a kind ("algebroid", "metric", ...) by name.
+        """The declared object of a kind ("algebroid", "metric", ...) by name,
+        built on first use, so a pull-back or product may name an algebroid
+        declared after it.
 
         ``None`` stands for an optional reference that was left out.
         """
         if name is None:
             return None
-        if name not in self.tables[kind]:
-            raise DocumentError(f"unknown {kind} {name!r}")
-        return self.tables[kind][name]
+        table = self.tables[kind]
+        if name not in table:
+            if name not in self.declared[kind]:
+                raise DocumentError(f"unknown {kind} {name!r}")
+            table[name] = None  # under construction until its build returns
+            table[name] = getattr(self, f"_build_{kind}")(name, self.declared[kind][name])
+        if table[name] is None:
+            raise DocumentError(f"{kind} {name!r} is defined through itself")
+        return table[name]
 
     def _build_algebroid(self, name, spec):
         kind = spec["kind"]

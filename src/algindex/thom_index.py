@@ -1,6 +1,9 @@
 """Densities, twisted integration, the symplectic form on the dual pull-back,
 the formal Thom-class calculus and the topological index evaluators.
 
+The symplectic form is the Lie-Poisson one, -d of the Liouville form, for
+every Lie algebroid: its structure functions may vary over the base.
+
 Compact supports are modeled formally: the fiber generator Th is an
 algebraic symbol of degree r with Th ^ Th = 0 and the integration rule
 "integral of Th over the fiber = 1".  Characteristic forms arrive 2*pi-free
@@ -253,11 +256,16 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
 
     Theta = sum_a h^a ^ v^a + sum_(a<b) sum_c C^c_ab u_c h^a ^ h^b: the
     canonical-splitting pairing plus the Lie-Poisson correction, linear in
-    the fiber coordinates u_c.  The correction's d u_c ^ h^a ^ h^b terms
-    cancel d of the pairing; what is left vanishes exactly when the
-    structure constants C^c_ab satisfy Jacobi.  d Theta = 0 is checked here,
-    once, for every algebra.  Structure functions that are not constant are
-    refused.
+    the fiber coordinates u_c, with C^c_ab read off the pull-back's own
+    bracket of horizontal lifts.  It is -d lambda for the Liouville form
+    lambda = sum_c u_c h^c of the linear Poisson structure on A*, so
+    d Theta = -sum_c u_c d(d h^c) vanishes whenever the bracket satisfies
+    Jacobi; the structure functions need not be constant.
+
+    d Theta = 0 is checked here, once, for every algebroid: it is the
+    Jacobiator of the frame, with its rho(e)(C) terms, on document input.
+    It does not check that the anchor is a bracket morphism; that is
+    ``validate``'s job.
     """
     data = pb.pullback_data
     if data is None:
@@ -267,18 +275,11 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
         raise PresentationError("the symplectic form lives on the dual pull-back")
     r, h = A.rank, data.horizontal
     coeffs = {(h[a], data.vertical[a]): (1,) for a in range(r)}
-    if any(not c.is_constant() for cs in A.structure.values() for c in cs):
-        raise PresentationError(
-            "Lie-Poisson corrections are implemented for constant "
-            "structure functions only"
-        )
     u = [pb.chart.coord(i) for i in data.fiber_coords]
     for a in range(r):
         for b in range(a + 1, r):
-            correction = pb.chart.zero()
-            for c, coeff in enumerate(A.bracket(a, b)):
-                if not coeff.is_zero():
-                    correction = correction + u[c] * coeff.constant_value()
+            bracket = pb.bracket(h[a], h[b])
+            correction = sum((u[c] * bracket[h[c]] for c in range(r)), pb.chart.zero())
             coeffs[(h[a], h[b])] = (correction,)
     theta = AlgForm(pb, coeffs)
     if not d_g(theta).is_zero():

@@ -187,6 +187,12 @@ def test_pullback_abelian():
     assert pb.rank == 2 and not pb.structure
 
 
+def test_pullback_fiber_names_skip_the_chart_names():
+    plane = alg.tangent(2, Chart(("u1", "v")))
+    assert alg.pullback(plane, 2).chart.names == ("u1", "v", "u2", "u3")
+    assert alg.pullback(alg.tangent(2), 2).chart.names == ("x1", "x2", "u1", "u2")
+
+
 def test_pullback_structure_is_horizontal(pullback_su2, su2):
     data = pullback_su2.pullback_data
     for (a, b) in pullback_su2.structure:

@@ -62,8 +62,9 @@ def test_every_bundled_job_has_goldens():
 
 
 # documents with their stdout beside them: a numeric-backend chart (printed
-# expression trees, transcendental quadrature, sampled zero tests) and three
-# rational charts of S^2, whose index and thom-check integrate over the plane
+# expression trees, transcendental quadrature, sampled zero tests), three
+# rational charts of S^2, whose index and thom-check integrate over the plane,
+# and thom-checks of algebroids with varying structure functions
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -193,6 +194,74 @@ def test_unknown_reference_rejected(tmp_path):
     proc = run_cli(["run", str(doc)])
     assert proc.returncode == 2
     assert "unknown groupoid" in proc.stderr
+
+
+def _algebroids_document(tmp_path, algebroids, rest="computations:\n  - {op: validate}\n"):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text("version: 1\ncoordinates: [x]\nalgebroids:\n" + algebroids + rest)
+    return str(doc)
+
+
+def test_algebroids_may_name_one_declared_after_them(tmp_path, capsys):
+    # built in name order, "both" and "dual" come before the "line" they name
+    doc = _algebroids_document(tmp_path, (
+        "  line: {kind: tangent}\n"
+        "  dual: {kind: pullback, parent: line}\n"
+        "  both: {kind: product, left: line, right: dual}\n"))
+    assert cli.main(["--format", "json", "run", doc]) == 0
+    reports = json.loads(capsys.readouterr().out)["results"][0]["result"]
+    assert {name: report["status"] for name, report in reports.items()} == {
+        "both": "valid", "dual": "valid", "line": "valid"}
+
+
+@pytest.mark.parametrize("algebroids", [
+    "  a: {kind: pullback, parent: b}\n  b: {kind: product, left: x, right: a}\n"
+    "  x: {kind: tangent}\n",
+    "  a: {kind: pullback, parent: a}\n",
+])
+def test_algebroid_defined_through_itself_is_a_document_error(tmp_path, capsys, algebroids):
+    assert cli.main(["run", _algebroids_document(tmp_path, algebroids)]) == 2
+    assert capsys.readouterr() == ("", "error: algebroid 'a' is defined through itself\n")
+
+
+def test_algebroid_chain_deeper_than_the_stack_is_a_document_error(tmp_path):
+    # 60 pull-backs, each naming the next; the low recursion limit stands in
+    # for a chain of some 500 at the default one
+    names = [f"a{k:02d}" for k in range(61)]
+    doc = _algebroids_document(tmp_path, f"  {names[-1]}: {{kind: abelian, rank: 0}}\n" + "".join(
+        f"  {a}: {{kind: pullback, parent: {b}, fiber_dim: 1}}\n" for a, b in zip(names, names[1:])))
+    code = ("import sys; from algindex import cli; sys.setrecursionlimit(100); "
+            "sys.exit(cli.main(['run', sys.argv[1]]))")
+    proc = subprocess.run([sys.executable, "-c", code, doc], capture_output=True, text=True,
+                          timeout=300)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: document error: maximum recursion depth exceeded")
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_pullback_of_a_chart_holding_a_fiber_name(tmp_path, capsys):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "coordinates: [u1, v]\n"
+        "algebroids:\n"
+        "  plane: {kind: tangent}\n"
+        "  up: {kind: pullback, parent: plane}\n"
+        "densities:\n"
+        "  unit: {algebroid: plane}\n"
+        "forms:\n"
+        "  top: {algebroid: plane, degree: 2, coefficients: {'1,2': '1'}}\n"
+        "domains:\n"
+        "  cell: {type: box, bounds: [['0', '1'], ['0', '1']]}\n"
+        "computations:\n"
+        "  - {op: thom-check, algebroid: plane, form: top, density: unit, domain: cell}\n"
+        "  - {op: validate, algebroid: up}\n"
+    )
+    assert cli.main(["--format", "json", "run", str(doc)]) == 0
+    thom, valid = (item["result"] for item in json.loads(capsys.readouterr().out)["results"])
+    exact_one = {"error": "0", "exact": True, "value": "1"}
+    assert thom["base"] == thom["mapped"] == exact_one and thom["theta_closed"]
+    assert valid["up"]["status"] == "valid"
 
 
 def test_scalar_syntax_error_is_positioned(tmp_path):

@@ -197,6 +197,36 @@ def test_keys_that_do_not_compare_give_a_violation():
     assert path == "algebroids/a/kind" and message.startswith("'y' is not one of ")
 
 
+# the keywords the walk checks, and annotations it may ignore
+_KNOWN = cli._KEYWORDS.keys() | {"$schema", "title"}
+
+
+def _check_schema(schema, path=("<root>",)):
+    """Refuse a schema that uses a keyword, a type or a value the walk does not
+    check, so that the walk and schema.json cannot drift apart."""
+    problem = None
+    if not isinstance(schema, dict):
+        problem = "a schema must be an object"
+    elif not schema.keys() <= _KNOWN:
+        problem = f"unsupported keyword {next(k for k in schema if k not in _KNOWN)!r}"
+    elif "type" in schema and not set(cli._names(schema["type"])) <= cli._TYPES.keys():
+        problem = f"unsupported type {schema['type']!r}"
+    elif not all(isinstance(value, (str, int, float))
+                 for value in [*schema.get("enum", ()), schema.get("const", 0)]):
+        problem = "enum or const holds a value that is not a scalar"
+    if problem:
+        raise ValueError(f"schema.json at {'/'.join(path)}: {problem}")
+    for key, subschema in schema.get("properties", {}).items():
+        _check_schema(subschema, path + ("properties", key))
+    for keyword in ("additionalProperties", "items"):
+        if keyword in schema:
+            _check_schema(schema[keyword], path + (keyword,))
+
+
+def test_bundled_schema_uses_only_what_the_walk_checks():
+    _check_schema(SCHEMA)
+
+
 @pytest.mark.parametrize("schema,problem", [
     ({"type": "object", "oneOf": []}, "at <root>: unsupported keyword 'oneOf'"),
     ({"properties": {"a": {"$ref": "#"}}}, "at <root>/properties/a: unsupported keyword '$ref'"),
@@ -206,8 +236,8 @@ def test_keys_that_do_not_compare_give_a_violation():
 ])
 def test_schema_with_what_the_walk_does_not_check_is_refused(schema, problem):
     with pytest.raises(ValueError, match=problem.replace("$", r"\$")):
-        cli._check_schema({"$schema": "http://json-schema.org/draft-07/schema#",
-                           "title": "t", **schema})
+        _check_schema({"$schema": "http://json-schema.org/draft-07/schema#",
+                       "title": "t", **schema})
 
 
 INTEGRAL_FLOATS = [

@@ -241,18 +241,52 @@ def test_symplectic_form_refuses_a_jacobi_violation(tmp_path, capsys):
     assert after["ok"] and after["result"]["betti"] == [1, 1, 0, 1, 1]
 
 
-def test_symplectic_form_refuses_varying_structure_functions(tmp_path, capsys):
+def test_thom_check_with_varying_structure_functions(tmp_path, capsys):
+    # [e1, e2] = x e3: Theta needs no constant structure
     algebroid = {"kind": "explicit", "rank": 3, "anchor": [["0"], ["0"], ["0"]],
+                 "structure": {"1,2": {"3": "x"}}}
+    results, code = _thom_check_then(
+        tmp_path, capsys, algebroid, {"op": "validate"}, coordinates=["x"],
+        domain={"type": "box", "bounds": [["0", "1"]]})
+    assert code == 0
+    theta, after = results
+    exact_one = {"error": "0", "exact": True, "value": "1"}
+    assert theta["result"] == {"base": exact_one, "mapped": exact_one, "compatible": True,
+                               "theta_closed": True, "theta_nondegenerate": True,
+                               "roundtrip_identity": True}
+    assert after["ok"] and after["result"]["g"]["status"] == "valid"
+
+
+def test_symplectic_form_refuses_a_jacobi_violation_made_by_the_anchor(tmp_path, capsys):
+    # [e1, e2] = x e3 with rho(e3) = d/dx: Jacobi fails through the rho(e3)(x) term
+    algebroid = {"kind": "explicit", "rank": 3, "anchor": [["0"], ["0"], ["1"]],
                  "structure": {"1,2": {"3": "x"}}}
     results, code = _thom_check_then(
         tmp_path, capsys, algebroid, {"op": "validate"}, coordinates=["x"],
         domain={"type": "box", "bounds": [["0", "1"]]})
     assert code == 1
     theta, after = results
-    assert not theta["ok"]
-    assert theta["error"] == (
-        "Lie-Poisson corrections are implemented for constant structure functions only")
-    assert after["ok"] and after["result"]["g"]["status"] == "valid"
+    assert not theta["ok"] and theta["error"] == "no Lie-Poisson correction closes Theta"
+    violations = json.loads(after["error"])["g"]["violations"]
+    assert {(v["kind"], v["residual"]) for v in violations} == {
+        ("jacobi", "-1"), ("anchor-morphism", "x")}
+
+
+def _sliding():
+    """rho(e1) = d/dx, rho(e2) = x^2/2 d/dx, [e1, e2] = x e1 on the line."""
+    chart = Chart(("x",))
+    x = chart.coord(0)
+    return alg.AlgebroidPresentation(chart, 2, [[1], [x * x / 2]], {(0, 1): [x, 0]}, "sliding")
+
+
+def test_symplectic_form_with_varying_structure_and_anchor():
+    A = _sliding()
+    assert A.validate().ok
+    pb = alg.pullback(A, A.rank)
+    theta = ti.symplectic_form(pb)
+    x, u1 = (pb.chart.coord(i) for i in (0, pb.pullback_data.fiber_coords[0]))
+    assert theta.value_on((0, 1))[0] == x * u1
+    assert not ti.symplectic_top_power(pb, theta).is_zero()
 
 
 # -- the formal Thom calculus ----------------------------------------------------------
@@ -369,11 +403,17 @@ def test_thom_check_closes_theta_once(su2, t2, monkeypatch):
         return d_g(form, rep)
 
     monkeypatch.setattr(ti, "d_g", counting_d_g)
-    for A, domain in ((su2, None), (t2, ti.BoxDomain([(0, 1), (0, 1)]))):
+    sliding = _sliding()
+    x = sliding.chart.coord(0)
+    for A, coefficient, domain, value in (
+        (su2, 1, None, 1),
+        (t2, 1, ti.BoxDomain([(0, 1), (0, 1)]), 1),
+        (sliding, 3 * x * x, ti.BoxDomain([(0, 2)]), 8),
+    ):
         calls.clear()
-        top = AlgForm.dual_basis(A, tuple(range(A.rank)))
+        top = AlgForm.dual_basis(A, tuple(range(A.rank))).scale(coefficient)
         check = ti.thom_compatibility(A, top, ti.Density(A, 1), domain)
-        assert check.theta_closed and check.compatible
+        assert check.theta_closed and check.compatible and check.base.value == value
         assert len(calls) == 1, A.name
 
 
