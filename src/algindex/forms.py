@@ -374,35 +374,37 @@ def _constant_checks(algebroid, rep):
 
 
 def _differential_matrix(algebroid, rep, degree):
-    """Matrix of d on the (tuple, bundle-index) basis, exact rationals.
+    """Rows ``{column: value}`` of d on the (tuple, bundle-index) basis, exact.
 
     Built straight from the structure constants c and the representation
     matrices w, as the differential acts on the basis form of (T, j): the row
     of (S, l) gets (-1)^i w_{S_i}[l][j] where T is S without S_i, and, for
     l = j, (-1)^(i+j) c^g_{S_i S_j} times the sorting sign of
-    (g, S without S_i and S_j) where that sorts to T.  Zero entries are the
-    int 0, so a scan for the nonzero entries is cheap.
+    (g, S without S_i and S_j) where that sorts to T.  Integral constants are
+    ints, so the rows add up in int arithmetic, and no row stores a zero.
     """
     r, m = algebroid.rank, rep.bundle_rank
     n_rows, n_cols = comb(r, degree + 1) * m, comb(r, degree) * m
     linalg.check_size(n_rows * n_cols, f"the degree-{degree} differential matrix")
     brackets = {
-        key: [(g, c.constant_value()) for g, c in enumerate(coeffs) if not c.is_zero()]
+        key: [(g, linalg.exact(c.constant_value())) for g, c in enumerate(coeffs)
+              if not c.is_zero()]
         for key, coeffs in algebroid.structure.items()
     }
     weights = [
-        [[(j, v.constant_value()) for j, v in enumerate(row) if not v.is_zero()] for row in w]
+        [[(j, linalg.exact(v.constant_value())) for j, v in enumerate(row) if not v.is_zero()]
+         for row in w]
         for w in rep.matrices
     ]
     column = {T: n * m for n, T in enumerate(combinations(range(r), degree))}
-    matrix = [[0] * n_cols for _ in range(n_rows)]
+    matrix = [{} for _ in range(n_rows)]
     for n, S in enumerate(combinations(range(r), degree + 1)):
         rows = matrix[n * m:(n + 1) * m]
         for i, alpha in enumerate(S):
             col = column[S[:i] + S[i + 1:]]
             for row, entries in zip(rows, weights[alpha]):
                 for j, v in entries:
-                    row[col + j] += v if i % 2 == 0 else -v
+                    linalg.add_entry(row, col + j, v if i % 2 == 0 else -v)
         for i, j in combinations(range(degree + 1), 2):
             rest = S[:i] + S[i + 1:j] + S[j + 1:]
             for gamma, c in brackets.get((S[i], S[j]), ()):
@@ -410,7 +412,7 @@ def _differential_matrix(algebroid, rep, degree):
                 if sign:
                     value = c if sign * (-1) ** (i + j) > 0 else -c
                     for l, row in enumerate(rows):
-                        row[column[T] + l] += value
+                        linalg.add_entry(row, column[T] + l, value)
     return matrix
 
 

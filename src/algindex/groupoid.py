@@ -278,9 +278,9 @@ def _check_differential(dims, k):
 
 
 def differential_matrix(groupoid, rep, k):
-    """Matrix of d: C^k -> C^{k+1} on the canonical bases, exact.
+    """Rows ``{column: value}`` of d: C^k -> C^{k+1} on the canonical bases, exact.
 
-    Zero entries are the int 0, so a scan for the nonzero entries is cheap.
+    Integral entries are ints, and no row stores a zero.
     """
     G = groupoid
     _check_differential(_cochain_dims(G, rep, k + 1), k)
@@ -289,15 +289,15 @@ def differential_matrix(groupoid, rep, k):
     index = {label: i for i, label in enumerate(domain)}
     # the nonzero entries (j, value) of each row of each arrow's matrix
     transport = {
-        g: [[(j, v) for j, v in enumerate(row) if v] for row in mat]
+        g: [[(j, linalg.exact(v)) for j, v in enumerate(row) if v] for row in mat]
         for g, mat in rep.matrices.items()
     }
-    matrix = [[0] * len(domain) for _ in codomain]
+    matrix = [{} for _ in codomain]
 
     def add(row, chain, j, coeff):
         col = index.get((chain, j))
         if col is not None:
-            matrix[row][col] += coeff
+            linalg.add_entry(matrix[row], col, coeff)
 
     for row, (chain, comp) in enumerate(codomain):
         if k == 0:

@@ -1,19 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Matrices come in as dense lists of rows.  ``rank``, ``det``, ``solve`` and
-``nullspace`` all run on one sparse, fraction-free forward elimination,
-``_eliminate``, over primitive integer rows.
+``rank`` takes the sparse rows ``{column: value}`` that the cohomology
+builders make; ``det``, ``solve`` and ``nullspace`` take dense lists of rows.
+All four run on one sparse, fraction-free forward elimination, ``_eliminate``.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
 
 from .scalars import AlgindexError
 
-# the most entries a dense matrix, or a set of them, may have
+# the most entries (rows x columns) a matrix, or a set of them, may have
 MAX_ENTRIES = 2 ** 24
 
 
@@ -58,17 +57,17 @@ def _primitive(row):
     return row, g or 1
 
 
-def _eliminate(matrix):
-    """Sparse fraction-free forward elimination of a dense matrix.
+def _eliminate(rows, n_cols):
+    """Sparse fraction-free forward elimination of rows ``{column: value}``.
 
-    Each row is scaled by the lcm of its denominators to a primitive integer
-    row, kept as its nonzero entries ``{column: int}``.  Column by column, the
-    pivot is the sparsest remaining row with a nonzero ``p`` in that column,
-    ties going to the lowest row index.  Every other remaining row with a
-    nonzero ``a`` there becomes ``(p/g) row - (a/g) pivot`` with g = gcd(a, p),
-    divided by the gcd of its entries.  Each row is thus always a nonzero
-    multiple of the row that elimination over the rationals leaves, and
-    ``scales`` holds that multiple.  Returns the pivot rows, their pivot
+    No row stores a zero; its values are ints or Fractions.  Each row is
+    scaled by the lcm of its denominators to a primitive integer row.  Column
+    by column, the pivot is the sparsest remaining row with a nonzero ``p`` in
+    that column, ties going to the lowest row index.  Every other remaining
+    row with a nonzero ``a`` there becomes ``(p/g) row - (a/g) pivot`` with
+    g = gcd(a, p), divided by the gcd of its entries.  Each row is thus always
+    a nonzero multiple of the row that elimination over the rationals leaves,
+    and ``scales`` holds that multiple.  Returns the pivot rows, their pivot
     columns, the original indices of the pivot rows and their scales, all in
     pivot order.  Pivot row k is zero left of its pivot column, and the pivot
     columns are the leftmost independent columns whichever rows are chosen as
@@ -78,14 +77,12 @@ def _eliminate(matrix):
     nonzero in it are those whose first nonzero is there: rows wait in
     ``starting[column]`` of their first nonzero column.
     """
-    n_cols = len(matrix[0]) if matrix else 0
-    rows, scales = [], []
+    scales = []
     starting = [[] for _ in range(n_cols)]
-    for i, dense in enumerate(matrix):
-        row = {j: Fraction(dense[j]) for j in compress(range(n_cols), dense)}
+    rows = list(rows)
+    for i, row in enumerate(rows):
         lcm = math.lcm(*(v.denominator for v in row.values()))
-        row, g = _primitive({j: v.numerator * (lcm // v.denominator) for j, v in row.items()})
-        rows.append(row)
+        rows[i], g = _primitive({j: v.numerator * (lcm // v.denominator) for j, v in row.items()})
         scales.append(Fraction(lcm, g))
         if row:
             starting[min(row)].append(i)
@@ -129,12 +126,34 @@ def _back_substitute(pivots, columns, x):
     return x
 
 
-def rank(matrix) -> int:
-    return len(_eliminate(matrix)[1])
+def exact(v):
+    """v as an int if it is integral, else as a Fraction."""
+    v = Fraction(v)
+    return v.numerator if v.denominator == 1 else v
+
+
+def add_entry(row, col, value):
+    """row[col] += value in a sparse row, which keeps no zero entry."""
+    x = row.get(col, 0) + value
+    if x:
+        row[col] = x
+    else:
+        del row[col]
+
+
+def _sparse(matrix):
+    """The rows of a dense matrix as ``{column: value}`` rows, and its column count."""
+    rows = [{j: Fraction(v) for j, v in enumerate(row) if v} for row in matrix]
+    return rows, len(matrix[0]) if matrix else 0
+
+
+def rank(rows) -> int:
+    """Rank of the sparse rows ``{column: value}``, which store no zero."""
+    return len(_eliminate(rows, 1 + max((max(row) for row in rows if row), default=-1))[1])
 
 
 def det(a) -> Fraction:
-    pivots, columns, order, scales = _eliminate(a)
+    pivots, columns, order, scales = _eliminate(*_sparse(a))
     if len(pivots) < len(a):
         return Fraction(0)
     inversions = sum(p > q for k, p in enumerate(order) for q in order[k + 1:])
@@ -150,7 +169,7 @@ def solve(a, b):
     Free variables are set to zero, so the answer is deterministic.
     """
     n_cols = len(a[0]) if a else 0
-    pivots, columns, _, _ = _eliminate([list(row) + [b_i] for row, b_i in zip(a, b)])
+    pivots, columns, _, _ = _eliminate(*_sparse([list(row) + [b_i] for row, b_i in zip(a, b)]))
     if columns and columns[-1] == n_cols:
         return None
     # the right-hand side is column n_cols, with x = -1 there
@@ -160,8 +179,8 @@ def solve(a, b):
 
 def nullspace(a):
     """Basis of ker A, deterministic (one vector per free column)."""
-    n_cols = len(a[0]) if a else 0
-    pivots, columns, _, _ = _eliminate(a)
+    rows, n_cols = _sparse(a)
+    pivots, columns, _, _ = _eliminate(rows, n_cols)
     basis = []
     for free in sorted(set(range(n_cols)) - set(columns)):
         x = [Fraction(0)] * n_cols

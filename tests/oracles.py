@@ -3,9 +3,11 @@
 Everything here is deliberately self-contained: the Chevalley-Eilenberg rank
 oracle builds differential matrices straight from structure constants with
 its own sign bookkeeping and its own row reduction, the Euler-characteristic
-oracle counts simplices, and the determinant expansion used against the
-Pfaffian is a direct Leibniz sum.  None of it calls the library paths it is
-used to check.
+oracle counts simplices, the groupoid Betti oracle builds the full cochain
+complex, degenerate chains included, and the determinant expansion used
+against the Pfaffian is a direct Leibniz sum.  None of it calls the library
+paths it is used to check.  ``dense`` reads the library's sparse rows as the
+dense lists these oracles work on.
 """
 
 from fractions import Fraction
@@ -30,6 +32,11 @@ def row_reduce_rank(matrix):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def dense(rows, n_cols):
+    """Sparse rows ``{column: value}`` as dense lists of n_cols entries."""
+    return [[row.get(j, 0) for j in range(n_cols)] for row in rows]
 
 
 def _perm_sign(seq):
@@ -94,6 +101,59 @@ def ce_betti_numbers(structure_constants, rank):
         image_prev = ranks[k - 1] if k else 0
         betti.append(dims[k] - ranks[k] - image_prev)
     return betti
+
+
+def full_groupoid_betti_numbers(G, fiber, matrices, max_degree):
+    """Betti numbers b_0..b_max_degree of the full groupoid cochain complex.
+
+    ``fiber[x]`` is the fibre dimension at object x and ``matrices[g]`` the
+    dense matrix of lambda_g: E_{s(g)} -> E_{t(g)}.  A k-cochain takes values
+    at the end x_k of each chain x_0 -> .. -> x_k, and every composable tuple
+    is a chain, units included; degree 0 uses the objects.  The differential
+    is evaluated face by face,
+
+        d phi(g_1..g_{k+1}) = phi(g_2..g_{k+1})
+                            + sum_i (-1)^i phi(.., g_i g_{i+1}, ..)
+                            + (-1)^{k+1} lambda_{g_{k+1}} phi(g_1..g_k),
+
+    and d phi(g) = lambda_g phi(s(g)) - phi(t(g)) in degree zero.
+    """
+
+    def chains(k):
+        if k == 0:
+            return [(x,) for x in G.objects]
+        out = [(g,) for g in G.arrows]
+        for _ in range(k - 1):
+            out = [c + (g,) for c in out for g in G.arrows if G.target[c[-1]] == G.source[g]]
+        return out
+
+    def basis(k):
+        end = (lambda c: c[0]) if k == 0 else (lambda c: G.target[c[-1]])
+        return [(c, j) for c in chains(k) for j in range(fiber[end(c)])]
+
+    def differential(k):
+        columns = {label: n for n, label in enumerate(basis(k))}
+        matrix = []
+        for c, j in basis(k + 1):
+            row = [Fraction(0)] * len(columns)
+            last = c[-1]
+            if k == 0:
+                for i in range(fiber[G.source[last]]):
+                    row[columns[((G.source[last],), i)]] += matrices[last][j][i]
+                row[columns[((G.target[last],), j)]] -= 1
+            else:
+                row[columns[(c[1:], j)]] += 1
+                for i in range(1, k + 1):
+                    face = c[:i - 1] + (G.compose(c[i - 1], c[i]),) + c[i + 1:]
+                    row[columns[(face, j)]] += (-1) ** i
+                for i in range(fiber[G.source[last]]):
+                    row[columns[(c[:-1], i)]] += (-1) ** (k + 1) * matrices[last][j][i]
+            matrix.append(row)
+        return matrix
+
+    dims = [len(basis(k)) for k in range(max_degree + 1)]
+    ranks = [row_reduce_rank(differential(k)) for k in range(max_degree + 1)]
+    return [dims[k] - ranks[k] - (ranks[k - 1] if k else 0) for k in range(max_degree + 1)]
 
 
 def euler_characteristic(faces):

@@ -91,9 +91,10 @@ def test_criterion_2_d_squared_zero(su2, aff1, t2, so3_action, pullback_su2):
                     assert d_g(d_g(form)).is_zero(), (A.name, k, "chart")
     for G in (gp.pair_groupoid(3), gp.cyclic_group_groupoid(2)):
         rep = gp.FiniteRep.trivial(G)
+        dims = gp._cochain_dims(G, rep, 4)
         for k in range(3):
-            d_k = gp.differential_matrix(G, rep, k)
-            d_next = gp.differential_matrix(G, rep, k + 1)
+            d_k = oracles.dense(gp.differential_matrix(G, rep, k), dims[k])
+            d_next = oracles.dense(gp.differential_matrix(G, rep, k + 1), dims[k + 1])
             product = linalg.matmul(d_next, d_k)
             assert all(v == 0 for row in product for v in row)
     elapsed = time.monotonic() - start

@@ -7,7 +7,10 @@ from fractions import Fraction
 
 import pytest
 
+from algindex import algebroid as alg
+from algindex import groupoid as gp
 from algindex import linalg
+from algindex.forms import GConnection, _differential_matrix
 from algindex.scalars import AlgindexError
 
 import oracles
@@ -59,9 +62,69 @@ def _oracle_pivot_columns(a):
     return [j for j in range(n_cols) if ranks[j + 1] > ranks[j]]
 
 
+def _sparse(m):
+    return [{j: v for j, v in enumerate(row) if v} for row in m]
+
+
 def test_rank_matches_row_reduction():
     for m in _matrices(101):
-        assert linalg.rank(m) == oracles.row_reduce_rank(m), m
+        assert linalg.rank(_sparse(m)) == oracles.row_reduce_rank(m), m
+
+
+def _random_sparse_rows(rng, kind):
+    """Sparse rows of ints, of Fractions or of both, with empty rows now and then."""
+    n_rows, n_cols = rng.randint(1, 8), rng.randint(1, 8)
+    rows = []
+    for _ in range(n_rows):
+        row = {}
+        for j in range(n_cols):
+            if rng.random() < 0.35:
+                if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+                    row[j] = rng.choice([-3, -2, -1, 1, 2, 3, 6])
+                else:
+                    row[j] = Fraction(rng.choice([-3, -1, 1, 2, 4]), rng.randint(1, 6))
+        rows.append(row)
+    return rows, n_cols
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+def test_rank_of_sparse_rows_matches_row_reduction(kind):
+    rng = random.Random(f"sparse-{kind}")
+    assert linalg.rank([]) == 0
+    assert linalg.rank([{}, {}]) == 0
+    for _ in range(200):
+        rows, n_cols = _random_sparse_rows(rng, kind)
+        before = [dict(row) for row in rows]
+        assert linalg.rank(rows) == oracles.row_reduce_rank(oracles.dense(rows, n_cols)), rows
+        assert rows == before  # the caller's rows are not consumed
+
+
+def test_det_of_an_integer_matrix_is_an_exact_fraction():
+    rng = random.Random(707)
+    for _ in range(100):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        expected = oracles.leibniz_determinant(m, operator.mul, operator.add, 0)
+        value = linalg.det(m)
+        assert type(value) is Fraction and value == expected, m
+    assert type(linalg.det([[2, 1], [1, 1]])) is Fraction
+
+
+def test_builder_rows_store_no_zero():
+    # the faces of (a, a, a) in Z/n cancel on the chain (a, a), and in degree 1
+    # a weight and a structure constant of aff1 cancel: both builders meet zero sums
+    for G in (gp.cyclic_group_groupoid(4), gp.pair_groupoid(3)):
+        rep = gp.FiniteRep.trivial(G)
+        for k in range(4):
+            rows = gp.differential_matrix(G, rep, k)
+            assert all(v != 0 for row in rows for v in row.values()), (G, k)
+    for A in (alg.aff1(), alg.su2()):
+        r = A.rank
+        adjoint = [[[A.bracket(a, b)[c] for b in range(r)] for c in range(r)] for a in range(r)]
+        for rep in (GConnection.zero(A, 1), GConnection(A, r, adjoint)):
+            for degree in range(r):
+                rows = _differential_matrix(A, rep, degree)
+                assert all(v != 0 for row in rows for v in row.values()), (A, degree)
 
 
 def test_det_matches_leibniz():
