@@ -616,6 +616,28 @@ def test_line_box_quadrature_is_pinned(monkeypatch, backend, text, bounds, raw, 
     assert [r.panels for r in results] == [panels]
 
 
+@pytest.mark.parametrize("backend,text,domain,tol,budget,raw,error,panels", [
+    ("numeric", "exp(-x^2)", ti.PlaneDomain(), 1e-12, 2000,
+     1.7724538509055108, 1.289765388085628e-12, 15),
+    ("numeric", "exp(-x^2 - y^2)", ti.PlaneDomain(), 1e-10, 6000,
+     3.1415926535897745, 3.126105326693377e-10, 283),
+    # (x - y)^2 cancels on the diagonal: some nodes take the exact fallback
+    ("poly", "(x^2 - 2*x*y + y^2 + 1)/(1 + x^2 + y^2)^3", ti.PlaneDomain(), 1e-8, 6000,
+     3.1415926537653016, 2.6171181269764242e-08, 109),
+])
+def test_plane_quadrature_is_pinned(monkeypatch, backend, text, domain, tol, budget,
+                                    raw, error, panels):
+    # plane integrals through the tan substitution on both backends, bit for bit
+    results = _spy_quadrature(monkeypatch)
+    names = ("x", "y") if "y" in text else ("x",)
+    A = alg.tangent(len(names), Chart(names, backend))
+    form = AlgForm.dual_basis(A, tuple(range(len(names)))).scale(A.chart.parse(text))
+    result = ti.integrate(A, form, ti.Density(A, 1), domain, tol=tol, budget=budget)
+    assert not result.exact
+    assert (result.raw, result.raw_error) == (raw, error)
+    assert [r.panels for r in results] == [panels]
+
+
 def _raw_integral(A, scalar, domain, tol, budget=4000):
     form = AlgForm.dual_basis(A, (0, 1)).scale(scalar)
     result = ti.integrate(A, form, ti.Density(A, 1), domain, tol=tol, budget=budget)
