@@ -5,13 +5,19 @@ constants, Piessens et al. 1983) and worst-first subdivision that halves every
 axis.  The refinement order and the final summation order are fixed by panel
 creation index, so a given integrand, box and budget always produce
 bit-identical results.  The reported error is the Gauss-Kronrod difference
-|K - G| summed over the panels: an estimate, not a bound.  The integrand is a
-grid evaluator, called once per panel (see :func:`_panel`).
+|K - G| summed over the panels: an estimate, not a bound.
+
+The integrand is a panel program, called once per panel with positional
+arguments (see :func:`_panel`): given each axis's nodes and weights it
+returns the panel's Kronrod and Gauss sums, so the weighting and summation
+run inside one call.  ``thom_index.integrate`` builds it from the compiled
+integrand (``compile_panel``) with the Jacobian of the plane's substitution
+folded in.
 
 ``integrate_1d`` and ``integrate_2d`` are the entry points, one line each over
 ``_adaptive``.  They stay separate because the benchmark's span recorder
-(``perfbench/spans.py``) wraps them by name; it counts integrand calls, so
-one call is one panel.
+(``perfbench/spans.py``) wraps them by name and counts integrand calls, one
+per panel.
 """
 
 from __future__ import annotations
@@ -19,7 +25,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import product
-from operator import mul
 
 from .scalars import AlgindexError
 
@@ -52,19 +57,11 @@ _WG = (
 )
 
 
-def _nodes_1d(a, b):
-    """(kronrod nodes, kronrod weights, gauss weights aligned to nodes)."""
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    nodes, wk, wg = [], [], []
-    for i, x in enumerate(_XGK):
-        pts = (mid - half * x, mid + half * x) if x != 0.0 else (mid,)
-        for p in pts:
-            nodes.append(p)
-            wk.append(_WGK[i] * half)
-            # Gauss nodes are the odd-index Kronrod abscissae, the centre included
-            wg.append(_WG[i // 2] * half if i % 2 else 0.0)
-    return nodes, wk, wg
+# the unit rule in node order, -x before +x and the centre last: (abscissa,
+# side -1/+1/0, Kronrod weight, Gauss weight or None at a Kronrod-only node);
+# the Gauss nodes are the odd-index Kronrod abscissae, the centre included
+_UNIT = [(x, side, _WGK[i], _WG[i // 2] if i % 2 else None)
+         for i, x in enumerate(_XGK) for side in ((-1, 1) if x else (0,))]
 
 
 class QuadratureError(AlgindexError, RuntimeError):
@@ -86,24 +83,22 @@ class QuadResult:
 def _panel(f, box):
     """(Kronrod value, |Kronrod - Gauss|) of the tensor GK15 rule on a box.
 
-    ``f(*axes)`` gets the 15 nodes of each axis and returns the values at
-    ``product(*axes)``, the first axis outermost; each point's weight is the
-    product of its axis weights, multiplied left to right from 1.0.  The
-    Gauss rule uses the points whose every coordinate is a Gauss node.
+    ``f(axes, kron_weights, gauss_weights)`` gets the 15 nodes of each axis
+    and their Kronrod and Gauss weights (None at a Kronrod-only node), and
+    returns the two sums over ``product(*axes)``, the first axis outermost:
+    from 0.0, in that order, each value times the product of its axis
+    weights, multiplied left to right; the Gauss sum over the points whose
+    every coordinate is a Gauss node.
     """
-    axes, kron_w, gauss_w = [], [1.0], [(0, 1.0)]
+    axes, kron_w, gauss_w = [], [], []
     for a, b in box:
-        nodes, wk, wg = _nodes_1d(a, b)
-        axes.append(nodes)
-        kron_w = [w * c for w in kron_w for c in wk]
-        gauss_w = [(i * len(nodes) + j, w * c) for i, w in gauss_w
-                   for j, c in enumerate(wg) if c]
-    values = f(*axes)
-    kron = gauss = 0.0
-    for term in map(mul, kron_w, values):
-        kron += term
-    for i, w in gauss_w:
-        gauss += w * values[i]
+        half = 0.5 * (b - a)
+        mid = 0.5 * (a + b)
+        axes.append([mid - half * x if side < 0 else mid + half * x if side else mid
+                     for x, side, _, _ in _UNIT])
+        kron_w.append([wk * half for _, _, wk, _ in _UNIT])
+        gauss_w.append([None if wg is None else wg * half for _, _, _, wg in _UNIT])
+    kron, gauss = f(axes, kron_w, gauss_w)
     return kron, abs(kron - gauss)
 
 

@@ -20,20 +20,26 @@ Two families of scalars share one arithmetic interface:
   the chart; its zero test, and so its equality, is sampled.
 
 Scalars are immutable after construction; every operation returns a new
-value.  Monomials are printed graded-lex descending.
+value.  Polynomial arithmetic builds clean terms itself and skips the
+constructor's checks, which parsing and the public constructors keep.
+Monomials are printed graded-lex descending.
 
-``compile_grid`` of an exact scalar generates Python for its polynomials and
-compiles it once (:func:`_float_program`).  The program maps one list of nodes
-per axis to the values at ``product(*axes)``.  Each power of a coordinate is
-computed once per axis node, by the same ``**`` call a per-term loop would
-make, and each term's product through an outer axis once per node of that
-axis; a term is its float coefficient times its powers in coordinate order,
-multiplied left to right, and the terms are added in print order.  So the
-float bits depend only on the value and the point.  A sum that is not finite,
-or that lost more than eight digits to cancellation, is replaced by the exact
-value; a quotient divides the two float sums only when both pass.
-``compile_float`` is the grid of one node per axis.  Coefficients are bound
-as floats in the program's namespace, never written into its source.
+``compile_panel`` of an exact scalar generates Python for its polynomials
+and compiles it once (:func:`_float_program`): the panel program of one
+quadrature panel.  It walks ``product(*axes)`` of one list of nodes per
+axis and returns the panel's Kronrod and Gauss sums, each value times its
+per-axis multipliers (a Jacobian) and its weights.  Each power of a
+coordinate is computed once per axis node, by the same ``**`` call a
+per-term loop would make, and each term's product through an outer axis
+once per node of that axis; a term is its float coefficient times its
+powers in coordinate order, multiplied left to right, and the terms are
+added in print order.  So the float bits depend only on the value and the
+point.  A sum that is not finite, or that lost more than eight digits to
+cancellation, is replaced by the exact value; a quotient divides the two
+float sums only when both pass.  ``compile_float`` is the same program at
+one point, returning the value itself; a quotient compiles its parts'
+point evaluators only when a point first needs the fallback.  Coefficients
+are bound as floats in the program's namespace, never written into its source.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import product
 
 
 class AlgindexError(ValueError):
@@ -156,13 +161,18 @@ class PolyScalar:
             return NotImplemented
         terms = dict(self.terms)
         for expo, coeff in other.terms.items():
-            terms[expo] = terms.get(expo, Fraction(0)) + coeff
-        return PolyScalar(self.vars, terms)
+            if expo in terms:
+                coeff = terms[expo] + coeff
+                if not coeff:
+                    del terms[expo]
+                    continue
+            terms[expo] = coeff
+        return _clean(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return PolyScalar(self.vars, {e: -c for e, c in self.terms.items()})
+        return _clean(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -180,9 +190,9 @@ class PolyScalar:
         terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                terms[expo] = terms.get(expo, Fraction(0)) + c1 * c2
-        return PolyScalar(self.vars, terms)
+                expo = tuple(map(operator.add, e1, e2))
+                terms[expo] = terms[expo] + c1 * c2 if expo in terms else c1 * c2
+        return _clean(self.vars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -238,7 +248,7 @@ class PolyScalar:
             new = list(expo)
             new[index] = k - 1
             terms[tuple(new)] = coeff * k
-        return PolyScalar(self.vars, terms)
+        return _clean(self.vars, terms)
 
     def eval(self, point) -> Fraction:
         """Exact evaluation; ``point`` entries may be ints/Fractions/floats."""
@@ -254,13 +264,14 @@ class PolyScalar:
             total += term
         return total
 
-    def compile_grid(self):
-        """A grid evaluator ``(*axes) -> [float]`` (see the module docstring)."""
+    def compile_panel(self):
+        """A panel program ``(axes, jac, wk, wg) -> (kron, gauss)`` (see the
+        module docstring)."""
         return _float_program(self)
 
     def compile_float(self):
-        """A ``point -> float`` evaluator: the grid of one node per axis."""
-        return _at_point(self.compile_grid(), len(self.vars))
+        """A ``point -> float`` evaluator: the same sums at one point."""
+        return _float_program(self, panel=False)
 
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
@@ -341,6 +352,16 @@ class PolyScalar:
 
     def __repr__(self):
         return f"PolyScalar({self})"
+
+
+def _clean(variables, terms) -> PolyScalar:
+    """The polynomial of ``terms`` built by arithmetic on polynomials of
+    ``variables``: Fraction values, none zero, under int exponent tuples of
+    the chart's length, so ``PolyScalar.__init__``'s checks are skipped."""
+    p = object.__new__(PolyScalar)
+    p.vars = variables
+    p.terms = terms
+    return p
 
 
 def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
@@ -731,14 +752,14 @@ class RationalScalar:
             raise DomainError(f"pole of {self} at {tuple(point)}")
         return self.num.eval(point) / den
 
-    def compile_grid(self):
-        """A grid evaluator of the reduced numerator over the expanded
+    def compile_panel(self):
+        """A panel program of the reduced numerator over the expanded
         denominator; a pole raises :class:`DomainError`."""
         return _float_program(self.num, self.den, self.eval)
 
     def compile_float(self):
-        """A ``point -> float`` evaluator: the grid of one node per axis."""
-        return _at_point(self.compile_grid(), len(self.vars))
+        """A ``point -> float`` evaluator: the same quotient at one point."""
+        return _float_program(self.num, self.den, self.eval, panel=False)
 
     def substitute(self, replacements):
         num, factors = self._lowest_terms()
@@ -787,7 +808,7 @@ def _sum_block(j, p: PolyScalar, namespace):
     has finite terms, so its largest |term| is max(h, -l) for the tracked
     largest term h and smallest l; when all terms have one sign (one term,
     or coefficients of one sign on even exponents) |t| is at least that,
-    and only ``isfinite`` is tested.
+    and only finiteness is tested (``t - t == 0.0``, false for inf and NaN).
     """
     order = sorted(p.terms, key=_grlex_key, reverse=True)
     one_sign = len(order) < 2 or (len({p.terms[expo] > 0 for expo in order}) == 1
@@ -797,36 +818,48 @@ def _sum_block(j, p: PolyScalar, namespace):
         namespace[f"c{j}_{k}"] = float(p.terms[expo])
         terms.append((f"c{j}_{k}", [(i, e) for i, e in enumerate(expo) if e]))
     if one_sign:
-        return j, terms, f"isfinite(t{j})", False
+        return j, terms, f"t{j} - t{j} == 0.0", False
     largest = f"(h{j} if h{j} >= -l{j} else -l{j})"
-    return j, terms, f"isfinite(t{j}) and abs(t{j}) >= 1e-8 * {largest}", True
+    return j, terms, f"t{j} - t{j} == 0.0 and abs(t{j}) >= 1e-8 * {largest}", True
 
 
-def _grid(name, n_vars, blocks, tail, fallback):
-    """Source lines of ``def name(a0, a1, ...)``, the values at
-    ``product(a0, a1, ...)`` in that order.  Each axis's nodes become
-    ``(v, o, x ** e, ...)`` once per call: the node, whether ``float(v)``
-    and its powers stayed in range, and the powers.  The loop over axis i
-    multiplies each term's product, left to right from its coefficient,
-    through axis i; the innermost loop adds the finished terms into ``t{j}``
-    in print order, 32 to a statement where nothing is tracked.  ``tail``
-    sets ``ok`` and the trusted result ``r``; elsewhere the value is
+def _grid(n_vars, blocks, tail, fallback, panel):
+    """Source lines of ``def f``, which walks ``product(a0, a1, ...)`` of
+    one node list per axis.  Each axis's nodes become ``(v, o, x ** e, ...)``
+    once per call: the node, whether ``float(v)`` and its powers stayed in
+    range, and the powers.  The loop over axis i multiplies each term's
+    product, left to right from its coefficient, through axis i; the
+    innermost loop adds the finished terms into ``t{j}`` in print order, 32
+    to a statement where nothing is tracked.  ``tail`` sets ``ok`` and the
+    trusted result ``r``; elsewhere, or with no blocks, the value is
     ``fallback``, formatted with the ``point``.
+
+    A point program ``f(a0, a1, ...)`` returns the value at the first point.
+    A panel program ``f(axes, jac, wk, wg)`` carries each node's multiplier
+    and Kronrod and Gauss weights (None at a Kronrod-only node) as ``m, k,
+    g`` and returns ``(kron, gauss)``: from 0.0, in product order, ``kron +=
+    k0 * k1 * y`` for the value ``y = r * m0 * m1``, and ``gauss`` likewise
+    at the points where no ``g`` is None.
     """
     used = sorted({power for _, terms, _, _ in blocks for _, powers in terms for power in powers})
     exps = [[e for axis, e in used if axis == i] for i in range(n_vars)]
-    lines = [f"def {name}({', '.join(f'a{i}' for i in range(n_vars))}):",
-             "    out = []", "    append = out.append"]
+    weights = ", m, k, g" if panel else ""
+    if panel:
+        lines = ["def f(axes, jac, wk, wg):", "    kron = gauss = 0.0"]
+    else:
+        lines = [f"def f({', '.join(f'a{i}' for i in range(n_vars))}):"]
     for i, axis in enumerate(exps):
         powers, zeros = "".join(f", x ** {e}" for e in axis), ", 0.0" * len(axis)
-        lines += [f"    n{i} = []", f"    for v in a{i}:", "        try:",
-                  "            x = float(v)", f"            n{i}.append((v, True{powers}))",
-                  "        except OverflowError:", f"            n{i}.append((v, False{zeros}))"]
+        nodes = f"zip(axes[{i}], jac[{i}], wk[{i}], wg[{i}])" if panel else f"a{i}"
+        lines += [f"    n{i} = []", f"    for v{weights} in {nodes}:", "        try:",
+                  "            x = float(v)", f"            n{i}.append((v, True{powers}{weights}))",
+                  "        except OverflowError:", f"            n{i}.append((v, False{zeros}{weights}))"]
     prefix = {(j, k): c for j, terms, _, _ in blocks for k, (c, _) in enumerate(terms)}
     indent = "    "
     for i in range(n_vars):
-        targets = ", ".join([f"v{i}", f"o{i}"] + [f"x{i}_{e}" for e in exps[i]])
-        lines.append(f"{indent}for {targets} in n{i}:")
+        targets = [f"v{i}", f"o{i}"] + [f"x{i}_{e}" for e in exps[i]]
+        targets += [f"m{i}", f"k{i}", f"g{i}"] if panel else []
+        lines.append(f"{indent}for {', '.join(targets)} in n{i}:")
         indent += "    "
         extended = []
         for j, terms, _, _ in blocks:
@@ -849,73 +882,82 @@ def _grid(name, n_vars, blocks, tail, fallback):
         for k, term in enumerate(finished):
             body += [f"a = {term}", f"t{j} += a"] + ([f"h{j} = l{j} = a"] if k == 0 else [
                 f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"])
-    point = "(" + "".join(f"v{i}, " for i in range(n_vars)) + ")"
-    lines += [f"{indent}ok = {' and '.join(f'o{i}' for i in range(n_vars)) or True}",
-              f"{indent}if ok:", *(f"{indent}    {line}" for line in body + tail),
-              f"{indent}append(r if ok else {fallback.format(point=point)})", "    return out", ""]
-    return lines
+    value = fallback.format(point="(" + "".join(f"v{i}, " for i in range(n_vars)) + ")")
+    if blocks:
+        lines += [f"{indent}ok = {' and '.join(f'o{i}' for i in range(n_vars)) or True}",
+                  f"{indent}if ok:", *(f"{indent}    {line}" for line in body + tail)]
+        value = f"r if ok else {value}"
+    if not panel:
+        return lines + [f"{indent}return {value}", ""]
+    axes = range(n_vars)
+    gauss = " and ".join(f"g{i} is not None" for i in reversed(axes)) or "True"
+    return lines + [f"{indent}y = ({value}){''.join(f' * m{i}' for i in axes)}",
+                    f"{indent}kron += {''.join(f'k{i} * ' for i in axes)}y",
+                    f"{indent}if {gauss}:",
+                    f"{indent}    gauss += {''.join(f'g{i} * ' for i in axes)}y",
+                    "    return kron, gauss", ""]
 
 
-def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
-    """The grid evaluator of ``num``, or of ``num / den`` with exact value
-    ``exact(point)``: the grid ``g{j}`` of each polynomial (its float sum
-    where trusted, else its exact value) and a quotient's grid ``q`` (the
-    ratio of both sums where both are trusted, the denominator is nonzero
-    and the ratio finite, else :func:`_composed` of the polynomials' point
-    evaluators).  A polynomial with a coefficient beyond float range is
-    always exact, and its quotient is that composition.  The source spells
-    only generated names, integers and the constants 0.0 and 1e-8.
-    """
-    n_vars = len(num.vars)
-    namespace = {"isfinite": math.isfinite, "exact_float": _exact_float}
-    source, blocks = [], []
-    for j, p in enumerate([num] if den is None else [num, den]):
-        try:
-            block = _sum_block(j, p, namespace)
-        except OverflowError:  # a coefficient beyond float range: always exact
-            namespace[f"g{j}"] = _lift(lambda point, exact=p.eval: _exact_float(exact, point))
-            continue
-        namespace[f"exact{j}"] = p.eval
-        blocks.append(block)
-        source += _grid(f"g{j}", n_vars, [block], [f"ok = {block[2]}", f"r = t{j}"],
-                        f"exact_float(exact{j}, {{point}})")
-    if len(blocks) == 2:
-        tail = [f"ok = {blocks[0][2]} and {blocks[1][2]} and t1 != 0.0",
-                "if ok:", "    r = t0 / t1", "    ok = isfinite(r)"]
-        source += _grid("q", n_vars, blocks, tail, "composed({point})")
+def _program(n_vars, blocks, tail, fallback, namespace, panel):
+    """The compiled :func:`_grid`: a panel program, or a ``point -> float``
+    evaluator."""
+    source = _grid(n_vars, blocks, tail, fallback, panel)
     exec(compile("\n".join(source), "<compiled polynomials>", "exec"), namespace)
+    return namespace["f"] if panel else _at_point(namespace["f"], n_vars)
+
+
+def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None, panel=True):
+    """The program of ``num``, or of ``num / den`` with exact value
+    ``exact(point)``: a polynomial's value is its float sum where trusted,
+    else its exact value; a quotient's is the ratio of both sums where both
+    are trusted, the denominator is nonzero and the ratio finite, else
+    :func:`_composed` of the polynomials' point evaluators.  A polynomial
+    with a coefficient beyond float range is always exact, and its quotient
+    is always that composition.  The source spells only generated names,
+    integers and the constants 0.0 and 1e-8.
+    """
+    namespace = {"exact_float": _exact_float}
+    try:
+        blocks = [_sum_block(j, p, namespace)
+                  for j, p in enumerate([num] if den is None else [num, den])]
+    except OverflowError:  # a coefficient beyond float range: always exact
+        blocks = []
     if den is None:
-        return namespace["g0"]
-    parts = [_at_point(namespace[f"g{j}"], n_vars) for j in (0, 1)]
-    namespace["composed"] = _composed(*parts, exact)
-    return namespace.get("q", _lift(namespace["composed"]))
+        tail = [f"ok = {blocks[0][2]}", "r = t0"] if blocks else []
+        fallback = "exact_float(exact, {point})"
+        namespace["exact"] = num.eval
+    else:
+        tail = [f"ok = {blocks[0][2]} and {blocks[1][2]} and t1 != 0.0",
+                "if ok:", "    r = t0 / t1", "    ok = r - r == 0.0"] if blocks else []
+        fallback = "composed({point})"
+        namespace["composed"] = _composed(num, den, exact)
+    return _program(len(num.vars), blocks, tail, fallback, namespace, panel)
 
 
-def _at_point(grid, n_vars):
-    """The point evaluator of a grid evaluator: the grid of one node per axis."""
+def _at_point(program, n_vars):
+    """The point evaluator of a point program: one node per axis."""
 
     def evaluate(point):
         if len(point) != n_vars:
             raise AlgindexError(_POINT_LENGTH)
-        return grid(*([v] for v in point))[0]
+        return program(*([v] for v in point))
 
     return evaluate
 
 
-def _lift(evaluate):
-    """The grid evaluator of a point evaluator: one call per point."""
-    return lambda *axes: [evaluate(point) for point in product(*axes)]
-
-
-def _composed(num, den, exact):
-    """The quotient of two float evaluators, with an exact fallback for huge
-    intermediates (the two parts can overflow floats long before their ratio
-    does); a pole raises :class:`DomainError`."""
+def _composed(num: PolyScalar, den: PolyScalar, exact):
+    """The quotient of the two polynomials' point evaluators, compiled on
+    first use, with an exact fallback for huge intermediates (the two parts
+    can overflow floats long before their ratio does); a pole raises
+    :class:`DomainError`."""
+    parts = []
 
     def evaluate(point):
+        if not parts:
+            parts.extend(p.compile_float() for p in (num, den))
         try:
-            n = num(point)
-            d = den(point)
+            n = parts[0](point)
+            d = parts[1](point)
             if d != 0.0 and math.isfinite(n) and math.isfinite(d):
                 out = n / d
                 if math.isfinite(out):
@@ -1104,9 +1146,9 @@ class NumericExpr:
         """``point -> float``: the evaluator itself, already float throughout."""
         return self.eval
 
-    def compile_grid(self):
-        """The evaluator at every point of ``product(*axes)``, in that order."""
-        return _lift(self.eval)
+    def compile_panel(self):
+        """A panel program whose value at each point is this evaluator's."""
+        return _program(len(self.vars), [], [], "value({point})", {"value": self.eval}, True)
 
     def derive(self, index):
         node = self.node

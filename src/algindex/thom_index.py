@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter, mul
 
 from . import quadrature
 from .algebroid import (
@@ -223,24 +221,23 @@ def integrate(
     # refused before anything is compiled
     if A.base_dim > 2:
         raise AlgindexError("numeric quadrature supports base dimension <= 2")
-    integrand = pairing.compile_grid()
+    program = pairing.compile_panel()
     if isinstance(domain, BoxDomain):
         spans = [_float_span(name, span) for name, span in zip(A.chart.names, domain.bounds)]
-        f = integrand
+
+        def f(axes, kron, gauss):
+            return program(axes, [[1.0] * len(axis) for axis in axes], kron, gauss)
     else:
         spans = [(-math.pi / 2, math.pi / 2)] * A.base_dim
 
-        def f(*axes):
-            xs = [[math.tan(s) for s in axis] for axis in axes]  # once per node
-            jacobians = [[1.0 + x * x for x in axis] for axis in xs]
-            values = integrand(*xs)
-            for i in range(len(xs)):  # each value times its Jacobians, in axis order
-                values = map(mul, values, map(itemgetter(i), product(*jacobians)))
-            return list(values)
+        def f(axes, kron, gauss):
+            # x = tan(s): each value times its Jacobians 1 + x^2, in axis order
+            xs = [[math.tan(s) for s in axis] for axis in axes]
+            return program(xs, [[1.0 + x * x for x in axis] for axis in xs], kron, gauss)
 
-    # f maps one node list per axis to its values in product order, one call
-    # per panel; both entry points call quadrature._adaptive and stay only
-    # because the benchmark's span recorder wraps them by name
+    # f returns one panel's Kronrod and Gauss sums, one call per panel; both
+    # entry points call quadrature._adaptive and stay only because the
+    # benchmark's span recorder wraps them by name
     entry = quadrature.integrate_1d if A.base_dim == 1 else quadrature.integrate_2d
     res = entry(f, *spans, tol=tol, budget=budget)
     return IntegrationResult(res.value, False, res.error, normalization_degree)

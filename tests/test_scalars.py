@@ -141,6 +141,47 @@ def test_no_zero_terms_stored():
     assert p.is_zero()
 
 
+def test_arithmetic_builds_clean_terms():
+    # +, -, * and derive skip the constructor's checks: their terms must be
+    # clean, and equal sympy's expansion where sympy is installed
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    rng = random.Random(909)
+    x, y = P("x"), P("y")
+    pairs = [(x + y, x - y), (x * x - y, x * x + y)]  # cross terms cancel
+    for _ in range(80):
+        a, b = random_poly(rng), random_poly(rng)
+        pairs.append((a, rng.choice([b, b - a, -a, a * b])))
+    for a, b in pairs:
+        results = [(a + b, "+"), (a - b, "-"), (a * b, "*"), (-a, "neg"), (2 - a, "2-"),
+                   (a * 3, "*3"), (a.derive(0), "d0"), (b.derive(1), "d1")]
+        for value, _ in results:
+            assert value.vars == XY
+            for expo, coeff in value.terms.items():
+                assert type(coeff) is Fraction and coeff != 0
+                assert len(expo) == 2 and all(type(e) is int for e in expo)
+        if sympy is None:
+            continue
+        sx, sy = sympy.symbols(XY)
+
+        def expanded(p):
+            return sum((sympy.Rational(c.numerator, c.denominator) * sx**i * sy**j
+                        for (i, j), c in p.terms.items()), sympy.Integer(0))
+
+        sa, sb = expanded(a), expanded(b)
+        want = {"+": sa + sb, "-": sa - sb, "*": sa * sb, "neg": -sa, "2-": 2 - sa,
+                "*3": 3 * sa, "d0": sympy.diff(sa, sx), "d1": sympy.diff(sb, sy)}
+        for value, op in results:
+            assert sympy.expand(expanded(value) - want[op]) == 0, (a, b, op)
+    # the constructor still refuses what arithmetic never builds
+    with pytest.raises(AlgindexError, match="does not match variables"):
+        PolyScalar(XY, {(1,): 1})
+    with pytest.raises(AlgindexError, match="does not match variables"):
+        PolyScalar(XY, {(1, 0, 2): 1})
+
+
 def test_graded_lex_string():
     assert str(P("1 + x^2*y + y")) == "x^2*y + y + 1"
     assert str(P("3/2*x^2*y - 1")) == "3/2*x^2*y - 1"
@@ -375,12 +416,12 @@ def test_generated_evaluator_of_twelve_thousand_terms():
 
 def test_generated_evaluator_holds_no_coefficient_as_text():
     r = P("x/3 + 1/7") / P("5/11 + y^2")
-    for evaluate in (r.compile_float(), r.compile_grid()):
+    for evaluate in (r.compile_float(), r.compile_panel()):
         constants = {c for c in evaluate.__code__.co_consts if isinstance(c, float)}
         assert constants <= {0.0, 1e-8}
 
 
-# -- the grid evaluator against an independent per-point reference -------------
+# -- the panel program against an independent per-point reference ------------
 
 
 def _reference_sum(p, point):
@@ -436,23 +477,67 @@ def _reference_point(scalar, point):
     return DomainError if den == 0 else _reference_float(_reference_exact(scalar.num, point) / den)
 
 
-def assert_grid_matches_reference(scalar, axes):
-    """Every node of the grid has the reference's bits; where some point is
-    DomainError, the grid raises the point evaluator's error at the first."""
+def _same(a, b):
+    """Equal floats of equal sign, or both NaN."""
+    if math.isnan(a):
+        return math.isnan(b)
+    return a == b and math.copysign(1, a) == math.copysign(1, b)
+
+
+def _reference_panel(values, axes, jac, wk, wg):
+    """The panel sums written out: at each point of ``product(*axes)``, its
+    value times its multipliers in axis order, then that times the product
+    of its Kronrod weights, added from 0.0 in product order; the Gauss sum
+    likewise over the points whose every Gauss weight is a number."""
+    kron = gauss = 0.0
+    indices = itertools.product(*(range(len(axis)) for axis in axes))
+    for index, value in zip(indices, values):
+        y = math.prod([value] + [jac[i][n] for i, n in enumerate(index)])
+        kron += math.prod(wk[i][n] for i, n in enumerate(index)) * y
+        gauss_weights = [wg[i][n] for i, n in enumerate(index)]
+        if None not in gauss_weights:
+            gauss += math.prod(gauss_weights) * y
+    return kron, gauss
+
+
+def _panel_inputs(rng, axes):
+    """Random multipliers and weights, Gauss weights None at about half the nodes."""
+    jac = [[rng.uniform(0.5, 4.0) for _ in axis] for axis in axes]
+    wk = [[rng.uniform(0.01, 0.3) for _ in axis] for axis in axes]
+    wg = [[rng.choice((None, rng.uniform(0.01, 0.6))) for _ in axis] for axis in axes]
+    return jac, wk, wg
+
+
+def assert_panel_matches_reference(scalar, axes, jac, wk, wg, reference=_reference_point):
+    """The panel program's sums have the bits of :func:`_reference_panel`
+    over the per-point ``reference``; where some point is DomainError, the
+    program raises the point evaluator's error at the first."""
     points = list(itertools.product(*axes))
-    expected = [_reference_point(scalar, point) for point in points]
-    if DomainError in expected:
-        first = points[expected.index(DomainError)]
+    values = [reference(scalar, point) for point in points]
+    if DomainError in values:
+        first = points[values.index(DomainError)]
         with pytest.raises(DomainError) as at_point:
             scalar.compile_float()(first)
         with pytest.raises(DomainError, match=re.escape(str(at_point.value))):
-            scalar.compile_grid()(*axes)
-        return expected
-    got = scalar.compile_grid()(*axes)
-    assert len(got) == len(points)
-    for value, want in zip(got, expected):
-        assert value == want and math.copysign(1, value) == math.copysign(1, want)
+            scalar.compile_panel()(axes, jac, wk, wg)
+        return DomainError
+    got = scalar.compile_panel()(axes, jac, wk, wg)
+    want = _reference_panel(values, axes, jac, wk, wg)
+    assert _same(got[0], want[0]) and _same(got[1], want[1]), (scalar, axes, got, want)
     return got
+
+
+def _at_one_point(scalar, point):
+    """The panel program's value at one point: one node per axis, unit
+    multipliers and weights."""
+    ones = [[1.0] for _ in point]
+    kron, gauss = scalar.compile_panel()([[v] for v in point], ones, ones, ones)
+    assert _same(kron, gauss)
+    return kron
+
+
+def _numeric_point(expr, point):
+    return _outcome(expr.eval, point)
 
 
 @pytest.mark.parametrize("variables", [("x",), ("x", "y"), ("x", "y", "z")])
@@ -469,29 +554,62 @@ def test_grid_evaluator_matches_per_point_reference(variables):
         for scalar in [p] + [p / den for den in (square, linear) if not den.is_zero()]:
             axes = [[rng.choice((rng.uniform(-3, 3),) + nodes) for _ in range(size)]
                     for _ in variables]
-            assert_grid_matches_reference(scalar, axes)
+            assert_panel_matches_reference(scalar, axes, *_panel_inputs(rng, axes))
 
 
 def test_grid_evaluator_overflow_cancellation_and_pole():
+    rng = random.Random(1719)
     # 1e200 ** 2 overflows in the power of that node only: it falls back, the
     # other nodes keep their float sums
     r = P("x^2 - x*y") / P("x^2 + y^2")
-    assert assert_grid_matches_reference(r, [[1e200, 0.5], [2.0, -1.0]])[0] == 1.0
+    assert _at_one_point(r, (1e200, 2.0)) == 1.0
+    axes = [[1e200, 0.5], [2.0, -1.0]]
+    assert_panel_matches_reference(r, axes, *_panel_inputs(rng, axes))
     # (x - y)^2 cancels on the diagonal: that node is exact, the rest are sums
     p = P("x^2 - 2*x*y + y^2")
-    assert assert_grid_matches_reference(p, [[1 + 2.0**-30, 3.0], [1.0]]) == [2.0**-60, 4.0]
+    assert _at_one_point(p, (1 + 2.0**-30, 1.0)) == 2.0**-60
+    axes = [[1 + 2.0**-30, 3.0], [1.0]]
+    assert_panel_matches_reference(p, axes, *_panel_inputs(rng, axes))
     three = Chart(("x", "y", "z")).parse("(x*y - z)^2")
-    assert assert_grid_matches_reference(three, [[1e200, 2.0], [0.5, 1.0], [1.0, 2.0]])[-1] == 0.0
-    # a pole raises the point evaluator's DomainError, naming the same point
+    assert _at_one_point(three, (2.0, 1.0, 2.0)) == 0.0
+    axes = [[1e200, 2.0], [0.5, 1.0], [1.0, 2.0]]
+    assert_panel_matches_reference(three, axes, *_panel_inputs(rng, axes))
+    # a pole raises the point evaluator's DomainError, naming the same node
+    ones = [[1.0, 1.0], [1.0]]
     with pytest.raises(DomainError, match=re.escape("at (1.0, 0.5)")):
-        (P("1") / P("x - 1")).compile_grid()([3.0, 1.0], [0.5])
-    assert_grid_matches_reference(P("x + y") / P("x - 1"), [[3.0, 1.0], [0.5, 2.0]])
+        (P("1") / P("x - 1")).compile_panel()([[3.0, 1.0], [0.5]], ones, ones, ones)
+    axes = [[3.0, 1.0], [0.5, 2.0]]
+    assert_panel_matches_reference(P("x + y") / P("x - 1"), axes, *_panel_inputs(rng, axes))
+    # one axis: a value times its multiplier overflows at a Kronrod-only node,
+    # so the Kronrod sum is infinite and the Gauss sum stays finite
+    line = Chart(("x",)).parse("x^2 + 1")
+    axes, wk = [[0.5, 2.0, 3.0]], [[0.3, 0.2, 0.1]]
+    kron, gauss = assert_panel_matches_reference(line, axes, [[1.0, 1e308, 1.0]], wk,
+                                                 [[0.5, None, 0.25]])
+    assert kron == math.inf and gauss == 0.5 * 1.25 + 0.25 * 10.0
+
+
+@pytest.mark.parametrize("variables,text,axes", [
+    (("x",), "exp(-x^2)*cos(3*x) + sqrt(1 + x^2)", [[-1.0, 0.25, 2.0, 1e-3]]),
+    (("x", "y"), "sin(x)*cos(y) + sqrt(1 + x^2) - 2.5*x^3", [[0.0, 0.5, -0.75], [2.0, -1.0]]),
+    # x^2 overflows at 1e200: beyond float range is a DomainError naming the node
+    (("x", "y"), "x^2 + y", [[1.0, 1e200], [0.5, 2.0]]),
+    # a pole
+    (("x", "y"), "1/(x - 1) + y", [[3.0, 1.0], [0.5, 2.0]]),
+])
+def test_numeric_panel_program_matches_its_evaluator(variables, text, axes):
+    rng = random.Random(1723)
+    expr = Chart(variables, "numeric").parse(text)
+    assert_panel_matches_reference(expr, axes, *_panel_inputs(rng, axes), _numeric_point)
 
 
 def test_grid_of_a_constant_and_of_an_empty_axis():
-    assert P("5").compile_grid()([1.0, 2.0], [3.0]) == [5.0, 5.0]
-    assert (P("x") / P("1 + y^2")).compile_grid()([], [1.0]) == []
-    assert PolyScalar((), {(): Fraction(1, 3)}).compile_grid()() == [1 / 3]
+    ones = [[1.0, 1.0], [1.0]]
+    assert P("5").compile_panel()([[1.0, 2.0], [3.0]], ones, ones, [[1.0, None], [1.0]]) == (
+        10.0, 5.0)
+    assert (P("x") / P("1 + y^2")).compile_panel()([[], [1.0]], [[], [1.0]], [[], [1.0]],
+                                                  [[], [1.0]]) == (0.0, 0.0)
+    assert PolyScalar((), {(): Fraction(1, 3)}).compile_panel()([], [], [], []) == (1 / 3, 1 / 3)
 
 
 def test_numeric_compile_float_is_its_evaluator():

@@ -677,8 +677,16 @@ def test_sphere_job_index_and_thom_base_integrate_alike(monkeypatch):
 
 
 def test_exhausted_budget_carries_value_and_estimate():
-    def f(xs, ys):  # a grid integrand: one node list per axis, values in product order
-        return [1 / (1 + x * x + y * y) for x, y in itertools.product(xs, ys)]
+    def f(axes, kron_weights, gauss_weights):
+        # a panel integrand: its Kronrod and Gauss sums over the product of the axes
+        kron = gauss = 0.0
+        for (x, kx, gx), (y, ky, gy) in itertools.product(
+                *map(zip, axes, kron_weights, gauss_weights)):
+            value = 1 / (1 + x * x + y * y)
+            kron += kx * ky * value
+            if gx is not None and gy is not None:
+                gauss += gx * gy * value
+        return kron, gauss
 
     one_panel = quadrature.integrate_2d(f, (0, 1), (-1, 2), tol=1.0, budget=1)
     assert one_panel.panels == 1
@@ -695,7 +703,7 @@ def test_three_dimensional_quadrature_is_refused(domain, monkeypatch):
         raise AssertionError("a refused integral compiles its integrand")
 
     monkeypatch.setattr(RationalScalar, "compile_float", compiled)
-    monkeypatch.setattr(RationalScalar, "compile_grid", compiled)
+    monkeypatch.setattr(RationalScalar, "compile_panel", compiled)
     with pytest.raises(AlgindexError, match="base dimension <= 2"):
         ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain)
 
