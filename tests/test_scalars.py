@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from algindex import scalars
 from algindex.scalars import (
     AlgindexError,
     Chart,
@@ -419,6 +420,26 @@ def test_generated_evaluator_holds_no_coefficient_as_text():
     for evaluate in (r.compile_float(), r.compile_panel()):
         constants = {c for c in evaluate.__code__.co_consts if isinstance(c, float)}
         assert constants <= {0.0, 1e-8}
+
+
+def test_quotient_compiles_its_parts_only_for_the_fallback(monkeypatch):
+    compiled = []
+
+    def counting(source, *args):
+        compiled.extend(line for line in source.splitlines() if line.startswith("def "))
+        return compile(source, *args)
+
+    monkeypatch.setattr(scalars, "compile", counting, raising=False)
+    r = P("x^2 - x*y") / P("x^2 + y^2")
+    program = r.compile_panel()
+    ones = [[1.0], [1.0]]
+    assert program([[2.0], [0.0]], ones, ones, ones) == (1.0, 1.0)
+    assert len(compiled) == 1
+    # 1e200 ** 2 overflows: the numerator's and denominator's point evaluators
+    assert program([[1e200], [2.0]], ones, ones, ones) == (1.0, 1.0)
+    assert len(compiled) == 3
+    program([[1e200], [3.0]], ones, ones, ones)
+    assert len(compiled) == 3
 
 
 # -- the panel program against an independent per-point reference ------------
