@@ -59,7 +59,7 @@ G = su2()
 lc = levi_civita(G, Metric.identity(G))
 R_su2 = curvature(lc)
 print("su2 Levi-Civita curvature entry R^1_2(e1,e2):",
-      R_su2.entries[0][1].value_on((0, 1))[0])
+      R_su2.entries[0][1].value_on((0, 1)))
 
 # The Pfaffian of a lowered antisymmetric block recovers the off-diagonal
 # entry, the p = 1 case of Pf(A)^2 = det(A).

@@ -42,6 +42,7 @@ from .forms import (
     coboundary_witness,
     cohomology_const,
     d_g,
+    d_nabla,
     is_cocycle,
     pullback_form,
     wedge,

@@ -223,7 +223,7 @@ def curvature(conn: GConnection) -> FormMatrix:
             coeffs = {}
             for key, mat in component.items():
                 if not mat[i][j].is_zero():
-                    coeffs[key] = (mat[i][j],)
+                    coeffs[key] = mat[i][j]
             row.append(AlgForm(A, coeffs))
         entries.append(row)
     return FormMatrix(A, entries)
@@ -375,30 +375,18 @@ def tensor_product(c1: GConnection, c2: GConnection) -> GConnection:
     return GConnection(A, m1 * m2, mats)
 
 
-def covariant_exterior_derivative(R: FormMatrix, conn: GConnection) -> AlgForm:
-    """d^nabla of an End-valued form, flattened to bundle rank m^2."""
-    A = conn.algebroid
+def covariant_exterior_derivative(R: FormMatrix, conn: GConnection):
+    """d^nabla of an End-valued even-degree form, dR + Gamma^R - R^Gamma, as
+    rows of forms; zero for the curvature of ``conn`` (Bianchi)."""
     m = conn.bundle_rank
-    z = A.chart.zero()
-    end_mats = []
-    for a in range(A.rank):
-        gamma = conn.matrices[a]
-        mat = [[z] * (m * m) for _ in range(m * m)]
-        for i in range(m):
-            for j in range(m):
-                for k in range(m):
-                    # (Gamma S - S Gamma)_{ij} = Gamma_{ik} S_{kj} - S_{ik} Gamma_{kj}
-                    mat[i * m + j][k * m + j] = mat[i * m + j][k * m + j] + gamma[i][k]
-                    mat[i * m + j][i * m + k] = mat[i * m + j][i * m + k] - gamma[k][j]
-        end_mats.append(mat)
-    end_rep = GConnection(A, m * m, end_mats)
-    coeffs = {}
-    for i in range(m):
-        for j in range(m):
-            for T, values in R.entries[i][j].coeffs.items():
-                vec = coeffs.setdefault(T, [z] * (m * m))
-                vec[i * m + j] = vec[i * m + j] + values[0]
-    return d_g(AlgForm(A, coeffs, bundle_rank=m * m), end_rep)
+    if R.size != m:
+        raise AlgindexError("form matrix and connection have different bundle ranks")
+    gamma, r = conn.one_forms(), R.entries
+    return [
+        [sum((gamma[i][k].wedge(r[k][j]) - r[i][k].wedge(gamma[k][j]) for k in range(m)),
+             d_g(r[i][j])) for j in range(m)]
+        for i in range(m)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -439,13 +439,13 @@ class JobContext:
         coeffs = {}
         for key, value in (spec.get("coefficients") or {}).items():
             indices = tuple(int(i) - 1 for i in str(key).split(",")) if key else ()
-            coeffs[indices] = (A.chart.parse(str(value)),)
+            coeffs[indices] = A.chart.parse(str(value))
         if not 0 <= degree <= A.rank:
             raise AlgindexError(f"degree {degree} out of range for rank {A.rank}")
-        for indices, values in coeffs.items():  # key by key, so the first bad key is reported
+        for indices, value in coeffs.items():  # key by key, so the first bad key is reported
             if len(indices) != degree:
                 raise AlgindexError(f"index tuple {indices} has wrong length")
-            AlgForm(A, {indices: values})
+            AlgForm(A, {indices: value})
         return AlgForm(A, coeffs)
 
     def _build_domain(self, name, spec):
@@ -498,8 +498,8 @@ def _fmt_value(value):
 
 def _serialize_form(form: AlgForm):
     return [
-        [",".join(str(i + 1) for i in indices), str(values[0])]
-        for indices, values in sorted(form.coeffs.items())
+        [",".join(str(i + 1) for i in indices), str(value)]
+        for indices, value in sorted(form.coeffs.items())
     ]
 
 

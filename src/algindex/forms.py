@@ -1,28 +1,32 @@
-"""E-valued algebroid forms, the Koszul differential and wedge algebra.
+"""Scalar algebroid forms, the Koszul differential and wedge algebra.
 
-One graded type holds forms of every degree: coefficients sit on strictly
-increasing frame-index tuples of any length, and a term's degree is the
-length of its tuple.  The value on an arbitrary tuple is recovered with the
-sorting sign.  The differential
+One graded type holds forms of every degree: one scalar coefficient sits on
+each strictly increasing frame-index tuple of any length, and a term's
+degree is the length of its tuple.  The value on an arbitrary tuple is
+recovered with the sorting sign.  The differential
 
-    d w(X_0..X_k) = sum_i (-1)^i  nabla_{X_i} w(.. X_i omitted ..)
+    d w(X_0..X_k) = sum_i (-1)^i  rho(X_i) w(.. X_i omitted ..)
                   + sum_{i<j} (-1)^{i+j} w([X_i,X_j], .. X_i, X_j omitted ..)
 
 acts degree by degree and is the unique sign arrangement with d o d = 0
-(enforced by the test suite); on the tangent algebroid with the trivial
-connection it is the de Rham differential, over a point it is the
-Chevalley-Eilenberg differential.  Pull-back also acts degree by degree.
+(enforced by the test suite); on the tangent algebroid it is the de Rham
+differential, over a point it is the Chevalley-Eilenberg differential.
+Pull-back also acts degree by degree.
+
+A form with values in a trivialized rank-m bundle is a list of m forms; a
+connection acts on it as d + Gamma^ (:func:`d_nabla`), whose square is
+R^ for the curvature R of ``chern_weil.curvature``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from math import comb
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .scalars import AlgindexError
+from .scalars import AlgindexError, PolyScalar
 
 
 def _sort_sign(indices):
@@ -39,43 +43,36 @@ def _sort_sign(indices):
 
 
 class AlgForm:
-    """A bundle-valued algebroid form, homogeneous or not: the degree of a
-    term is the length of its frame-index tuple."""
+    """A scalar algebroid form, homogeneous or not: the degree of a term is
+    the length of its frame-index tuple."""
 
-    def __init__(self, algebroid: AlgebroidPresentation, coeffs=None, *, bundle_rank=1):
+    def __init__(self, algebroid: AlgebroidPresentation, coeffs=None):
         self.algebroid = algebroid
-        self.bundle_rank = int(bundle_rank)
         self.coeffs = {}
-        for indices, values in (coeffs or {}).items():
+        for indices, value in (coeffs or {}).items():
             indices = tuple(int(i) for i in indices)
             if list(indices) != sorted(set(indices)):
                 raise AlgindexError(f"index tuple {indices} must be strictly increasing")
             if any(not 0 <= i < algebroid.rank for i in indices):
                 raise AlgindexError(f"index tuple {indices} out of range")
-            if not isinstance(values, (tuple, list)):
-                values = (values,)
-            if len(values) != self.bundle_rank:
-                raise AlgindexError("coefficient vector has wrong bundle rank")
-            values = tuple(algebroid.scalar(v) for v in values)
-            if any(not v.is_zero() for v in values):
-                self.coeffs[indices] = values
+            value = algebroid.scalar(value)
+            if not value.is_zero():
+                self.coeffs[indices] = value
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def zero(cls, algebroid, *, bundle_rank=1):
-        return cls(algebroid, bundle_rank=bundle_rank)
+    def zero(cls, algebroid):
+        return cls(algebroid)
 
     @classmethod
-    def constant(cls, algebroid, value, bundle_rank=1):
-        if bundle_rank == 1 and not isinstance(value, (tuple, list)):
-            value = (value,)
-        return cls(algebroid, {(): tuple(value)}, bundle_rank=bundle_rank)
+    def constant(cls, algebroid, value):
+        return cls(algebroid, {(): value})
 
     @classmethod
     def dual_basis(cls, algebroid, indices):
         """The basis form e^{i1} ^ ... ^ e^{ik} (0-based increasing indices)."""
-        return cls(algebroid, {tuple(indices): (1,)})
+        return cls(algebroid, {tuple(indices): 1})
 
     # -- grading -------------------------------------------------------------
 
@@ -92,11 +89,7 @@ class AlgForm:
         return degrees[0] if degrees else 0
 
     def _select(self, keep):
-        return AlgForm(
-            self.algebroid,
-            {k: v for k, v in self.coeffs.items() if keep(len(k))},
-            bundle_rank=self.bundle_rank,
-        )
+        return AlgForm(self.algebroid, {k: v for k, v in self.coeffs.items() if keep(len(k))})
 
     def degree_part(self, degree) -> "AlgForm":
         return self._select(lambda d: d == degree)
@@ -106,23 +99,15 @@ class AlgForm:
 
     # -- algebra -------------------------------------------------------------
 
-    def _compatible(self, other):
-        if self.algebroid is not other.algebroid:
-            raise AlgindexError("forms live on different algebroids")
-        if self.bundle_rank != other.bundle_rank:
-            raise AlgindexError("forms have different bundle ranks")
-
     def __add__(self, other):
         if not isinstance(other, AlgForm):
             return NotImplemented
-        self._compatible(other)
-        out = {k: list(v) for k, v in self.coeffs.items()}
-        for k, values in other.coeffs.items():
-            if k in out:
-                out[k] = [a + b for a, b in zip(out[k], values)]
-            else:
-                out[k] = list(values)
-        return AlgForm(self.algebroid, out, bundle_rank=self.bundle_rank)
+        if self.algebroid is not other.algebroid:
+            raise AlgindexError("forms live on different algebroids")
+        out = dict(self.coeffs)
+        for k, value in other.coeffs.items():
+            out[k] = out[k] + value if k in out else value
+        return AlgForm(self.algebroid, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -132,74 +117,51 @@ class AlgForm:
 
     def scale(self, scalar):
         scalar = self.algebroid.scalar(scalar)
-        out = {
-            k: tuple(scalar * v for v in values) for k, values in self.coeffs.items()
-        }
-        return AlgForm(self.algebroid, out, bundle_rank=self.bundle_rank)
+        return AlgForm(self.algebroid, {k: scalar * v for k, v in self.coeffs.items()})
 
     def value_on(self, indices):
         """Value on a frame tuple in any order; repeats give zero."""
         sign, key = _sort_sign(indices)
-        zero = self.algebroid.chart.zero()
         if sign == 0 or key not in self.coeffs:
-            return tuple(zero for _ in range(self.bundle_rank))
-        values = self.coeffs[key]
-        if sign == 1:
-            return values
-        return tuple(-v for v in values)
+            return self.algebroid.chart.zero()
+        value = self.coeffs[key]
+        return value if sign == 1 else -value
 
     def wedge(self, other: "AlgForm") -> "AlgForm":
         if self.algebroid is not other.algebroid:
             raise AlgindexError("forms live on different algebroids")
-        if self.bundle_rank != 1 and other.bundle_rank != 1:
-            raise AlgindexError("wedge needs at least one scalar-valued factor")
         out = {}
         for left, lv in self.coeffs.items():
             for right, rv in other.coeffs.items():
                 sign, key = _sort_sign(left + right)
                 if sign == 0:
                     continue
-                if self.bundle_rank == 1:
-                    values = [lv[0] * v for v in rv]
-                else:
-                    values = [v * rv[0] for v in lv]
-                if sign < 0:
-                    values = [-v for v in values]
-                if key in out:
-                    out[key] = [a + b for a, b in zip(out[key], values)]
-                else:
-                    out[key] = values
-        return AlgForm(
-            self.algebroid, out, bundle_rank=max(self.bundle_rank, other.bundle_rank)
-        )
+                value = lv * rv if sign > 0 else -(lv * rv)
+                out[key] = out[key] + value if key in out else value
+        return AlgForm(self.algebroid, out)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for values in self.coeffs.values() for v in values)
+        return all(v.is_zero() for v in self.coeffs.values())
 
     def __eq__(self, other):
         if not isinstance(other, AlgForm):
             return NotImplemented
-        if self.algebroid is not other.algebroid or self.bundle_rank != other.bundle_rank:
+        if self.algebroid is not other.algebroid:
             return False
         return (self - other).is_zero()
 
     __hash__ = None
 
     def is_constant(self) -> bool:
-        return all(v.is_constant() for values in self.coeffs.values() for v in values)
+        return all(v.is_constant() for v in self.coeffs.values())
 
     def __str__(self):
         if not self.coeffs:
             return "0"
         pieces = []
         for indices in sorted(self.coeffs, key=lambda k: (len(k), k)):
-            values = self.coeffs[indices]
             basis = "^".join(f"e{i + 1}" for i in indices) or "1"
-            body = (
-                str(values[0])
-                if self.bundle_rank == 1
-                else "(" + ", ".join(str(v) for v in values) + ")"
-            )
+            body = str(self.coeffs[indices])
             pieces.append(f"({body})*{basis}" if basis != "1" else body)
         return " + ".join(pieces)
 
@@ -211,17 +173,10 @@ def wedge(a: AlgForm, b: AlgForm) -> AlgForm:
     return a.wedge(b)
 
 
-def basis_forms(algebroid, degree, bundle_rank=1):
-    """All basis forms of a degree (times bundle basis vectors)."""
-    out = []
-    for indices in combinations(range(algebroid.rank), degree):
-        for j in range(bundle_rank):
-            values = tuple(
-                algebroid.chart.one() if i == j else algebroid.chart.zero()
-                for i in range(bundle_rank)
-            )
-            out.append(AlgForm(algebroid, {indices: values}, bundle_rank=bundle_rank))
-    return out
+def basis_forms(algebroid, degree):
+    """All basis forms e^T of a degree."""
+    return [AlgForm(algebroid, {T: algebroid.chart.one()})
+            for T in combinations(range(algebroid.rank), degree)]
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +185,13 @@ def basis_forms(algebroid, degree, bundle_rank=1):
 
 
 class GConnection:
-    """Connection coefficient matrices Gamma_a on a rank-m bundle, declaring
-    nabla_{e_a} s = rho(e_a)s + Gamma_a s.
+    """Connection coefficient matrices Gamma_a on a trivialized rank-m bundle,
+    declaring nabla_{e_a} s = rho(e_a)s + Gamma_a s.
 
-    A flat connection (zero curvature, see chern_weil.validate_representation)
-    is a representation, the precondition for d o d = 0 on bundle-valued forms.
+    A bundle-valued form is the list of its m component forms, on which the
+    connection acts as :func:`d_nabla`.  A flat connection (zero curvature,
+    see chern_weil.validate_representation) is a representation, the
+    precondition for d_nabla o d_nabla = 0.
     """
 
     def __init__(self, algebroid, bundle_rank, matrices):
@@ -260,42 +217,25 @@ class GConnection:
         ]
         return cls(algebroid, bundle_rank, mats)
 
-    def apply(self, frame_index, values):
-        """nabla_{e_a} on a coefficient vector of sections."""
-        A = self.algebroid
-        mat = self.matrices[frame_index]
-        out = []
-        for j in range(self.bundle_rank):
-            term = A.anchor_apply(frame_index, values[j])
-            for l in range(self.bundle_rank):
-                if not mat[j][l].is_zero():
-                    term = term + mat[j][l] * values[l]
-            out.append(term)
-        return tuple(out)
+    def one_forms(self):
+        """The m x m matrix of connection 1-forms Gamma_jl = sum_a Gamma_a[j][l] e^a."""
+        m = self.bundle_rank
+        return [[AlgForm(self.algebroid, {(a,): mat[j][l] for a, mat in enumerate(self.matrices)})
+                 for l in range(m)] for j in range(m)]
 
 
-def d_g(form: AlgForm, rep: GConnection | None = None) -> AlgForm:
-    """The Koszul differential of a form with respect to a connection, taken
-    degree by degree."""
+def d_g(form: AlgForm) -> AlgForm:
+    """The Koszul differential of a scalar form, taken degree by degree."""
     A = form.algebroid
-    if rep is None:
-        rep = GConnection.zero(A, form.bundle_rank)
-    if rep.algebroid is not A:
-        raise AlgindexError("form and representation live on different algebroids")
-    if rep.bundle_rank != form.bundle_rank:
-        raise AlgindexError("bundle ranks of form and representation differ")
     zero = A.chart.zero()
     out = {}
     for k in form.degrees():
         for T in combinations(range(A.rank), k + 1):
-            total = [zero] * form.bundle_rank
+            total = zero
             for i, alpha in enumerate(T):
                 rest = T[:i] + T[i + 1 :]
-                nabla = rep.apply(alpha, form.value_on(rest))
-                if i % 2 == 0:
-                    total = [t + v for t, v in zip(total, nabla)]
-                else:
-                    total = [t - v for t, v in zip(total, nabla)]
+                term = A.anchor_apply(alpha, form.value_on(rest))
+                total = total + term if i % 2 == 0 else total - term
             for i in range(k + 1):
                 for j in range(i + 1, k + 1):
                     rest = tuple(T[l] for l in range(k + 1) if l != i and l != j)
@@ -303,14 +243,23 @@ def d_g(form: AlgForm, rep: GConnection | None = None) -> AlgForm:
                     for gamma in range(A.rank):
                         if coeffs[gamma].is_zero():
                             continue
-                        values = form.value_on((gamma,) + rest)
-                        sign = 1 if (i + j) % 2 == 0 else -1
-                        for l in range(form.bundle_rank):
-                            term = coeffs[gamma] * values[l]
-                            total[l] = total[l] + term if sign > 0 else total[l] - term
-            if any(not t.is_zero() for t in total):
-                out[T] = tuple(total)
-    return AlgForm(A, out, bundle_rank=form.bundle_rank)
+                        term = coeffs[gamma] * form.value_on((gamma,) + rest)
+                        total = total + term if (i + j) % 2 == 0 else total - term
+            if not total.is_zero():
+                out[T] = total
+    return AlgForm(A, out)
+
+
+def d_nabla(forms, conn: GConnection):
+    """d + Gamma^ on a form with values in the connection's bundle, given as
+    the list of its components: [d_g(w_j) + sum_l Gamma_jl ^ w_l]."""
+    A = conn.algebroid
+    if len(forms) != conn.bundle_rank:
+        raise AlgindexError("bundle ranks of form and representation differ")
+    if any(w.algebroid is not A for w in forms):
+        raise AlgindexError("form and representation live on different algebroids")
+    return [sum((g.wedge(w) for g, w in zip(row, forms)), d_g(forms[j]))
+            for j, row in enumerate(conn.one_forms())]
 
 
 # ---------------------------------------------------------------------------
@@ -331,12 +280,9 @@ def _scalar_det(rows, chart):
 
 
 def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
-    """(f, phi)* of a scalar-valued form, degree by degree; commutes with the
-    differential."""
+    """(f, phi)* of a form, degree by degree; commutes with the differential."""
     if form.algebroid is not morphism.target:
         raise AlgindexError("form does not live on the morphism target")
-    if form.bundle_rank != 1:
-        raise AlgindexError("pull-back is implemented for scalar-valued forms")
     src = morphism.source
     phi = morphism.bundle_map
     out = {}
@@ -348,9 +294,9 @@ def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
                 rows = [[phi[a][b] for b in beta] for a in alpha]
                 minor = _scalar_det(rows, src.chart)
                 if not minor.is_zero():
-                    value = value + morphism.compose_scalar(coeff[0]) * minor
+                    value = value + morphism.compose_scalar(coeff) * minor
             if not value.is_zero():
-                out[alpha] = (value,)
+                out[alpha] = value
     return AlgForm(src, out)
 
 
@@ -433,11 +379,11 @@ def cohomology_const(algebroid, rep=None, max_degree=None):
     return linalg.betti_numbers(dims, ranks)
 
 
-def is_cocycle(form: AlgForm, rep=None) -> bool:
-    return d_g(form, rep).is_zero()
+def is_cocycle(form: AlgForm) -> bool:
+    return d_g(form).is_zero()
 
 
-def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
+def coboundary_witness(form: AlgForm, ansatz_degree=None):
     """Search for beta with d beta = form.
 
     In the constant case this solves the exact linear system and the answer
@@ -447,29 +393,31 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
     form of mixed degree raises :class:`AlgindexError`.
     """
     A = form.algebroid
-    rep = rep or GConnection.zero(A, form.bundle_rank)
     if form.is_zero():
-        return AlgForm.zero(A, bundle_rank=form.bundle_rank)
+        return AlgForm.zero(A)
     if form.degree == 0:
         return None
     k = form.degree - 1
     if A.base_dim == 0 and form.is_constant():
-        candidates = basis_forms(A, k, form.bundle_rank)
+        candidates = basis_forms(A, k)
     else:
         if ansatz_degree is None:
             raise AlgindexError("chart-case coboundary search needs an ansatz degree")
         monomials = _monomials_up_to(A.chart, ansatz_degree)
-        candidates = [
-            base.scale(mono)
-            for base in basis_forms(A, k, form.bundle_rank)
-            for mono in monomials
-        ]
-    images = [d_g(c, rep) for c in candidates]
-    equations, rhs = _match_coefficients(images, form)
-    solution = linalg.solve(equations, rhs)
+        candidates = [base.scale(mono) for base in basis_forms(A, k) for mono in monomials]
+
+    def _flat(w):
+        # one linear equation per (tuple, monomial)
+        return {(T, expo): c for T, v in w.coeffs.items() for expo, c in _poly_terms(v)}
+
+    images = [_flat(d_g(c)) for c in candidates]
+    target = _flat(form)
+    keys = sorted(set(target).union(*images))
+    matrix = [[image.get(key, Fraction(0)) for image in images] for key in keys]
+    solution = linalg.solve(matrix, [target.get(key, Fraction(0)) for key in keys])
     if solution is None:
         return None
-    witness = AlgForm.zero(A, bundle_rank=form.bundle_rank)
+    witness = AlgForm.zero(A)
     for coeff, candidate in zip(solution, candidates):
         if coeff:
             witness = witness + candidate.scale(coeff)
@@ -477,10 +425,8 @@ def coboundary_witness(form: AlgForm, rep=None, ansatz_degree=None):
 
 
 def _monomials_up_to(chart, degree):
-    from itertools import product as iproduct
-
     out = []
-    for expo in iproduct(range(degree + 1), repeat=chart.dim):
+    for expo in product(range(degree + 1), repeat=chart.dim):
         if sum(expo) <= degree:
             mono = chart.one()
             for i, e in enumerate(expo):
@@ -490,33 +436,7 @@ def _monomials_up_to(chart, degree):
     return out
 
 
-def _match_coefficients(images, target):
-    """Linear system rows: one per (tuple, bundle index, monomial)."""
-    keys = set()
-    table = []
-    for image in images:
-        flat = {}
-        for T, values in image.coeffs.items():
-            for j, v in enumerate(values):
-                for expo, c in _poly_terms(v):
-                    flat[(T, j, expo)] = flat.get((T, j, expo), Fraction(0)) + c
-                    keys.add((T, j, expo))
-        table.append(flat)
-    tflat = {}
-    for T, values in target.coeffs.items():
-        for j, v in enumerate(values):
-            for expo, c in _poly_terms(v):
-                tflat[(T, j, expo)] = tflat.get((T, j, expo), Fraction(0)) + c
-                keys.add((T, j, expo))
-    keys = sorted(keys)
-    matrix = [[table[c].get(key, Fraction(0)) for c in range(len(images))] for key in keys]
-    rhs = [tflat.get(key, Fraction(0)) for key in keys]
-    return matrix, rhs
-
-
 def _poly_terms(scalar):
-    from .scalars import PolyScalar
-
     if isinstance(scalar, PolyScalar):
         return list(scalar.terms.items())
     if scalar.is_constant():

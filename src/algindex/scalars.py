@@ -20,8 +20,9 @@ Two families of scalars share one arithmetic interface:
   the chart; its zero test, and so its equality, is sampled.
 
 Scalars are immutable after construction; every operation returns a new
-value.  Polynomial arithmetic builds clean terms itself and skips the
-constructor's checks, which parsing and the public constructors keep.
+value.  Polynomial arithmetic, division and ``PolyScalar.const`` build
+clean terms themselves and skip the constructor's checks, which parsing and
+the other constructors keep.
 Monomials are printed graded-lex descending.
 
 ``compile_panel`` of an exact scalar generates Python for its polynomials
@@ -130,11 +131,8 @@ class PolyScalar:
 
     @classmethod
     def const(cls, variables, value):
-        value = as_fraction(value)
-        n = len(tuple(variables))
-        if value == 0:
-            return cls(variables, {})
-        return cls(variables, {(0,) * n: value})
+        value, variables = as_fraction(value), tuple(variables)
+        return _clean(variables, {(0,) * len(variables): value} if value else {})
 
     @classmethod
     def coordinate(cls, variables, index):
@@ -355,9 +353,10 @@ class PolyScalar:
 
 
 def _clean(variables, terms) -> PolyScalar:
-    """The polynomial of ``terms`` built by arithmetic on polynomials of
-    ``variables``: Fraction values, none zero, under int exponent tuples of
-    the chart's length, so ``PolyScalar.__init__``'s checks are skipped."""
+    """The polynomial of ``terms`` built clean on polynomials of ``variables``
+    (by arithmetic, division or ``const``): Fraction values, none zero, under
+    int exponent tuples of the chart's length, so ``PolyScalar.__init__``'s
+    checks are skipped."""
     p = object.__new__(PolyScalar)
     p.vars = variables
     p.terms = terms
@@ -365,7 +364,7 @@ def _clean(variables, terms) -> PolyScalar:
 
 
 def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
-    return PolyScalar(p.vars, {e: k * c for e, k in p.terms.items()})
+    return _clean(p.vars, {e: k * c for e, k in p.terms.items()})
 
 
 def poly_divmod(num: PolyScalar, den: PolyScalar):
@@ -393,7 +392,7 @@ def poly_divmod(num: PolyScalar, den: PolyScalar):
                 remainder[term] = value
             else:
                 remainder.pop(term, None)
-    return PolyScalar(num.vars, quotient), PolyScalar(num.vars, remainder)
+    return _clean(num.vars, quotient), _clean(num.vars, remainder)
 
 
 def _degree_in(p: PolyScalar, index) -> int:

@@ -25,6 +25,7 @@ from .algebroid import (
     AlgebroidMorphism,
     PresentationError,
     pullback,
+    zero_section_morphism,
 )
 from .chern_weil import (
     GConnection,
@@ -77,7 +78,7 @@ def modular_cocycle(A: AlgebroidPresentation, density: Density) -> AlgForm:
         for i in range(A.base_dim):
             value = value + A.anchor[a][i].derive(i)
         if not value.is_zero():
-            coeffs[(a,)] = (value,)
+            coeffs[(a,)] = value
     return AlgForm(A, coeffs)
 
 
@@ -184,8 +185,6 @@ def integrate(
     """
     if any(len(indices) != A.rank for indices in form.coeffs):
         raise AlgindexError("only top-degree forms can be integrated")
-    if form.bundle_rank != 1:
-        raise AlgindexError("integration needs a scalar-valued form")
     obstruction = modular_cocycle(A, density)
     if not obstruction.is_zero():
         raise NonInvariantDensityError(
@@ -193,9 +192,7 @@ def integrate(
         )
     top = tuple(range(A.rank))
     coefficient = form.coeffs.get(top)
-    pairing = (
-        A.chart.zero() if coefficient is None else coefficient[0] * density.coefficient
-    )
+    pairing = A.chart.zero() if coefficient is None else coefficient * density.coefficient
     domain = domain if domain is not None else PointDomain()
 
     if A.base_dim == 0 or isinstance(domain, PointDomain):
@@ -271,13 +268,13 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
     if data.fiber_dim != A.rank:
         raise PresentationError("the symplectic form lives on the dual pull-back")
     r, h = A.rank, data.horizontal
-    coeffs = {(h[a], data.vertical[a]): (1,) for a in range(r)}
+    coeffs = {(h[a], data.vertical[a]): 1 for a in range(r)}
     u = [pb.chart.coord(i) for i in data.fiber_coords]
     for a in range(r):
         for b in range(a + 1, r):
             bracket = pb.bracket(h[a], h[b])
             correction = sum((u[c] * bracket[h[c]] for c in range(r)), pb.chart.zero())
-            coeffs[(h[a], h[b])] = (correction,)
+            coeffs[(h[a], h[b])] = correction
     theta = AlgForm(pb, coeffs)
     if not d_g(theta).is_zero():
         raise PresentationError("no Lie-Poisson correction closes Theta")
@@ -317,7 +314,7 @@ class ThomExtendedForm:
         thom = thom if thom is not None else AlgForm.zero(pullback_presentation)
         vertical = set(data.vertical)
         self.thom = AlgForm(pullback_presentation, {
-            T: values for T, values in thom.coeffs.items() if not set(T) & vertical
+            T: value for T, value in thom.coeffs.items() if not set(T) & vertical
         })
 
     @property
@@ -382,10 +379,10 @@ def pi_star(form, pb: AlgebroidPresentation):
     if data is None:
         raise PresentationError("pi_star needs a pull-back presentation")
     coeffs = {
-        tuple(data.horizontal[i] for i in T): tuple(v.extend_vars(pb.chart.names) for v in values)
-        for T, values in form.coeffs.items()
+        tuple(data.horizontal[i] for i in T): value.extend_vars(pb.chart.names)
+        for T, value in form.coeffs.items()
     }
-    return AlgForm(pb, coeffs, bundle_rank=form.bundle_rank)
+    return AlgForm(pb, coeffs)
 
 
 def thom_map(form, pb: AlgebroidPresentation) -> ThomExtendedForm:
@@ -417,15 +414,14 @@ def fiber_integrate(t: ThomExtendedForm):
     ]
     horizontal_index = {h: i for i, h in enumerate(data.horizontal)}
     coeffs = {}
-    for T, values in t.thom.coeffs.items():
-        value = values[0]
+    for T, value in t.thom.coeffs.items():
         for u in data.fiber_coords:
             if value.depends_on(u):
                 raise AlgindexError(
                     "Th coefficient depends on fiber coordinates; "
                     "not fiber-integrable in the formal calculus"
                 )
-        coeffs[tuple(horizontal_index[i] for i in T)] = (value.substitute(restriction),)
+        coeffs[tuple(horizontal_index[i] for i in T)] = value.substitute(restriction)
     return AlgForm(A, coeffs)
 
 
@@ -481,8 +477,6 @@ def restrict_extended(morphism: AlgebroidMorphism, t: ThomExtendedForm):
 
 def zero_section_restrict(t: ThomExtendedForm, euler_form: AlgForm) -> AlgForm:
     """Restrict along the zero section, substituting the Euler form for Th."""
-    from .algebroid import zero_section_morphism
-
     zs = zero_section_morphism(t.pullback)
     free, thom = restrict_extended(zs, t)
     return free + thom.wedge(euler_form)

@@ -15,6 +15,7 @@ from algindex.forms import (
     coboundary_witness,
     cohomology_const,
     d_g,
+    d_nabla,
     is_cocycle,
     pullback_form,
     wedge,
@@ -76,7 +77,7 @@ def test_tangent_differential_is_de_rham():
         f = f + poly * chart.coord(i)
     df = d_g(AlgForm.constant(t3, f))
     for i in range(3):
-        assert df.value_on((i,))[0] == f.derive(i)
+        assert df.value_on((i,)) == f.derive(i)
     omega = AlgForm.zero(t3)
     for i, poly in enumerate(components):
         omega = omega + AlgForm.dual_basis(t3, (i,)).scale(poly)
@@ -84,7 +85,7 @@ def test_tangent_differential_is_de_rham():
     for i in range(3):
         for j in range(i + 1, 3):
             expected = components[j].derive(i) - components[i].derive(j)
-            assert domega.value_on((i, j))[0] == expected
+            assert domega.value_on((i, j)) == expected
 
 
 def test_differential_of_constant_is_zero(su2, t2, aff1):
@@ -101,7 +102,9 @@ def test_degree_overflow_is_zero(su2):
 def test_mismatched_representation_rejected(su2, t2):
     rep = GConnection.zero(t2, 1)
     with pytest.raises(ValueError):
-        d_g(AlgForm.dual_basis(su2, (0,)), rep)
+        d_nabla([AlgForm.dual_basis(su2, (0,))], rep)
+    with pytest.raises(ValueError):
+        d_nabla([AlgForm.dual_basis(t2, (0,))] * 2, rep)
 
 
 # -- wedge algebra ----------------------------------------------------------------
@@ -227,8 +230,8 @@ def test_d_squared_with_flat_representation(su2):
     ]
     rep = GConnection(su2, 3, mats)
     for k in range(su2.rank):
-        for base in basis_forms(su2, k, bundle_rank=3):
-            assert d_g(d_g(base, rep), rep).is_zero()
+        for forms in _one_hot(su2, k, 3):
+            assert all(w.is_zero() for w in d_nabla(d_nabla(forms, rep), rep))
 
 
 def test_leibniz_graded_derivation(su2, t2):
@@ -272,7 +275,7 @@ def test_pullback_along_anchor_is_primary_class_pullback(so3_action):
                 so3_action.anchor[a][0] * so3_action.anchor[b][1]
                 - so3_action.anchor[a][1] * so3_action.anchor[b][0]
             ) * x
-            got = pulled.value_on((a, b))[0]
+            got = pulled.value_on((a, b))
             assert (got - direct).is_zero()
 
 
@@ -333,15 +336,23 @@ def test_adjoint_coefficients_whitehead(su2, aff1):
         assert cohomology_const(A, adjoint) == [0] * (A.rank + 1)
 
 
+def _one_hot(A, degree, m):
+    """Each basis form times each bundle basis vector, as a list of m forms;
+    the one of (T, j) is number T * m + j."""
+    zero = AlgForm.zero(A)
+    return [[base if l == j else zero for l in range(m)]
+            for base in basis_forms(A, degree) for j in range(m)]
+
+
 def _d_g_matrix(A, rep, degree):
-    """The matrix of d built by running d_g on every basis form."""
+    """The matrix of d built by running d_nabla on every basis form."""
     m = rep.bundle_rank
     rows_basis = list(combinations(range(A.rank), degree + 1))
-    columns = basis_forms(A, degree, bundle_rank=m)  # column (T, j) is number T * m + j
+    columns = _one_hot(A, degree, m)
     matrix = [[Fraction(0)] * len(columns) for _ in range(len(rows_basis) * m)]
-    for col, base in enumerate(columns):
-        for S, values in d_g(base, rep).coeffs.items():
-            for l, v in enumerate(values):
+    for col, forms in enumerate(columns):
+        for l, image in enumerate(d_nabla(forms, rep)):
+            for S, v in image.coeffs.items():
                 matrix[rows_basis.index(S) * m + l][col] = v.constant_value()
     return matrix
 

@@ -6,8 +6,8 @@ import pytest
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
-from algindex.forms import AlgForm, d_g, pullback_form
-from algindex.scalars import Chart
+from algindex.forms import AlgForm, basis_forms, d_g, d_nabla, pullback_form
+from algindex.scalars import AlgindexError, Chart
 
 import oracles
 
@@ -80,7 +80,7 @@ def test_su2_levi_civita_curvature(su2):
                         ),
                         su2.chart.zero(),
                     ) * Fraction(-1, 4)
-                    got = R.entries[i][j].value_on((a, b))[0]
+                    got = R.entries[i][j].value_on((a, b))
                     assert (got - expected).is_zero()
 
 
@@ -432,7 +432,44 @@ def test_bianchi_for_levi_civita_constant_metrics(su2):
         metric = random_spd_metric(rng, A)
         lc = cw.levi_civita(A, metric)
         R = cw.curvature(lc)
-        assert cw.covariant_exterior_derivative(R, lc).is_zero()
+        assert all(w.is_zero() for row in cw.covariant_exterior_derivative(R, lc) for w in row)
+
+
+def _random_poly(rng, chart):
+    value = chart.const(rng.randint(-2, 2))
+    for i in range(chart.dim):
+        value = value + chart.coord(i) * rng.randint(-2, 2)
+        value = value + chart.coord(i) * chart.coord(rng.randrange(chart.dim)) * rng.randint(-1, 1)
+    return value
+
+
+def test_d_nabla_squared_is_curvature_wedge(su2):
+    # (d^nabla)^2 w = R ^ w with R = cw.curvature(conn), on a rank-2 bundle whose
+    # connection is not flat; the same connections satisfy Bianchi dR + [Gamma, R] = 0
+    rng = random.Random(2020)
+    for A in (alg.tangent(2), alg.tangent(3), su2):
+        m = 2
+        conn = cw.GConnection(A, m, [
+            [[_random_poly(rng, A.chart) for _ in range(m)] for _ in range(m)]
+            for _ in range(A.rank)
+        ])
+        R = cw.curvature(conn)
+        assert not R.is_zero(), A.name
+        assert all(w.is_zero() for row in cw.covariant_exterior_derivative(R, conn) for w in row)
+        with pytest.raises(AlgindexError):
+            cw.covariant_exterior_derivative(R, cw.GConnection.zero(A, 3))
+        for k in range(A.rank - 1):
+            forms = [
+                sum((base.scale(_random_poly(rng, A.chart)) for base in basis_forms(A, k)),
+                    AlgForm.zero(A))
+                for _ in range(m)
+            ]
+            twice = d_nabla(d_nabla(forms, conn), conn)
+            assert not all(w.is_zero() for w in twice), (A.name, k)
+            for j in range(m):
+                expected = sum((R.entries[j][l].wedge(forms[l]) for l in range(m)),
+                               AlgForm.zero(A))
+                assert twice[j] == expected, (A.name, k, j)
 
 
 def test_flat_connection_has_trivial_chern_character(su2):
