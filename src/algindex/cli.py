@@ -23,11 +23,17 @@ A document is parsed by libyaml where PyYAML was built with it, with every
 parse error worded by the pure-Python loader, and is checked against
 schema.json by a walk of its own (``schema_violation``) that reports what
 jsonschema would: jsonschema is a test dependency, not a runtime one.
+
+The argument parser and the parsed schema.json are built once per process,
+on the first call that needs them (``_front_end``), and reused by every
+later ``main`` and ``load_document``: a document pays only for itself.
+Nothing is built at import.  ``load_schema`` reads the file afresh.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import operator
@@ -282,7 +288,7 @@ def load_document(path):
         raise DocumentError(f"{name}: YAML parse error{where}: {exc}") from exc
     if not isinstance(data, dict):
         raise DocumentError(f"{name}: document must be a mapping")
-    violation = schema_violation(load_schema(), data)
+    violation = schema_violation(_front_end().schema, data)
     if violation is not None:
         path, message = violation
         raise DocumentError(
@@ -752,7 +758,7 @@ def _ranged(convert, accept, requirement):
     return parse
 
 
-def main(argv=None):
+def _parser():
     parser = argparse.ArgumentParser(
         prog="algindex",
         description="Lie algebroid characteristic calculus: batch computations "
@@ -767,7 +773,24 @@ def main(argv=None):
         p.add_argument("--tolerance", type=_ranged(
             float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0"))
         p.add_argument("--budget", type=_ranged(int, lambda v: v >= 1, "an integer >= 1"))
-    args = parser.parse_args(argv)
+    return parser
+
+
+class _FrontEnd(NamedTuple):
+    parser: argparse.ArgumentParser
+    schema: dict
+
+
+@functools.cache
+def _front_end():
+    """The argument parser and schema.json, built on first use and kept for
+    the process: neither depends on the document, and parsing arguments
+    leaves the parser as it was."""
+    return _FrontEnd(_parser(), load_schema())
+
+
+def main(argv=None):
+    args = _front_end().parser.parse_args(argv)
 
     families = None if args.command == "run" else _OP_FAMILIES[args.command]
     overrides = {"truncate": args.truncate, "tolerance": args.tolerance,

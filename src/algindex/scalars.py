@@ -41,6 +41,14 @@ float sums only when both pass.  ``compile_float`` is the same program at
 one point, returning the value itself; a quotient compiles its parts'
 point evaluators only when a point first needs the fallback.  Coefficients
 are bound as floats in the program's namespace, never written into its source.
+
+``compile_panel`` of a :class:`NumericExpr` runs the same panel walk over a
+straight-line point evaluator (:func:`_straight_line`): one statement per
+distinct node, hash-consed when the program is emitted, each the float
+operation ``_eval`` performs, so every value keeps its bits.  Where
+``_eval`` would raise (an ``ArithmeticError`` or ``ValueError``, or a binary
+or function result that is not finite), the point is evaluated by ``eval``,
+which raises its own error.  An expression's ``compile_float`` is ``eval``.
 """
 
 from __future__ import annotations
@@ -1011,6 +1019,75 @@ def _eval(node, point) -> float:
     return out
 
 
+def _straight_line(n_vars, root, reference):
+    """``point -> float``: the value of the tree ``root`` by one generated
+    statement per distinct node, else ``reference(point)``.
+
+    Nodes are hash-consed at emit time on (kind, child names, parameter), so
+    a subtree shared by value is computed once per point; a constant is
+    bound once as a float in the namespace, keyed by its bits.  Each
+    statement is the float operation ``_eval`` performs on the same
+    operands, so every value has its bits.  Where ``_eval`` would raise, the
+    reference runs instead and raises its own error: on ``ArithmeticError``
+    or ``ValueError`` (a zero divisor, a zero base to a negative power, a
+    value beyond float range, sqrt of a negative, sin of inf), and where the
+    sum ``s`` of the binary and function results is not finite (``s - s ==
+    0.0`` is false), which it is whenever one of them is.  A tree with a
+    constant beyond float range is always the reference.
+    """
+    namespace = {"reference": reference, **{fn: getattr(math, fn) for fn in _FUNCTIONS}}
+    lines, checked = [], []
+    names, consed = {}, {}  # id(node) -> name; (kind, child names, parameter) -> name
+
+    def walk(node):
+        if id(node) in names:
+            return names[id(node)]
+        kind = node[0]
+        if kind == "coord":
+            name = f"x{node[1]}"
+        else:
+            if kind == "const":
+                value = float(node[1])
+                key = (kind, value.hex())
+            elif kind == "pow":
+                key = (kind, walk(node[1]), node[2])
+            else:
+                key = (kind, *map(walk, node[1:]))
+            name = consed.get(key)
+            if name is None:
+                name = consed[key] = f"n{len(consed)}"
+                if kind == "const":
+                    namespace[name] = value
+                elif kind == "pow":
+                    lines.append(f"{name} = {key[1]} ** {node[2]}")
+                else:
+                    checked.append(name)
+                    if kind in _BINARY:
+                        lines.append(f"{name} = {key[1]} {_BINARY[kind][0]} {key[2]}")
+                    else:
+                        lines.append(f"{name} = {kind}({key[1]})")
+        names[id(node)] = name
+        return name
+
+    try:
+        result = walk(root)
+    except OverflowError:  # a constant beyond float range
+        return reference
+    coords = ", ".join(f"x{i}" for i in range(n_vars))
+    body = [f"[{coords}] = map(float, point)", *lines]
+    if checked:  # 32 terms to a statement, as in _grid
+        body += ["s = 0.0", *(" + ".join(["s = s", *checked[c:c + 32]])
+                              for c in range(0, len(checked), 32))]
+        body += ["if s - s == 0.0:", f"    return {result}"]
+    else:
+        body.append(f"return {result}")
+    source = ["def value(point):", "    try:", *(f"        {line}" for line in body),
+              "    except (ArithmeticError, ValueError):", "        pass",
+              "    return reference(point)", ""]
+    exec(compile("\n".join(source), "<compiled expression>", "exec"), namespace)
+    return namespace["value"]
+
+
 class NumericExpr:
     """An evaluable expression tree over chart coordinates.
 
@@ -1146,8 +1223,10 @@ class NumericExpr:
         return self.eval
 
     def compile_panel(self):
-        """A panel program whose value at each point is this evaluator's."""
-        return _program(len(self.vars), [], [], "value({point})", {"value": self.eval}, True)
+        """A panel program whose value at each point is this evaluator's,
+        computed by :func:`_straight_line`."""
+        value = _straight_line(len(self.vars), self.node, self.eval)
+        return _program(len(self.vars), [], [], "value({point})", {"value": value}, True)
 
     def derive(self, index):
         node = self.node

@@ -329,6 +329,33 @@ def test_main_callable_directly(capsys):
     assert "[1, 1, 0]" in out
 
 
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch):
+    # main keeps one parser for the process: each call in this sequence must
+    # give the exit code, stdout and stderr of the same call in a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    genera, sphere = str(GENERA.with_suffix(".yaml")), job_path("sphere-stereographic")
+    flags = ["--truncate", "0", "--tolerance", "1e-6"]
+    sequence = [
+        ["run", *flags, genera], ["run", genera],
+        ["run", *flags, sphere], ["run", sphere],
+        ["run", "--budget", "0", sphere], ["run", sphere],
+        ["--format", "json", "run", job_path("su2")], ["run", job_path("su2")],
+        ["--format", "json", "run", job_path("su2-invalid")], ["run", job_path("su2-invalid")],
+    ]
+    seen = []
+    for argv in sequence:
+        fresh = run_cli(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, *capsys.readouterr()) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        seen.append(fresh.stdout)
+    # the flags change what the first two documents print, so a leaked one would show
+    assert seen[0] != seen[1] and seen[2] != seen[3]
+    assert seen[4] == "" and seen[6] != seen[7]
+
+
 # Declarations shared by the failure cases below; each case appends one
 # computation labelled "bad", then a validate that must still run.
 _DECLARATIONS = """\

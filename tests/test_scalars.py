@@ -617,11 +617,81 @@ def test_grid_evaluator_overflow_cancellation_and_pole():
     (("x", "y"), "x^2 + y", [[1.0, 1e200], [0.5, 2.0]]),
     # a pole
     (("x", "y"), "1/(x - 1) + y", [[3.0, 1.0], [0.5, 2.0]]),
+    # x*x is inf at 1e200 and 1/inf a finite 0.0: still the non-finite DomainError
+    (("x", "y"), "1/(x*x) + y", [[1.0, 1e200], [0.5, 2.0]]),
+    # zero to a negative power; sqrt of a negative; a power beyond float range in sin
+    (("x", "y"), "x^-2 + y", [[1.0, 0.0], [0.5, 2.0]]),
+    (("x", "y"), "sqrt(x - 1) * y", [[3.0, 0.5], [0.5, 2.0]]),
+    (("x", "y"), "sin(x^2) + y", [[1.0, 1e160], [0.5]]),
+    (("x",), "exp(x) - 1", [[1.0, 800.0]]),
 ])
 def test_numeric_panel_program_matches_its_evaluator(variables, text, axes):
     rng = random.Random(1723)
     expr = Chart(variables, "numeric").parse(text)
     assert_panel_matches_reference(expr, axes, *_panel_inputs(rng, axes), _numeric_point)
+
+
+def _subtrees(node):
+    """Every subtree of ``node`` but its constants and coordinates, repeats included."""
+    if node[0] in ("const", "coord"):
+        return []
+    return [node, *(tree for child in node[1:] if isinstance(child, tuple)
+                    for tree in _subtrees(child))]
+
+
+@pytest.mark.parametrize("i,j", [(0, 0), (0, 1), (1, 1)])
+def test_numeric_panel_program_computes_each_distinct_node_once(i, j, monkeypatch):
+    # the conformal factor of tests/documents/numeric-chart.yaml: its
+    # derivative trees repeat subtrees, as shared objects and as equal copies
+    sources = []
+
+    def capture(source, *args):
+        sources.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(scalars, "compile", capture, raising=False)
+    factor = Chart(XY, "numeric").parse("exp(x*y/4) + 1/(2 + sin(x))")
+    expr = factor.derive(i).derive(j)
+    program = expr.compile_panel()
+    statements = [line for line in sources[0].splitlines() if re.match(r" +n\d+ = ", line)]
+    subtrees = _subtrees(expr.node)
+    assert len(statements) == len(set(subtrees)) < len(subtrees)
+    # constants are bound in the namespace, not written into the source
+    value = program.__globals__["value"]
+    assert {c for c in value.__code__.co_consts if isinstance(c, float)} <= {0.0}
+    rng = random.Random(1731 + 2 * i + j)
+    axes = [[-1.0, 0.25, 2.0, -0.0], [0.5, -1.5, 3.0]]
+    assert_panel_matches_reference(expr, axes, *_panel_inputs(rng, axes), _numeric_point)
+
+
+def test_numeric_point_program_keeps_signed_zero_constants_apart():
+    # x*(-0.0) - x*0.0 is -0.0 at x > 0; one constant for both would give 0.0
+    x = ("coord", 0)
+    expr = scalars.NumericExpr(("x",), ("sub", ("mul", x, ("const", -0.0)),
+                                        ("mul", x, ("const", 0.0))))
+    value = scalars._straight_line(1, expr.node, expr.eval)((1.5,))
+    assert _same(value, expr.eval((1.5,))) and math.copysign(1, value) == -1
+
+
+def test_numeric_panel_program_of_a_long_sum():
+    # about 3000 distinct terms, summed as a balanced tree the evaluator can
+    # recurse through: the finiteness sum runs 32 terms to a statement
+    chart = Chart(XY, "numeric")
+    x, y = chart.coord(0), chart.coord(1)
+    terms = [(x + k) / (y + 3) for k in range(3000)]
+    while len(terms) > 1:
+        terms = [a + b for a, b in zip(terms[::2], terms[1::2])] + terms[len(terms) // 2 * 2:]
+    axes = [[0.25, -1.0], [0.5, 1.5]]
+    assert_panel_matches_reference(terms[0], axes, *_panel_inputs(random.Random(1747), axes),
+                                   _numeric_point)
+
+
+def test_numeric_constant_beyond_float_range_is_the_evaluators_error():
+    chart = Chart(XY, "numeric")
+    expr = chart.coord(0) + scalars.NumericExpr.const(XY, 10**400)
+    axes = [[1.0], [2.0]]
+    assert_panel_matches_reference(expr, axes, *_panel_inputs(random.Random(1753), axes),
+                                   _numeric_point)
 
 
 def test_grid_of_a_constant_and_of_an_empty_axis():
