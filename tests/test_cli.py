@@ -64,7 +64,9 @@ def test_every_bundled_job_has_goldens():
 # documents with their stdout beside them: a numeric-backend chart (printed
 # expression trees, transcendental quadrature, sampled zero tests), three
 # rational charts of S^2, whose index and thom-check integrate over the plane,
-# and thom-checks of algebroids with varying structure functions
+# thom-checks of algebroids with varying structure functions, and a quotient
+# whose numerator cancels on the box's diagonal, where the panel program falls
+# back to the exact quotient
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
