@@ -14,7 +14,6 @@ actually require.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -529,11 +528,10 @@ def pontryagin_class(R: FormMatrix, k: int) -> AlgForm:
 
 
 def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
-    """Pfaffian of the metric-lowered curvature; zero (with a warning) on odd rank."""
+    """Pfaffian of the metric-lowered curvature; zero on odd rank."""
     A = R.algebroid
     m = R.size
     if m % 2:
-        warnings.warn("Pfaffian of an odd-rank matrix is zero")
         return AlgForm.zero(A)
     metric = metric or Metric.identity(A)
     lowered = []

@@ -8,7 +8,7 @@ Two families of scalars share one arithmetic interface:
   and exact.  A quotient keeps its denominator as a product of the factors
   that entered through division and cancels by trial division
   (:func:`poly_divmod`); :func:`poly_gcd` runs only when a quotient leaves
-  arithmetic (printing, ``compile_float``, ``num``/``den``), once per
+  arithmetic (printing, ``compile_panel``, ``num``/``den``), once per
   distinct factor, to find a divisor that a reducible factor shares with the
   numerator.  It keeps its name because the benchmark's span recorder wraps
   it by name.
@@ -25,30 +25,35 @@ clean terms themselves and skip the constructor's checks, which parsing and
 the other constructors keep.
 Monomials are printed graded-lex descending.
 
-``compile_panel`` of an exact scalar generates Python for its polynomials
-and compiles it once (:func:`_float_program`): the panel program of one
-quadrature panel.  It walks ``product(*axes)`` of one list of nodes per
-axis and returns the panel's Kronrod and Gauss sums, each value times its
-per-axis multipliers (a Jacobian) and its weights.  Each power of a
-coordinate is computed once per axis node, by the same ``**`` call a
-per-term loop would make, and each term's product through an outer axis
-once per node of that axis; a term is its float coefficient times its
-powers in coordinate order, multiplied left to right, and the terms are
-added in print order.  So the float bits depend only on the value and the
-point.  A sum that is not finite, or that lost more than eight digits to
-cancellation, is replaced by the exact value; a quotient divides the two
-float sums only when both pass.  ``compile_float`` is the same program at
-one point, returning the value itself; a quotient compiles its parts'
-point evaluators only when a point first needs the fallback.  Coefficients
-are bound as floats in the program's namespace, never written into its source.
+``compile_panel`` generates and compiles one Python program per integrand,
+the panel program of one quadrature panel (:func:`_program`); it is the
+only compiled evaluator.  It walks ``product(*axes)`` of one list of nodes
+per axis and returns the panel's Kronrod and Gauss sums, each value times
+its per-axis multipliers (a Jacobian) and its weights.
 
-``compile_panel`` of a :class:`NumericExpr` runs the same panel walk over a
-straight-line point evaluator (:func:`_straight_line`): one statement per
-distinct node, hash-consed when the program is emitted, each the float
-operation ``_eval`` performs, so every value keeps its bits.  Where
-``_eval`` would raise (an ``ArithmeticError`` or ``ValueError``, or a binary
-or function result that is not finite), the point is evaluated by ``eval``,
-which raises its own error.  An expression's ``compile_float`` is ``eval``.
+For an exact scalar, each power of a coordinate is computed once per axis
+node, by the same ``**`` call a per-term loop would make, and each term's
+product through an outer axis once per node of that axis; a term is its
+float coefficient times its powers in coordinate order, multiplied left to
+right, and the terms are added in print order.  So the float bits depend
+only on the value and the point.  A coordinate or power beyond float
+range enters as inf, so only the sums that use it fail.  A polynomial is
+its float sum where that sum is finite and lost at most eight digits to
+cancellation, else its exact value.  A quotient follows one rule: each
+part is its float sum where that part's own check passes, else its exact
+value; the value is their ratio where the denominator is nonzero and the
+ratio finite; otherwise, or where a part's exact value is beyond float
+range, it is the exact quotient, and at a pole that raises
+:class:`DomainError`.  Coefficients are bound as floats in the program's
+namespace, never written into its source.
+
+For a :class:`NumericExpr`, the same panel walk runs straight-line code
+(:func:`_straight_line`): one statement per distinct node, hash-consed when
+the program is emitted, each the float operation ``_eval`` performs, so
+every value keeps its bits.  Where ``_eval`` would raise (an
+``ArithmeticError`` or ``ValueError``, or a binary or function result that
+is not finite), the point is evaluated by ``eval``, which raises its own
+error.  ``eval`` is the point evaluator of every backend.
 """
 
 from __future__ import annotations
@@ -96,9 +101,6 @@ def _exact_float(exact, point) -> float:
         return float(exact(point))
     except OverflowError:
         raise DomainError(f"value beyond float range at {tuple(point)}") from None
-
-
-_POINT_LENGTH = "point dimension does not match variable count"
 
 
 def _grlex_key(expo):
@@ -259,7 +261,7 @@ class PolyScalar:
     def eval(self, point) -> Fraction:
         """Exact evaluation; ``point`` entries may be ints/Fractions/floats."""
         if len(point) != len(self.vars):
-            raise AlgindexError(_POINT_LENGTH)
+            raise AlgindexError("point dimension does not match variable count")
         values = [as_fraction(p) for p in point]
         total = Fraction(0)
         for expo, coeff in self.terms.items():
@@ -274,10 +276,6 @@ class PolyScalar:
         """A panel program ``(axes, jac, wk, wg) -> (kron, gauss)`` (see the
         module docstring)."""
         return _float_program(self)
-
-    def compile_float(self):
-        """A ``point -> float`` evaluator: the same sums at one point."""
-        return _float_program(self, panel=False)
 
     def substitute(self, replacements):
         """Substitute a scalar for each coordinate (composition)."""
@@ -597,7 +595,7 @@ class RationalScalar:
 
     Trial division misses a divisor that a reducible factor (``x^2 - 1``)
     shares with the numerator.  So when a value leaves arithmetic --
-    printing, ``compile_float``, ``num``, ``den``, ``substitute``,
+    printing, ``compile_panel``, ``num``, ``den``, ``substitute``,
     ``depends_on`` -- it is reduced once, by one :func:`poly_gcd` of the
     numerator with each distinct factor, never with the whole denominator.
     ``num`` and ``den`` are then the reduced numerator and the expanded,
@@ -764,10 +762,6 @@ class RationalScalar:
         denominator; a pole raises :class:`DomainError`."""
         return _float_program(self.num, self.den, self.eval)
 
-    def compile_float(self):
-        """A ``point -> float`` evaluator: the same quotient at one point."""
-        return _float_program(self.num, self.den, self.eval, panel=False)
-
     def substitute(self, replacements):
         num, factors = self._lowest_terms()
         value = num.substitute(replacements)
@@ -804,7 +798,7 @@ class RationalScalar:
 
 
 # ---------------------------------------------------------------------------
-# compiled float evaluators
+# the panel program
 # ---------------------------------------------------------------------------
 
 
@@ -830,54 +824,62 @@ def _sum_block(j, p: PolyScalar, namespace):
     return j, terms, f"t{j} - t{j} == 0.0 and abs(t{j}) >= 1e-8 * {largest}", True
 
 
-def _grid(n_vars, blocks, tail, fallback, panel):
-    """Source lines of ``def f``, which walks ``product(a0, a1, ...)`` of
-    one node list per axis.  Each axis's nodes become ``(v, o, x ** e, ...)``
-    once per call: the node, whether ``float(v)`` and its powers stayed in
-    range, and the powers.  The loop over axis i multiplies each term's
-    product, left to right from its coefficient, through axis i; the
-    innermost loop adds the finished terms into ``t{j}`` in print order, 32
-    to a statement where nothing is tracked.  ``tail`` sets ``ok`` and the
-    trusted result ``r``; elsewhere, or with no blocks, the value is
-    ``fallback``, formatted with the ``point``.
+def _powers(v, exps):
+    """``float(v) ** e`` for each exponent; a value beyond float range is
+    inf, so each sum with a term that uses it is not finite and fails its
+    check, and the sums that do not use it keep theirs."""
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    out = []
+    for e in exps:
+        try:
+            out.append(x ** e)
+        except OverflowError:
+            out.append(math.inf)
+    return out
 
-    A point program ``f(a0, a1, ...)`` returns the value at the first point.
-    A panel program ``f(axes, jac, wk, wg)`` carries each node's multiplier
-    and Kronrod and Gauss weights (None at a Kronrod-only node) as ``m, k,
-    g`` and returns ``(kron, gauss)``: from 0.0, in product order, ``kron +=
-    k0 * k1 * y`` for the value ``y = r * m0 * m1``, and ``gauss`` likewise
-    at the points where no ``g`` is None.
+
+def _point(n_vars):
+    """The source of the point ``(v0, v1, ...)`` inside the panel program."""
+    return "(" + "".join(f"v{i}, " for i in range(n_vars)) + ")"
+
+
+def _program(n_vars, blocks, tail, value, namespace):
+    """The panel program ``f(axes, jac, wk, wg)``, compiled once.
+
+    It walks ``product(*axes)`` of one node list per axis.  Each
+    axis's nodes become ``(v, x ** e, ..., m, k, g)`` once per call: the
+    node, the powers the sums use (:func:`_powers`), its multiplier, and its
+    Kronrod and Gauss weights (None at a Kronrod-only node).  The loop over
+    axis i multiplies each term's product, left to right from its
+    coefficient, through axis i; the innermost loop adds the finished terms
+    into ``t{j}`` in print order, 32 to a statement where nothing is
+    tracked, runs ``tail`` and takes ``value`` at the point.  It returns
+    ``(kron, gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y``
+    for ``y = value * m0 * m1``, and ``gauss`` likewise at the points where
+    no ``g`` is None.
     """
     used = sorted({power for _, terms, _, _ in blocks for _, powers in terms for power in powers})
-    exps = [[e for axis, e in used if axis == i] for i in range(n_vars)]
-    weights = ", m, k, g" if panel else ""
-    if panel:
-        lines = ["def f(axes, jac, wk, wg):", "    kron = gauss = 0.0"]
-    else:
-        lines = [f"def f({', '.join(f'a{i}' for i in range(n_vars))}):"]
-    for i, axis in enumerate(exps):
-        powers, zeros = "".join(f", x ** {e}" for e in axis), ", 0.0" * len(axis)
-        nodes = f"zip(axes[{i}], jac[{i}], wk[{i}], wg[{i}])" if panel else f"a{i}"
-        lines += [f"    n{i} = []", f"    for v{weights} in {nodes}:", "        try:",
-                  "            x = float(v)", f"            n{i}.append((v, True{powers}{weights}))",
-                  "        except OverflowError:", f"            n{i}.append((v, False{zeros}{weights}))"]
+    exps = [tuple(e for axis, e in used if axis == i) for i in range(n_vars)]
+    lines = ["def f(axes, jac, wk, wg):", "    kron = gauss = 0.0"]
+    lines += [f"    n{i} = [(v, *powers(v, {axis}), m, k, g)"
+              f" for v, m, k, g in zip(axes[{i}], jac[{i}], wk[{i}], wg[{i}])]"
+              for i, axis in enumerate(exps)]
     prefix = {(j, k): c for j, terms, _, _ in blocks for k, (c, _) in enumerate(terms)}
     indent = "    "
     for i in range(n_vars):
-        targets = [f"v{i}", f"o{i}"] + [f"x{i}_{e}" for e in exps[i]]
-        targets += [f"m{i}", f"k{i}", f"g{i}"] if panel else []
+        targets = [f"v{i}", *(f"x{i}_{e}" for e in exps[i]), f"m{i}", f"k{i}", f"g{i}"]
         lines.append(f"{indent}for {', '.join(targets)} in n{i}:")
         indent += "    "
-        extended = []
         for j, terms, _, _ in blocks:
             for k, (_, powers) in enumerate(terms):
                 for e in (e for axis, e in powers if axis == i):
                     prefix[j, k] = f"{prefix[j, k]} * x{i}_{e}"
                     if i < n_vars - 1:  # the last axis finishes each term inside its sum
-                        extended.append(f"{indent}    p{j}_{k}_{i} = {prefix[j, k]}")
+                        lines.append(f"{indent}p{j}_{k}_{i} = {prefix[j, k]}")
                         prefix[j, k] = f"p{j}_{k}_{i}"
-        in_range = " and ".join(f"o{a}" for a in range(i + 1))
-        lines += [f"{indent}if {in_range}:", *extended] if extended else []
     body = []
     for j, terms, _, tracked in blocks:
         finished = [prefix[j, k] for k in range(len(terms))]
@@ -889,91 +891,43 @@ def _grid(n_vars, blocks, tail, fallback, panel):
         for k, term in enumerate(finished):
             body += [f"a = {term}", f"t{j} += a"] + ([f"h{j} = l{j} = a"] if k == 0 else [
                 f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"])
-    value = fallback.format(point="(" + "".join(f"v{i}, " for i in range(n_vars)) + ")")
-    if blocks:
-        lines += [f"{indent}ok = {' and '.join(f'o{i}' for i in range(n_vars)) or True}",
-                  f"{indent}if ok:", *(f"{indent}    {line}" for line in body + tail)]
-        value = f"r if ok else {value}"
-    if not panel:
-        return lines + [f"{indent}return {value}", ""]
     axes = range(n_vars)
     gauss = " and ".join(f"g{i} is not None" for i in reversed(axes)) or "True"
-    return lines + [f"{indent}y = ({value}){''.join(f' * m{i}' for i in axes)}",
-                    f"{indent}kron += {''.join(f'k{i} * ' for i in axes)}y",
-                    f"{indent}if {gauss}:",
-                    f"{indent}    gauss += {''.join(f'g{i} * ' for i in axes)}y",
-                    "    return kron, gauss", ""]
+    lines += [f"{indent}{line}" for line in body + tail]
+    lines += [f"{indent}y = ({value}){''.join(f' * m{i}' for i in axes)}",
+              f"{indent}kron += {''.join(f'k{i} * ' for i in axes)}y",
+              f"{indent}if {gauss}:",
+              f"{indent}    gauss += {''.join(f'g{i} * ' for i in axes)}y",
+              "    return kron, gauss", ""]
+    namespace["powers"] = _powers
+    exec(compile("\n".join(lines), "<panel program>", "exec"), namespace)
+    return namespace["f"]
 
 
-def _program(n_vars, blocks, tail, fallback, namespace, panel):
-    """The compiled :func:`_grid`: a panel program, or a ``point -> float``
-    evaluator."""
-    source = _grid(n_vars, blocks, tail, fallback, panel)
-    exec(compile("\n".join(source), "<compiled polynomials>", "exec"), namespace)
-    return namespace["f"] if panel else _at_point(namespace["f"], n_vars)
-
-
-def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None, panel=True):
-    """The program of ``num``, or of ``num / den`` with exact value
-    ``exact(point)``: a polynomial's value is its float sum where trusted,
-    else its exact value; a quotient's is the ratio of both sums where both
-    are trusted, the denominator is nonzero and the ratio finite, else
-    :func:`_composed` of the polynomials' point evaluators.  A polynomial
-    with a coefficient beyond float range is always exact, and its quotient
-    is always that composition.  The source spells only generated names,
-    integers and the constants 0.0 and 1e-8.
+def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
+    """The panel program of ``num``, or of ``num / den`` with exact value
+    ``exact(point)``, by the rule of the module docstring; a polynomial with
+    a coefficient beyond float range is always its exact value.  The source
+    spells only generated names, integers and the constants 0.0 and 1e-8.
     """
-    namespace = {"exact_float": _exact_float}
-    try:
-        blocks = [_sum_block(j, p, namespace)
-                  for j, p in enumerate([num] if den is None else [num, den])]
-    except OverflowError:  # a coefficient beyond float range: always exact
-        blocks = []
-    if den is None:
-        tail = [f"ok = {blocks[0][2]}", "r = t0"] if blocks else []
-        fallback = "exact_float(exact, {point})"
-        namespace["exact"] = num.eval
-    else:
-        tail = [f"ok = {blocks[0][2]} and {blocks[1][2]} and t1 != 0.0",
-                "if ok:", "    r = t0 / t1", "    ok = r - r == 0.0"] if blocks else []
-        fallback = "composed({point})"
-        namespace["composed"] = _composed(num, den, exact)
-    return _program(len(num.vars), blocks, tail, fallback, namespace, panel)
-
-
-def _at_point(program, n_vars):
-    """The point evaluator of a point program: one node per axis."""
-
-    def evaluate(point):
-        if len(point) != n_vars:
-            raise AlgindexError(_POINT_LENGTH)
-        return program(*([v] for v in point))
-
-    return evaluate
-
-
-def _composed(num: PolyScalar, den: PolyScalar, exact):
-    """The quotient of the two polynomials' point evaluators, compiled on
-    first use, with an exact fallback for huge intermediates (the two parts
-    can overflow floats long before their ratio does); a pole raises
-    :class:`DomainError`."""
-    parts = []
-
-    def evaluate(point):
-        if not parts:
-            parts.extend(p.compile_float() for p in (num, den))
+    point = _point(len(num.vars))
+    namespace = {"exact_float": _exact_float, "nan": math.nan, "exact": exact}
+    blocks, values = [], []
+    for j, p in enumerate([num] if den is None else [num, den]):
+        namespace[f"exact{j}"] = p.eval
+        values.append(f"exact_float(exact{j}, {point})")
         try:
-            n = parts[0](point)
-            d = parts[1](point)
-            if d != 0.0 and math.isfinite(n) and math.isfinite(d):
-                out = n / d
-                if math.isfinite(out):
-                    return out
-        except ArithmeticError:  # num or den beyond float range, as floats or exactly
-            pass
-        return _exact_float(exact, point)
-
-    return evaluate
+            blocks.append(_sum_block(j, p, namespace))
+        except OverflowError:  # a coefficient beyond float range: always exact
+            continue
+        values[j] = f"t{j} if {blocks[-1][2]} else {values[j]}"
+    if den is None:
+        return _program(len(num.vars), blocks, [], values[0], namespace)
+    # a zero denominator raises ZeroDivisionError, a part beyond float range DomainError
+    tail = ["try:", f"    r = ({values[0]}) / ({values[1]})", "except ArithmeticError:",
+            "    r = nan"]
+    return _program(len(num.vars), blocks, tail,
+                    f"r if r - r == 0.0 else exact_float(exact, {point})", namespace)
 
 
 # ---------------------------------------------------------------------------
@@ -1019,23 +973,23 @@ def _eval(node, point) -> float:
     return out
 
 
-def _straight_line(n_vars, root, reference):
-    """``point -> float``: the value of the tree ``root`` by one generated
-    statement per distinct node, else ``reference(point)``.
+def _straight_line(n_vars, root, namespace):
+    """The panel program's lines that set ``r`` to the value of the tree
+    ``root`` at the point ``(v0, v1, ...)``, or to nan where the evaluator
+    must run instead.
 
-    Nodes are hash-consed at emit time on (kind, child names, parameter), so
-    a subtree shared by value is computed once per point; a constant is
-    bound once as a float in the namespace, keyed by its bits.  Each
-    statement is the float operation ``_eval`` performs on the same
-    operands, so every value has its bits.  Where ``_eval`` would raise, the
-    reference runs instead and raises its own error: on ``ArithmeticError``
-    or ``ValueError`` (a zero divisor, a zero base to a negative power, a
-    value beyond float range, sqrt of a negative, sin of inf), and where the
-    sum ``s`` of the binary and function results is not finite (``s - s ==
+    There is one generated statement per distinct node, hash-consed at emit
+    time on (kind, child names, parameter), so a subtree shared by value is
+    computed once per point; a constant is bound once as a float in
+    ``namespace``, keyed by its bits.  Each statement is the float operation
+    ``_eval`` performs on the same operands, so every value has its bits.
+    ``r`` is nan where ``_eval`` would raise: on ``ArithmeticError`` or
+    ``ValueError`` (a zero divisor, a zero base to a negative power, a value
+    beyond float range, sqrt of a negative, sin of inf), and where the sum
+    ``s`` of the binary and function results is not finite (``s - s ==
     0.0`` is false), which it is whenever one of them is.  A tree with a
-    constant beyond float range is always the reference.
+    constant beyond float range is always nan.
     """
-    namespace = {"reference": reference, **{fn: getattr(math, fn) for fn in _FUNCTIONS}}
     lines, checked = [], []
     names, consed = {}, {}  # id(node) -> name; (kind, child names, parameter) -> name
 
@@ -1055,7 +1009,7 @@ def _straight_line(n_vars, root, reference):
                 key = (kind, *map(walk, node[1:]))
             name = consed.get(key)
             if name is None:
-                name = consed[key] = f"n{len(consed)}"
+                name = consed[key] = f"u{len(consed)}"
                 if kind == "const":
                     namespace[name] = value
                 elif kind == "pow":
@@ -1072,20 +1026,16 @@ def _straight_line(n_vars, root, reference):
     try:
         result = walk(root)
     except OverflowError:  # a constant beyond float range
-        return reference
-    coords = ", ".join(f"x{i}" for i in range(n_vars))
-    body = [f"[{coords}] = map(float, point)", *lines]
-    if checked:  # 32 terms to a statement, as in _grid
+        return ["r = nan"]
+    body = [f"x{i} = float(v{i})" for i in range(n_vars)] + lines
+    if checked:  # 32 terms to a statement, as in the polynomial sums
         body += ["s = 0.0", *(" + ".join(["s = s", *checked[c:c + 32]])
                               for c in range(0, len(checked), 32))]
-        body += ["if s - s == 0.0:", f"    return {result}"]
+        body.append(f"r = {result} if s - s == 0.0 else nan")
     else:
-        body.append(f"return {result}")
-    source = ["def value(point):", "    try:", *(f"        {line}" for line in body),
-              "    except (ArithmeticError, ValueError):", "        pass",
-              "    return reference(point)", ""]
-    exec(compile("\n".join(source), "<compiled expression>", "exec"), namespace)
-    return namespace["value"]
+        body.append(f"r = {result}")
+    return ["try:", *(f"    {line}" for line in body),
+            "except (ArithmeticError, ValueError):", "    r = nan"]
 
 
 class NumericExpr:
@@ -1218,15 +1168,14 @@ class NumericExpr:
         except OverflowError:
             raise DomainError(f"value beyond float range at {tuple(point)}") from None
 
-    def compile_float(self):
-        """``point -> float``: the evaluator itself, already float throughout."""
-        return self.eval
-
     def compile_panel(self):
         """A panel program whose value at each point is this evaluator's,
-        computed by :func:`_straight_line`."""
-        value = _straight_line(len(self.vars), self.node, self.eval)
-        return _program(len(self.vars), [], [], "value({point})", {"value": value}, True)
+        computed by :func:`_straight_line` where it is finite, else by ``eval``."""
+        namespace = {"reference": self.eval, "nan": math.nan,
+                     **{fn: getattr(math, fn) for fn in _FUNCTIONS}}
+        tail = _straight_line(len(self.vars), self.node, namespace)
+        value = f"r if r - r == 0.0 else reference({_point(len(self.vars))})"
+        return _program(len(self.vars), [], tail, value, namespace)
 
     def derive(self, index):
         node = self.node
@@ -1575,6 +1524,8 @@ def parse_scalar(text, chart: Chart):
             if "." in tok:
                 if chart.backend != "numeric":
                     fail("float literals need the numeric backend")
+                if math.isinf(float(tok)):
+                    fail("float literal beyond float range")
                 return chart.const(float(tok))
             return chart.const(int(tok))
         if tok in _FUNCTIONS:

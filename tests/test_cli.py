@@ -283,6 +283,24 @@ def test_scalar_syntax_error_is_positioned(tmp_path):
     assert "position" in proc.stderr
 
 
+def test_float_literal_beyond_float_range_is_a_syntax_error(tmp_path, capsys):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "backend: numeric\n"
+        "coordinates: [x, y]\n"
+        "algebroids:\n"
+        "  plane: {kind: tangent}\n"
+        "forms:\n"
+        f"  wave: {{algebroid: plane, degree: 2, coefficients: {{'1,2': 'sin({'1' * 400}.0) + x'}}}}\n"
+        "computations: []\n"
+    )
+    assert cli.main(["run", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: document error: scalar syntax error at position ")
+    assert err.endswith(": float literal beyond float range\n")
+
+
 def test_subcommand_filters_families():
     proc = run_cli(["--format", "json", "validate", job_path("su2")])
     payload = json.loads(proc.stdout)

@@ -202,6 +202,18 @@ def test_parse_errors_are_positioned():
         P("sin(x)")
 
 
+def test_float_literal_beyond_float_range_is_a_syntax_error():
+    chart = Chart(XY, "numeric")
+    huge = "1" * 400 + ".0"  # float() of it is inf
+    for text in (f"sin({huge}) + x", f"exp(x)*sin({huge}*x)", f"{huge}*x + 1"):
+        with pytest.raises(AlgindexError, match=r"scalar syntax error at position \d+: "
+                                                "float literal beyond float range"):
+            chart.parse(text)
+    # the largest finite literals still parse, and a literal that underflows is 0.0
+    assert chart.parse("1" * 308 + ".0").constant_value() == float("1" * 308)
+    assert chart.parse("0." + "0" * 400 + "1").constant_value() == 0.0
+
+
 # -- rational scalars ---------------------------------------------------------
 
 
@@ -231,11 +243,11 @@ def test_rational_eval_matches_float_path():
     r = P("4") / (u * u)
     for point in [(0.25, -1.5), (3.0, 2.0), (1e7, -2e7)]:
         exact = float(r.eval(point))
-        fast = r.compile_float()(point)
+        fast = _at_one_point(r, point)
         assert abs(exact - fast) <= 1e-12 * max(1.0, abs(exact))
 
 
-# -- the compiled float evaluator ----------------------------------------------
+# -- the panel program at one point --------------------------------------------
 
 
 def _exact_float(value):
@@ -283,9 +295,18 @@ def _outcome(evaluate, point):
         return DomainError
 
 
+def _at_one_point(scalar, point):
+    """The panel program's value at one point: one node per axis, unit
+    multipliers and weights, so its sums are ``0.0 +`` the value."""
+    ones = [[1.0] for _ in point]
+    kron, gauss = scalar.compile_panel()([[v] for v in point], ones, ones, ones)
+    assert _same(kron, gauss)
+    return kron
+
+
 def assert_same_bits(scalar, point):
-    compiled = _outcome(scalar.compile_float(), point)
-    other = _outcome(lambda q: _uncompiled_eval_float(scalar, q), point)
+    compiled = _outcome(lambda q: _at_one_point(scalar, q), point)
+    other = _outcome(lambda q: 0.0 + _uncompiled_eval_float(scalar, q), point)
     if isinstance(compiled, float):
         assert isinstance(other, float)
         assert compiled == other and math.copysign(1, compiled) == math.copysign(1, other)
@@ -324,6 +345,14 @@ def test_compiled_float_overflow_falls_back_to_exact():
     assert assert_same_bits(r, (1e200, 0.5)) == 1.0
     # parts within float range whose ratio is not
     assert assert_same_bits(P("x") / P("y"), (1e300, 1e-300)) is DomainError
+    # only the denominator's power overflows (1.5e154 ** 2), and its exact value
+    # is in range: the numerator keeps its float sum, which is not its exact
+    # value rounded, so a flag shared by the two parts gives other bits
+    point = (1.5e154, math.nextafter(1.5e154, 0))
+    num, den = P("x/2 - 2*y/5"), P("x^2 - x*y")
+    shared = float(num.eval(point)) / float(den.eval(point))
+    own = _reference_sum(num, point) / float(den.eval(point))
+    assert assert_same_bits(num / den, point) == own != shared
 
 
 def test_compiled_float_cancellation_falls_back_to_exact():
@@ -343,18 +372,18 @@ def test_compiled_float_pole_is_domain_error():
 def test_non_finite_coordinates_are_domain_errors():
     p, r = P("x^2 + y + 1"), P("x") / P("1 + y^2")
     for bad in (math.nan, math.inf, -math.inf):
-        for evaluate in (p.eval, r.eval, p.compile_float(), r.compile_float()):
-            with pytest.raises(DomainError, match="not a finite rational"):
-                evaluate((bad, 0.0))
+        for scalar in (p, r):
+            for evaluate in (scalar.eval, lambda q: _at_one_point(scalar, q)):
+                with pytest.raises(DomainError, match="not a finite rational"):
+                    evaluate((bad, 0.0))
 
 
 def test_compiled_float_checks_point_length():
     huge = PolyScalar(XY, {(1, 0): 10**400})  # evaluated exactly, never compiled
     for scalar in [P("x^2 + 3*y"), P("5"), P("x") / P("1 + y^2"), huge]:
         for point in [(), (1.0,), (1.0, 2.0, 3.0)]:
-            for evaluate in (scalar.compile_float(), scalar.eval):
-                with pytest.raises(AlgindexError, match="point dimension"):
-                    evaluate(point)
+            with pytest.raises(AlgindexError, match="point dimension"):
+                scalar.eval(point)
         assert_same_bits(scalar, (0.5, -2.0))
 
 
@@ -417,29 +446,36 @@ def test_generated_evaluator_of_twelve_thousand_terms():
 
 def test_generated_evaluator_holds_no_coefficient_as_text():
     r = P("x/3 + 1/7") / P("5/11 + y^2")
-    for evaluate in (r.compile_float(), r.compile_panel()):
-        constants = {c for c in evaluate.__code__.co_consts if isinstance(c, float)}
-        assert constants <= {0.0, 1e-8}
+    constants = {c for c in r.compile_panel().__code__.co_consts if isinstance(c, float)}
+    assert constants <= {0.0, 1e-8}
 
 
-def test_quotient_compiles_its_parts_only_for_the_fallback(monkeypatch):
+@pytest.mark.parametrize("backend,text,beyond", [("poly", "x^2 - 2*x*y + y^2", True),
+                                                 ("poly", "(x^2 - x*y)/(x^2 + y^2)", False),
+                                                 ("numeric", "exp(x*y) / (1 + y^2)", True)],
+                         ids=["polynomial", "quotient", "numeric"])
+def test_an_integrand_compiles_one_program(backend, text, beyond, monkeypatch):
     compiled = []
 
     def counting(source, *args):
-        compiled.extend(line for line in source.splitlines() if line.startswith("def "))
+        compiled.append(source)
         return compile(source, *args)
 
     monkeypatch.setattr(scalars, "compile", counting, raising=False)
-    r = P("x^2 - x*y") / P("x^2 + y^2")
-    program = r.compile_panel()
-    ones = [[1.0], [1.0]]
-    assert program([[2.0], [0.0]], ones, ones, ones) == (1.0, 1.0)
+    program = Chart(XY, backend).parse(text).compile_panel()
     assert len(compiled) == 1
-    # 1e200 ** 2 overflows: the numerator's and denominator's point evaluators
-    assert program([[1e200], [2.0]], ones, ones, ones) == (1.0, 1.0)
-    assert len(compiled) == 3
-    program([[1e200], [3.0]], ones, ones, ones)
-    assert len(compiled) == 3
+    # the numerators cancel on the diagonal and 1e200 ** 2 overflows: the
+    # fallbacks run inside the same program, which compiles nothing more; only
+    # the quotient's value stays in float range at 1e200
+    axes = [[2.0, 0.5, 1e200], [0.0, 0.5]]
+    inputs = _panel_inputs(random.Random(1709), axes)
+    for _ in range(2):
+        if beyond:
+            with pytest.raises(DomainError, match="beyond float range"):
+                program(axes, *inputs)
+        else:
+            program(axes, *inputs)
+    assert len(compiled) == 1
 
 
 # -- the panel program against an independent per-point reference ------------
@@ -532,13 +568,13 @@ def _panel_inputs(rng, axes):
 def assert_panel_matches_reference(scalar, axes, jac, wk, wg, reference=_reference_point):
     """The panel program's sums have the bits of :func:`_reference_panel`
     over the per-point ``reference``; where some point is DomainError, the
-    program raises the point evaluator's error at the first."""
+    program raises the exact evaluator's error at the first."""
     points = list(itertools.product(*axes))
     values = [reference(scalar, point) for point in points]
     if DomainError in values:
         first = points[values.index(DomainError)]
         with pytest.raises(DomainError) as at_point:
-            scalar.compile_float()(first)
+            scalars._exact_float(scalar.eval, first)
         with pytest.raises(DomainError, match=re.escape(str(at_point.value))):
             scalar.compile_panel()(axes, jac, wk, wg)
         return DomainError
@@ -546,15 +582,6 @@ def assert_panel_matches_reference(scalar, axes, jac, wk, wg, reference=_referen
     want = _reference_panel(values, axes, jac, wk, wg)
     assert _same(got[0], want[0]) and _same(got[1], want[1]), (scalar, axes, got, want)
     return got
-
-
-def _at_one_point(scalar, point):
-    """The panel program's value at one point: one node per axis, unit
-    multipliers and weights."""
-    ones = [[1.0] for _ in point]
-    kron, gauss = scalar.compile_panel()([[v] for v in point], ones, ones, ones)
-    assert _same(kron, gauss)
-    return kron
 
 
 def _numeric_point(expr, point):
@@ -586,6 +613,10 @@ def test_grid_evaluator_overflow_cancellation_and_pole():
     assert _at_one_point(r, (1e200, 2.0)) == 1.0
     axes = [[1e200, 0.5], [2.0, -1.0]]
     assert_panel_matches_reference(r, axes, *_panel_inputs(rng, axes))
+    # only the denominator's power overflows, at the first node of each axis
+    axes = [[1.5e154, 0.5], [math.nextafter(1.5e154, 0), 2.0]]
+    assert_panel_matches_reference(P("x/2 - 2*y/5") / P("x^2 - x*y"), axes,
+                                   *_panel_inputs(rng, axes))
     # (x - y)^2 cancels on the diagonal: that node is exact, the rest are sums
     p = P("x^2 - 2*x*y + y^2")
     assert _at_one_point(p, (1 + 2.0**-30, 1.0)) == 2.0**-60
@@ -653,24 +684,27 @@ def test_numeric_panel_program_computes_each_distinct_node_once(i, j, monkeypatc
     factor = Chart(XY, "numeric").parse("exp(x*y/4) + 1/(2 + sin(x))")
     expr = factor.derive(i).derive(j)
     program = expr.compile_panel()
-    statements = [line for line in sources[0].splitlines() if re.match(r" +n\d+ = ", line)]
+    statements = [line for line in sources[0].splitlines() if re.match(r" +u\d+ = ", line)]
     subtrees = _subtrees(expr.node)
     assert len(statements) == len(set(subtrees)) < len(subtrees)
     # constants are bound in the namespace, not written into the source
-    value = program.__globals__["value"]
-    assert {c for c in value.__code__.co_consts if isinstance(c, float)} <= {0.0}
+    assert {c for c in program.__code__.co_consts if isinstance(c, float)} <= {0.0}
     rng = random.Random(1731 + 2 * i + j)
     axes = [[-1.0, 0.25, 2.0, -0.0], [0.5, -1.5, 3.0]]
     assert_panel_matches_reference(expr, axes, *_panel_inputs(rng, axes), _numeric_point)
 
 
 def test_numeric_point_program_keeps_signed_zero_constants_apart():
-    # x*(-0.0) - x*0.0 is -0.0 at x > 0; one constant for both would give 0.0
+    # x*(-0.0) - x*0.0 is -0.0 at x > 0; one constant for both would give 0.0.
+    # The panel's sums start from 0.0, which hides the sign, so look at the
+    # constants the program binds
     x = ("coord", 0)
     expr = scalars.NumericExpr(("x",), ("sub", ("mul", x, ("const", -0.0)),
                                         ("mul", x, ("const", 0.0))))
-    value = scalars._straight_line(1, expr.node, expr.eval)((1.5,))
-    assert _same(value, expr.eval((1.5,))) and math.copysign(1, value) == -1
+    program = expr.compile_panel()
+    constants = [v for name, v in program.__globals__.items() if re.fullmatch(r"u\d+", name)]
+    assert sorted(math.copysign(1, c) for c in constants) == [-1, 1] and not any(constants)
+    assert _at_one_point(expr, (1.5,)) == 0.0 == expr.eval((1.5,))
 
 
 def test_numeric_panel_program_of_a_long_sum():
@@ -701,12 +735,6 @@ def test_grid_of_a_constant_and_of_an_empty_axis():
     assert (P("x") / P("1 + y^2")).compile_panel()([[], [1.0]], [[], [1.0]], [[], [1.0]],
                                                   [[], [1.0]]) == (0.0, 0.0)
     assert PolyScalar((), {(): Fraction(1, 3)}).compile_panel()([], [], [], []) == (1 / 3, 1 / 3)
-
-
-def test_numeric_compile_float_is_its_evaluator():
-    expr = Chart(XY, "numeric").parse("exp(x) / (1 + y^2)")
-    assert expr.compile_float() == expr.eval
-    assert expr.compile_float()((0.0, 1.0)) == 0.5
 
 
 def test_poly_gcd():

@@ -702,7 +702,6 @@ def test_three_dimensional_quadrature_is_refused(domain, monkeypatch):
     def compiled(scalar):
         raise AssertionError("a refused integral compiles its integrand")
 
-    monkeypatch.setattr(RationalScalar, "compile_float", compiled)
     monkeypatch.setattr(RationalScalar, "compile_panel", compiled)
     with pytest.raises(AlgindexError, match="base dimension <= 2"):
         ti.integrate(A, _inverse_quadric(A), ti.Density(A, 1), domain)
