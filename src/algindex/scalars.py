@@ -849,17 +849,17 @@ def _point(n_vars):
 def _program(n_vars, blocks, tail, value, namespace):
     """The panel program ``f(axes, jac, wk, wg)``, compiled once.
 
-    It walks ``product(*axes)`` of one node list per axis.  Each
-    axis's nodes become ``(v, x ** e, ..., m, k, g)`` once per call: the
-    node, the powers the sums use (:func:`_powers`), its multiplier, and its
-    Kronrod and Gauss weights (None at a Kronrod-only node).  The loop over
-    axis i multiplies each term's product, left to right from its
-    coefficient, through axis i; the innermost loop adds the finished terms
-    into ``t{j}`` in print order, 32 to a statement where nothing is
-    tracked, runs ``tail`` and takes ``value`` at the point.  It returns
-    ``(kron, gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y``
-    for ``y = value * m0 * m1``, and ``gauss`` likewise at the points where
-    no ``g`` is None.
+    It walks ``product(*axes)`` of one node list per axis.  Each axis's
+    nodes become ``(v, x ** e, ..., m, k, g)`` once per call: the node, the
+    powers the sums use (:func:`_powers`), its multiplier, and its Kronrod
+    and Gauss weights (None at a Kronrod-only node).  The loop over axis i
+    multiplies each term's product, left to right from its coefficient,
+    through axis i; the innermost loop adds the finished terms into
+    ``t{j}`` in print order, 32 to a statement where nothing is tracked,
+    runs ``tail`` and takes ``value`` at the point.  It returns ``(kron,
+    gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y`` for ``y =
+    value * m0 * m1``, and ``gauss`` likewise at the points where no ``g``
+    is None.
     """
     used = sorted({power for _, terms, _, _ in blocks for _, powers in terms for power in powers})
     exps = [tuple(e for axis, e in used if axis == i) for i in range(n_vars)]
