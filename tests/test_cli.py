@@ -64,9 +64,10 @@ def test_every_bundled_job_has_goldens():
 # documents with their stdout beside them: a numeric-backend chart (printed
 # expression trees, transcendental quadrature, sampled zero tests), three
 # rational charts of S^2, whose index and thom-check integrate over the plane,
-# thom-checks of algebroids with varying structure functions, and a quotient
+# thom-checks of algebroids with varying structure functions, a quotient
 # whose numerator cancels on the box's diagonal, where the panel program falls
-# back to the exact quotient
+# back to the exact quotient, and pull-backs and products on either backend,
+# which print the scalars each construction lifts onto its chart
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
