@@ -202,6 +202,27 @@ def test_parse_errors_are_positioned():
         P("sin(x)")
 
 
+@pytest.mark.parametrize("backend,text,message", [
+    ("poly", "x/(y*(x + 1)", "position 12: expected ')'"),  # a divisor
+    ("poly", "(x + y", "position 6: expected ')'"),  # a parenthesized sum
+    ("numeric", "sin(x + y", "position 9: expected ')'"),  # a function argument
+    ("poly", "x^y", "position 3: expected integer exponent after '^'"),
+    ("poly", "x^", "position 2: expected integer exponent after '^'"),
+    ("numeric", "x^-", "position 3: expected integer exponent after '^'"),
+    ("poly", "1.5*x", "position 3: float literals need the numeric backend"),
+    ("numeric", "exp x", "position 5: expected '(' after exp"),
+    ("poly", "cos(x)", "position 3: cos() needs the numeric backend"),
+    ("poly", "x y", "position 2: trailing input 'y'"),
+    ("numeric", "(x + 1))", "position 7: trailing input ')'"),
+    ("poly", "x + ", "position 4: unexpected end of input"),
+    ("numeric", "x + z", "position 5: unknown name 'z'"),
+])
+def test_parse_error_messages(backend, text, message):
+    with pytest.raises(AlgindexError) as info:
+        Chart(XY, backend).parse(text)
+    assert str(info.value) == f"scalar syntax error at {message}"
+
+
 def test_float_literal_beyond_float_range_is_a_syntax_error():
     chart = Chart(XY, "numeric")
     huge = "1" * 400 + ".0"  # float() of it is inf
