@@ -1507,7 +1507,7 @@ def parse_scalar(text, chart: Chart):
             tokens.take()
             sign = -1
         tok = tokens.take()
-        if tok is None or not tok.isdigit():
+        if tok is None or not tok.isdecimal():
             fail("expected integer exponent after '^'")
         return sign * int(tok)
 
@@ -1521,6 +1521,9 @@ def parse_scalar(text, chart: Chart):
                 fail("expected ')'")
             return value
         if tok[0].isdigit() or tok[0] == ".":
+            # decimal digits with at most one '.'; str.isdigit also accepts '²'
+            if not tok.replace(".", "", 1).isdecimal():
+                fail(f"malformed number {tok!r}")
             if "." in tok:
                 if chart.backend != "numeric":
                     fail("float literals need the numeric backend")

@@ -302,6 +302,24 @@ def test_float_literal_beyond_float_range_is_a_syntax_error(tmp_path, capsys):
     assert err.endswith(": float literal beyond float range\n")
 
 
+def test_two_dot_float_literal_is_a_positioned_syntax_error(tmp_path, capsys):
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(
+        "version: 1\n"
+        "backend: numeric\n"
+        "coordinates: [x]\n"
+        "algebroids:\n"
+        "  line: {kind: tangent}\n"
+        "densities:\n"
+        "  bad: {algebroid: line, coefficient: '1.2.3'}\n"
+        "computations: []\n"
+    )
+    assert cli.main(["run", str(doc)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: document error: scalar syntax error at position 5: malformed number '1.2.3'\n"
+
+
 def test_subcommand_filters_families():
     proc = run_cli(["--format", "json", "validate", job_path("su2")])
     payload = json.loads(proc.stdout)

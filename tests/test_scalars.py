@@ -223,6 +223,26 @@ def test_parse_error_messages(backend, text, message):
     assert str(info.value) == f"scalar syntax error at {message}"
 
 
+@pytest.mark.parametrize("backend", ["poly", "numeric"])
+@pytest.mark.parametrize("text,message", [
+    ("1.2.3*x", "position 5: malformed number '1.2.3'"),
+    ("x + 1.2.3", "position 9: malformed number '1.2.3'"),
+    (".", "position 1: malformed number '.'"),
+    ("x + ²", "position 5: malformed number '²'"),  # str.isdigit accepts '²'
+    ("x^²", "position 3: expected integer exponent after '^'"),
+])
+def test_malformed_numbers_are_positioned_syntax_errors(backend, text, message):
+    with pytest.raises(AlgindexError) as info:
+        Chart(XY, backend).parse(text)
+    assert str(info.value) == f"scalar syntax error at {message}"
+
+
+@pytest.mark.parametrize("backend", ["poly", "numeric"])
+def test_unicode_decimal_digits_are_numbers(backend):
+    chart = Chart(XY, backend)
+    assert chart.parse("٣*x^٣") == chart.parse("3*x^3")
+
+
 def test_float_literal_beyond_float_range_is_a_syntax_error():
     chart = Chart(XY, "numeric")
     huge = "1" * 400 + ".0"  # float() of it is inf
