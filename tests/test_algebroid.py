@@ -163,6 +163,34 @@ def test_product_symmetry_up_to_relabeling(su2, aff1):
                 assert left.bracket(a, b)[c] == mirrored[c + aff1.rank]
 
 
+@pytest.mark.parametrize("backend,text", [
+    ("poly", "3/2*x^2*y - y + 1"),
+    ("poly", "7"),
+    ("poly", "0"),
+    ("poly", "(x^2 - y)/(1 + x^2*y^2)"),  # a RationalScalar
+    ("poly", "1/(x - y)^2 + x"),
+    ("numeric", "sin(x)*cos(y) + sqrt(1 + x^2) - 2.5*x^3"),
+    ("numeric", "exp(x*y/4) + 1/(2 + sin(x))"),
+    ("numeric", "x^-2 - 0.5"),
+    ("numeric", "0.25"),
+])
+def test_extend_vars_agrees_with_the_substitution_lift(backend, text):
+    # a product lifts a factor whose names it keeps by extend_vars, any other
+    # by substitution; on a leading block of coordinates the two must agree
+    scalar = Chart(("x", "y"), backend).parse(text)
+    wide = Chart(("x", "y", "u1", "u2"), backend)
+    extended = scalar.extend_vars(wide.names)
+    substituted = scalar.substitute([wide.coord(0), wide.coord(1)])
+    assert type(extended) is type(substituted)
+    assert extended.vars == substituted.vars == wide.names
+    assert extended == substituted
+    assert str(extended) == str(substituted)
+    if backend == "numeric":
+        assert extended.node == substituted.node
+    point = [Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(-1)]
+    assert extended.eval(point) == substituted.eval(point)
+
+
 # -- pull-backs -------------------------------------------------------------------
 
 
@@ -195,9 +223,10 @@ def test_pullback_fiber_names_skip_the_chart_names():
 
 def test_pullback_structure_is_horizontal(pullback_su2, su2):
     data = pullback_su2.pullback_data
+    horizontal = range(data.parent.rank)  # the parent's frame comes first
     for (a, b) in pullback_su2.structure:
-        assert a in data.horizontal and b in data.horizontal
-    for a in data.horizontal:
+        assert a in horizontal and b in horizontal
+    for a in horizontal:
         for j in data.vertical:
             assert all(c.is_zero() for c in pullback_su2.bracket(a, j))
 
