@@ -342,14 +342,16 @@ def test_walk_matches_jsonschema_on_mutated_documents():
     originals = [yaml.safe_load(text) for _, text in CORPUS]
     originals = [doc for doc in originals if isinstance(doc, dict)]
     keywords, counts = set(), []
-    for _ in range(1200):
+    # 'maximum' is reached only through a groupoid's size or order: with 1200
+    # documents, 1 of 20 seeds drew no such mutation
+    for _ in range(2400):
         seen, count = check_against_oracle(mutate(rng.choice(originals), rng))
         keywords |= seen
         counts.append(count)
     # every keyword that can report an error has, and many documents have one error
     assert keywords == {"type", "required", "enum", "const", "pattern", "minimum",
                         "maximum", "exclusiveMinimum", "minItems", "maxItems"}
-    assert counts.count(0) > 100 and counts.count(1) > 400
+    assert counts.count(0) > 200 and counts.count(1) > 800
 
 
 @needs_jsonschema
