@@ -8,8 +8,9 @@ frame e_1..e_r over chart coordinates x_1..x_n:
 
 ``validate`` checks antisymmetry (structural), the anchor bracket-morphism
 identity and the Jacobi identity by exact symbolic expansion and reports
-every nonzero residual.  Direct products, trivial-fibration pull-backs and
-morphisms (with their two compatibility conditions) live here as well.
+every nonzero residual.  Direct products and morphisms (with their two
+compatibility conditions) live here as well, and so do trivial-fibration
+pull-backs, which are products with the tangent algebroid of the fiber.
 """
 
 from __future__ import annotations
@@ -56,15 +57,22 @@ class ValidationReport:
 
 @dataclass
 class PullbackData:
-    """Bookkeeping for presentations built by :func:`pullback`."""
+    """Bookkeeping for ``product(parent, fiber)`` built by :func:`pullback`.
+
+    The parent's frame and coordinates lead the product's, so their indices
+    carry over unchanged; the fiber's follow them.
+    """
 
     parent: "AlgebroidPresentation"
-    fiber_dim: int
-    # frame indices of the horizontal lifts and of the vertical fields
-    horizontal: tuple
+    # the tangent algebroid of R^m on the fiber coordinates u_1..u_m
+    fiber: "AlgebroidPresentation"
+    # frame indices of the vertical fields, chart indices of the fiber coordinates
     vertical: tuple
-    # chart indices of the fiber coordinates
     fiber_coords: tuple
+
+    @property
+    def fiber_dim(self):
+        return self.fiber.rank
 
 
 class AlgebroidPresentation:
@@ -253,15 +261,22 @@ def aff1(name="aff1"):
     return lie_algebra({(0, 1): [0, 1]}, 2, name)
 
 
-def _transport(scalar, chart, offset, count):
-    """Re-express a scalar on ``chart`` with its coordinates at offset.."""
-    if count == 0:
-        return chart.const(scalar.constant_value())
-    return scalar.substitute([chart.coord(offset + i) for i in range(count)])
+def _lifter(factor, chart, offset):
+    """Lift a factor's scalars onto the product chart, their coordinates at
+    offset..: by ``extend_vars`` where the factor's own names lead the chart
+    (as a pull-back's base does), else by substitution."""
+    names = factor.chart.names
+    if not names or (offset == 0 and chart.names[: len(names)] == names):
+        return lambda s: s.extend_vars(chart.names)
+    coords = [chart.coord(offset + i) for i in range(len(names))]
+    return lambda s: s.substitute(coords)
 
 
 def product(a1: AlgebroidPresentation, a2: AlgebroidPresentation, name=None):
-    """Direct product; mixed brackets vanish, anchors act blockwise."""
+    """Direct product; mixed brackets vanish, anchors act blockwise.
+
+    The chart is a1's names then a2's, each suffixed _1 or _2 if they clash.
+    """
     if a1.chart.backend != a2.chart.backend:
         raise PresentationError("product factors must share a scalar backend")
     names1, names2 = a1.chart.names, a2.chart.names
@@ -269,73 +284,34 @@ def product(a1: AlgebroidPresentation, a2: AlgebroidPresentation, name=None):
         names1 = tuple(f"{n}_1" for n in names1)
         names2 = tuple(f"{n}_2" for n in names2)
     chart = Chart(names1 + names2, a1.chart.backend)
-    n1, n2 = a1.base_dim, a2.base_dim
-    r1 = a1.rank
-
-    def lift1(s):
-        return _transport(s, chart, 0, n1)
-
-    def lift2(s):
-        return _transport(s, chart, n1, n2)
-
-    anchor = []
-    for a in range(r1):
-        anchor.append([lift1(v) for v in a1.anchor[a]] + [chart.zero()] * n2)
-    for a in range(a2.rank):
-        anchor.append([chart.zero()] * n1 + [lift2(v) for v in a2.anchor[a]])
-    structure = {}
-    for (x, y), coeffs in a1.structure.items():
-        structure[(x, y)] = [lift1(c) for c in coeffs] + [chart.zero()] * a2.rank
+    n1, n2, r1, r2 = a1.base_dim, a2.base_dim, a1.rank, a2.rank
+    lift1, lift2, zero = _lifter(a1, chart, 0), _lifter(a2, chart, n1), chart.zero()
+    anchor = [[lift1(v) for v in row] + [zero] * n2 for row in a1.anchor]
+    anchor += [[zero] * n1 + [lift2(v) for v in row] for row in a2.anchor]
+    structure = {k: [lift1(c) for c in cs] + [zero] * r2 for k, cs in a1.structure.items()}
     for (x, y), coeffs in a2.structure.items():
-        structure[(x + r1, y + r1)] = [chart.zero()] * r1 + [lift2(c) for c in coeffs]
-    return AlgebroidPresentation(
-        chart,
-        r1 + a2.rank,
-        anchor,
-        structure,
-        name or f"{a1.name}*{a2.name}",
-    )
+        structure[(x + r1, y + r1)] = [zero] * r1 + [lift2(c) for c in coeffs]
+    return AlgebroidPresentation(chart, r1 + r2, anchor, structure, name or f"{a1.name}*{a2.name}")
 
 
 def pullback(A: AlgebroidPresentation, fiber_dim, name=None):
     """Pull-back along the projection of the trivial fibration M x R^m -> M.
 
-    The frame consists of horizontal lifts h_a = (e_a, rho(e_a)) followed by
-    the vertical fields v_j = (0, d/du_j); brackets of horizontals reproduce
-    the structure functions of A, all brackets involving verticals vanish.
+    It is the direct product of A with the tangent algebroid of R^m (Mackenzie,
+    General Theory of Lie Groupoids and Lie Algebroids, 2005): the horizontal
+    lifts h_a = (e_a, rho(e_a)) keep A's indices and structure functions, and
+    the vertical fields v_j = (0, d/du_j) follow, with vanishing brackets.
     With ``fiber_dim == A.rank`` this is the pull-back over the dual bundle
     in a trivialization, base for the symplectic/Thom machinery.
     """
     m = int(fiber_dim)
     # u1, u2, ..., skipping the names the base chart already holds
     fresh = (f"u{k}" for k in count(1) if f"u{k}" not in A.chart.names)
-    chart = A.chart.extended(islice(fresh, m))
-    r = A.rank
-
-    def lift(s):
-        return s.extend_vars(chart.names)
-
-    anchor = []
-    for a in range(r):
-        anchor.append([lift(v) for v in A.anchor[a]] + [chart.zero()] * m)
-    for j in range(m):
-        anchor.append(
-            [chart.zero()] * A.base_dim
-            + [chart.one() if i == j else chart.zero() for i in range(m)]
-        )
-    structure = {}
-    for (a, b), coeffs in A.structure.items():
-        structure[(a, b)] = [lift(c) for c in coeffs] + [chart.zero()] * m
-    out = AlgebroidPresentation(
-        chart, r + m, anchor, structure, name or f"pullback({A.name},{m})"
-    )
-    out.pullback_data = PullbackData(
-        parent=A,
-        fiber_dim=m,
-        horizontal=tuple(range(r)),
-        vertical=tuple(range(r, r + m)),
-        fiber_coords=tuple(range(A.base_dim, A.base_dim + m)),
-    )
+    name = name or f"pullback({A.name},{m})"
+    fiber = tangent(m, Chart(islice(fresh, m), A.chart.backend), f"fiber_of_{name}")
+    out = product(A, fiber, name)
+    r, n = A.rank, A.base_dim
+    out.pullback_data = PullbackData(A, fiber, tuple(range(r, r + m)), tuple(range(n, n + m)))
     return out
 
 
@@ -464,22 +440,13 @@ def fiber_inclusion_morphism(pb: AlgebroidPresentation, base_point):
     data = pb.pullback_data
     if data is None:
         raise PresentationError("target is not a pull-back presentation")
-    A = data.parent
-    m = data.fiber_dim
-    fiber_chart = Chart(
-        tuple(pb.chart.names[i] for i in data.fiber_coords), pb.chart.backend
-    )
-    fiber = tangent(m, fiber_chart, name=f"fiber_of_{pb.name}")
-    base_point = [fiber_chart.coerce(p) for p in base_point]
-    if len(base_point) != A.base_dim:
+    fiber = data.fiber
+    base_point = [fiber.chart.coerce(p) for p in base_point]
+    if len(base_point) != data.parent.base_dim:
         raise PresentationError("base point must match the parent base dimension")
-    base = list(base_point) + [fiber_chart.coord(j) for j in range(m)]
-    bundle = []
-    for j in range(m):
-        bundle.append(
-            [
-                fiber_chart.one() if k == data.vertical[j] else fiber_chart.zero()
-                for k in range(pb.rank)
-            ]
-        )
+    base = base_point + [fiber.chart.coord(j) for j in range(fiber.rank)]
+    bundle = [
+        [fiber.chart.one() if k == v else fiber.chart.zero() for k in range(pb.rank)]
+        for v in data.vertical
+    ]
     return AlgebroidMorphism(fiber, pb, base, bundle, name=f"fiber_inclusion_{pb.name}")

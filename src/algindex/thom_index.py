@@ -267,14 +267,13 @@ def symplectic_form(pb: AlgebroidPresentation) -> AlgForm:
     A = data.parent
     if data.fiber_dim != A.rank:
         raise PresentationError("the symplectic form lives on the dual pull-back")
-    r, h = A.rank, data.horizontal
-    coeffs = {(h[a], data.vertical[a]): 1 for a in range(r)}
+    r = A.rank
+    coeffs = {(a, data.vertical[a]): 1 for a in range(r)}
     u = [pb.chart.coord(i) for i in data.fiber_coords]
     for a in range(r):
         for b in range(a + 1, r):
-            bracket = pb.bracket(h[a], h[b])
-            correction = sum((u[c] * bracket[h[c]] for c in range(r)), pb.chart.zero())
-            coeffs[(h[a], h[b])] = correction
+            bracket = pb.bracket(a, b)
+            coeffs[(a, b)] = sum((u[c] * bracket[c] for c in range(r)), pb.chart.zero())
     theta = AlgForm(pb, coeffs)
     if not d_g(theta).is_zero():
         raise PresentationError("no Lie-Poisson correction closes Theta")
@@ -374,15 +373,11 @@ def thom_class(pb: AlgebroidPresentation, orientation=1) -> ThomExtendedForm:
 
 
 def pi_star(form, pb: AlgebroidPresentation):
-    """Pull a form on the parent back along the bundle projection."""
-    data = pb.pullback_data
-    if data is None:
+    """Pull a form on the parent back along the bundle projection; the
+    parent's frame and coordinates lead the pull-back's."""
+    if pb.pullback_data is None:
         raise PresentationError("pi_star needs a pull-back presentation")
-    coeffs = {
-        tuple(data.horizontal[i] for i in T): value.extend_vars(pb.chart.names)
-        for T, value in form.coeffs.items()
-    }
-    return AlgForm(pb, coeffs)
+    return AlgForm(pb, {T: value.extend_vars(pb.chart.names) for T, value in form.coeffs.items()})
 
 
 def thom_map(form, pb: AlgebroidPresentation) -> ThomExtendedForm:
@@ -412,7 +407,6 @@ def fiber_integrate(t: ThomExtendedForm):
     restriction = [A.chart.coord(i) for i in range(A.base_dim)] + [
         A.chart.zero() for _ in range(data.fiber_dim)
     ]
-    horizontal_index = {h: i for i, h in enumerate(data.horizontal)}
     coeffs = {}
     for T, value in t.thom.coeffs.items():
         for u in data.fiber_coords:
@@ -421,7 +415,7 @@ def fiber_integrate(t: ThomExtendedForm):
                     "Th coefficient depends on fiber coordinates; "
                     "not fiber-integrable in the formal calculus"
                 )
-        coeffs[tuple(horizontal_index[i] for i in T)] = value.substitute(restriction)
+        coeffs[T] = value.substitute(restriction)
     return AlgForm(A, coeffs)
 
 
@@ -437,18 +431,13 @@ def lift_morphism_to_pullbacks(
     if src_data.fiber_dim != tgt_data.fiber_dim:
         raise PresentationError("fiber dimensions differ")
     chart = pb_src.chart
-    base = [
-        morphism.base_map[i].extend_vars(chart.names)
-        for i in range(morphism.target.base_dim)
-    ] + [chart.coord(src_data.fiber_coords[j]) for j in range(src_data.fiber_dim)]
-    bundle = []
-    for a in range(morphism.source.rank):
-        row = [chart.zero()] * pb_tgt.rank
-        for b in range(morphism.target.rank):
-            row[tgt_data.horizontal[b]] = morphism.bundle_map[a][b].extend_vars(
-                chart.names
-            )
-        bundle.append(row)
+    base = [f.extend_vars(chart.names) for f in morphism.base_map] + [
+        chart.coord(i) for i in src_data.fiber_coords
+    ]
+    bundle = [
+        [c.extend_vars(chart.names) for c in row] + [chart.zero()] * tgt_data.fiber_dim
+        for row in morphism.bundle_map
+    ]
     for j in range(src_data.fiber_dim):
         row = [chart.zero()] * pb_tgt.rank
         row[tgt_data.vertical[j]] = chart.one()
