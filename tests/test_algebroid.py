@@ -191,6 +191,17 @@ def test_extend_vars_agrees_with_the_substitution_lift(backend, text):
     assert extended.eval(point) == substituted.eval(point)
 
 
+def test_product_over_a_point_keeps_numeric_structure_functions():
+    # no coordinates to move: a factor over a point is lifted by extend_vars,
+    # so a structure function need not be a literal constant
+    point = Chart((), "numeric")
+    e = point.parse("exp(1)")
+    g = alg.AlgebroidPresentation(point, 2, [[], []], {(0, 1): [0, e]}, "g")
+    prod = alg.product(g, g)
+    assert prod.validate().ok
+    assert prod.bracket(0, 1)[1].node == prod.bracket(2, 3)[3].node == e.node
+
+
 # -- pull-backs -------------------------------------------------------------------
 
 
