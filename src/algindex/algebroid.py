@@ -261,17 +261,6 @@ def aff1(name="aff1"):
     return lie_algebra({(0, 1): [0, 1]}, 2, name)
 
 
-def _lifter(factor, chart, offset):
-    """Lift a factor's scalars onto the product chart, their coordinates at
-    offset..: by ``extend_vars`` where the factor's own names lead the chart
-    (as a pull-back's base does), else by substitution."""
-    names = factor.chart.names
-    if not names or (offset == 0 and chart.names[: len(names)] == names):
-        return lambda s: s.extend_vars(chart.names)
-    coords = [chart.coord(offset + i) for i in range(len(names))]
-    return lambda s: s.substitute(coords)
-
-
 def product(a1: AlgebroidPresentation, a2: AlgebroidPresentation, name=None):
     """Direct product; mixed brackets vanish, anchors act blockwise.
 
@@ -285,12 +274,14 @@ def product(a1: AlgebroidPresentation, a2: AlgebroidPresentation, name=None):
         names2 = tuple(f"{n}_2" for n in names2)
     chart = Chart(names1 + names2, a1.chart.backend)
     n1, n2, r1, r2 = a1.base_dim, a2.base_dim, a1.rank, a2.rank
-    lift1, lift2, zero = _lifter(a1, chart, 0), _lifter(a2, chart, n1), chart.zero()
-    anchor = [[lift1(v) for v in row] + [zero] * n2 for row in a1.anchor]
-    anchor += [[zero] * n1 + [lift2(v) for v in row] for row in a2.anchor]
-    structure = {k: [lift1(c) for c in cs] + [zero] * r2 for k, cs in a1.structure.items()}
+    names, zero = chart.names, chart.zero()
+    # a2's coordinates sit after a1's: its scalars' indices move up by n1
+    anchor = [[v.extend_vars(names) for v in row] + [zero] * n2 for row in a1.anchor]
+    anchor += [[zero] * n1 + [v.extend_vars(names, n1) for v in row] for row in a2.anchor]
+    structure = {k: [c.extend_vars(names) for c in cs] + [zero] * r2
+                 for k, cs in a1.structure.items()}
     for (x, y), coeffs in a2.structure.items():
-        structure[(x + r1, y + r1)] = [zero] * r1 + [lift2(c) for c in coeffs]
+        structure[(x + r1, y + r1)] = [zero] * r1 + [c.extend_vars(names, n1) for c in coeffs]
     return AlgebroidPresentation(chart, r1 + r2, anchor, structure, name or f"{a1.name}*{a2.name}")
 
 

@@ -358,7 +358,7 @@ class JobContext:
             )
         if kind in ("lie_algebra", "action", "explicit"):
             rank = spec["rank"]
-            chart = Chart((), "poly") if kind == "lie_algebra" else self.chart
+            chart = Chart((), self.chart.backend) if kind == "lie_algebra" else self.chart
             structure = {}
             for key, row in (spec.get("structure") or {}).items():
                 a, b = (int(i) - 1 for i in key.split(","))

@@ -7,12 +7,14 @@ creation index, so a given integrand, box and budget always produce
 bit-identical results.  The reported error is the Gauss-Kronrod difference
 |K - G| summed over the panels: an estimate, not a bound.
 
-The integrand is a panel program, called once per panel with positional
-arguments (see :func:`_panel`): given each axis's nodes and weights it
-returns the panel's Kronrod and Gauss sums, so the weighting and summation
-run inside one call.  ``thom_index.integrate`` builds it from the compiled
-integrand (``compile_panel``) with the Jacobian of the plane's substitution
-folded in.
+The integrand is called once per panel as ``f(box, rows)`` and returns the
+panel's Kronrod and Gauss sums.  ``rows`` is a dict that lives for one
+integral: the integrand keeps there what it derives from one axis span (its
+nodes and weights, :func:`rule`, and anything that depends on one node only),
+under the key ``(axis index, span)``, so each span is prepared once per
+integral, not once per panel.  ``thom_index.integrate`` builds the integrand
+from the compiled panel program (``compile_panel``), with the plane's
+substitution and its Jacobian in each row.
 
 ``integrate_1d`` and ``integrate_2d`` are the entry points, one line each over
 ``_adaptive``.  They stay separate because the benchmark's span recorder
@@ -80,26 +82,13 @@ class QuadResult:
     panels: int
 
 
-def _panel(f, box):
-    """(Kronrod value, |Kronrod - Gauss|) of the tensor GK15 rule on a box.
-
-    ``f(axes, kron_weights, gauss_weights)`` gets the 15 nodes of each axis
-    and their Kronrod and Gauss weights (None at a Kronrod-only node), and
-    returns the two sums over ``product(*axes)``, the first axis outermost:
-    from 0.0, in that order, each value times the product of its axis
-    weights, multiplied left to right; the Gauss sum over the points whose
-    every coordinate is a Gauss node.
-    """
-    axes, kron_w, gauss_w = [], [], []
-    for a, b in box:
-        half = 0.5 * (b - a)
-        mid = 0.5 * (a + b)
-        axes.append([mid - half * x if side < 0 else mid + half * x if side else mid
-                     for x, side, _, _ in _UNIT])
-        kron_w.append([wk * half for _, _, wk, _ in _UNIT])
-        gauss_w.append([None if wg is None else wg * half for _, _, _, wg in _UNIT])
-    kron, gauss = f(axes, kron_w, gauss_w)
-    return kron, abs(kron - gauss)
+def rule(a, b):
+    """The GK15 rule on [a, b] in node order: (node, Kronrod weight, Gauss
+    weight or None at a Kronrod-only node)."""
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    return [(mid - half * x if side < 0 else mid + half * x if side else mid, wk * half,
+             None if wg is None else wg * half) for x, side, wk, wg in _UNIT]
 
 
 def _split(box):
@@ -121,12 +110,14 @@ def _adaptive(f, box, tol, budget):
     # never on float identity, so refinement order is deterministic
     payload = {}  # creation index -> (box, value, error), in creation order
     heap = []
+    rows = {}  # the integrand's per-span rows, dropped when the integral returns
     counter = 0
     running_value = running_error = 0.0
 
     def push(box):
         nonlocal counter, running_value, running_error
-        value, err = _panel(f, box)
+        value, gauss = f(box, rows)
+        err = abs(value - gauss)
         payload[counter] = (box, value, err)
         heapq.heappush(heap, (-err, counter))
         running_value += value

@@ -26,26 +26,27 @@ the other constructors keep.
 Monomials are printed graded-lex descending.
 
 ``compile_panel`` generates and compiles one Python program per integrand,
-the panel program of one quadrature panel (:func:`_program`); it is the
-only compiled evaluator.  It walks ``product(*axes)`` of one list of nodes
-per axis and returns the panel's Kronrod and Gauss sums, each value times
-its per-axis multipliers (a Jacobian) and its weights.
+the panel program ``(rows, panel)`` (:func:`_program`), the only compiled
+evaluator.  ``rows[i]`` builds axis i's row from one span's nodes, their
+multipliers (a Jacobian) and weights, once per span of an integral;
+``panel`` walks the product of one row per axis and returns the panel's
+Kronrod and Gauss sums, each value times its multipliers and weights.
 
-For an exact scalar, each power of a coordinate is computed once per axis
-node, by the same ``**`` call a per-term loop would make, and each term's
-product through an outer axis once per node of that axis; a term is its
-float coefficient times its powers in coordinate order, multiplied left to
-right, and the terms are added in print order.  So the float bits depend
-only on the value and the point.  A coordinate or power beyond float
-range enters as inf, so only the sums that use it fail.  A polynomial is
-its float sum where that sum is finite and lost at most eight digits to
-cancellation, else its exact value.  A quotient follows one rule: each
-part is its float sum where that part's own check passes, else its exact
-value; the value is their ratio where the denominator is nonzero and the
-ratio finite; otherwise, or where a part's exact value is beyond float
-range, it is the exact quotient, and at a pole that raises
-:class:`DomainError`.  Coefficients are bound as floats in the program's
-namespace, never written into its source.
+For an exact scalar, a row holds the powers of its node, each by the same
+``**`` call a per-term loop would make, and each term's product through
+its first axis; the panel multiplies it through each later axis once per
+node of that axis.  A term is its float coefficient times its powers in
+coordinate order, multiplied left to right, and the terms are added in
+print order.  So the float bits depend only on the value and the point.  A
+coordinate or power beyond float range enters as inf, so only the sums that
+use it fail.  A polynomial is its float sum where that sum is finite and
+lost at most eight digits to cancellation, else its exact value.  A
+quotient follows one rule: each part is its float sum where that part's own
+check passes, else its exact value; the value is their ratio where the
+denominator is nonzero and the ratio finite; otherwise, or where a part's
+exact value is beyond float range, it is the exact quotient, and at a pole
+that raises :class:`DomainError`.  Coefficients are bound as floats in the
+program's namespace, never written into its source.
 
 For a :class:`NumericExpr`, the same panel walk runs straight-line code
 (:func:`_straight_line`): one statement per distinct node, hash-consed when
@@ -273,8 +274,7 @@ class PolyScalar:
         return total
 
     def compile_panel(self):
-        """A panel program ``(axes, jac, wk, wg) -> (kron, gauss)`` (see the
-        module docstring)."""
+        """The panel program ``(rows, panel)`` (see :func:`_program`)."""
         return _float_program(self)
 
     def substitute(self, replacements):
@@ -294,13 +294,11 @@ class PolyScalar:
             total = replacements[0] * 0 + total
         return total
 
-    def extend_vars(self, variables):
-        """Reinterpret on a larger chart whose leading names match."""
-        variables = tuple(variables)
-        if variables[: len(self.vars)] != self.vars:
-            raise AlgindexError("chart extension must keep leading coordinates")
-        pad = (0,) * (len(variables) - len(self.vars))
-        return PolyScalar(variables, {e + pad: c for e, c in self.terms.items()})
+    def extend_vars(self, variables, offset=0):
+        """Reinterpret on a larger chart that holds this chart's coordinates
+        at positions offset..: each exponent tuple is padded, no arithmetic."""
+        before, after = _padding(self.vars, variables, offset)
+        return _clean(tuple(variables), {before + e + after: c for e, c in self.terms.items()})
 
     # -- queries -----------------------------------------------------------
 
@@ -771,11 +769,11 @@ class RationalScalar:
                 value = value / g
         return value
 
-    def extend_vars(self, variables):
+    def extend_vars(self, variables, offset=0):
         factors = {}
         for f, k in self.factors.values():
-            factors.update(_factor(f.extend_vars(variables), k))
-        return RationalScalar(self._num.extend_vars(variables), factors)
+            factors.update(_factor(f.extend_vars(variables, offset), k))
+        return RationalScalar(self._num.extend_vars(variables, offset), factors)
 
     def is_zero(self) -> bool:
         return self._num.is_zero()
@@ -841,41 +839,65 @@ def _powers(v, exps):
     return out
 
 
+def _padding(names, variables, offset):
+    """The zero exponents before and after ``names`` at offset.. of ``variables``."""
+    after = len(variables) - offset - len(names)
+    if offset < 0 or after < 0:
+        raise AlgindexError("chart extension must hold every coordinate")
+    return (0,) * offset, (0,) * after
+
+
 def _point(n_vars):
     """The source of the point ``(v0, v1, ...)`` inside the panel program."""
     return "(" + "".join(f"v{i}, " for i in range(n_vars)) + ")"
 
 
 def _program(n_vars, blocks, tail, value, namespace):
-    """The panel program ``f(axes, jac, wk, wg)``, compiled once.
+    """The panel program ``(rows, panel)``, compiled once.
 
-    It walks ``product(*axes)`` of one node list per axis.  Each axis's
-    nodes become ``(v, x ** e, ..., m, k, g)`` once per call: the node, the
-    powers the sums use (:func:`_powers`), its multiplier, and its Kronrod
-    and Gauss weights (None at a Kronrod-only node).  The loop over axis i
-    multiplies each term's product, left to right from its coefficient,
-    through axis i; the innermost loop adds the finished terms into
-    ``t{j}`` in print order, 32 to a statement where nothing is tracked,
-    runs ``tail`` and takes ``value`` at the point.  It returns ``(kron,
-    gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y`` for ``y =
-    value * m0 * m1``, and ``gauss`` likewise at the points where no ``g``
-    is None.
+    ``rows[i](axis)`` maps each node ``(v, m, k, g)`` of ``axis`` -- the
+    node, its multiplier, its Kronrod and Gauss weights (None at a
+    Kronrod-only node) -- to ``(v, x ** e, ..., p, ..., m, k, g)``: the
+    powers of v that later loops multiply by (:func:`_powers`) and ``c * x
+    ** e`` for each term whose first coordinate is axis i.  ``panel(rows)``
+    walks ``product(*rows)``: the loop over axis i multiplies each started
+    term's product through axis i; the innermost loop adds the finished
+    terms into ``t{j}`` in print order, 32 to a statement where nothing is
+    tracked, runs ``tail`` and takes ``value`` at the point.  It returns
+    ``(kron, gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y``
+    for ``y = value * m0 * m1``, and ``gauss`` likewise at the points where
+    no ``g`` is None.  Reference counting frees both functions.
     """
-    used = sorted({power for _, terms, _, _ in blocks for _, powers in terms for power in powers})
-    exps = [tuple(e for axis, e in used if axis == i) for i in range(n_vars)]
-    lines = ["def f(axes, jac, wk, wg):", "    kron = gauss = 0.0"]
-    lines += [f"    n{i} = [(v, *powers(v, {axis}), m, k, g)"
-              f" for v, m, k, g in zip(axes[{i}], jac[{i}], wk[{i}], wg[{i}])]"
-              for i, axis in enumerate(exps)]
-    prefix = {(j, k): c for j, terms, _, _ in blocks for k, (c, _) in enumerate(terms)}
+    prefix, started, carried = {}, [{} for _ in range(n_vars)], [set() for _ in range(n_vars)]
+    for j, terms, _, _ in blocks:
+        for k, (c, powers) in enumerate(terms):
+            prefix[j, k] = c
+            if powers:
+                (i, e), *later = powers
+                prefix[j, k] = f"p{j}_{k}_{i}"
+                started[i][prefix[j, k]] = c, e
+                for axis, e in later:
+                    carried[axis].add(e)
+    # the names each node of axis i carries between v and m, in row and loop
+    fields = [[*(f"x{i}_{e}" for e in sorted(carried[i])), *started[i]] for i in range(n_vars)]
+    lines = []
+    for i in range(n_vars):
+        exps = sorted(carried[i] | {e for _, e in started[i].values()})
+        lines += [f"def row{i}(axis):", "    out = []", "    for v, m, k, g in axis:"]
+        if exps:
+            lines.append(f"        {''.join(f'x{i}_{e}, ' for e in exps)}= powers(v, {tuple(exps)})")
+        lines += [f"        {name} = {c} * x{i}_{e}" for name, (c, e) in started[i].items()]
+        lines += [f"        out.append(({', '.join(['v', *fields[i], 'm', 'k', 'g'])}))",
+                  "    return out"]
+    lines += ["def panel(rows):", "    kron = gauss = 0.0"]
     indent = "    "
     for i in range(n_vars):
-        targets = [f"v{i}", *(f"x{i}_{e}" for e in exps[i]), f"m{i}", f"k{i}", f"g{i}"]
-        lines.append(f"{indent}for {', '.join(targets)} in n{i}:")
+        targets = [f"v{i}", *fields[i], f"m{i}", f"k{i}", f"g{i}"]
+        lines.append(f"{indent}for {', '.join(targets)} in rows[{i}]:")
         indent += "    "
         for j, terms, _, _ in blocks:
             for k, (_, powers) in enumerate(terms):
-                for e in (e for axis, e in powers if axis == i):
+                for e in (e for axis, e in powers[1:] if axis == i):
                     prefix[j, k] = f"{prefix[j, k]} * x{i}_{e}"
                     if i < n_vars - 1:  # the last axis finishes each term inside its sum
                         lines.append(f"{indent}p{j}_{k}_{i} = {prefix[j, k]}")
@@ -901,7 +923,8 @@ def _program(n_vars, blocks, tail, value, namespace):
               "    return kron, gauss", ""]
     namespace["powers"] = _powers
     exec(compile("\n".join(lines), "<panel program>", "exec"), namespace)
-    return namespace["f"]
+    # popped, so the namespace does not hold the functions that hold it
+    return tuple(namespace.pop(f"row{i}") for i in axes), namespace.pop("panel")
 
 
 def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
@@ -1259,11 +1282,21 @@ class NumericExpr:
 
         return walk(self.node)
 
-    def extend_vars(self, variables):
-        variables = tuple(variables)
-        if variables[: len(self.vars)] != self.vars:
-            raise AlgindexError("chart extension must keep leading coordinates")
-        return NumericExpr(variables, self.node)
+    def extend_vars(self, variables, offset=0):
+        """This tree on a larger chart, each coordinate index moved up by
+        ``offset``; a subtree shared in this tree is shared in the new one."""
+        _padding(self.vars, variables, offset)
+        shifted = {}
+
+        def walk(node):
+            if not isinstance(node, tuple):  # a constant's value, an exponent
+                return node
+            if id(node) not in shifted:
+                shifted[id(node)] = (("coord", node[1] + offset) if node[0] == "coord"
+                                     else (node[0], *map(walk, node[1:])))
+            return shifted[id(node)]
+
+        return NumericExpr(variables, walk(self.node) if offset else self.node)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):

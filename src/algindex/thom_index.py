@@ -218,19 +218,24 @@ def integrate(
     # refused before anything is compiled
     if A.base_dim > 2:
         raise AlgindexError("numeric quadrature supports base dimension <= 2")
-    program = pairing.compile_panel()
+    rows, panel = pairing.compile_panel()
     if isinstance(domain, BoxDomain):
         spans = [_float_span(name, span) for name, span in zip(A.chart.names, domain.bounds)]
 
-        def f(axes, kron, gauss):
-            return program(axes, [[1.0] * len(axis) for axis in axes], kron, gauss)
+        def prepare(i, span):
+            return rows[i]([(s, 1.0, kron, gauss) for s, kron, gauss in quadrature.rule(*span)])
     else:
         spans = [(-math.pi / 2, math.pi / 2)] * A.base_dim
 
-        def f(axes, kron, gauss):
-            # x = tan(s): each value times its Jacobians 1 + x^2, in axis order
-            xs = [[math.tan(s) for s in axis] for axis in axes]
-            return program(xs, [[1.0 + x * x for x in axis] for axis in xs], kron, gauss)
+        def prepare(i, span):
+            # x = tan(s), its multiplier the Jacobian 1 + x^2
+            return rows[i]([(x, 1.0 + x * x, kron, gauss)
+                            for s, kron, gauss in quadrature.rule(*span) for x in (math.tan(s),)])
+
+    def f(box, prepared):
+        # each axis's row is prepared once per (axis index, span) of this integral
+        return panel([prepared.get(key) or prepared.setdefault(key, prepare(*key))
+                      for key in enumerate(box)])
 
     # f returns one panel's Kronrod and Gauss sums, one call per panel; both
     # entry points call quadrature._adaptive and stay only because the

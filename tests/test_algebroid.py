@@ -175,20 +175,23 @@ def test_product_symmetry_up_to_relabeling(su2, aff1):
     ("numeric", "0.25"),
 ])
 def test_extend_vars_agrees_with_the_substitution_lift(backend, text):
-    # a product lifts a factor whose names it keeps by extend_vars, any other
-    # by substitution; on a leading block of coordinates the two must agree
+    # a product lifts each factor by extend_vars at the offset of its
+    # coordinates, which moves exponents or coordinate indices without
+    # arithmetic; it must agree with substituting the product's coordinates
     scalar = Chart(("x", "y"), backend).parse(text)
-    wide = Chart(("x", "y", "u1", "u2"), backend)
-    extended = scalar.extend_vars(wide.names)
-    substituted = scalar.substitute([wide.coord(0), wide.coord(1)])
-    assert type(extended) is type(substituted)
-    assert extended.vars == substituted.vars == wide.names
-    assert extended == substituted
-    assert str(extended) == str(substituted)
-    if backend == "numeric":
-        assert extended.node == substituted.node
     point = [Fraction(1, 3), Fraction(-2, 5), Fraction(7), Fraction(-1)]
-    assert extended.eval(point) == substituted.eval(point)
+    for offset, names in [(0, ("x", "y", "u1", "u2")), (1, ("u1", "x_2", "y_2", "u2")),
+                          (2, ("u1", "u2", "x", "y"))]:
+        wide = Chart(names, backend)
+        extended = scalar.extend_vars(wide.names, offset)
+        substituted = scalar.substitute([wide.coord(offset), wide.coord(offset + 1)])
+        assert type(extended) is type(substituted)
+        assert extended.vars == substituted.vars == wide.names
+        assert extended == substituted
+        assert str(extended) == str(substituted)
+        if backend == "numeric":
+            assert extended.node == substituted.node
+        assert extended.eval(point) == substituted.eval(point)
 
 
 def test_product_over_a_point_keeps_numeric_structure_functions():
@@ -200,6 +203,39 @@ def test_product_over_a_point_keeps_numeric_structure_functions():
     prod = alg.product(g, g)
     assert prod.validate().ok
     assert prod.bracket(0, 1)[1].node == prod.bracket(2, 3)[3].node == e.node
+
+
+@pytest.mark.parametrize("backend", ["poly", "numeric"])
+def test_a_product_lifts_its_factors_without_substitution(backend, monkeypatch):
+    # the right factor's names clash and its coordinates move up: its scalars
+    # are shifted, never composed with the product's coordinates
+    chart = Chart(("x", "y"), backend)
+    swing = alg.AlgebroidPresentation(chart, 2, [[1, 0], [chart.parse("1/(1 + x^2)"), 0]],
+                                      {(0, 1): [0, chart.parse("-2*x/(1 + x^2)")]}, "swing")
+    assert swing.validate().ok
+    for scalar in (Chart(("x",)).coord(0), Chart(("x",)).parse("1/(1 + x^2)"),
+                   Chart(("x",), "numeric").coord(0)):
+        monkeypatch.setattr(type(scalar), "substitute", None)
+    prod = alg.product(alg.tangent(1, Chart(("x",), backend)), swing)
+    assert prod.chart.names == ("x_1", "x_2", "y_2") and prod.validate().ok
+    assert str(prod.anchor[2][1]) == str(chart.parse("1/(1 + x^2)")).replace("x", "x_2")
+    assert prod.bracket(1, 2) == [0, 0, prod.chart.parse("-2*x_2/(1 + x_2^2)")]
+
+
+def test_a_shifted_numeric_tree_keeps_its_shared_subtrees():
+    expr = Chart(("x", "y"), "numeric").parse("exp(x*y/4) + 1/(2 + sin(x))").derive(0).derive(1)
+
+    def distinct(node, seen):
+        if id(node) not in seen and isinstance(node, tuple):
+            seen[id(node)] = node
+            for child in node[1:]:
+                distinct(child, seen)
+        return len(seen)
+
+    shifted = expr.extend_vars(("u", "x", "y"), 1)
+    assert shifted.node != expr.node
+    assert distinct(shifted.node, {}) == distinct(expr.node, {})
+    assert shifted.eval((5.0, 0.25, -1.5)) == expr.eval((0.25, -1.5))
 
 
 # -- pull-backs -------------------------------------------------------------------

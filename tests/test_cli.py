@@ -66,8 +66,9 @@ def test_every_bundled_job_has_goldens():
 # rational charts of S^2, whose index and thom-check integrate over the plane,
 # thom-checks of algebroids with varying structure functions, a quotient
 # whose numerator cancels on the box's diagonal, where the panel program falls
-# back to the exact quotient, and pull-backs and products on either backend,
-# which print the scalars each construction lifts onto its chart
+# back to the exact quotient, pull-backs and products on either backend,
+# which print the scalars each construction lifts onto its chart, and a box
+# whose two axes share every span but not their powers, on either backend
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -137,6 +138,47 @@ def test_exhausted_quadrature_budget_fails_its_own_computations():
         assert "quadrature budget 1 exhausted" in line
     assert summary == "1/3 computations succeeded"
     assert proc.stderr == ""
+
+
+LINE_TIMES_AFF1 = """version: 1
+backend: {backend}
+coordinates: [x]
+algebroids:
+  line: {{kind: tangent}}
+  aff1:
+    kind: lie_algebra
+    rank: 2
+    structure: {{'1,2': {{'2': '1'}}}}
+  both: {{kind: product, left: line, right: aff1}}
+  flipped: {{kind: product, left: aff1, right: line}}
+densities:
+  unit: {{algebroid: both, coefficient: '1'}}
+  flipped_unit: {{algebroid: flipped, coefficient: '1'}}
+computations:
+- {{op: validate, label: both-valid, algebroid: both}}
+- {{op: validate, label: flipped-valid, algebroid: flipped}}
+- {{op: modular-cocycle, label: both-cocycle, algebroid: both, density: unit}}
+- {{op: modular-cocycle, label: flipped-cocycle, algebroid: flipped, density: flipped_unit}}
+"""
+
+
+def test_a_lie_algebra_takes_a_product_on_either_backend(tmp_path, capsys):
+    # a lie_algebra is built on the document's backend, so it multiplies
+    # with a chart's algebroid on the numeric backend too, with the same results
+    printed = []
+    for backend in ("poly", "numeric"):
+        doc = tmp_path / f"{backend}.yaml"
+        doc.write_text(LINE_TIMES_AFF1.format(backend=backend))
+        assert cli.main(["--format", "json", "run", str(doc)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        printed.append(out)
+    results = {item["label"]: item["result"] for item in json.loads(printed[0])["results"]}
+    assert results["both-valid"]["both"]["status"] == "valid"
+    # e1 of aff1 is e2 of line x aff1 and e1 of aff1 x line: tr ad e1 = 1
+    assert results["both-cocycle"]["cocycle"] == [["2", "1"]]
+    assert results["flipped-cocycle"]["cocycle"] == [["1", "1"]]
+    assert printed[0] == printed[1]
 
 
 def test_parse_error_exit_code(tmp_path):

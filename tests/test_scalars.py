@@ -1,9 +1,11 @@
+import gc
 import itertools
 import math
 import operator
 import random
 import re
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -336,11 +338,24 @@ def _outcome(evaluate, point):
         return DomainError
 
 
+def _run_panel(program, axes, jac, wk, wg):
+    """A compiled panel program on one panel: each axis's row from its
+    nodes, multipliers and Kronrod and Gauss weights, then the panel's sums
+    over those rows."""
+    rows, panel = program
+    return panel([row(list(zip(*inputs))) for row, *inputs in zip(rows, axes, jac, wk, wg)])
+
+
+def _functions(program):
+    rows, panel = program
+    return [*rows, panel]
+
+
 def _at_one_point(scalar, point):
     """The panel program's value at one point: one node per axis, unit
     multipliers and weights, so its sums are ``0.0 +`` the value."""
     ones = [[1.0] for _ in point]
-    kron, gauss = scalar.compile_panel()([[v] for v in point], ones, ones, ones)
+    kron, gauss = _run_panel(scalar.compile_panel(), [[v] for v in point], ones, ones, ones)
     assert _same(kron, gauss)
     return kron
 
@@ -487,7 +502,8 @@ def test_generated_evaluator_of_twelve_thousand_terms():
 
 def test_generated_evaluator_holds_no_coefficient_as_text():
     r = P("x/3 + 1/7") / P("5/11 + y^2")
-    constants = {c for c in r.compile_panel().__code__.co_consts if isinstance(c, float)}
+    constants = {c for f in _functions(r.compile_panel()) for c in f.__code__.co_consts
+                 if isinstance(c, float)}
     assert constants <= {0.0, 1e-8}
 
 
@@ -513,9 +529,9 @@ def test_an_integrand_compiles_one_program(backend, text, beyond, monkeypatch):
     for _ in range(2):
         if beyond:
             with pytest.raises(DomainError, match="beyond float range"):
-                program(axes, *inputs)
+                _run_panel(program, axes, *inputs)
         else:
-            program(axes, *inputs)
+            _run_panel(program, axes, *inputs)
     assert len(compiled) == 1
 
 
@@ -617,9 +633,9 @@ def assert_panel_matches_reference(scalar, axes, jac, wk, wg, reference=_referen
         with pytest.raises(DomainError) as at_point:
             scalars._exact_float(scalar.eval, first)
         with pytest.raises(DomainError, match=re.escape(str(at_point.value))):
-            scalar.compile_panel()(axes, jac, wk, wg)
+            _run_panel(scalar.compile_panel(), axes, jac, wk, wg)
         return DomainError
-    got = scalar.compile_panel()(axes, jac, wk, wg)
+    got = _run_panel(scalar.compile_panel(), axes, jac, wk, wg)
     want = _reference_panel(values, axes, jac, wk, wg)
     assert _same(got[0], want[0]) and _same(got[1], want[1]), (scalar, axes, got, want)
     return got
@@ -627,6 +643,22 @@ def assert_panel_matches_reference(scalar, axes, jac, wk, wg, reference=_referen
 
 def _numeric_point(expr, point):
     return _outcome(expr.eval, point)
+
+
+@pytest.mark.parametrize("backend,text", [("poly", "x^2 - 3*x*y + 1"), ("poly", "x/(1 + y^2)"),
+                                          ("numeric", "exp(x*y) / (1 + y^2)")])
+def test_a_panel_program_is_freed_by_reference_counting(backend, text):
+    # its functions do not sit in the namespace they hold as globals, so
+    # dropping the program frees them without the cyclic collector
+    gc.disable()
+    try:
+        program = Chart(XY, backend).parse(text).compile_panel()
+        refs = [weakref.ref(f) for f in _functions(program)]
+        assert len(refs) == 3 and all(ref() is not None for ref in refs)
+        del program
+        assert all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("variables", [("x",), ("x", "y"), ("x", "y", "z")])
@@ -670,7 +702,7 @@ def test_grid_evaluator_overflow_cancellation_and_pole():
     # a pole raises the point evaluator's DomainError, naming the same node
     ones = [[1.0, 1.0], [1.0]]
     with pytest.raises(DomainError, match=re.escape("at (1.0, 0.5)")):
-        (P("1") / P("x - 1")).compile_panel()([[3.0, 1.0], [0.5]], ones, ones, ones)
+        _run_panel((P("1") / P("x - 1")).compile_panel(), [[3.0, 1.0], [0.5]], ones, ones, ones)
     axes = [[3.0, 1.0], [0.5, 2.0]]
     assert_panel_matches_reference(P("x + y") / P("x - 1"), axes, *_panel_inputs(rng, axes))
     # one axis: a value times its multiplier overflows at a Kronrod-only node,
@@ -729,7 +761,8 @@ def test_numeric_panel_program_computes_each_distinct_node_once(i, j, monkeypatc
     subtrees = _subtrees(expr.node)
     assert len(statements) == len(set(subtrees)) < len(subtrees)
     # constants are bound in the namespace, not written into the source
-    assert {c for c in program.__code__.co_consts if isinstance(c, float)} <= {0.0}
+    assert {c for f in _functions(program) for c in f.__code__.co_consts
+            if isinstance(c, float)} <= {0.0}
     rng = random.Random(1731 + 2 * i + j)
     axes = [[-1.0, 0.25, 2.0, -0.0], [0.5, -1.5, 3.0]]
     assert_panel_matches_reference(expr, axes, *_panel_inputs(rng, axes), _numeric_point)
@@ -743,7 +776,7 @@ def test_numeric_point_program_keeps_signed_zero_constants_apart():
     expr = scalars.NumericExpr(("x",), ("sub", ("mul", x, ("const", -0.0)),
                                         ("mul", x, ("const", 0.0))))
     program = expr.compile_panel()
-    constants = [v for name, v in program.__globals__.items() if re.fullmatch(r"u\d+", name)]
+    constants = [v for name, v in program[1].__globals__.items() if re.fullmatch(r"u\d+", name)]
     assert sorted(math.copysign(1, c) for c in constants) == [-1, 1] and not any(constants)
     assert _at_one_point(expr, (1.5,)) == 0.0 == expr.eval((1.5,))
 
@@ -771,11 +804,12 @@ def test_numeric_constant_beyond_float_range_is_the_evaluators_error():
 
 def test_grid_of_a_constant_and_of_an_empty_axis():
     ones = [[1.0, 1.0], [1.0]]
-    assert P("5").compile_panel()([[1.0, 2.0], [3.0]], ones, ones, [[1.0, None], [1.0]]) == (
-        10.0, 5.0)
-    assert (P("x") / P("1 + y^2")).compile_panel()([[], [1.0]], [[], [1.0]], [[], [1.0]],
-                                                  [[], [1.0]]) == (0.0, 0.0)
-    assert PolyScalar((), {(): Fraction(1, 3)}).compile_panel()([], [], [], []) == (1 / 3, 1 / 3)
+    assert _run_panel(P("5").compile_panel(), [[1.0, 2.0], [3.0]], ones, ones,
+                      [[1.0, None], [1.0]]) == (10.0, 5.0)
+    assert _run_panel((P("x") / P("1 + y^2")).compile_panel(), [[], [1.0]], [[], [1.0]],
+                      [[], [1.0]], [[], [1.0]]) == (0.0, 0.0)
+    assert _run_panel(PolyScalar((), {(): Fraction(1, 3)}).compile_panel(), [], [], [], []) == (
+        1 / 3, 1 / 3)
 
 
 def test_poly_gcd():

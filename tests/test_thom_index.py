@@ -1,9 +1,11 @@
+import gc
 import itertools
 import json
 import math
 import random
 import runpy
 import time
+import weakref
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -575,6 +577,123 @@ def _spy_quadrature(monkeypatch):
     return results
 
 
+def _fresh_quadrature(program, box, tol, plane):
+    """The adaptive quadrature written out, each panel's rows built afresh.
+
+    Per panel and axis: the GK15 nodes mid -+ half * x and weights w * half
+    (QUADPACK qk15), on the plane x = tan(s) with multiplier 1 + x^2.  The
+    worst panel is split first, ties broken by creation order, into four
+    halves, x varying fastest; the running sums decide when to stop, and the
+    result is summed in creation order."""
+    rows, panel = program
+
+    def sums(box):
+        axes = []
+        for i, (a, b) in enumerate(box):
+            half, mid, nodes = 0.5 * (b - a), 0.5 * (a + b), []
+            for n, x in enumerate(quadrature._XGK):
+                kron = quadrature._WGK[n] * half
+                gauss = quadrature._WG[n // 2] * half if n % 2 else None
+                for s in ((mid - half * x, mid + half * x) if x else (mid,)):
+                    t = math.tan(s) if plane else s
+                    nodes.append((t, 1.0 + t * t if plane else 1.0, kron, gauss))
+            axes.append(rows[i](nodes))
+        kron, gauss = panel(axes)
+        return kron, abs(kron - gauss)
+
+    created, payload, heap = itertools.count(), {}, []
+    value = error = 0.0
+    fresh = [tuple(box)]
+    while True:
+        for child in fresh:
+            index = next(created)
+            payload[index] = (child, *sums(child))
+            heap.append((-payload[index][2], index))
+            value += payload[index][1]
+            error += payload[index][2]
+        heap.sort()
+        if error <= max(tol, tol * abs(value)):
+            break
+        _, index = heap.pop(0)
+        (xspan, yspan), panel_value, panel_error = payload.pop(index)
+        value -= panel_value
+        error -= panel_error
+        halves = [((a, m), (m, b)) for a, b in (xspan, yspan) for m in (0.5 * (a + b),)]
+        fresh = [(x, y) for y in halves[1] for x in halves[0]]
+    value = error = 0.0
+    for index in sorted(payload):
+        value += payload[index][1]
+        error += payload[index][2]
+    return quadrature.QuadResult(value, error, len(payload))
+
+
+def _same_bits(got, want):
+    return (got.value.hex(), got.error.hex(), got.panels) == (
+        want.value.hex(), want.error.hex(), want.panels)
+
+
+def test_plane_quadrature_prepares_spans_without_changing_bits(monkeypatch):
+    # rows kept per span give the bits of rows built for every panel afresh
+    results = _spy_quadrature(monkeypatch)
+    A = alg.tangent(2, Chart(("x", "y")))
+    coefficient = A.chart.parse("(4 + x - x*y^2 + 3*x^2*y)/(1 + x^2 + y^2)^4")
+    density = ti.Density(A, 1)
+    form = AlgForm.dual_basis(A, (0, 1)).scale(coefficient)
+    ti.integrate(A, form, density, ti.PlaneDomain(), tol=1e-10)
+    [got] = results
+    assert got.panels >= 100
+    program = (coefficient * density.coefficient).compile_panel()
+    box = [(-math.pi / 2, math.pi / 2)] * 2
+    assert _same_bits(got, _fresh_quadrature(program, box, 1e-10, plane=True))
+
+
+@pytest.mark.parametrize("backend", ["poly", "numeric"])
+def test_axes_with_equal_spans_keep_their_own_rows(backend, monkeypatch):
+    # both axes of the unit square have the same spans but not the same
+    # powers, so a row is kept per axis index as well as per span
+    results = _spy_quadrature(monkeypatch)
+    A = alg.tangent(2, Chart(("x", "y"), backend))
+    coefficient = A.chart.parse("x^3*y/(1 + y^2)")
+    density = ti.Density(A, 1)
+    form = AlgForm.dual_basis(A, (0, 1)).scale(coefficient)
+    result = ti.integrate(A, form, density, ti.BoxDomain([(0, 1), (0, 1)]))
+    assert abs(result.raw - math.log(2) / 8) <= 1e-12
+    [got] = results
+    program = (coefficient * density.coefficient).compile_panel()
+    assert _same_bits(got, _fresh_quadrature(program, [(0.0, 1.0)] * 2, 1e-9, plane=False))
+
+
+def test_rows_are_kept_per_axis_and_span_for_one_integral():
+    class Row:  # a row that a weak reference can watch
+        pass
+
+    kept, keys, calls = [], set(), []
+
+    def f(box, rows):
+        calls.append(len(rows))
+        keys.update(enumerate(box))
+        for key in enumerate(box):
+            if key not in rows:
+                rows[key] = Row()
+                kept.append(weakref.ref(rows[key]))
+        x = sum(a + b for a, b in box)
+        return x, x + 1e-3 * (box[0][1] - box[0][0])  # halves the error per split
+
+    gc.disable()
+    try:
+        for _ in range(2):
+            result = quadrature.integrate_2d(f, (0, 1), (0, 1), tol=1e-4, budget=100)
+            # a fresh dict per integral, one row per axis index and span, and
+            # on the square a span that both axes use
+            assert result.panels > 4 and calls[0] == 0
+            assert len(kept) == len(keys) and {(0, (0.0, 0.5)), (1, (0.0, 0.5))} <= keys
+            # dropped when the integral returns, without the cyclic collector
+            assert all(ref() is None for ref in kept)
+            kept.clear(), keys.clear(), calls.clear()
+    finally:
+        gc.enable()
+
+
 def _inverse_quadric(A):
     """The top form 1/(1 + x_1^2 + ... + x_n^2) on a tangent algebroid."""
     xs = [A.chart.coord(i) for i in range(A.base_dim)]
@@ -677,11 +796,11 @@ def test_sphere_job_index_and_thom_base_integrate_alike(monkeypatch):
 
 
 def test_exhausted_budget_carries_value_and_estimate():
-    def f(axes, kron_weights, gauss_weights):
-        # a panel integrand: its Kronrod and Gauss sums over the product of the axes
+    def f(box, rows):
+        # a panel integrand: its Kronrod and Gauss sums over the product of
+        # the axes' rules; it keeps nothing in rows
         kron = gauss = 0.0
-        for (x, kx, gx), (y, ky, gy) in itertools.product(
-                *map(zip, axes, kron_weights, gauss_weights)):
+        for (x, kx, gx), (y, ky, gy) in itertools.product(*(quadrature.rule(*s) for s in box)):
             value = 1 / (1 + x * x + y * y)
             kron += kx * ky * value
             if gx is not None and gy is not None:
