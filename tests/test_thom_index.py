@@ -689,7 +689,8 @@ def test_rows_are_kept_per_axis_and_span_for_one_integral():
             assert len(kept) == len(keys) and {(0, (0.0, 0.5)), (1, (0.0, 0.5))} <= keys
             # dropped when the integral returns, without the cyclic collector
             assert all(ref() is None for ref in kept)
-            kept.clear(), keys.clear(), calls.clear()
+            for seen in (kept, keys, calls):
+                seen.clear()
     finally:
         gc.enable()
 
