@@ -159,31 +159,31 @@ class AlgebroidPresentation:
                     if not residual.is_zero():
                         report.add("anchor-morphism", (a + 1, b + 1, i + 1), residual)
 
-    def _jacobiator(self, a, b, c):
-        """Coefficients of [[e_a,e_b],e_c] + cyclic, via the Leibniz rule."""
-        total = [self.chart.zero()] * self.rank
+    def _jacobiator(self, a, b, c, brackets):
+        """[[e_a,e_b],e_c] + cyclic as ``{index: value}``, by the Leibniz rule."""
+        zero = self.chart.zero()
+        total = {}
         for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            inner = self.bracket(x, y)
-            for d in range(self.rank):
-                coeff = inner[d]
-                if coeff.is_zero():
-                    continue
-                outer = self.bracket(d, z)
-                for e in range(self.rank):
-                    if not outer[e].is_zero():
-                        total[e] = total[e] + coeff * outer[e]
+            for d, coeff in brackets.get((x, y), ()):
+                for e, value in brackets.get((d, z), ()):
+                    total[e] = total.get(e, zero) + coeff * value
                 # [f e_d, e_z] = f [e_d,e_z] - rho(e_z)(f) e_d
-                total[d] = total[d] - self.anchor_apply(z, coeff)
+                if self.base_dim:
+                    total[d] = total.get(d, zero) - self.anchor_apply(z, coeff)
         return total
 
     def _check_jacobi(self, report):
+        brackets = {}
+        for (a, b), coeffs in self.structure.items():
+            brackets[(a, b)] = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
+            brackets[(b, a)] = [(c, -v) for c, v in brackets[(a, b)]]
         for a in range(self.rank):
             for b in range(a + 1, self.rank):
                 for c in range(b + 1, self.rank):
-                    residual = self._jacobiator(a, b, c)
-                    for e, value in enumerate(residual):
-                        if not value.is_zero():
-                            report.add("jacobi", (a + 1, b + 1, c + 1), value)
+                    residual = self._jacobiator(a, b, c, brackets)
+                    for e in sorted(residual):
+                        if not residual[e].is_zero():
+                            report.add("jacobi", (a + 1, b + 1, c + 1), residual[e])
                             break
 
     def __repr__(self):

@@ -87,6 +87,15 @@ def ce_differential_matrix(structure_constants, rank, degree):
     return matrix
 
 
+def poincare_coefficients(degrees):
+    """The coefficients of prod (1 + t^d) over the given degrees."""
+    coefficients = [1]
+    for d in degrees:
+        coefficients = [a + (coefficients[k - d] if k >= d else 0)
+                        for k, a in enumerate(coefficients + [0] * d)]
+    return coefficients
+
+
 def ce_betti_numbers(structure_constants, rank):
     """Betti numbers of a Lie algebra from raw differential matrices."""
     dims = [len(list(combinations(range(rank), k))) for k in range(rank + 1)]

@@ -6,9 +6,10 @@ from math import comb
 
 import pytest
 
-from algindex import algebroid as alg
+from algindex import algebroid as alg, forms
 from algindex.forms import (
     _differential_matrix,
+    _exact_constants,
     AlgForm,
     GConnection,
     basis_forms,
@@ -322,18 +323,19 @@ def test_betti_against_raw_rank_oracle(su2, aff1):
     assert oracles.ce_betti_numbers(su2_structure, 3) == cohomology_const(su2)
     aff1_structure = {(0, 1): {1: 1}}
     assert oracles.ce_betti_numbers(aff1_structure, 2) == cohomology_const(aff1)
+    # the full complex against the weight-zero one, also on gl(3) written on a
+    # permuted, sign-flipped basis as the benchmark writes it
+    for rank, structure in (_gl(2), _sl2(), _relabel(random.Random(5), *_gl(3))):
+        assert oracles.ce_betti_numbers(structure, rank) == cohomology_const(_lie(rank, structure))
 
 
 def test_adjoint_coefficients_whitehead(su2, aff1):
-    # H(su2; adjoint) = 0 (Whitehead), H(aff1; adjoint) = 0 (aff(1) is
-    # centerless with only inner derivations) -- strong independent facts
-    for A in (su2, aff1):
-        mats = [
-            [[A.bracket(a, b)[c] for b in range(A.rank)] for c in range(A.rank)]
-            for a in range(A.rank)
-        ]
-        adjoint = GConnection(A, A.rank, mats)
-        assert cohomology_const(A, adjoint) == [0] * (A.rank + 1)
+    # H(su2; adjoint) = H(sl2; adjoint) = 0 (Whitehead), H(aff1; adjoint) = 0
+    # (aff(1) is centerless with only inner derivations) -- strong independent
+    # facts; ad(h) of sl(2) on h, e, f and ad(e1) of aff1 are diagonal, so
+    # those two run on their weight-zero subcomplex
+    for A in (su2, aff1, _lie(*_sl2())):
+        assert cohomology_const(A, _adjoint(A)) == [0] * (A.rank + 1)
 
 
 def _one_hot(A, degree, m):
@@ -357,8 +359,20 @@ def _d_g_matrix(A, rep, degree):
     return matrix
 
 
-def test_differential_matrix_matches_raw_oracle():
-    # seeded structure constants, Jacobi or not: the matrix only reads them
+def _matrix(A, rep, degree):
+    return _differential_matrix(_exact_constants(A, rep), degree)
+
+
+def _no_torus(brackets, weights, r, m):
+    """A stand-in for forms._torus under which every cochain has weight zero."""
+    return [0] * r, [0] * m
+
+
+def test_differential_matrix_matches_raw_oracle(monkeypatch):
+    # seeded structure constants, Jacobi or not: the matrix only reads them.
+    # Some draws have a torus element; with the torus taken away every
+    # cochain has weight zero, so the whole matrix is compared
+    monkeypatch.setattr(forms, "_torus", _no_torus)
     rng = random.Random(808)
     for _ in range(25):
         rank = rng.randint(1, 6)
@@ -375,23 +389,31 @@ def test_differential_matrix_matches_raw_oracle():
         )
         trivial = GConnection.zero(A, 1)
         for degree in range(rank):
-            matrix = oracles.dense(_differential_matrix(A, trivial, degree), comb(rank, degree))
+            matrix = oracles.dense(_matrix(A, trivial, degree), comb(rank, degree))
             assert matrix == oracles.ce_differential_matrix(structure, rank, degree), (
                 structure, degree)
 
 
-def test_differential_matrix_with_representation_matches_d_g(su2, aff1):
-    adjoint = [
-        [[su2.bracket(a, b)[c] for b in range(3)] for c in range(3)] for a in range(3)
-    ]
+def test_differential_matrix_with_representation_matches_d_g(su2, aff1, monkeypatch):
+    monkeypatch.setattr(forms, "_torus", _no_torus)  # the whole matrix
     # [rho(e1), rho(e2)] = rho(e2): a flat 2-dimensional representation of aff1
     plane = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
-    for A, rep in ((su2, GConnection(su2, 3, adjoint)), (aff1, GConnection(aff1, 2, plane))):
+    for A, rep in ((su2, _adjoint(su2)), (aff1, GConnection(aff1, 2, plane))):
         for degree in range(A.rank):
-            matrix = _differential_matrix(A, rep, degree)
+            matrix = _matrix(A, rep, degree)
             n_cols = comb(A.rank, degree) * rep.bundle_rank
             assert oracles.dense(matrix, n_cols) == _d_g_matrix(A, rep, degree)
         assert cohomology_const(A, rep) == [0] * (A.rank + 1)
+
+
+def test_a_representation_matrix_off_the_diagonal_keeps_the_whole_complex(aff1):
+    # ad(e1) of aff1 is diagonal, but rho(e1) = [[1, 1], [0, 0]] is not
+    # diagonal in the given basis, so e1 is no torus element; the oracle is
+    # the rank of the matrix that d_nabla makes on every basis form
+    rep = GConnection(aff1, 2, [[[1, 1], [0, 0]], [[0, 0], [0, 0]]])
+    ranks = [oracles.row_reduce_rank(_d_g_matrix(aff1, rep, k)) for k in range(2)] + [0]
+    expected = [comb(2, k) * 2 - ranks[k] - (ranks[k - 1] if k else 0) for k in range(3)]
+    assert cohomology_const(aff1, rep) == expected == [1, 2, 1]
 
 
 def _gl(n):
@@ -410,17 +432,150 @@ def _gl(n):
     return len(basis), structure
 
 
+def _lie(rank, structure):
+    return alg.lie_algebra(
+        {key: [row.get(c, 0) for c in range(rank)] for key, row in structure.items()}, rank)
+
+
+def _adjoint(A):
+    r = A.rank
+    return GConnection(A, r, [[[A.bracket(a, b)[c] for b in range(r)] for c in range(r)]
+                              for a in range(r)])
+
+
+def _matrix_algebra(basis, pivots):
+    """Structure constants of a Lie algebra of integer matrices from exact
+    commutators; basis matrix c is 1 at pivots[c], where the others are 0."""
+    n = len(basis[0])
+
+    def mul(x, y):
+        return [[sum(x[i][k] * y[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+    structure = {}
+    for a, b in combinations(range(len(basis)), 2):
+        xy, yx = mul(basis[a], basis[b]), mul(basis[b], basis[a])
+        bracket = [[p - q for p, q in zip(u, v)] for u, v in zip(xy, yx)]
+        row = {c: bracket[i][j] for c, (i, j) in enumerate(pivots) if bracket[i][j]}
+        # the commutator lies in the span
+        assert bracket == [[sum(v * basis[c][i][j] for c, v in row.items()) for j in range(n)]
+                           for i in range(n)]
+        if row:
+            structure[(a, b)] = row
+    return len(basis), structure
+
+
+def _unit(n, *entries):
+    m = [[0] * n for _ in range(n)]
+    for i, j, v in entries:
+        m[i][j] = v
+    return m
+
+
+def _sl2():
+    """sl(2) on h, e, f: [h, e] = 2e, [h, f] = -2f, [e, f] = h."""
+    basis = [_unit(2, (0, 0, 1), (1, 1, -1)), _unit(2, (0, 1, 1)), _unit(2, (1, 0, 1))]
+    return _matrix_algebra(basis, [(0, 0), (0, 1), (1, 0)])
+
+
+def _sp4():
+    """so(5) = sp(4) in a Chevalley basis: the 4x4 matrices [[A, B], [C, -A^T]]
+    with B, C symmetric; H1, H2, then a root vector for each of the 8 roots
+    +-(e1 - e2), +-2e1, +-2e2, +-(e1 + e2)."""
+    basis = [
+        _unit(4, (0, 0, 1), (2, 2, -1)), _unit(4, (1, 1, 1), (3, 3, -1)),
+        _unit(4, (0, 1, 1), (3, 2, -1)), _unit(4, (1, 0, 1), (2, 3, -1)),
+        _unit(4, (0, 2, 1)), _unit(4, (2, 0, 1)), _unit(4, (1, 3, 1)), _unit(4, (3, 1, 1)),
+        _unit(4, (0, 3, 1), (1, 2, 1)), _unit(4, (3, 0, 1), (2, 1, 1)),
+    ]
+    pivots = [(0, 0), (1, 1), (0, 1), (1, 0), (0, 2), (2, 0), (1, 3), (3, 1), (0, 3), (3, 0)]
+    return _matrix_algebra(basis, pivots)
+
+
+def _relabel(rng, rank, structure):
+    """The same algebra on the basis s_i e_i, renumbered pi(i), s_i = +-1:
+    c^c_ab becomes s_a s_b s_c c^c_ab."""
+    perm = rng.sample(range(rank), rank)
+    signs = [rng.choice((1, -1)) for _ in range(rank)]
+    out = {}
+    for (a, b), row in structure.items():
+        sign = signs[a] * signs[b] * (1 if perm[a] < perm[b] else -1)
+        out[tuple(sorted((perm[a], perm[b])))] = {
+            perm[c]: sign * signs[c] * v for c, v in row.items()}
+    return rank, out
+
+
 def test_gl3_full_cohomology():
     # Poincare polynomial (1+t)(1+t^3)(1+t^5)
     rank, structure = _gl(3)
-    A = alg.lie_algebra(
-        {key: [row.get(c, 0) for c in range(rank)] for key, row in structure.items()}, rank)
+    A = _lie(rank, structure)
     start = time.monotonic()
     betti = cohomology_const(A)
     elapsed = time.monotonic() - start
     assert betti == [1, 1, 0, 1, 1, 1, 1, 0, 1, 1]
     assert elapsed < 5.0, f"H* of gl(3) took {elapsed:.2f}s (budget 5s)"
     assert oracles.ce_betti_numbers(structure, rank) == betti
+
+
+# the algebra and the degrees d of its primitive generators: H* has the
+# Poincare polynomial prod (1 + t^d)
+KNOWN_ANSWERS = {"gl4": (lambda: _gl(4), (1, 3, 5, 7)), "so5": (_sp4, (3, 7))}
+
+
+@pytest.mark.parametrize("name", sorted(KNOWN_ANSWERS))
+def test_weight_zero_cohomology_known_answers(name):
+    # gl(4) in degree 8 has 426 weight-zero cochains of 12870, and its full
+    # degree-5 matrix would have 34 978 944 entries, above 2^24
+    algebra, degrees = KNOWN_ANSWERS[name]
+    start = time.monotonic()
+    betti = cohomology_const(_lie(*algebra()))
+    elapsed = time.monotonic() - start
+    assert betti == oracles.poincare_coefficients(degrees)
+    assert elapsed < 10.0, f"H* of {name} took {elapsed:.2f}s (budget 10s)"
+
+
+def test_gl5_is_refused_by_its_weight_zero_size():
+    # the weight-zero matrices of gl(5) reach about 1.2e9 entries; the first
+    # above 2^24 is refused before any basis of it is enumerated
+    start = time.monotonic()
+    with pytest.raises(AlgindexError, match=(
+            r"^the degree-7 differential matrix would have 46721500 entries, "
+            r"above the limit of 2\^24")):
+        cohomology_const(_lie(*_gl(5)))
+    elapsed = time.monotonic() - start
+    assert elapsed < 5.0, f"refusing gl(5) took {elapsed:.2f}s (budget 5s)"
+
+
+@pytest.mark.parametrize("name", ["gl3", "aff1-adjoint", "sl2-adjoint"])
+def test_weight_zero_matrix_is_the_restricted_full_matrix(name, monkeypatch):
+    if name == "gl3":
+        A = _lie(*_gl(3))
+        rep, torus = GConnection.zero(A, 1), (0, 4, 8)  # E_11, E_22, E_33
+    else:
+        A = alg.aff1() if name == "aff1-adjoint" else _lie(*_sl2())
+        rep, torus = _adjoint(A), (0,)  # e1 of aff1, h of sl(2)
+    r, m = A.rank, rep.bundle_rank
+    # the weights by hand: ad(h) on e_b and rho(h) on the j-th bundle vector
+    lam = [[A.bracket(h, b)[b].constant_value() for h in torus] for b in range(r)]
+    mu = [[rep.matrices[h][j][j].constant_value() for h in torus] for j in range(m)]
+
+    def cochains(k, weight_zero):
+        return [(T, j) for T in combinations(range(r), k) for j in range(m)
+                if not weight_zero or all(
+                    sum(lam[b][t] for b in T) == mu[j][t] for t in range(len(torus)))]
+
+    for degree in range(r):
+        rows, columns = cochains(degree + 1, True), cochains(degree, True)
+        small = oracles.dense(_matrix(A, rep, degree), len(columns))
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_torus", _no_torus)
+            full = oracles.dense(_matrix(A, rep, degree), comb(r, degree) * m)
+        full_rows, full_columns = cochains(degree + 1, False), cochains(degree, False)
+        assert small == [[full[full_rows.index(row)][full_columns.index(col)] for col in columns]
+                         for row in rows], (name, degree)
+        # d preserves weight: a weight-zero row meets only weight-zero columns
+        for row in rows:
+            values = full[full_rows.index(row)]
+            assert all(full_columns[n] in columns for n, v in enumerate(values) if v), (name, row)
 
 
 def test_cohomology_rejects_positive_dimensional_base(t2):

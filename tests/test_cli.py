@@ -10,6 +10,8 @@ import yaml
 
 from algindex import cli
 
+import oracles
+
 
 def job_path(name):
     return str(resources.files("algindex").joinpath(f"jobs/{name}.yaml"))
@@ -67,8 +69,9 @@ def test_every_bundled_job_has_goldens():
 # thom-checks of algebroids with varying structure functions, a quotient
 # whose numerator cancels on the box's diagonal, where the panel program falls
 # back to the exact quotient, pull-backs and products on either backend,
-# which print the scalars each construction lifts onto its chart, and a box
-# whose two axes share every span but not their powers, on either backend
+# which print the scalars each construction lifts onto its chart, a box
+# whose two axes share every span but not their powers, on either backend,
+# and the full Lie algebra cohomology of gl(4) and so(5)
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -78,6 +81,17 @@ def test_document_matches_golden(name, fmt):
     proc = run_cli(["--format", fmt, "run", str(DOCUMENTS / f"{name}.yaml")])
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == (DOCUMENTS / f"{name}.{fmt}").read_text()
+
+
+def test_lie_weights_golden_has_the_known_betti_numbers():
+    # the full complex of gl(4) is refused above degree 4, so this golden
+    # could only be recorded from the weight-zero code it checks: hold it to
+    # the Poincare polynomials (1+t)(1+t^3)(1+t^5)(1+t^7) and (1+t^3)(1+t^7)
+    payload = json.loads((DOCUMENTS / "lie-weights.json").read_text())
+    betti = {item["label"]: item["result"]["betti"] for item in payload["results"]
+             if item["op"] == "cohomology"}
+    assert betti == {"gl4-betti": oracles.poincare_coefficients((1, 3, 5, 7)),
+                     "so5-betti": oracles.poincare_coefficients((3, 7))}
 
 
 # every charclass genus on one 4-D chart, with its stdout recorded beside it
