@@ -20,9 +20,9 @@ R^ for the curvature R of ``chern_weil.curvature``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from itertools import combinations, count, permutations, product
+from itertools import combinations, permutations, product
+from math import lcm
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
@@ -308,124 +308,123 @@ def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
 def _constant_checks(algebroid, rep):
     if algebroid.base_dim != 0:
         raise AlgindexError("constant-coefficient cohomology needs base_dim = 0")
-    if not all(c.is_constant() for coeffs in algebroid.structure.values() for c in coeffs):
-        raise AlgindexError("non-constant structure functions")
-    if not all(v.is_constant() for mat in rep.matrices for row in mat for v in row):
-        raise AlgindexError("non-constant representation matrices")
+    for (_, _), coeffs in algebroid.structure.items():
+        for c in coeffs:
+            if not c.is_constant():
+                raise AlgindexError("non-constant structure functions")
+    for mat in rep.matrices:
+        for row in mat:
+            for v in row:
+                if not v.is_constant():
+                    raise AlgindexError("non-constant representation matrices")
+
+
+_WEIGHT_SUMS = 1 << 18  # the weights a weight table may hold; past them its torus is dropped
 
 
 def _exact_constants(algebroid, rep):
-    """Brackets and representation rows as exact nonzero (index, value) lists, and _torus."""
+    """Brackets and representation rows as exact nonzero (index, value)
+    lists, then the :func:`_weight_table` of the torus weights of the basis
+    and the bundle vectors.  A torus element e_a has [e_a, e_b] in Q e_b for
+    all b, rho(e_a) diagonal and an eigenvalue not 0; weights are packed into
+    ints in a base above twice any sum of |coordinates|, keeping equality."""
     def nonzero(row):
         return [(j, linalg.exact(v.constant_value())) for j, v in enumerate(row) if not v.is_zero()]
     brackets = {key: nonzero(coeffs) for key, coeffs in algebroid.structure.items()}
     weights = [[nonzero(row) for row in w] for w in rep.matrices]
-    return (brackets, weights) + _torus(brackets, weights, algebroid.rank, rep.bundle_rank)
-
-
-def _torus(brackets, weights, r, m):
-    """The weights of the basis elements and of the bundle vectors, each
-    packed into one int; all 0 with no torus.
-
-    A torus element is an e_a with [e_a, e_b] in Q e_b for every b and
-    rho(e_a) diagonal, by the exact constants, with an eigenvalue not 0.  A
-    weight, the eigenvalues of ad(e_a) on e_b (of rho(e_a) on the j-th bundle
-    vector) over the torus, is scaled to ints and packed as digits in a base
-    above twice any coordinate of a bundle weight or of a sum of distinct
-    basis weights, so packing keeps equality.
-    """
-    torus = []
-    for a in range(r):
-        lam, mu = [0] * r, [sum(v for _, v in row) for row in weights[a]]
-        for (x, y), entries in brackets.items():
-            if a in (x, y):
-                lam[x + y - a] = entries[0][1] if a == x else -entries[0][1]
-                if [g for g, _ in entries] != [x + y - a]:
-                    break
-        else:  # [e_a, e_b] = lam[b] e_b for every b
-            if all(j == l for l, row in enumerate(weights[a]) for j, _ in row) and any(lam + mu):
-                torus.append(lam + mu)
-    scale = math.lcm(*(v.denominator for vector in torus for v in vector))
+    r, m, torus = algebroid.rank, rep.bundle_rank, []
+    for a in range(r):  # ad[b]: [e_a, e_b]
+        ad = {x + y - a: [(g, v if a == x else -v) for g, v in entries]
+              for (x, y), entries in brackets.items() if a in (x, y)}
+        lam = [ad[b][0][1] if ad.get(b) else 0 for b in range(r)]
+        mu = [sum(v for _, v in row) for row in weights[a]]
+        if (all([g for g, _ in e] in ([], [b]) for b, e in ad.items()) and any(lam + mu)
+                and all(j == l for l, row in enumerate(weights[a]) for j, _ in row)):
+            torus.append(lam + mu)
+    scale = lcm(*(v.denominator for vector in torus for v in vector))
     base = 1 + 2 * scale * max((sum(map(abs, vector)) for vector in torus), default=0)
     packed = [sum(int(vector[i] * scale) * base ** t for t, vector in enumerate(torus))
               for i in range(r + m)]
-    return packed[:r], packed[r:]
+    return (brackets, weights) + _weight_table(packed[:r], packed[r:])
 
 
-def _weight_zero(lam, mu, degree):
-    """The weight-zero cochains (T, j) of a degree as groups (T, [j, ...]), in
-    basis order: T by combinations, then j.  (T, j) has weight zero when the
-    weights of the e_b, b in T, add up to that of the j-th bundle vector."""
-    for T in combinations(range(len(lam)), degree):
-        weight = sum(map(lam.__getitem__, T))
-        if js := [j for j, w in enumerate(mu) if w == weight]:
-            yield T, js
+def _weight_table(lam, mu):
+    """(lam, mu, table): table[b][c], c <= r - b, counts the pairs (U, j), U a
+    c-subset of b..r-1, by the weight w that makes w + weight(U) = weight(j),
+    so table[0][k].get(0, 0) is the weight-zero dimension.  Past _WEIGHT_SUMS
+    weights the torus is dropped: lam and mu become 0."""
+    row = [{w: mu.count(w) for w in mu}]
+    table, size = [row], 0
+    for weight in reversed(lam):
+        row = row[:1] + [dict(cell) for cell in row[1:]] + [{}]
+        for c in range(len(row) - 1, 0, -1):  # row[c - 1] is not yet updated
+            for w, n in row[c - 1].items():
+                row[c][w - weight] = row[c].get(w - weight, 0) + n
+        if (size := size + sum(map(len, row))) > _WEIGHT_SUMS and any(lam + mu):
+            return _weight_table([0] * len(lam), [0] * len(mu))
+        table.append(row)
+    return lam, mu, table[::-1]
 
 
-def _weight_zero_dims(lam, mu, top):
-    """The number of weight-zero cochains of each degree 0..top, without their
-    basis: sums[k][w] counts the k-subsets whose weights add up to w."""
-    sums = [{0: 1}] + [{} for _ in range(top)]
-    for b, weight in enumerate(lam):
-        for k in range(min(top, b + 1), 0, -1):
-            for w, n in sums[k - 1].items():
-                sums[k][w + weight] = sums[k].get(w + weight, 0) + n
-    return [sum(s.get(w, 0) for w in mu) for s in sums]
+def _weight_zero(constants, degree):
+    """The weight-zero cochains of a degree as (T, [j, ...]), T in combinations
+    order; T grows only while the table says it can still reach weight zero."""
+    lam, mu, table = constants[2:]
+    level = [((), 0)] if 0 in table[0][degree] else []
+    for c in range(degree, 0, -1):
+        level = [(T + (a,), w + lam[a]) for T, w in level
+                 for a in range(T[-1] + 1 if T else 0, len(lam) - c + 1)
+                 if w + lam[a] in table[a + 1][c - 1]]
+    return [(T, [j for j, v in enumerate(mu) if v == w]) for T, w in level]
 
 
-def _differential_matrix(constants, degree):
-    """Exact rows ``{column: value}`` of d on the weight-zero cochains (T, j)
-    of degrees degree + 1 and degree, in :func:`_weight_zero` order.
+def _differential_matrix(constants, rows, columns):
+    """The exact rows ``{column: value}``, one by one, of d from the
+    :func:`_weight_zero` cochains ``columns`` of a degree to ``rows`` of the next.
 
-    Read from the structure constants c and representation matrices w of
-    ``constants`` (:func:`_exact_constants`, integral ones as ints), the row
-    of (S, l) gets (-1)^i w_{S_i}[l][j] where T is S without S_i, and, for
-    l = j, (-1)^(i+j) c^g_{S_i S_j} times the sorting sign of (g, S without
-    S_i and S_j) where that sorts to T.  No row stores a zero.
+    From the structure constants c and representation matrices w (integral
+    ones as ints), the row of (S, l) gets (-1)^i w_{S_i}[l][j] where T is S
+    without S_i, and, for l = j, (-1)^(i+j) c^g_{S_i S_j} times the sorting
+    sign of (g, S without S_i and S_j) where that sorts to T; never a zero.
     """
-    brackets, weights, lam, mu = constants
-    index = count()
-    column = {T: {j: next(index) for j in js} for T, js in _weight_zero(lam, mu, degree)}
-    matrix = []
-    for S, ls in _weight_zero(lam, mu, degree + 1):
-        rows = [{} for _ in ls]
+    brackets, weights = constants[:2]
+    column = {(T, j): n for n, (T, j) in enumerate((T, j) for T, js in columns for j in js)}
+    for S, ls in rows:
+        block = [{} for _ in ls]
         for i, alpha in enumerate(S):
-            face = column.get(S[:i] + S[i + 1:], {})
-            for row, l in zip(rows, ls):
+            for row, l in zip(block, ls):
                 for j, v in weights[alpha][l]:
-                    if j in face:
-                        linalg.add_entry(row, face[j], v if i % 2 == 0 else -v)
-        for i, j in combinations(range(degree + 1), 2):
+                    if (n := column.get((S[:i] + S[i + 1:], j))) is not None:
+                        linalg.add_entry(row, n, v if i % 2 == 0 else -v)
+        for i, j in combinations(range(len(S)), 2):
             rest = S[:i] + S[i + 1:j] + S[j + 1:]
             for gamma, c in brackets.get((S[i], S[j]), ()):
-                sign, T = _sort_sign((gamma,) + rest)
-                face = column.get(T, {})  # T is None where sign is 0
-                for row, l in zip(rows, ls):
-                    if l in face:
-                        linalg.add_entry(row, face[l], c if sign * (-1) ** (i + j) > 0 else -c)
-        matrix += rows
-    return matrix
+                sign, T = _sort_sign((gamma,) + rest)  # T is None where sign is 0
+                for row, l in zip(block, ls):
+                    if (n := column.get((T, l))) is not None:
+                        linalg.add_entry(row, n, c if sign * (-1) ** (i + j) > 0 else -c)
+        yield from block
 
 
 def cohomology_const(algebroid, rep=None, max_degree=None):
     """Betti numbers of the constant-coefficient complex, exact ranks.
 
-    Only the joint weight-zero subcomplex is built: by Cartan's formula
-    L_h = d i_h + i_h d, a weight space on which a torus element h acts by a
-    nonzero scalar is acyclic.  Torus elements commute: [e_a, e_a'] =
-    x e_a' = -x' e_a forces x = x' = 0.  Each matrix is refused by its
-    weight-zero size before its basis is enumerated.
-    """
+    Built on the joint weight-zero cochains alone: by Cartan's formula L_h =
+    d i_h + i_h d, a weight space where a torus element h acts by a nonzero
+    scalar is acyclic, and torus elements commute ([e_a, e_a'] = x e_a' =
+    -x' e_a forces x = x' = 0).  Each matrix is refused by the size it will
+    have before any basis is enumerated; each basis is built once."""
     rep = rep or GConnection.zero(algebroid, 1)
     _constant_checks(algebroid, rep)
     r = algebroid.rank
     max_degree = r if max_degree is None else min(max_degree, r)
     constants = _exact_constants(algebroid, rep)
-    dims = _weight_zero_dims(*constants[2:], max_degree + 1)
+    dims = [counts.get(0, 0) for counts in constants[-1][0]] + [0]
     for k in range(max_degree + 1):
         linalg.check_size(dims[k + 1] * dims[k], f"the degree-{k} differential matrix")
-    ranks = [linalg.rank(_differential_matrix(constants, k)) if k < r else 0
-             for k in range(max_degree + 1)]
+    bases = [_weight_zero(constants, k) for k in range(min(max_degree + 2, r + 1))]
+    ranks = [linalg.rank(list(_differential_matrix(constants, bases[k + 1], bases[k])))
+             if k < r else 0 for k in range(max_degree + 1)]
     return linalg.betti_numbers(dims[:max_degree + 1], ranks)
 
 

@@ -10,6 +10,7 @@ from algindex import algebroid as alg, forms
 from algindex.forms import (
     _differential_matrix,
     _exact_constants,
+    _weight_zero,
     AlgForm,
     GConnection,
     basis_forms,
@@ -360,19 +361,18 @@ def _d_g_matrix(A, rep, degree):
 
 
 def _matrix(A, rep, degree):
-    return _differential_matrix(_exact_constants(A, rep), degree)
+    constants = _exact_constants(A, rep)
+    return _differential_matrix(
+        constants, _weight_zero(constants, degree + 1), _weight_zero(constants, degree))
 
 
-def _no_torus(brackets, weights, r, m):
-    """A stand-in for forms._torus under which every cochain has weight zero."""
-    return [0] * r, [0] * m
 
 
 def test_differential_matrix_matches_raw_oracle(monkeypatch):
     # seeded structure constants, Jacobi or not: the matrix only reads them.
     # Some draws have a torus element; with the torus taken away every
     # cochain has weight zero, so the whole matrix is compared
-    monkeypatch.setattr(forms, "_torus", _no_torus)
+    monkeypatch.setattr(forms, "_WEIGHT_SUMS", -1)
     rng = random.Random(808)
     for _ in range(25):
         rank = rng.randint(1, 6)
@@ -395,14 +395,16 @@ def test_differential_matrix_matches_raw_oracle(monkeypatch):
 
 
 def test_differential_matrix_with_representation_matches_d_g(su2, aff1, monkeypatch):
-    monkeypatch.setattr(forms, "_torus", _no_torus)  # the whole matrix
     # [rho(e1), rho(e2)] = rho(e2): a flat 2-dimensional representation of aff1
     plane = [[[1, 0], [0, 0]], [[0, 1], [0, 0]]]
     for A, rep in ((su2, _adjoint(su2)), (aff1, GConnection(aff1, 2, plane))):
-        for degree in range(A.rank):
-            matrix = _matrix(A, rep, degree)
-            n_cols = comb(A.rank, degree) * rep.bundle_rank
-            assert oracles.dense(matrix, n_cols) == _d_g_matrix(A, rep, degree)
+        with monkeypatch.context() as patch:
+            patch.setattr(forms, "_WEIGHT_SUMS", -1)  # no torus: the whole matrix
+            for degree in range(A.rank):
+                matrix = _matrix(A, rep, degree)
+                n_cols = comb(A.rank, degree) * rep.bundle_rank
+                assert oracles.dense(matrix, n_cols) == _d_g_matrix(A, rep, degree)
+        # e1 of aff1 is a torus element here: this runs the weight-zero complex
         assert cohomology_const(A, rep) == [0] * (A.rank + 1)
 
 
@@ -545,6 +547,51 @@ def test_gl5_is_refused_by_its_weight_zero_size():
     assert elapsed < 5.0, f"refusing gl(5) took {elapsed:.2f}s (budget 5s)"
 
 
+def _semidirect(weights):
+    """R x| R^n: [e_1, e_i] = weights[i - 2] e_i, the rest commute."""
+    return len(weights) + 1, {(0, i): {i: v} for i, v in enumerate(weights, 1) if v}
+
+
+def test_weight_zero_walk_matches_the_filtered_combinations():
+    # ad(e_1) of R x| R^7 acts with these weights, with the trivial and a
+    # diagonal representation: the walk gives exactly the filtered subsets,
+    # in combinations order, and as many cochains as the table counts
+    rng = random.Random(25)
+    for _ in range(6):
+        weights = [rng.randint(-2, 2) for _ in range(7)]
+        A = _lie(*_semidirect(weights))
+        diagonal = GConnection(A, 2, [[[1, 0], [0, -1]]] + [[[0, 0], [0, 0]]] * 7)
+        for rep, mu in ((GConnection.zero(A, 1), [0]), (diagonal, [1, -1])):
+            constants = _exact_constants(A, rep)
+            for k in range(A.rank + 1):
+                expected = [(T, js) for T in combinations(range(A.rank), k)
+                            if (js := [j for j, v in enumerate(mu)
+                                       if sum(weights[b - 1] for b in T if b) == v])]
+                assert _weight_zero(constants, k) == expected, (weights, mu, k)
+                assert constants[-1][0][k].get(0, 0) == sum(len(js) for _, js in expected)
+
+
+def test_a_skewed_torus_walks_only_the_weight_zero_cochains():
+    # R x| R^29 with every weight 1 has weight-zero dims 1, 1, 0, ..., so
+    # every degree passes the size check; the walk must not visit the 2^30
+    # subsets of its basis
+    start = time.monotonic()
+    assert cohomology_const(_lie(*_semidirect([1] * 29))) == [1, 1] + [0] * 29
+    elapsed = time.monotonic() - start
+    assert elapsed < 2.0, f"R x| R^29 took {elapsed:.2f}s (budget 2s)"
+
+
+def test_too_many_weight_sums_build_the_whole_complex(monkeypatch):
+    # a table that would pass its limit drops the torus; the whole complex
+    # has the same cohomology
+    monkeypatch.setattr(forms, "_WEIGHT_SUMS", 10)
+    A = _lie(*_gl(3))
+    constants = _exact_constants(A, GConnection.zero(A, 1))
+    assert constants[2] == [0] * 9
+    assert [counts[0] for counts in constants[-1][0]] == [comb(9, k) for k in range(10)]
+    assert cohomology_const(A) == oracles.poincare_coefficients((1, 3, 5))
+
+
 @pytest.mark.parametrize("name", ["gl3", "aff1-adjoint", "sl2-adjoint"])
 def test_weight_zero_matrix_is_the_restricted_full_matrix(name, monkeypatch):
     if name == "gl3":
@@ -567,7 +614,7 @@ def test_weight_zero_matrix_is_the_restricted_full_matrix(name, monkeypatch):
         rows, columns = cochains(degree + 1, True), cochains(degree, True)
         small = oracles.dense(_matrix(A, rep, degree), len(columns))
         with monkeypatch.context() as patch:
-            patch.setattr(forms, "_torus", _no_torus)
+            patch.setattr(forms, "_WEIGHT_SUMS", -1)  # no torus: the whole matrix
             full = oracles.dense(_matrix(A, rep, degree), comb(r, degree) * m)
         full_rows, full_columns = cochains(degree + 1, False), cochains(degree, False)
         assert small == [[full[full_rows.index(row)][full_columns.index(col)] for col in columns]

@@ -623,6 +623,35 @@ def test_wide_fiber_groupoid_cohomology_within_budget(tmp_path):
     assert elapsed < 5.0, f"pair(3) with fiber 48 took {elapsed:.2f}s (budget 5s)"
 
 
+def test_rank_30_with_a_skewed_torus_within_budget(tmp_path):
+    # R x| R^29, [e1, e_i] = w_i e_i: with every w_i = 1 the weight-zero dims
+    # are 1, 1, 0, ..., which pass every size check, and the basis walk must
+    # not visit the 2^30 subsets; with w_i = 2^(i-2) the weight sums are all
+    # distinct, the torus is dropped, and the whole complex is refused
+    def semidirect(weight):
+        return {f"1,{i}": {str(i): weight(i)} for i in range(2, 31)}
+
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump({
+        "version": 1,
+        "algebroids": {
+            "ones": {"kind": "lie_algebra", "rank": 30, "structure": semidirect(lambda i: 1)},
+            "powers": {"kind": "lie_algebra", "rank": 30,
+                       "structure": semidirect(lambda i: 2 ** (i - 2))},
+        },
+        "computations": [{"op": "cohomology", "label": "ones", "algebroid": "ones"},
+                         {"op": "cohomology", "label": "powers", "algebroid": "powers"}],
+    }))
+    start = time.monotonic()
+    proc = run_cli(["--format", "json", "run", str(doc)])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    ones, powers = json.loads(proc.stdout)["results"]
+    assert ones["result"]["betti"] == [1, 1] + [0] * 29
+    assert _SIZE_ERRORS["lie-rank-30"] in powers["error"]
+    assert elapsed < 2.0, f"two rank-30 algebras took {elapsed:.2f}s (budget 2s)"
+
+
 @pytest.mark.parametrize("domain", ["cube", "space"])
 def test_three_dimensional_quadrature_fails_its_own_computation(tmp_path, domain):
     # quadrature stops at base dimension 2; a polynomial over a 3-D box stays exact

@@ -10,7 +10,7 @@ import pytest
 from algindex import algebroid as alg
 from algindex import groupoid as gp
 from algindex import linalg
-from algindex.forms import GConnection, _differential_matrix, _exact_constants
+from algindex.forms import GConnection, _differential_matrix, _exact_constants, _weight_zero
 from algindex.scalars import AlgindexError
 
 import oracles
@@ -123,7 +123,9 @@ def test_builder_rows_store_no_zero():
         adjoint = [[[A.bracket(a, b)[c] for b in range(r)] for c in range(r)] for a in range(r)]
         for rep in (GConnection.zero(A, 1), GConnection(A, r, adjoint)):
             for degree in range(r):
-                rows = _differential_matrix(_exact_constants(A, rep), degree)
+                constants = _exact_constants(A, rep)
+                rows = _differential_matrix(constants, _weight_zero(constants, degree + 1),
+                                            _weight_zero(constants, degree))
                 assert all(v != 0 for row in rows for v in row.values()), (A, degree)
 
 
