@@ -36,7 +36,14 @@ from .chern_weil import (
     pfaffian_form,
 )
 from .forms import AlgForm, d_g, pullback_form
-from .scalars import AlgindexError, DomainError, PolyScalar, as_fraction
+from .scalars import (
+    AlgindexError,
+    DomainError,
+    NumericExpr,
+    PolyScalar,
+    RationalScalar,
+    as_fraction,
+)
 
 
 class NonInvariantDensityError(AlgindexError):
@@ -49,7 +56,12 @@ class UnresolvedEulerDivisionError(AlgindexError):
 
 @dataclass
 class Density:
-    """A transversal density: coefficient of (e_1^..^e_r) (x) (dx^1^..^dx^n)."""
+    """A transversal density: coefficient of (e_1^..^e_r) (x) (dx^1^..^dx^n).
+
+    ``quadratures`` holds each quadrature integral ``integrate`` has computed
+    against this density, as (key, raw value, error estimate), so an equal
+    integral is computed once (see :func:`_quadrature_key`).
+    """
 
     algebroid: AlgebroidPresentation
     coefficient: object = 1
@@ -58,6 +70,7 @@ class Density:
         self.coefficient = self.algebroid.scalar(self.coefficient)
         if self.coefficient.is_zero():
             raise AlgindexError("density must be nonvanishing")
+        self.quadratures = []
 
 
 def modular_cocycle(A: AlgebroidPresentation, density: Density) -> AlgForm:
@@ -168,6 +181,23 @@ def _float_span(name, span):
     return tuple(floats)
 
 
+def _quadrature_key(pairing, domain, tol, budget):
+    """What fixes the bits of a quadrature of ``pairing``, compared exactly:
+    the settings, the box bounds, and the integrand as its panel program
+    reads it -- a polynomial's terms, a quotient's reduced numerator and
+    denominator, a numeric tree's structure.  ``NumericExpr.__eq__`` is never
+    used: it samples, and x and x + x^300 agree at every sample."""
+    if isinstance(pairing, NumericExpr):
+        integrand = pairing.node
+    elif isinstance(pairing, RationalScalar):
+        integrand = (pairing.num.terms, pairing.den.terms)
+    else:
+        integrand = pairing.terms
+    bounds = tuple(domain.bounds) if isinstance(domain, BoxDomain) else None
+    # the cheap fields first: a tuple compares item by item and stops at a difference
+    return tol, budget, bounds, integrand
+
+
 def integrate(
     A: AlgebroidPresentation,
     form: AlgForm,
@@ -182,6 +212,12 @@ def integrate(
     The density must be invariant (zero modular cocycle); polynomial
     integrands over boxes and points are exact, everything else goes through
     the deterministic adaptive quadrature, which stops at base dimension 2.
+    A quadrature integral is computed once per density: an equal integrand
+    over an equal domain at an equal ``tol`` and ``budget`` takes the raw
+    value and error estimate of the first, with the caller's
+    ``normalization_degree``.  Equality is exact on the exact backend and
+    structural on ``numeric``.  A failed quadrature is not kept; it fails
+    again in the same way.
     """
     if any(len(indices) != A.rank for indices in form.coeffs):
         raise AlgindexError("only top-degree forms can be integrated")
@@ -218,6 +254,10 @@ def integrate(
     # refused before anything is compiled
     if A.base_dim > 2:
         raise AlgindexError("numeric quadrature supports base dimension <= 2")
+    key = _quadrature_key(pairing, domain, tol, budget)
+    for known, raw, raw_error in density.quadratures:
+        if known == key:
+            return IntegrationResult(raw, False, raw_error, normalization_degree)
     rows, panel = pairing.compile_panel()
     if isinstance(domain, BoxDomain):
         spans = [_float_span(name, span) for name, span in zip(A.chart.names, domain.bounds)]
@@ -242,6 +282,7 @@ def integrate(
     # benchmark's span recorder wraps them by name
     entry = quadrature.integrate_1d if A.base_dim == 1 else quadrature.integrate_2d
     res = entry(f, *spans, tol=tol, budget=budget)
+    density.quadratures.append((key, res.value, res.error))
     return IntegrationResult(res.value, False, res.error, normalization_degree)
 
 

@@ -787,13 +787,60 @@ def test_equal_integrands_integrate_to_the_same_bits():
 
 def test_sphere_job_index_and_thom_base_integrate_alike(monkeypatch):
     # the index integrates the computed Euler form, thom-check the written one:
-    # one function, so one quadrature result
+    # one function, so the density keeps one quadrature and both read it
     results = _spy_quadrature(monkeypatch)
     job = resources.files("algindex").joinpath("jobs/sphere-stereographic.yaml")
-    cli.run_document(cli.JobContext(cli.load_document(str(job))))
-    index, base = results
-    assert index.error == base.error == 1.0986086516414886e-07
-    assert index == base
+    document = cli.load_document(str(job))
+    contexts = [cli.JobContext(document) for _ in range(2)]
+    outputs = [cli.run_document(ctx) for ctx in contexts]
+    # each context of the document runs its own quadrature: none is shared across documents
+    assert [result.error for result in results] == [1.0986086516414886e-07] * 2
+    assert results[0] == results[1] and outputs[0] == outputs[1]
+    for ctx in contexts:
+        (_, raw, raw_error), = ctx.ref("density", "lebesgue").quadratures
+        assert (raw, raw_error) == (results[0].value, results[0].error)
+
+
+def test_a_density_shares_a_quadrature_by_exact_equality_only(monkeypatch):
+    # x^300 is below the sampled zero test's tolerance on [-0.9, 0.9]^2, so
+    # x == x + x^300 there; their keys compare the trees, and each integrates
+    A = alg.tangent(2, Chart(("x", "y"), "numeric"))
+    density, box = ti.Density(A, 1), ti.BoxDomain([(0, 2), (0, 1)])
+    results = _spy_quadrature(monkeypatch)
+    raws = [ti.integrate(A, AlgForm.dual_basis(A, (0, 1)).scale(A.chart.parse(text)),
+                         density, box).raw for text in ("x", "x + x^300")]
+    assert A.chart.parse("x") == A.chart.parse("x + x^300")
+    assert raws == [1.9999999999999887, 1.353512276634191e+88]
+    assert len(results) == 2
+
+    # poly: two spellings of one function share a quadrature; another
+    # tolerance, budget or box does not
+    A = alg.tangent(2, Chart(("x", "y")))
+    density, box = ti.Density(A, 1), ti.BoxDomain([(0, 1), (-1, 2)])
+    results.clear()
+
+    def integral(text, tol=1e-10, budget=4000, domain=box, degree=0):
+        form = AlgForm.dual_basis(A, (0, 1)).scale(A.chart.parse(text))
+        return ti.integrate(A, form, density, domain, degree, tol=tol, budget=budget)
+
+    first = integral("1/(1 + x^2 + y^2)")
+    # a shared quadrature is normalized as its caller asks
+    again = integral("2/(2*y^2 + 2*x^2 + 2)", degree=1)
+    assert len(results) == 1 and len(density.quadratures) == 1
+    assert (again.raw, again.raw_error) == (first.raw, first.raw_error)
+    assert again.value == first.value / (2 * math.pi)
+    integral("1/(1 + x^2 + y^2)", tol=1e-9)
+    integral("1/(1 + x^2 + y^2)", budget=3000)
+    integral("1/(1 + x^2 + y^2)", domain=ti.BoxDomain([(0, 1), (-1, 1)]))
+    assert len(results) == len(density.quadratures) == 4
+    # a failed quadrature is not kept: it runs, and fails, again; this
+    # integrand diverges over the plane
+    failures = []
+    for _ in range(2):
+        with pytest.raises(quadrature.QuadratureError) as info:
+            integral("1/(1 + x^2 + y^2)", budget=50, domain=ti.PlaneDomain())
+        failures.append(str(info.value))
+    assert failures[0] == failures[1] and len(density.quadratures) == 4
 
 
 def test_exhausted_budget_carries_value_and_estimate():
