@@ -313,6 +313,24 @@ _SECTIONS = (
 )
 
 
+# the kind of a declared object whose spec names none
+_DEFAULT_KINDS = {"metric": "matrix", "connection": "matrices", "representation": "matrices"}
+
+
+class _Spec(dict):
+    """A declared object's fields; indexing a missing one is a document error
+    that names the object, its kind and the field.  ``kind`` is the spec's
+    ``kind`` (a domain's ``type``) or the section's default."""
+
+    def __init__(self, noun, name, spec):
+        super().__init__(spec)
+        self.kind = spec.get("type" if noun == "domain" else "kind", _DEFAULT_KINDS.get(noun))
+        self.title = f"{noun} {name!r}" if self.kind is None else f"{self.kind} {noun} {name!r}"
+
+    def __missing__(self, key):
+        raise DocumentError(f"{self.title} is missing the {key!r} field")
+
+
 class JobContext:
     def __init__(self, document):
         self.document = document
@@ -343,13 +361,14 @@ class JobContext:
             if name not in self.declared[kind]:
                 raise DocumentError(f"unknown {kind} {name!r}")
             table[name] = None  # under construction until its build returns
-            table[name] = getattr(self, f"_build_{kind}")(name, self.declared[kind][name])
+            spec = _Spec(kind, name, self.declared[kind][name])
+            table[name] = getattr(self, f"_build_{kind}")(name, spec)
         if table[name] is None:
             raise DocumentError(f"{kind} {name!r} is defined through itself")
         return table[name]
 
     def _build_algebroid(self, name, spec):
-        kind = spec["kind"]
+        kind = spec.kind
         if kind == "tangent":
             return alg.tangent(self.chart.dim, self.chart, name)
         if kind == "abelian":
@@ -390,7 +409,7 @@ class JobContext:
 
     def _build_metric(self, name, spec):
         A = self.ref("algebroid", spec["algebroid"])
-        kind = spec.get("kind", "matrix")
+        kind = spec.kind
         if kind == "identity":
             return cw.Metric.identity(A)
         if kind == "conformal":
@@ -411,11 +430,11 @@ class JobContext:
     def _build_connection(self, name, spec):
         A = self.ref("algebroid", spec["algebroid"])
         m = spec.get("bundle_rank", A.rank)
-        if spec.get("kind") == "zero":
+        if spec.kind == "zero":
             return cw.GConnection.zero(A, m)
-        if spec.get("kind") == "levi_civita":
+        if spec.kind == "levi_civita":
             return cw.levi_civita(A, self.ref("metric", spec["metric"]))
-        if spec.get("kind") == "adjoint":
+        if spec.kind == "adjoint":
             mats = [
                 [[A.bracket(a, b)[c] for b in range(A.rank)] for c in range(A.rank)]
                 for a in range(A.rank)
@@ -455,7 +474,7 @@ class JobContext:
         return AlgForm(A, coeffs)
 
     def _build_domain(self, name, spec):
-        kind = spec["type"]
+        kind = spec.kind
         if kind == "point":
             return ti.PointDomain()
         if kind == "box":
@@ -466,7 +485,7 @@ class JobContext:
         raise DocumentError(f"unknown domain type {kind!r}")
 
     def _build_groupoid(self, name, spec):
-        kind = spec["kind"]
+        kind = spec.kind
         if kind == "pair":
             return gp.pair_groupoid(spec["size"])
         if kind == "cyclic":

@@ -298,6 +298,34 @@ def test_algebroid_chain_deeper_than_the_stack_is_a_document_error(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("declared,message", [
+    ("algebroids: {E: {kind: pullback}}", "pullback algebroid 'E' is missing the 'parent' field"),
+    ("algebroids: {T: {kind: tangent}, P: {kind: product, left: T}}",
+     "product algebroid 'P' is missing the 'right' field"),
+    ("algebroids: {A: {kind: action, rank: 1}}",
+     "action algebroid 'A' is missing the 'anchor' field"),
+    ("algebroids: {A: {kind: explicit, rank: 1}}",
+     "explicit algebroid 'A' is missing the 'anchor' field"),
+    ("algebroids: {A: {kind: abelian}}", "abelian algebroid 'A' is missing the 'rank' field"),
+    ("algebroids: {A: {kind: lie_algebra}}",
+     "lie_algebra algebroid 'A' is missing the 'rank' field"),
+    # a metric names no kind: it is a matrix
+    ("algebroids: {T: {kind: tangent}}\nmetrics: {g: {algebroid: T}}",
+     "matrix metric 'g' is missing the 'entries' field"),
+    ("algebroids: {T: {kind: tangent}}\nconnections: {c: {algebroid: T, kind: levi_civita}}",
+     "levi_civita connection 'c' is missing the 'metric' field"),
+    ("domains: {d: {type: box}}", "box domain 'd' is missing the 'bounds' field"),
+    ("groupoids: {G: {kind: explicit}}", "explicit groupoid 'G' is missing the 'objects' field"),
+], ids=["pullback", "product", "action", "explicit", "abelian", "lie_algebra", "matrix-metric",
+        "levi_civita", "box", "explicit-groupoid"])
+def test_a_missing_per_kind_field_is_a_named_document_error(tmp_path, capsys, declared, message):
+    # the schema requires these fields of no kind; each is named with its object and kind
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(f"version: 1\ncoordinates: [x]\n{declared}\ncomputations: []\n")
+    assert cli.main(["run", str(doc)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 def test_pullback_of_a_chart_holding_a_fiber_name(tmp_path, capsys):
     doc = tmp_path / "doc.yaml"
     doc.write_text(
