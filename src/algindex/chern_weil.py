@@ -3,13 +3,15 @@
 Characteristic forms are exact polynomials in the power sums tr(R^j) of
 the curvature matrix (never numerical eigenvalues) and are stored WITHOUT
 2*pi factors; the single normalization happens at integration time.  Every
-multiplicative genus (chern, todd, l_genus, a_hat) is exp(sum_j b_j tr(R^j))
-for one table of exact coefficients b_j, expanded by a single recurrence
-(:func:`_genus_parts`); ``ch`` is the additive tr exp(R) and the Pfaffian is
-expanded by rows.  A formal Chern-roots engine (`roots_identity`)
-independently checks the multiplicative-genus identities behind the Euler
-and signature index formulas and reports the normalization factor they
-actually require.
+multiplicative genus (chern, todd, l_genus, a_hat) is its root series Q(x)
+(:func:`_root_series`, the one place a genus is written), taken as
+exp(sum_j b_j tr(R^j)) with b = log Q and expanded by a single recurrence
+(:func:`_genus_parts`); L and A-hat, whose roots come in pairs +-i x, take
+b_2k = (-1)^k [x^2k] log Q / 2.  ``ch`` is the additive tr exp(R) and the
+Pfaffian is expanded by rows.  A formal Chern-roots engine
+(`roots_identity`) checks the identities behind the Euler and signature
+index formulas on the same Todd and L series and reports the normalization
+factor they actually require.
 """
 
 from __future__ import annotations
@@ -430,37 +432,31 @@ def _s_log(a, n):
     return out
 
 
-def _exp_series(n, sign=1):
-    return [Fraction(sign**k, factorial(k)) for k in range(n + 1)]
+def _flip(series):
+    """s(-x) from s(x): the odd coefficients change sign."""
+    return [-c if k % 2 else c for k, c in enumerate(series)]
 
 
-def todd_root_series(n):
-    """x/(1 - e^{-x}) = 1 + x/2 + x^2/12 - ..."""
-    body = [Fraction(0)] * (n + 2)
-    for k in range(1, n + 2):
-        body[k] = -Fraction((-1) ** k, factorial(k))  # 1 - e^{-x}
-    shifted = body[1 : n + 2]  # (1 - e^{-x})/x
-    one = [Fraction(1)] + [Fraction(0)] * n
-    return _s_div(one, shifted, n)
+def _even(series):
+    return [Fraction(0) if k % 2 else c for k, c in enumerate(series)]
 
 
-def l_root_even_series(n_z):
-    """x/tanh(x) as a series in z = x^2: 1 + z/3 - z^2/45 + ..."""
-    n = 2 * n_z
-    sinh_over_x = [
-        Fraction(1, factorial(k + 1)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)
-    ]
-    cosh = [Fraction(1, factorial(k)) if k % 2 == 0 else Fraction(0) for k in range(n + 1)]
-    ratio = _s_div(cosh, sinh_over_x, n)
-    return [ratio[2 * j] for j in range(n_z + 1)]
-
-
-def a_hat_root_even_series(n_z):
-    """(x/2)/sinh(x/2) as a series in z = x^2: 1 - z/24 + 7 z^2/5760 - ..."""
-    # sinh(x/2)/(x/2) = sum_k (z/4)^k / (2k+1)!
-    body = [Fraction(1, 4**k * factorial(2 * k + 1)) for k in range(n_z + 1)]
-    one = [Fraction(1)] + [Fraction(0)] * n_z
-    return _s_div(one, body, n_z)
+def _root_series(genus, n):
+    """Q(x) to x^n, the series of one Chern root that fixes a multiplicative
+    genus as prod_i Q(x_i): each is a quotient of two exact series."""
+    e = [Fraction(1, factorial(k)) for k in range(n + 2)]  # e^x; e[1:] is (e^x - 1)/x
+    one = Fraction(1)
+    if genus == "chern":  # 1 + x
+        num, den = [one, one], [one]
+    elif genus == "todd":  # x/(1 - e^-x)
+        num, den = [one], _flip(e[1:])
+    elif genus == "l_genus":  # x/tanh x = cosh x / (sinh x / x)
+        num, den = _even(e), _even(e[1:])
+    elif genus == "a_hat":  # (x/2)/sinh(x/2)
+        num, den = [one], _even([c / 2**k for k, c in enumerate(e[1:])])
+    else:
+        raise AlgindexError(f"unknown genus {genus!r}")
+    return _s_div(num, den, n)
 
 
 # ---------------------------------------------------------------------------
@@ -480,19 +476,14 @@ def _power_traces(R: FormMatrix, count):
 
 
 def _log_coefficients(genus, n):
-    """[b_0, ..., b_n] with genus(R) = exp(sum_j b_j tr(R^j)), b_0 = 0."""
-    if genus == "chern":  # log det(1 + R) = sum_j (-1)^(j-1) tr(R^j) / j
-        return [Fraction(0)] + [Fraction((-1) ** (j - 1), j) for j in range(1, n + 1)]
-    if genus == "todd":
-        return _s_log(todd_root_series(n), n)
+    """[b_0, ..., b_n] with genus(R) = exp(sum_j b_j tr(R^j)), b_0 = 0: the
+    coefficients of log Q.  L and A-hat are even and run over one root x_j
+    of each pair +-i x_j of an antisymmetric R, whose power sums are
+    sum_j x_j^2k = (-1)^k tr(R^2k) / 2; their odd coefficients vanish."""
+    b = _s_log(_root_series(genus, n), n)
     if genus in ("l_genus", "a_hat"):
-        # a series in z = x^2 over the roots +-i x_j of an antisymmetric R,
-        # whose power sums are sum_j x_j^2k = (-1)^k tr(R^2k) / 2
-        even = l_root_even_series if genus == "l_genus" else a_hat_root_even_series
-        beta = _s_log(even(n // 2), n // 2)
-        return [Fraction(0) if j % 2 else beta[j // 2] * Fraction((-1) ** (j // 2), 2)
-                for j in range(n + 1)]
-    raise AlgindexError(f"unknown genus {genus!r}")
+        b = [c * Fraction((-1) ** (j // 2), 2) for j, c in enumerate(b)]
+    return b
 
 
 def _genus_parts(R: FormMatrix, genus, k):
@@ -660,51 +651,31 @@ def roots_identity(identity: str, half_rank: int, truncation: int) -> RootsIdent
     p = int(half_rank)
     x_deg = int(truncation) // 2
     chart = Chart(tuple(f"x{j + 1}" for j in range(p)))
-    n = x_deg + 2
+    n = x_deg + 1
 
-    exp_pos = _exp_series(n)
-    exp_neg = _exp_series(n, sign=-1)
-    one_minus_epos = [Fraction(1) - exp_pos[0]] + [-c for c in exp_pos[1:]]
-    one_minus_eneg = [Fraction(1) - exp_neg[0]] + [-c for c in exp_neg[1:]]
-    one = [Fraction(1)] + [Fraction(0)] * n
-    # Todd factors for the pair of roots +-x
-    td_plus = _s_div(one, one_minus_eneg[1:], n)          # x/(1-e^{-x})
-    td_minus = _s_div(one, [-c for c in one_minus_epos[1:]], n)  # -x/(1-e^{x})
-
-    if identity == "gauss_bonnet":
-        ch_pair = _s_mul(one_minus_epos, one_minus_eneg, n)
+    e_pos = [Fraction(1, factorial(k)) for k in range(n + 1)]
+    e_neg = _flip(e_pos)
+    if identity == "gauss_bonnet":  # (1 - e^x)(1 - e^-x) = 2 - e^x - e^-x against Euler
+        ch_pair = [2 * (k == 0) - a - b for k, (a, b) in enumerate(zip(e_pos, e_neg))]
+        rhs_root = [Fraction(0), Fraction(1)]
         model = "(-1)^p"
-    elif identity == "signature":
-        ch_pair = [a - b for a, b in zip(exp_pos, exp_neg)]  # e^x - e^{-x}
+    elif identity == "signature":  # e^x - e^-x against the L-genus
+        ch_pair = [a - b for a, b in zip(e_pos, e_neg)]
+        rhs_root = _root_series("l_genus", x_deg)
         model = "2^(p - k) on the form-degree-2k component of the L-genus"
     else:
         raise AlgindexError(f"unknown identity {identity!r}")
 
-    pair = _s_mul(_s_mul(ch_pair, td_plus, n), td_minus, n)
+    # the Todd factors Q(x) Q(-x) of the pair of roots +-x
+    todd = _root_series("todd", n)
+    pair = _s_mul(_s_mul(ch_pair, todd, n), _flip(todd), n)
     if pair[0] != 0:
         raise AssertionError("pair series should vanish at order zero")
-    pair_over_x = pair[1:]  # divide the Euler root out
 
-    lhs = PolyScalar.const(chart.names, 1)
-    for j in range(p):
-        factor = _series_at_variable(pair_over_x, chart, j, x_deg)
-        lhs = _poly_truncate(lhs * factor, x_deg)
-
-    if identity == "gauss_bonnet":
-        rhs = PolyScalar.const(chart.names, 1)
-        for j in range(p):
-            rhs = rhs * PolyScalar.coordinate(chart.names, j)
-        rhs = _poly_truncate(rhs, x_deg)
-    else:
-        l_even = l_root_even_series(x_deg // 2 + 1)
-        l_series = [Fraction(0)] * (x_deg + 1)
-        for jz, c in enumerate(l_even):
-            if 2 * jz <= x_deg:
-                l_series[2 * jz] = c
-        rhs = PolyScalar.const(chart.names, 1)
-        for j in range(p):
-            factor = _series_at_variable(l_series, chart, j, x_deg)
-            rhs = _poly_truncate(rhs * factor, x_deg)
+    lhs = rhs = PolyScalar.const(chart.names, 1)
+    for j in range(p):  # pair[1:] divides the Euler root out
+        lhs = _poly_truncate(lhs * _series_at_variable(pair[1:], chart, j, x_deg), x_deg)
+        rhs = _poly_truncate(rhs * _series_at_variable(rhs_root, chart, j, x_deg), x_deg)
 
     factors = {}
     residual = lhs
@@ -714,11 +685,8 @@ def roots_identity(identity: str, half_rank: int, truncation: int) -> RootsIdent
         )
         if rhs_d.is_zero():
             continue
-        lhs_d = PolyScalar(
-            chart.names, {e: c for e, c in lhs.terms.items() if sum(e) == d}
-        )
         expo = next(iter(rhs_d.terms))
-        ratio = lhs_d.terms.get(expo, Fraction(0)) / rhs_d.terms[expo]
+        ratio = lhs.terms.get(expo, Fraction(0)) / rhs_d.terms[expo]
         if ratio:
             factors[d] = ratio
             residual = residual - rhs_d * ratio

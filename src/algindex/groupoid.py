@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 from . import linalg
 from .scalars import AlgindexError
@@ -255,22 +256,26 @@ def _cochain_basis(groupoid, rep, k):
     return out
 
 
-def _cochain_dims(groupoid, rep, top):
-    """dim C^0 .. dim C^top, from the number of chains ending at each object.
+def _chain_counts(groupoid, rep):
+    """dim C^0, dim C^1, ... without end, from the number of chains ending at
+    each object.
 
     No chain is built: the chains of length k ending at y are the chains of
     length k - 1 ending at s(g), for each arrow g with t(g) = y.
     """
     G = groupoid
     ending = dict.fromkeys(G.objects, 1)
-    dims = []
-    for _ in range(top + 1):
-        dims.append(sum(n * rep.dims[x] for x, n in ending.items()))
+    while True:
+        yield sum(n * rep.dims[x] for x, n in ending.items())
         walks = dict.fromkeys(G.objects, 0)
         for g in G.arrows:
             walks[G.target[g]] += ending[G.source[g]]
         ending = walks
-    return dims
+
+
+def _cochain_dims(groupoid, rep, top):
+    """[dim C^0, ..., dim C^top]."""
+    return list(islice(_chain_counts(groupoid, rep), top + 1))
 
 
 def _check_differential(dims, k):
@@ -327,9 +332,14 @@ def differential_matrix(groupoid, rep, k):
 def groupoid_cohomology(groupoid, rep=None, max_degree=2):
     """Betti numbers of the finite cochain complex by exact ranks."""
     rep = rep or FiniteRep.trivial(groupoid)
-    dims = _cochain_dims(groupoid, rep, max_degree + 1)
+    counts = _chain_counts(groupoid, rep)
+    dims, read = [next(counts)], 0
     for k in range(max_degree + 1):
+        dims.append(next(counts))
         _check_differential(dims, k)
+        # each of the dim C^(k+1) rows of d^k builds k + 2 chains of k or k + 1 arrows
+        read += (k + 1) * (k + 2) * dims[k + 1]
+        linalg.check_size(read, f"the face chains of the differentials up to degree {k}")
     ranks = [
         linalg.rank(differential_matrix(groupoid, rep, k))
         for k in range(max_degree + 1)

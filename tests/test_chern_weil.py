@@ -371,6 +371,26 @@ def test_roots_identity_unknown():
         cw.roots_identity("dolbeault", 1, 4)
 
 
+@pytest.mark.parametrize("genus", ["chern", "todd", "l_genus", "a_hat"])
+def test_root_series_and_log_coefficients_match_sympy(genus):
+    # to x^12, past the form degree 8 that the class tests above reach
+    sympy = pytest.importorskip("sympy")
+    x, n = sympy.symbols("x"), 12
+    q = {"chern": 1 + x, "todd": x / (1 - sympy.exp(-x)), "l_genus": x / sympy.tanh(x),
+         "a_hat": (x / 2) / sympy.sinh(x / 2)}[genus]
+
+    def coefficients(expr):
+        poly = sympy.series(expr, x, 0, n + 1).removeO()
+        return [Fraction(int(c.p), int(c.q))
+                for c in (sympy.Rational(poly.coeff(x, k)) for k in range(n + 1))]
+
+    assert cw._root_series(genus, n) == coefficients(q)
+    log_q = coefficients(sympy.log(q))
+    if genus in ("l_genus", "a_hat"):  # one root x_j of each pair +-i x_j
+        log_q = [0 if j % 2 else c * Fraction((-1) ** (j // 2), 2) for j, c in enumerate(log_q)]
+    assert cw._log_coefficients(genus, n) == log_q
+
+
 # -- naturality, additivity, Bianchi ------------------------------------------------
 
 

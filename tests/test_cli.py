@@ -224,6 +224,12 @@ def test_schema_violation_exit_code(tmp_path):
      "'groupoid-cohomology', 'convolution-table', 'trace']"),
     ("algebroids:\n  A: {kind: abelian, rank: three}\ncomputations: []\n",
      "algebroids/A/rank: 'three' is not of type 'integer'"),
+    # a representation's kind is checked as a connection's is, not read as matrices
+    ("algebroids:\n  g: {kind: lie_algebra, rank: 1}\n"
+     "representations:\n  r: {algebroid: g, kind: adjiont, matrices: [[['0']]]}\n"
+     "computations:\n  - {op: cohomology, label: c, algebroid: g, representation: r}\n",
+     "representations/r/kind: 'adjiont' is not one of ['zero', 'levi_civita', "
+     "'adjoint', 'matrices']"),
 ])
 def test_schema_violation_message_is_pinned(tmp_path, body, message):
     doc = tmp_path / "doc.yaml"
@@ -507,6 +513,7 @@ domains:
 groupoids:
   pair2: {kind: pair, size: 2}
   pair4: {kind: pair, size: 4}
+  cyclic1: {kind: cyclic, order: 1}
 """
 
 _CHERN = "{op: charclass, label: bad, genus: ch, connection: line}"
@@ -531,6 +538,9 @@ FAILURE_CASES = {
     "lie-rank-30": ("{op: cohomology, label: bad, algebroid: rank30}", [], 1),
     "fiber-dim-100000": (
         "{op: groupoid-cohomology, label: bad, groupoid: pair2, fiber_dim: 100000}", [], 1),
+    # every differential is 1 x 1, but degree k rebuilds chains of k arrows
+    "cyclic1-degree-3200": (
+        "{op: groupoid-cohomology, label: bad, groupoid: cyclic1, max_degree: 3200}", [], 1),
     # a trace needs one weight per object and one function value per arrow
     "trace-weights-short": (
         "{op: trace, label: bad, groupoid: pair2, weights: [1], function: [1, 0, 0, 1]}", [], 2),
@@ -594,6 +604,8 @@ _SIZE_ERRORS = {
                    "above the limit of 2^24",
     "fiber-dim-100000": "the 100000 x 100000 identity of every arrow would have "
                         "40000000000 entries, above the limit of 2^24",
+    "cyclic1-degree-3200": "the face chains of the differentials up to degree 368 would "
+                           "have 16884210 entries, above the limit of 2^24",
 }
 
 

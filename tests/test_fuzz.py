@@ -129,8 +129,6 @@ def from_object(fragment, required=()):
 
 def _section(name):
     entry = SCHEMA["properties"][name]["additionalProperties"]
-    if name == "representations":  # built as connections are
-        entry = SCHEMA["properties"]["connections"]["additionalProperties"]
     declared = from_object(entry, BUILD_FIELDS.get(name, ()))
     return st.fixed_dictionaries({NAMES[0]: declared}, optional={NAMES[1]: declared})
 
