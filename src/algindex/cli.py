@@ -148,9 +148,15 @@ def _properties(properties, value, schema, path, found):
 def _additional_properties(subschema, value, schema, path, found):
     if isinstance(value, dict):
         named = schema.get("properties", ())
-        for key, item in value.items():
-            if key not in named:
-                _walk(subschema, item, path + (key,), found)
+        extras = [key for key in value if key not in named]
+        if subschema is not False:
+            for key in extras:
+                _walk(subschema, value[key], path + (key,), found)
+        elif extras:
+            verb = "was" if len(extras) == 1 else "were"
+            listed = ", ".join(map(repr, sorted(extras, key=str)))
+            found.append(
+                (path, f"Additional properties are not allowed ({listed} {verb} unexpected)"))
 
 
 def _items(subschema, value, schema, path, found):
@@ -339,6 +345,7 @@ class JobContext:
         self.chart = Chart(names, backend)
         self.declared = {kind: document.get(section) or {} for section, kind in _SECTIONS}
         self.tables = {kind: {} for _, kind in _SECTIONS}
+        self.reports = {}  # algebroid name -> its validation report, made once
         try:
             for kind, specs in self.declared.items():
                 for name in sorted(specs):
@@ -366,6 +373,12 @@ class JobContext:
         if table[name] is None:
             raise DocumentError(f"{kind} {name!r} is defined through itself")
         return table[name]
+
+    def report(self, name):
+        """The validation report of the algebroid ``name``, made on first use."""
+        if name not in self.reports:
+            self.reports[name] = self.ref("algebroid", name).validate()
+        return self.reports[name]
 
     def _build_algebroid(self, name, spec):
         kind = spec.kind
@@ -591,7 +604,7 @@ def _settings(comp, overrides):
 
 def _validate(ctx, comp, settings):
     names = [comp["algebroid"]] if "algebroid" in comp else sorted(ctx.tables["algebroid"])
-    reports = {name: ctx.ref("algebroid", name).validate() for name in names}
+    reports = {name: ctx.report(name) for name in names}
     results = {name: _serialize_report(report) for name, report in reports.items()}
     if not all(report.ok for report in reports.values()):
         raise ComputationError(json.dumps(results, sort_keys=True))
@@ -599,7 +612,14 @@ def _validate(ctx, comp, settings):
 
 
 def _cohomology(ctx, comp, settings):
-    A = ctx.ref("algebroid", comp["algebroid"])
+    """Betti numbers of a validated presentation: where d^2 != 0 (a bracket
+    that breaks Jacobi) dims - ranks are not Betti numbers, so an invalid
+    algebroid fails this computation with its validation report."""
+    name = comp["algebroid"]
+    report = ctx.report(name)
+    if not report.ok:
+        raise ComputationError(json.dumps({name: _serialize_report(report)}, sort_keys=True))
+    A = ctx.ref("algebroid", name)
     rep = ctx.ref("representation", comp.get("representation"))
     return {"betti": cohomology_const(A, rep, comp.get("max_degree"))}
 

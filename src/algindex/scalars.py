@@ -3,15 +3,16 @@
 Two families of scalars share one arithmetic interface:
 
 * :class:`PolyScalar` -- multivariate polynomials with exact rational
-  coefficients.  All identity checking in the library runs on these (or on
-  their quotients, :class:`RationalScalar`), so equality-to-zero is decidable
-  and exact.  A quotient keeps its denominator as a product of the factors
-  that entered through division and cancels by trial division
-  (:func:`poly_divmod`); :func:`poly_gcd` runs only when a quotient leaves
-  arithmetic (printing, ``compile_panel``, ``num``/``den``), once per
-  distinct factor, to find a divisor that a reducible factor shares with the
-  numerator.  It keeps its name because the benchmark's span recorder wraps
-  it by name.
+  coefficients, each stored as one rational content times a primitive
+  integer polynomial, so arithmetic runs on ints.  All identity checking in
+  the library runs on these (or on their quotients, :class:`RationalScalar`),
+  so equality-to-zero is decidable and exact.  A quotient keeps its
+  denominator as a product of the factors that entered through division
+  and cancels by trial division (:func:`poly_quotient`); :func:`poly_gcd`
+  runs only when a quotient leaves arithmetic (printing, ``compile_panel``,
+  ``num``/``den``), once per distinct factor, to find a divisor that a
+  reducible factor shares with the numerator.  It keeps its name because
+  the benchmark's span recorder wraps it by name.
 * :class:`NumericExpr` -- an evaluable expression tree (exp, sqrt, sin, cos,
   division) used only where a chart integrand is not polynomial.  Its nodes
   are plain nested tuples -- ``("const", v)``, ``("coord", i)``,
@@ -19,10 +20,11 @@ Two families of scalars share one arithmetic interface:
   ``(fn, a)`` for a function of ``_FUNCTIONS`` -- and only the root carries
   the chart; its zero test, and so its equality, is sampled.
 
-Scalars are immutable after construction; every operation returns a new
-value.  Polynomial arithmetic, division and ``PolyScalar.const`` build
-clean terms themselves and skip the constructor's checks, which parsing and
-the other constructors keep.
+Scalars are immutable after construction, so values share term dicts: an
+operation may return an operand (x + 0) or reuse its dict (-x, 2 * x).
+Polynomial arithmetic, division and ``PolyScalar.const`` build canonical
+integer terms themselves and skip the checks of the constructor from
+Fraction terms.
 Monomials are printed graded-lex descending.
 
 ``compile_panel`` generates and compiles one Python program per integrand,
@@ -73,6 +75,10 @@ class DomainError(AlgindexError, ArithmeticError):
     """Evaluation left the declared domain (pole, sqrt of a negative, ...)."""
 
 
+# linalg takes AlgindexError from this module, so it is imported once that exists
+from . import linalg  # noqa: E402
+
+
 def as_fraction(value) -> Fraction:
     """Coerce ints, 'p/q' strings and Fractions to an exact Fraction."""
     if isinstance(value, Fraction):
@@ -108,14 +114,29 @@ def _grlex_key(expo):
     return (sum(expo), expo)
 
 
-class PolyScalar:
-    """A multivariate polynomial with exact rational coefficients.
+def _lead(ints):
+    """The graded-lex leading exponent of a nonempty dict of terms."""
+    return max(ints, key=_grlex_key)
 
-    ``terms`` maps exponent tuples (one entry per chart coordinate) to
-    nonzero Fractions.  The zero polynomial has no terms.
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
+class PolyScalar:
+    """A multivariate polynomial with exact rational coefficients, stored as
+    one rational content times a primitive integer polynomial (Geddes, Czapor
+    & Labahn, *Algorithms for Computer Algebra*, 1992, ch. 2).
+
+    ``ints`` maps exponent tuples (one entry per chart coordinate) to nonzero
+    ints whose gcd is 1 and whose graded-lex leading value is positive;
+    ``content`` is the Fraction that carries the rest, sign included.  The
+    form is canonical: equal polynomials have equal ``content`` and ``ints``.
+    The zero polynomial has no ints and content 0.  Arithmetic runs on the
+    ints and builds one Fraction per result.  ``terms``, the Fraction
+    coefficients ``content * n`` in stored order, is built on each read.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "ints", "content")
 
     def __init__(self, variables, terms):
         variables = tuple(variables)
@@ -128,22 +149,24 @@ class PolyScalar:
                 )
             coeff = as_fraction(coeff)
             if coeff != 0:
-                clean[expo] = clean.get(expo, Fraction(0)) + coeff
+                clean[expo] = clean.get(expo, _ZERO) + coeff
                 if clean[expo] == 0:
                     del clean[expo]
-        self.vars = variables
-        self.terms = clean
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        p = _make(variables, {e: c.numerator * (den // c.denominator) for e, c in clean.items()},
+                  1, den)
+        self.vars, self.ints, self.content = variables, p.ints, p.content
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, variables):
-        return cls(variables, {})
+        return _poly(tuple(variables), {}, _ZERO)
 
     @classmethod
     def const(cls, variables, value):
         value, variables = as_fraction(value), tuple(variables)
-        return _clean(variables, {(0,) * len(variables): value} if value else {})
+        return _poly(variables, {(0,) * len(variables): 1} if value else {}, value)
 
     @classmethod
     def coordinate(cls, variables, index):
@@ -151,7 +174,13 @@ class PolyScalar:
         if not 0 <= index < len(variables):
             raise IndexError(f"coordinate index {index} out of range")
         expo = tuple(1 if i == index else 0 for i in range(len(variables)))
-        return cls(variables, {expo: Fraction(1)})
+        return _poly(variables, {expo: 1}, _ONE)
+
+    @property
+    def terms(self):
+        """{exponent: Fraction coefficient}, built on each read."""
+        c = self.content
+        return {e: c * n for e, n in self.ints.items()}
 
     # -- ring structure ----------------------------------------------------
 
@@ -168,20 +197,30 @@ class PolyScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            if expo in terms:
-                coeff = terms[expo] + coeff
-                if not coeff:
-                    del terms[expo]
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # c1*A + c2*B = g/den * (m1*A + m2*B), the m the rest of each content
+        c1, c2 = self.content, other.content
+        g, den = math.gcd(c1.numerator, c2.numerator), math.lcm(c1.denominator, c2.denominator)
+        m1 = c1.numerator // g * (den // c1.denominator)
+        m2 = c2.numerator // g * (den // c2.denominator)
+        ints = dict(self.ints) if m1 == 1 else {e: m1 * n for e, n in self.ints.items()}
+        for expo, n in other.ints.items():
+            n *= m2
+            if expo in ints:
+                n += ints[expo]
+                if not n:
+                    del ints[expo]
                     continue
-            terms[expo] = coeff
-        return _clean(self.vars, terms)
+            ints[expo] = n
+        return _make(self.vars, ints, g, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _clean(self.vars, {e: -c for e, c in self.terms.items()})
+        return _poly(self.vars, self.ints, -self.content)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -193,15 +232,28 @@ class PolyScalar:
         return (-self) + other
 
     def __mul__(self, other):
+        """The product; by Gauss's lemma the product of the integer parts is
+        primitive, and its leading value is the product of theirs."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+        a, b = self.ints, other.ints
+        if not a or not b:
+            return self if not a else other
+        content = self.content * other.content
+        if len(b) == 1 and not any(next(iter(b))):
+            return _poly(self.vars, a, content)
+        if len(a) == 1 and not any(next(iter(a))):
+            return _poly(self.vars, b, content)
+        size = len(a) * len(b)
+        if size > linalg.MAX_ENTRIES:
+            linalg.check_size(size, f"a product of a {len(a)}-term and a {len(b)}-term polynomial")
+        ints = {}
+        for e1, n1 in a.items():
+            for e2, n2 in b.items():
                 expo = tuple(map(operator.add, e1, e2))
-                terms[expo] = terms[expo] + c1 * c2 if expo in terms else c1 * c2
-        return _clean(self.vars, {e: c for e, c in terms.items() if c})
+                ints[expo] = ints[expo] + n1 * n2 if expo in ints else n1 * n2
+        return _poly(self.vars, {e: n for e, n in ints.items() if n}, content)
 
     __rmul__ = __mul__
 
@@ -213,8 +265,9 @@ class PolyScalar:
         while power:
             if power & 1:
                 result = result * base
-            base = base * base
             power >>= 1
+            if power:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -222,7 +275,7 @@ class PolyScalar:
             q = as_fraction(other)
             if q == 0:
                 raise DomainError("division by zero")
-            return self * (Fraction(1) / q)
+            return self * (1 / q)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -239,7 +292,8 @@ class PolyScalar:
             other = PolyScalar.const(self.vars, other)
         if not isinstance(other, PolyScalar):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self.content == other.content
+                and self.ints == other.ints)
 
     __hash__ = None
 
@@ -249,29 +303,31 @@ class PolyScalar:
         """Exact partial derivative with respect to coordinate ``index``."""
         if not 0 <= index < len(self.vars):
             raise IndexError(f"coordinate index {index} out of range")
-        terms = {}
-        for expo, coeff in self.terms.items():
+        ints = {}
+        for expo, n in self.ints.items():
             k = expo[index]
             if k == 0:
                 continue
             new = list(expo)
             new[index] = k - 1
-            terms[tuple(new)] = coeff * k
-        return _clean(self.vars, terms)
+            ints[tuple(new)] = n * k
+        return _make(self.vars, ints, self.content.numerator, self.content.denominator)
 
     def eval(self, point) -> Fraction:
         """Exact evaluation; ``point`` entries may be ints/Fractions/floats."""
         if len(point) != len(self.vars):
             raise AlgindexError("point dimension does not match variable count")
+        # over the common denominator prod q_i^(deg_i) of the point's p_i/q_i
         values = [as_fraction(p) for p in point]
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, expo):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        degrees = [max((e[i] for e in self.ints), default=0) for i in range(len(values))]
+        total = 0
+        for expo, n in self.ints.items():
+            for v, e, d in zip(values, expo, degrees):
+                if d:
+                    n *= v.numerator**e * v.denominator ** (d - e)
+            total += n
+        den = math.prod(v.denominator**d for v, d in zip(values, degrees))
+        return Fraction(total * self.content.numerator, den * self.content.denominator)
 
     def compile_panel(self):
         """The panel program ``(rows, panel)`` (see :func:`_program`)."""
@@ -281,56 +337,46 @@ class PolyScalar:
         """Substitute a scalar for each coordinate (composition)."""
         if len(replacements) != len(self.vars):
             raise AlgindexError("need one replacement per coordinate")
-        total = None
-        for expo, coeff in self.terms.items():
-            term = coeff
+        total = replacements[0] * 0 if replacements else PolyScalar.zero(self.vars)
+        for expo, n in self.ints.items():
+            term = n
             for repl, e in zip(replacements, expo):
                 for _ in range(e):
                     term = repl * term
-            total = term if total is None else total + term
-        if total is None:
-            return replacements[0] * 0 if replacements else PolyScalar.zero(self.vars)
-        if isinstance(total, Fraction):
-            total = replacements[0] * 0 + total
-        return total
+            total = total + term
+        return total * self.content
 
     def extend_vars(self, variables, offset=0):
         """Reinterpret on a larger chart that holds this chart's coordinates
         at positions offset..: each exponent tuple is padded, no arithmetic."""
         before, after = _padding(self.vars, variables, offset)
-        return _clean(tuple(variables), {before + e + after: c for e, c in self.terms.items()})
+        return _poly(tuple(variables), {before + e + after: n for e, n in self.ints.items()},
+                     self.content)
 
     # -- queries -----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ints
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return not self.ints or (len(self.ints) == 1 and not any(next(iter(self.ints))))
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise AlgindexError(f"{self} is not constant")
-        return next(iter(self.terms.values()), Fraction(0))
+        return self.content
 
     def depends_on(self, index) -> bool:
-        return any(e[index] for e in self.terms)
-
-    def leading_term(self):
-        """Graded-lex leading (exponent, coefficient) pair."""
-        if not self.terms:
-            return None
-        expo = max(self.terms, key=_grlex_key)
-        return expo, self.terms[expo]
+        return any(e[index] for e in self.ints)
 
     # -- display -----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        if not self.ints:
             return "0"
         pieces = []
-        for expo in sorted(self.terms, key=_grlex_key, reverse=True):
-            coeff = self.terms[expo]
+        for expo in sorted(self.ints, key=_grlex_key, reverse=True):
+            coeff = self.content * self.ints[expo]
             factors = []
             for name, e in zip(self.vars, expo):
                 if e == 1:
@@ -356,100 +402,231 @@ class PolyScalar:
         return f"PolyScalar({self})"
 
 
-def _clean(variables, terms) -> PolyScalar:
-    """The polynomial of ``terms`` built clean on polynomials of ``variables``
-    (by arithmetic, division or ``const``): Fraction values, none zero, under
-    int exponent tuples of the chart's length, so ``PolyScalar.__init__``'s
-    checks are skipped."""
+def _poly(variables, ints, content) -> PolyScalar:
+    """The polynomial ``content * ints``, both already canonical, so
+    ``PolyScalar.__init__``'s checks are skipped."""
     p = object.__new__(PolyScalar)
-    p.vars = variables
-    p.terms = terms
+    p.vars, p.ints, p.content = variables, ints, content
     return p
 
 
+def _make(variables, ints, num=1, den=1) -> PolyScalar:
+    """The polynomial num/den * ints for a dict of nonzero ints under int
+    exponent tuples of the chart's length: their gcd and the sign of the
+    leading value move into the one Fraction it builds."""
+    if not ints:
+        return _poly(variables, ints, _ZERO)
+    g = math.gcd(*ints.values())
+    if ints[_lead(ints)] < 0:
+        g = -g
+    if g != 1:
+        ints = {e: n // g for e, n in ints.items()}
+    return _poly(variables, ints, Fraction(num * g, den))
+
+
 def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
-    return _clean(p.vars, {e: k * c for e, k in p.terms.items()})
+    """p * c for a nonzero c."""
+    return _poly(p.vars, p.ints, p.content * c)
 
 
-def poly_divmod(num: PolyScalar, den: PolyScalar):
-    """Multivariate division by graded-lex leading terms.
+def _primitive(p: PolyScalar) -> PolyScalar:
+    """The integer part of a nonzero p, as a polynomial of content 1."""
+    return _poly(p.vars, p.ints, _ONE)
 
-    Returns (quotient, remainder) with num = quotient*den + remainder; the
-    remainder is zero exactly when den divides num.  The quotient's terms are
-    stored in graded-lex-descending order, the order in which they are found.
+
+def _monic_grlex(p: PolyScalar):
+    if not p.ints:
+        return p
+    return _poly(p.vars, p.ints, Fraction(1, p.ints[_lead(p.ints)]))
+
+
+def poly_quotient(num: PolyScalar, den: PolyScalar):
+    """num / den when den divides num, else None.
+
+    Division by graded-lex leading terms, on the integer parts.  den's
+    integer part is primitive, so by Gauss's lemma an exact quotient has
+    integer coefficients, and the division stops at the first leading term
+    of the remainder that den's leading term does not divide over the
+    integers.  The quotient of primitive parts is primitive with a positive
+    leading value; its terms are stored in graded-lex-descending order, the
+    order in which they are found.
     """
     if den.is_zero():
         raise DomainError("division by the zero polynomial")
-    lead_e, lead_c = den.leading_term()
-    remainder, quotient = dict(num.terms), {}
+    lead_e = _lead(den.ints)
+    lead_n = den.ints[lead_e]
+    remainder, quotient = dict(num.ints), {}
     while remainder:
         expo = max(remainder, key=_grlex_key)
-        shift = tuple(a - b for a, b in zip(expo, lead_e))
-        if any(d < 0 for d in shift):
-            break
-        q = remainder[expo] / lead_c
+        shift = tuple(map(operator.sub, expo, lead_e))
+        q, r = divmod(remainder[expo], lead_n)
+        if r or any(d < 0 for d in shift):
+            return None
         quotient[shift] = q
-        for e, c in den.terms.items():
-            term = tuple(a + b for a, b in zip(shift, e))
+        for e, c in den.ints.items():
+            term = tuple(map(operator.add, shift, e))
             value = remainder.get(term, 0) - q * c
             if value:
                 remainder[term] = value
             else:
-                remainder.pop(term, None)
-    return _clean(num.vars, quotient), _clean(num.vars, remainder)
+                del remainder[term]
+    return _poly(num.vars, quotient, num.content / den.content)
 
 
 def _degree_in(p: PolyScalar, index) -> int:
-    return max((e[index] for e in p.terms), default=0)
+    return max((e[index] for e in p.ints), default=0)
+
+
+def _slices(p: PolyScalar, index):
+    """{k: the integer terms of the coefficient of x_index^k in p}."""
+    slices = {}
+    for expo, n in p.ints.items():
+        slices.setdefault(expo[index], {})[expo[:index] + (0,) + expo[index + 1:]] = n
+    return slices
 
 
 def _leading_in(p: PolyScalar, index):
-    """(leading coefficient wrt one variable, its degree)."""
-    d = _degree_in(p, index)
-    terms = {}
-    for expo, coeff in p.terms.items():
-        if expo[index] == d:
-            reduced = list(expo)
-            reduced[index] = 0
-            terms[tuple(reduced)] = coeff
-    return PolyScalar(p.vars, terms), d
-
-
-def _shift_in(p: PolyScalar, index, power):
-    terms = {}
-    for expo, coeff in p.terms.items():
-        e = list(expo)
-        e[index] += power
-        terms[tuple(e)] = coeff
-    return PolyScalar(p.vars, terms)
+    """The coefficient of the highest power of x_index in p."""
+    ints = _slices(p, index)[_degree_in(p, index)]
+    return _make(p.vars, ints, p.content.numerator, p.content.denominator)
 
 
 def _content_in(p: PolyScalar, index):
-    """gcd of the coefficient polynomials wrt one variable."""
-    slices = {}
-    for expo, coeff in p.terms.items():
-        reduced = list(expo)
-        k = reduced[index]
-        reduced[index] = 0
-        slices.setdefault(k, {})[tuple(reduced)] = coeff
+    """gcd of the coefficient polynomials wrt one variable, 1 when that is constant."""
     content = PolyScalar.zero(p.vars)
-    for terms in slices.values():
-        content = poly_gcd(content, PolyScalar(p.vars, terms))
-        if content.is_constant() and not content.is_zero():
+    # the sparsest first: a constant gcd is found soonest
+    for ints in sorted(_slices(p, index).values(), key=len):
+        content = poly_gcd(content, _make(p.vars, ints))
+        if content.is_constant():
             return PolyScalar.const(p.vars, 1)
     return content
 
 
-def _monic_grlex(p: PolyScalar):
-    lead = p.leading_term()
-    if lead is None or lead[1] == 1:
-        return p
-    return PolyScalar(p.vars, {e: c / lead[1] for e, c in p.terms.items()})
+def _at(ints, index, xi):
+    """The integer terms with x_index set to the int xi (its exponent zeroed)."""
+    out = {}
+    for expo, n in ints.items():
+        k = expo[index]
+        if k:
+            n *= xi**k
+            expo = expo[:index] + (0,) + expo[index + 1:]
+        out[expo] = out.get(expo, 0) + n
+    return {e: n for e, n in out.items() if n}
+
+
+def _image(p: PolyScalar, index, point):
+    """p with every coordinate but x_index set to the ints of ``point``:
+    the univariate integer coefficients, lowest degree first."""
+    ints = p.ints
+    for i, v in enumerate(point):
+        if i != index:
+            ints = _at(ints, i, v)
+    out = [0] * (_degree_in(p, index) + 1)
+    for expo, n in ints.items():
+        out[expo[index]] = n
+    return out
+
+
+def _univariate_gcd_degree(f, g):
+    """deg gcd(f, g) over the rationals for nonzero univariate integer
+    coefficient lists, highest entries nonzero: a primitive remainder sequence."""
+    while g:
+        while len(f) >= len(g):  # f := the pseudo-remainder, its top term cancelled
+            c, shift = f[-1], len(f) - len(g)
+            f = [g[-1] * x for x in f]
+            for i, y in enumerate(g):
+                f[shift + i] -= c * y
+            while f and not f[-1]:
+                f.pop()
+        if f:
+            h = math.gcd(*f)
+            f = [x // h for x in f]
+        f, g = g, f
+    return len(f) - 1
+
+
+def _coprime_by_images(a: PolyScalar, b: PolyScalar) -> bool:
+    """Whether univariate images prove gcd(a, b) = 1 (Brown, JACM 18 (1971)).
+
+    For a coordinate x both depend on, set the others to integers c that
+    keep both degrees in x.  Then the gcd g of a and b keeps its degree in
+    x too (its leading coefficient divides a's), and g(x, c) divides the
+    images' gcd; so an image gcd of degree 0 proves deg_x g = 0.  Proven
+    for every such x, g is constant.  False means only "not proven": a few
+    points are tried, and unlucky ones leave the question to the caller.
+    """
+    n = len(a.vars)
+    for index in range(n):
+        if not (a.depends_on(index) and b.depends_on(index)):
+            continue
+        da, db = _degree_in(a, index), _degree_in(b, index)
+        for attempt in range(3):
+            point = [attempt * n + j + 2 for j in range(n)]
+            fa, fb = _image(a, index, point), _image(b, index, point)
+            if fa[da] and fb[db] and _univariate_gcd_degree(fa, fb) == 0:
+                break
+        else:
+            return False
+    return True
+
+
+def _from_image(ints, index, xi):
+    """The integer terms whose coefficients of x_index^0, x_index^1, ... are
+    the digits of ``ints`` in base xi, each taken in [-xi/2, xi/2)."""
+    out, k, half = {}, 0, xi // 2
+    while ints:
+        rest = {}
+        for expo, n in ints.items():
+            digit = (n + half) % xi - half
+            if digit:
+                out[expo[:index] + (k,) + expo[index + 1:]] = digit
+            if n != digit:
+                rest[expo] = (n - digit) // xi
+        ints, k = rest, k + 1
+    return out
+
+
+def _heuristic_gcd(a: PolyScalar, b: PolyScalar, live):
+    """A common divisor of the integer polynomials a and b, or None: GCDHEU
+    (Char, Geddes & Gonnet, J. Symb. Comput. 7 (1989)).  The gcd of their
+    integer contents times that of their primitive parts: the last
+    coordinate of ``live`` is set to an integer xi, the gcd of the images
+    is found over the rest, and its base-xi digits are read back as
+    coefficients; the result is kept only if it divides both.  xi grows on
+    each of six tries."""
+    content = Fraction(math.gcd(a.content.numerator, b.content.numerator))
+    if not live:  # integers
+        return PolyScalar.const(a.vars, content)
+    index, rest = live[-1], live[:-1]
+    xi = 2 * min(max(map(abs, a.ints.values())), max(map(abs, b.ints.values()))) + 29
+    for _ in range(6):
+        image_a = _make(a.vars, _at(a.ints, index, xi))
+        image_b = _make(a.vars, _at(b.ints, index, xi))
+        h = None if image_a.is_zero() or image_b.is_zero() else _heuristic_gcd(
+            image_a, image_b, rest)
+        if h is not None:
+            h = _make(a.vars, _from_image({e: h.content.numerator * n for e, n in h.ints.items()},
+                                          index, xi))
+            if poly_quotient(a, h) is not None and poly_quotient(b, h) is not None:
+                return _poly(a.vars, h.ints, content)
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
+    return None
 
 
 def poly_gcd(a: PolyScalar, b: PolyScalar) -> PolyScalar:
-    """Multivariate gcd over the rationals (primitive pseudo-remainder
-    sequence), normalized to graded-lex-monic.
+    """Multivariate gcd over the rationals, normalized to graded-lex-monic.
+
+    Constants do not change a gcd over the rationals, so it runs on integer
+    primitive parts, and every answer is proven.  Coprime inputs, the
+    common case, are proven so by univariate images
+    (:func:`_coprime_by_images`).  Else :func:`_heuristic_gcd` proposes a
+    common divisor, the gcd when images prove its cofactors coprime.  Else
+    the content of each input in its main variable (the gcd of its
+    coefficients there, recursively) is split off, and the primitive parts
+    go through a pseudo-remainder sequence over the integers in which each
+    remainder is made primitive, its integer content and its content in the
+    main variable divided out (Collins, JACM 14 (1967); Brown, JACM 18
+    (1971)).
 
     Arithmetic never calls it: a :class:`RationalScalar` runs it once per
     distinct denominator factor when it leaves arithmetic, against that one
@@ -458,50 +635,51 @@ def poly_gcd(a: PolyScalar, b: PolyScalar) -> PolyScalar:
         return _monic_grlex(b)
     if b.is_zero():
         return _monic_grlex(a)
-    if a.is_constant() or b.is_constant():
+    if a.is_constant() or b.is_constant() or _coprime_by_images(a, b):
         return PolyScalar.const(a.vars, 1)
-    main = max(
-        i
-        for i in range(len(a.vars))
-        if _degree_in(a, i) > 0 or _degree_in(b, i) > 0
-    )
-    da, db = _degree_in(a, main), _degree_in(b, main)
-    if da == 0:
+    a, b = _primitive(a), _primitive(b)
+    live = [i for i in range(len(a.vars)) if a.depends_on(i) or b.depends_on(i)]
+    h = _heuristic_gcd(a, b, live)
+    # a common divisor is the gcd when images prove its cofactors coprime
+    if h is not None and _coprime_by_images(poly_quotient(a, h), poly_quotient(b, h)):
+        return _monic_grlex(h)
+    main = live[-1]
+    if not a.depends_on(main):
         return poly_gcd(a, _content_in(b, main))
-    if db == 0:
+    if not b.depends_on(main):
         return poly_gcd(_content_in(a, main), b)
     ca, cb = _content_in(a, main), _content_in(b, main)
-    A, _ = poly_divmod(a, ca)
-    B, _ = poly_divmod(b, cb)
+    A, B = _primitive(poly_quotient(a, ca)), _primitive(poly_quotient(b, cb))
     while not B.is_zero():
         R = _pseudo_rem(A, B, main)
         if not R.is_zero():
+            R = _primitive(R)
             content = _content_in(R, main)
             if not content.is_constant():
-                R, _ = poly_divmod(R, content)
+                R = _primitive(poly_quotient(R, content))
         A, B = B, R
-    if _degree_in(A, main) == 0:
+    if not A.depends_on(main):
         return poly_gcd(ca, cb)
     return _monic_grlex(poly_gcd(ca, cb) * A)
 
 
 def _pseudo_rem(a: PolyScalar, b: PolyScalar, main):
-    lc_b, db = _leading_in(b, main)
+    """a times a power of b's leading coefficient in x_main, reduced by
+    multiples of b to a degree in x_main below b's."""
+    db, lc_b, x = _degree_in(b, main), _leading_in(b, main), PolyScalar.coordinate(a.vars, main)
     r = a
-    while True:
-        dr = _degree_in(r, main)
-        if r.is_zero() or dr < db:
-            return r
-        lc_r, _ = _leading_in(r, main)
-        r = lc_b * r - _shift_in(lc_r, main, dr - db) * b
+    while not r.is_zero() and (dr := _degree_in(r, main)) >= db:
+        r = lc_b * r - _leading_in(r, main) * x ** (dr - db) * b
+    return r
 
 
 # -- factor multisets: {key: (monic nonconstant factor, multiplicity)} ----------
 
 
 def _factor(f, k=1):
-    """The multiset of k copies of the monic polynomial f."""
-    return {frozenset(f.terms.items()): (f, k)}
+    """The multiset of k copies of the monic polynomial f, keyed by its
+    integer part (a monic f's content is 1 over its leading value)."""
+    return {frozenset(f.ints.items()): (f, k)}
 
 
 def _merged(a, b, rule):
@@ -534,7 +712,7 @@ def _times(p: PolyScalar, factors) -> PolyScalar:
 def _quotient(num: PolyScalar, factors):
     """num / prod f^k with every factor that divides num divided out.
 
-    Each factor is trial-divided (:func:`poly_divmod`) as often as its
+    Each factor is trial-divided (:func:`poly_quotient`) as often as its
     multiplicity allows.  When every factor divides out the result is the
     polynomial quotient.
     """
@@ -543,8 +721,8 @@ def _quotient(num: PolyScalar, factors):
     kept = {}
     for key, (f, k) in factors.items():
         while k:
-            q, r = poly_divmod(num, f)
-            if not r.is_zero():
+            q = poly_quotient(num, f)
+            if q is None:
                 break
             num, k = q, k - 1
         if k:
@@ -561,11 +739,11 @@ def _divide(n1: PolyScalar, f1, n2: PolyScalar, f2):
     num = _times(n1, _without(f2, f1))
     factors = _without(f1, f2)
     if n2.is_constant():
-        num = _scaled(num, 1 / n2.constant_value())
+        num = _scaled(num, 1 / n2.content)
     else:
-        lead = n2.leading_term()[1]
-        num = _scaled(num, 1 / lead)
-        factors = _merged(factors, _factor(_scaled(n2, 1 / lead)), operator.add)
+        monic = _monic_grlex(n2)
+        num = _scaled(num, monic.content / n2.content)
+        factors = _merged(factors, _factor(monic), operator.add)
     return _quotient(num, factors)
 
 
@@ -620,8 +798,8 @@ class RationalScalar:
                     g = poly_gcd(num, f)
                     if g.is_constant():
                         break
-                    num = poly_divmod(num, g)[0]
-                    factors = _merged(factors, _factor(poly_divmod(f, g)[0]), operator.add)
+                    num = poly_quotient(num, g)
+                    factors = _merged(factors, _factor(poly_quotient(f, g)), operator.add)
                     k -= 1
                 if k:
                     factors = _merged(factors, _factor(f, k), operator.add)
@@ -648,11 +826,13 @@ class RationalScalar:
         return (other, {}) if isinstance(other, PolyScalar) else (other._num, other.factors)
 
     def _scale(self, c: Fraction):
-        if c == 0:
+        if not c:
             return PolyScalar.zero(self.vars)
         return RationalScalar(_scaled(self._num, c), self.factors)
 
     def _add(self, n: PolyScalar, factors):
+        if not factors and n.is_zero():
+            return self  # no trial division: what is left of it never divides later
         lcm = _merged(self.factors, factors, max)
         num = _times(self._num, _without(lcm, self.factors)) + _times(n, _without(lcm, factors))
         return _quotient(num, lcm)
@@ -809,12 +989,13 @@ def _sum_block(j, p: PolyScalar, namespace):
     or coefficients of one sign on even exponents) |t| is at least that,
     and only finiteness is tested (``t - t == 0.0``, false for inf and NaN).
     """
-    order = sorted(p.terms, key=_grlex_key, reverse=True)
-    one_sign = len(order) < 2 or (len({p.terms[expo] > 0 for expo in order}) == 1
+    order = sorted(p.ints, key=_grlex_key, reverse=True)
+    one_sign = len(order) < 2 or (len({p.ints[expo] > 0 for expo in order}) == 1
                                   and all(e % 2 == 0 for expo in order for e in expo))
-    terms = []
+    terms, coefficients = [], p.terms
     for k, expo in enumerate(order):
-        namespace[f"c{j}_{k}"] = float(p.terms[expo])
+        # the float of the exact coefficient, never float(content) * n
+        namespace[f"c{j}_{k}"] = float(coefficients[expo])
         terms.append((f"c{j}_{k}", [(i, e) for i, e in enumerate(expo) if e]))
     if one_sign:
         return j, terms, f"t{j} - t{j} == 0.0", False
@@ -1328,9 +1509,9 @@ class NumericExpr:
 
 def from_poly(p: PolyScalar) -> NumericExpr:
     """Rebuild a polynomial as an expression tree on the same chart."""
-    total = NumericExpr.zero(p.vars)
-    for expo in sorted(p.terms, key=_grlex_key):
-        term = NumericExpr.const(p.vars, p.terms[expo])
+    total, terms = NumericExpr.zero(p.vars), p.terms
+    for expo in sorted(terms, key=_grlex_key):
+        term = NumericExpr.const(p.vars, terms[expo])
         for i, e in enumerate(expo):
             if e:
                 term = term * NumericExpr.coordinate(p.vars, i) ** e

@@ -118,6 +118,18 @@ def test_su2_document_results():
     assert by_label["su2-euler-index"]["result"]["value"] == "0"
 
 
+@pytest.mark.parametrize("name", ["su2", "aff1"])
+def test_cohomology_reuses_the_validation_report(name, capsys, monkeypatch):
+    # each runs validate, then cohomology of the same algebroid: one validation
+    calls = []
+    validate = cli.alg.AlgebroidPresentation.validate
+    monkeypatch.setattr(cli.alg.AlgebroidPresentation, "validate",
+                        lambda self: calls.append(self.name) or validate(self))
+    cli.main(["--format", "json", "run", job_path(name)])
+    capsys.readouterr()
+    assert len(calls) == 1
+
+
 def test_sphere_document_value():
     proc = run_cli(["--format", "json", "run", job_path("sphere-stereographic")])
     payload = json.loads(proc.stdout)
@@ -230,6 +242,15 @@ def test_schema_violation_exit_code(tmp_path):
      "computations:\n  - {op: cohomology, label: c, algebroid: g, representation: r}\n",
      "representations/r/kind: 'adjiont' is not one of ['zero', 'levi_civita', "
      "'adjoint', 'matrices']"),
+    # a key that no kind reads is refused, not ignored
+    ("algebroids:\n  g: {kind: lie_algebra, rank: 1}\n"
+     "representations:\n  r: {algebroid: g, kind: adjoint, bogus: 1}\n"
+     "computations:\n  - {op: cohomology, label: c, algebroid: g, representation: r}\n",
+     "representations/r: Additional properties are not allowed ('bogus' was unexpected)"),
+    ("algebroids:\n  g: {kind: lie_algebra, rank: 1}\n"
+     "connections:\n  r: {algebroid: g, kind: adjoint, bogus: 1, extra: 2}\n"
+     "computations:\n  - {op: validate, label: v, algebroid: g}\n",
+     "connections/r: Additional properties are not allowed ('bogus', 'extra' were unexpected)"),
 ])
 def test_schema_violation_message_is_pinned(tmp_path, body, message):
     doc = tmp_path / "doc.yaml"
@@ -237,6 +258,40 @@ def test_schema_violation_message_is_pinned(tmp_path, body, message):
     proc = run_cli(["run", str(doc)])
     assert proc.returncode == 2
     assert proc.stderr == f"error: {doc}: schema violation at {message}\n"
+
+
+def _tangent_density(coordinates, coefficient):
+    """A document of one modular-cocycle of the tangent algebroid."""
+    return {"version": 1, "coordinates": coordinates, "algebroids": {"T": {"kind": "tangent"}},
+            "densities": {"mu": {"algebroid": "T", "coefficient": coefficient}},
+            "computations": [{"op": "modular-cocycle", "label": "m", "algebroid": "T",
+                              "density": "mu"}]}
+
+
+def test_polynomial_growth_is_refused_before_the_product_is_built(tmp_path):
+    # squaring reaches a 4495 x 6545-term product of (1 + x + y + z)^60
+    proc, elapsed = _run_document(tmp_path, _tangent_density(["x", "y", "z"],
+                                                             "(1 + x + y + z)^60"))
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert proc.stderr == (
+        "error: document error: a product of a 4495-term and a 6545-term polynomial would "
+        "have 29419775 entries, above the limit of 2^24 = 16777216\n")
+    assert elapsed < 2.0, f"took {elapsed:.2f}s (budget 2s)"
+
+
+def test_four_variable_quotient_document_within_budget(tmp_path, capsys):
+    # its gcds ran without bound over the rationals; printing the cocycle takes them
+    numerator = "1/4*x^3*y^3*z^3 + w^3*x^2*z + 2/3*x^2*y^2*z^2 + 3*y^3*z^2 + 5/8*w^2*y^2"
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump(_tangent_density(
+        ["w", "x", "y", "z"], f"({numerator})/(w^2 + 3/2*x^2 + y^2 + 3/2*z^2 + 1/2)")))
+    start = time.monotonic()
+    code = cli.main(["--format", "json", "run", str(doc)])
+    elapsed = time.monotonic() - start
+    assert code == 0
+    cocycle = json.loads(capsys.readouterr().out)["results"][0]["result"]["cocycle"]
+    assert [index for index, _ in cocycle] == ["1", "2", "3", "4"]
+    assert elapsed < 1.0, f"took {elapsed:.2f}s (budget 1s)"
 
 
 def test_missing_version_rejected(tmp_path):

@@ -205,6 +205,8 @@ def _check_schema(schema, path=("<root>",)):
     """Refuse a schema that uses a keyword, a type or a value the walk does not
     check, so that the walk and schema.json cannot drift apart."""
     problem = None
+    if schema is False and path[-1] == "additionalProperties":
+        return  # no key beyond "properties": the walk refuses each other key
     if not isinstance(schema, dict):
         problem = "a schema must be an object"
     elif not schema.keys() <= _KNOWN:
@@ -231,7 +233,7 @@ def test_bundled_schema_uses_only_what_the_walk_checks():
     ({"type": "object", "oneOf": []}, "at <root>: unsupported keyword 'oneOf'"),
     ({"properties": {"a": {"$ref": "#"}}}, "at <root>/properties/a: unsupported keyword '$ref'"),
     ({"items": {"type": "null"}}, "at <root>/items: unsupported type 'null'"),
-    ({"additionalProperties": False}, "at <root>/additionalProperties: a schema must be"),
+    ({"additionalProperties": True}, "at <root>/additionalProperties: a schema must be"),
     ({"enum": [[1]]}, "at <root>: enum or const holds a value that is not a scalar"),
 ])
 def test_schema_with_what_the_walk_does_not_check_is_refused(schema, problem):
@@ -350,7 +352,8 @@ def test_walk_matches_jsonschema_on_mutated_documents():
         counts.append(count)
     # every keyword that can report an error has, and many documents have one error
     assert keywords == {"type", "required", "enum", "const", "pattern", "minimum",
-                        "maximum", "exclusiveMinimum", "minItems", "maxItems"}
+                        "maximum", "exclusiveMinimum", "minItems", "maxItems",
+                        "additionalProperties"}
     assert counts.count(0) > 200 and counts.count(1) > 800
 
 

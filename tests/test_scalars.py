@@ -9,6 +9,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from algindex import scalars
 from algindex.scalars import (
@@ -19,6 +21,7 @@ from algindex.scalars import (
     RationalScalar,
     from_poly,
     poly_gcd,
+    poly_quotient,
 )
 
 import oracles
@@ -315,9 +318,9 @@ def _uncompiled_eval_float(p, point):
         return _exact_float(p.eval(point))
     try:
         total = largest = 0.0
-        values = [float(v) for v in point]
-        for expo in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-            term = float(p.terms[expo])
+        values, terms = [float(v) for v in point], p.terms
+        for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            term = float(terms[expo])
             for v, e in zip(values, expo):
                 if e:
                     term *= v**e
@@ -544,10 +547,10 @@ def _reference_sum(p, point):
     coefficient times its powers in coordinate order; trusted when finite
     and at least 1e-8 times its largest |term|."""
     try:
-        xs = [float(v) for v in point]
+        xs, terms = [float(v) for v in point], p.terms
         total = largest = 0.0
-        for expo in sorted(p.terms, key=lambda e: (sum(e), e), reverse=True):
-            term = float(p.terms[expo])
+        for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+            term = float(terms[expo])
             for x, e in zip(xs, expo):
                 if e:
                     term *= x**e
@@ -838,48 +841,153 @@ def test_immutability_of_operations():
 ORACLE_POOL = ["x^2 - 1", "x^2 - y^2", "x - 1", "x + y", "1 + x^2", "1 + x^2 + y^2",
                "x", "y", "5/2", "1/(x^2 - 1)", "(x + y)/(x^2 - y^2)",
                "(x - 1)^2/((x^2 - 1)*(1 + x^2))", "y/((1 + x^2)^2*(x - 1))"]
+# powers of a linear form, whose gcd with a derivative is a power again
+ORACLE_POOL_3 = ["(1 + x + y + z)^3", "(1 + x + y + z)^2", "x + y + z", "x*y - z", "x^2 - z^2",
+                 "1 + x^2 + y^2 + z^2", "z", "3/2", "1/(1 + x + y + z)", "(x - z)/(x^2 - z^2)",
+                 "y/((1 + x + y + z)^2*(x*y - z))", "(2*x - y/3 + z)^3"]
+# the pair whose gcd over the rationals ran without bound before integer contents
+FOUND_PAIR = ("1/4*x^3*y^3*z^3 + w^3*x^2*z + 2/3*x^2*y^2*z^2 + 3*y^3*z^2 + 5/8*w^2*y^2",
+              "w^2 + 3/2*x^2 + y^2 + 3/2*z^2 + 1/2")
+ORACLE_POOL_4 = [*FOUND_PAIR, f"({FOUND_PAIR[0]})/({FOUND_PAIR[1]})", "(w + x + y + z)^2",
+                 "w - x", "y*z + w", "1/(w + x + y + z)", "(w - x)^2/((w + x + y + z)*(y*z + w))",
+                 "(1 + w - z)^3", "7/3"]
 
 
-def _oracle_pair(rng, sympy, depth):
+def _oracle_pair(rng, sympy, depth, chart=Chart(XY), pool=ORACLE_POOL):
     """A random exact scalar of +, -, *, /, integer powers and derive over the
     pool, and the same expression in sympy."""
     if depth == 0:
-        text = rng.choice(ORACLE_POOL)
-        return P(text), sympy.sympify(text.replace("^", "**"))
-    a, sa = _oracle_pair(rng, sympy, depth - 1)
+        text = rng.choice(pool)
+        return chart.parse(text), sympy.sympify(text.replace("^", "**"))
+    a, sa = _oracle_pair(rng, sympy, depth - 1, chart, pool)
     op = rng.choice("+-*/^d")
     if op == "d":
-        i = rng.randrange(2)
-        return a.derive(i), sympy.diff(sa, sympy.Symbol(XY[i]))
+        i = rng.randrange(chart.dim)
+        return a.derive(i), sympy.diff(sa, sympy.Symbol(chart.names[i]))
     if op == "^":
         k = rng.choice([-2, -1, 2]) if not a.is_zero() else 2
         return (a**k if k > 0 else 1 / a**-k), sa**k
-    b, sb = _oracle_pair(rng, sympy, depth - 1)
+    b, sb = _oracle_pair(rng, sympy, depth - 1, chart, pool)
     if op == "/" and b.is_zero():
         op = "*"
     combine = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}[op]
     return combine(a, b), combine(sa, sb)
 
 
+# (coordinates, pool, cases, deepest expression, seed)
+ORACLE_RUNS = [(XY, ORACLE_POOL, 40, 3, 707), (("x", "y", "z"), ORACLE_POOL_3, 20, 2, 708),
+               (("w", "x", "y", "z"), ORACLE_POOL_4, 25, 2, 709)]
+
+
 def test_rational_arithmetic_matches_sympy_cancel():
     sympy = pytest.importorskip("sympy")
-    x, y = sympy.symbols(XY)
-    rng = random.Random(707)
-    for _ in range(40):
-        value, expr = _oracle_pair(rng, sympy, rng.randint(1, 3))
-        num, den = sympy.fraction(sympy.cancel(expr))
-        lead = sympy.Poly(den, x, y).LC(order="grlex")  # the graded-lex-monic denominator
-        num, den = sympy.expand(num / lead), sympy.expand(den / lead)
-        # a polynomial value is a PolyScalar, any other a RationalScalar
-        assert isinstance(value, PolyScalar if den == 1 else RationalScalar), (value, expr)
-        if den == 1:
-            printed = (str(value), "1")
-        else:
-            printed = (str(value.num), str(value.den))
-            assert str(value) == f"({printed[0]})/({printed[1]})"
-        for text, want in zip(printed, (num, den)):
-            assert sympy.expand(sympy.sympify(text.replace("^", "**")) - want) == 0, (
-                value, expr)
+    for names, pool, cases, depth, seed in ORACLE_RUNS:
+        symbols = sympy.symbols(names)
+        chart = Chart(names)
+        rng = random.Random(seed)
+        for _ in range(cases):
+            value, expr = _oracle_pair(rng, sympy, rng.randint(1, depth), chart, pool)
+            num, den = sympy.fraction(sympy.cancel(expr))
+            lead = sympy.Poly(den, *symbols).LC(order="grlex")  # of the monic denominator
+            num, den = sympy.expand(num / lead), sympy.expand(den / lead)
+            # a polynomial value is a PolyScalar, any other a RationalScalar
+            assert isinstance(value, PolyScalar if den == 1 else RationalScalar), (value, expr)
+            if den == 1:
+                printed = (str(value), "1")
+            else:
+                printed = (str(value.num), str(value.den))
+                assert str(value) == f"({printed[0]})/({printed[1]})"
+            for text, want in zip(printed, (num, den)):
+                assert sympy.expand(sympy.sympify(text.replace("^", "**")) - want) == 0, (
+                    value, expr)
+
+
+def test_gcd_of_the_four_variable_pair_is_one_within_budget():
+    chart = Chart(("w", "x", "y", "z"))
+    a, b = (chart.parse(text) for text in FOUND_PAIR)
+    start = time.perf_counter()
+    assert poly_gcd(a, b) == 1
+    assert poly_gcd(a * b, b.derive(1) * a) == 4 * a  # over a's leading coefficient 1/4
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"took {elapsed:.2f}s (budget 1s)"
+
+
+def test_gcd_of_a_power_and_its_derivative_within_budget():
+    chart = Chart(("x", "y", "z"))
+    f = chart.parse("(1 + x + y + z)^12")
+    start = time.perf_counter()
+    g = poly_gcd(f, f.derive(0))
+    elapsed = time.perf_counter() - start
+    assert g == chart.parse("(1 + x + y + z)^11")
+    assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
+
+
+# -- the integer form against Fraction-coefficient arithmetic ----------------------
+
+_COEFFICIENTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+
+def _polys(names):
+    exponents = st.tuples(*[st.integers(0, 3)] * len(names))
+    return st.dictionaries(exponents, _COEFFICIENTS, max_size=6).map(
+        lambda terms: PolyScalar(names, terms))
+
+
+def _sum(*dicts):
+    out = {}
+    for terms in dicts:
+        for expo, c in terms.items():
+            out[expo] = out.get(expo, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+def _product(a, b):
+    return _sum(*({tuple(map(operator.add, e1, e2)): c1 * c2} for e1, c1 in a.items()
+                  for e2, c2 in b.items()))
+
+
+def _assert_canonical(p):
+    """Primitive integers with a positive graded-lex leading value, the
+    content carrying the rest; terms is content times the integers."""
+    assert type(p.content) is Fraction
+    if not p.ints:
+        assert p.content == 0 and p.terms == {}
+        return
+    assert p.content != 0
+    assert all(type(n) is int and n != 0 for n in p.ints.values())
+    assert all(len(e) == len(p.vars) and all(type(k) is int for k in e) for e in p.ints)
+    assert math.gcd(*p.ints.values()) == 1
+    assert p.ints[max(p.ints, key=lambda e: (sum(e), e))] > 0
+    assert p.terms == {e: p.content * n for e, n in p.ints.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([XY, ("x", "y", "z")]).flatmap(
+    lambda names: st.tuples(_polys(names), _polys(names), _polys(names),
+                            st.integers(0, 3), _COEFFICIENTS)))
+def test_every_arithmetic_result_is_canonical(case):
+    a, b, c, k, q = case
+    ta, tb = a.terms, b.terms
+    power = {(0,) * len(a.vars): Fraction(1)}
+    for _ in range(k):
+        power = _product(power, ta)
+    results = [(a + b, _sum(ta, tb)), (a - b, _sum(ta, {e: -v for e, v in tb.items()})),
+               (-a, {e: -v for e, v in ta.items()}), (a * b, _product(ta, tb)),
+               (a * q, {e: v * q for e, v in ta.items() if q}), (a**k, power),
+               (a.derive(0), {e[:0] + (e[0] - 1,) + e[1:]: v * e[0]
+                              for e, v in ta.items() if e[0]})]
+    if not b.is_zero():
+        results.append((poly_quotient(a * b, b), ta))
+    for value, want in results:
+        _assert_canonical(value)
+        assert value.terms == want
+    # the gcd divides both inputs, is divided by every common factor, and is monic
+    if not (a * c).is_zero() and not (b * c).is_zero():
+        g = poly_gcd(a * c, b * c)
+        _assert_canonical(g)
+        assert g.content * g.ints[max(g.ints, key=lambda e: (sum(e), e))] == 1  # monic
+        assert poly_quotient(a * c, g) is not None and poly_quotient(b * c, g) is not None
+        assert poly_quotient(g, c) is not None
 
 
 def test_divisor_groups_are_divided_in_turn():

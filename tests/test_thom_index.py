@@ -240,7 +240,11 @@ def test_symplectic_form_refuses_a_jacobi_violation(tmp_path, capsys):
     assert code == 1
     theta, after = results
     assert not theta["ok"] and theta["error"] == "no Lie-Poisson correction closes Theta"
-    assert after["ok"] and after["result"]["betti"] == [1, 1, 0, 1, 1]
+    # d^2 != 0, so cohomology refuses to print dims - ranks as Betti numbers
+    assert not after["ok"]
+    report = json.loads(after["error"])["g"]
+    assert report["status"] == "invalid"
+    assert report["violations"] and {v["kind"] for v in report["violations"]} == {"jacobi"}
 
 
 def test_thom_check_with_varying_structure_functions(tmp_path, capsys):
