@@ -626,7 +626,7 @@ class RootsIdentityResult:
 
 def _poly_truncate(p: PolyScalar, degree):
     return PolyScalar(
-        p.vars, {e: c for e, c in p.terms.items() if sum(e) <= degree}
+        p.vars, {e: c for e, c in p.fraction_terms().items() if sum(e) <= degree}
     )
 
 
@@ -681,12 +681,12 @@ def roots_identity(identity: str, half_rank: int, truncation: int) -> RootsIdent
     residual = lhs
     for d in range(x_deg + 1):
         rhs_d = PolyScalar(
-            chart.names, {e: c for e, c in rhs.terms.items() if sum(e) == d}
+            chart.names, {e: c for e, c in rhs.fraction_terms().items() if sum(e) == d}
         )
         if rhs_d.is_zero():
             continue
-        expo = next(iter(rhs_d.terms))
-        ratio = lhs.terms.get(expo, Fraction(0)) / rhs_d.terms[expo]
+        expo, coeff = next(iter(rhs_d.fraction_terms().items()))
+        ratio = lhs.fraction_terms().get(expo, Fraction(0)) / coeff
         if ratio:
             factors[d] = ratio
             residual = residual - rhs_d * ratio

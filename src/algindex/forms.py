@@ -487,7 +487,7 @@ def _monomials_up_to(chart, degree):
 
 def _poly_terms(scalar):
     if isinstance(scalar, PolyScalar):
-        return list(scalar.terms.items())
+        return list(scalar.fraction_terms().items())
     if scalar.is_constant():
         value = scalar.constant_value()
         expo = (0,) * len(scalar.vars)

@@ -132,8 +132,8 @@ class PolyScalar:
     ``content`` is the Fraction that carries the rest, sign included.  The
     form is canonical: equal polynomials have equal ``content`` and ``ints``.
     The zero polynomial has no ints and content 0.  Arithmetic runs on the
-    ints and builds one Fraction per result.  ``terms``, the Fraction
-    coefficients ``content * n`` in stored order, is built on each read.
+    ints and builds one Fraction per result.  :meth:`fraction_terms` builds
+    the Fraction coefficients ``content * n`` in stored order on each call.
     """
 
     __slots__ = ("vars", "ints", "content")
@@ -176,9 +176,8 @@ class PolyScalar:
         expo = tuple(1 if i == index else 0 for i in range(len(variables)))
         return _poly(variables, {expo: 1}, _ONE)
 
-    @property
-    def terms(self):
-        """{exponent: Fraction coefficient}, built on each read."""
+    def fraction_terms(self):
+        """{exponent: Fraction coefficient} in stored order, a new dict each call."""
         c = self.content
         return {e: c * n for e, n in self.ints.items()}
 
@@ -429,11 +428,6 @@ def _scaled(p: PolyScalar, c: Fraction) -> PolyScalar:
     return _poly(p.vars, p.ints, p.content * c)
 
 
-def _primitive(p: PolyScalar) -> PolyScalar:
-    """The integer part of a nonzero p, as a polynomial of content 1."""
-    return _poly(p.vars, p.ints, _ONE)
-
-
 def _monic_grlex(p: PolyScalar):
     if not p.ints:
         return p
@@ -502,131 +496,53 @@ def _content_in(p: PolyScalar, index):
     return content
 
 
-def _at(ints, index, xi):
-    """The integer terms with x_index set to the int xi (its exponent zeroed)."""
-    out = {}
-    for expo, n in ints.items():
-        k = expo[index]
-        if k:
-            n *= xi**k
-            expo = expo[:index] + (0,) + expo[index + 1:]
-        out[expo] = out.get(expo, 0) + n
-    return {e: n for e, n in out.items() if n}
-
-
 def _image(p: PolyScalar, index, point):
-    """p with every coordinate but x_index set to the ints of ``point``:
-    the univariate integer coefficients, lowest degree first."""
-    ints = p.ints
-    for i, v in enumerate(point):
-        if i != index:
-            ints = _at(ints, i, v)
-    out = [0] * (_degree_in(p, index) + 1)
-    for expo, n in ints.items():
-        out[expo[index]] = n
-    return out
-
-
-def _univariate_gcd_degree(f, g):
-    """deg gcd(f, g) over the rationals for nonzero univariate integer
-    coefficient lists, highest entries nonzero: a primitive remainder sequence."""
-    while g:
-        while len(f) >= len(g):  # f := the pseudo-remainder, its top term cancelled
-            c, shift = f[-1], len(f) - len(g)
-            f = [g[-1] * x for x in f]
-            for i, y in enumerate(g):
-                f[shift + i] -= c * y
-            while f and not f[-1]:
-                f.pop()
-        if f:
-            h = math.gcd(*f)
-            f = [x // h for x in f]
-        f, g = g, f
-    return len(f) - 1
+    """The integer part of p with every coordinate but x_index set to the
+    int of ``point`` at its place."""
+    ints = {}
+    for expo, n in p.ints.items():
+        for i, (v, e) in enumerate(zip(point, expo)):
+            if i != index:
+                n *= v**e
+        key = tuple(e if i == index else 0 for i, e in enumerate(expo))
+        ints[key] = ints.get(key, 0) + n
+    return _make(p.vars, {e: n for e, n in ints.items() if n})
 
 
 def _coprime_by_images(a: PolyScalar, b: PolyScalar) -> bool:
     """Whether univariate images prove gcd(a, b) = 1 (Brown, JACM 18 (1971)).
 
     For a coordinate x both depend on, set the others to integers c that
-    keep both degrees in x.  Then the gcd g of a and b keeps its degree in
-    x too (its leading coefficient divides a's), and g(x, c) divides the
-    images' gcd; so an image gcd of degree 0 proves deg_x g = 0.  Proven
-    for every such x, g is constant.  False means only "not proven": a few
-    points are tried, and unlucky ones leave the question to the caller.
-    """
-    n = len(a.vars)
-    for index in range(n):
-        if not (a.depends_on(index) and b.depends_on(index)):
-            continue
-        da, db = _degree_in(a, index), _degree_in(b, index)
-        for attempt in range(3):
-            point = [attempt * n + j + 2 for j in range(n)]
+    keep both degrees in x.  The gcd g of a and b keeps its degree in x too
+    (its leading coefficient in x divides a's), and g(x, c) divides the
+    gcd of the images; so a constant image gcd proves deg_x g = 0.  Proven
+    for every such x, g is constant.  False means only "not proven": one
+    point is tried, and an unlucky one leaves the question to the sequence."""
+    point = range(2, len(a.vars) + 2)
+    for index in range(len(a.vars)):
+        if a.depends_on(index) and b.depends_on(index):
             fa, fb = _image(a, index, point), _image(b, index, point)
-            if fa[da] and fb[db] and _univariate_gcd_degree(fa, fb) == 0:
-                break
-        else:
-            return False
+            if (_degree_in(fa, index) != _degree_in(a, index)
+                    or _degree_in(fb, index) != _degree_in(b, index)
+                    or not poly_gcd(fa, fb).is_constant()):
+                return False
     return True
-
-
-def _from_image(ints, index, xi):
-    """The integer terms whose coefficients of x_index^0, x_index^1, ... are
-    the digits of ``ints`` in base xi, each taken in [-xi/2, xi/2)."""
-    out, k, half = {}, 0, xi // 2
-    while ints:
-        rest = {}
-        for expo, n in ints.items():
-            digit = (n + half) % xi - half
-            if digit:
-                out[expo[:index] + (k,) + expo[index + 1:]] = digit
-            if n != digit:
-                rest[expo] = (n - digit) // xi
-        ints, k = rest, k + 1
-    return out
-
-
-def _heuristic_gcd(a: PolyScalar, b: PolyScalar, live):
-    """A common divisor of the integer polynomials a and b, or None: GCDHEU
-    (Char, Geddes & Gonnet, J. Symb. Comput. 7 (1989)).  The gcd of their
-    integer contents times that of their primitive parts: the last
-    coordinate of ``live`` is set to an integer xi, the gcd of the images
-    is found over the rest, and its base-xi digits are read back as
-    coefficients; the result is kept only if it divides both.  xi grows on
-    each of six tries."""
-    content = Fraction(math.gcd(a.content.numerator, b.content.numerator))
-    if not live:  # integers
-        return PolyScalar.const(a.vars, content)
-    index, rest = live[-1], live[:-1]
-    xi = 2 * min(max(map(abs, a.ints.values())), max(map(abs, b.ints.values()))) + 29
-    for _ in range(6):
-        image_a = _make(a.vars, _at(a.ints, index, xi))
-        image_b = _make(a.vars, _at(b.ints, index, xi))
-        h = None if image_a.is_zero() or image_b.is_zero() else _heuristic_gcd(
-            image_a, image_b, rest)
-        if h is not None:
-            h = _make(a.vars, _from_image({e: h.content.numerator * n for e, n in h.ints.items()},
-                                          index, xi))
-            if poly_quotient(a, h) is not None and poly_quotient(b, h) is not None:
-                return _poly(a.vars, h.ints, content)
-        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011
-    return None
 
 
 def poly_gcd(a: PolyScalar, b: PolyScalar) -> PolyScalar:
     """Multivariate gcd over the rationals, normalized to graded-lex-monic.
 
-    Constants do not change a gcd over the rationals, so it runs on integer
-    primitive parts, and every answer is proven.  Coprime inputs, the
-    common case, are proven so by univariate images
-    (:func:`_coprime_by_images`).  Else :func:`_heuristic_gcd` proposes a
-    common divisor, the gcd when images prove its cofactors coprime.  Else
-    the content of each input in its main variable (the gcd of its
-    coefficients there, recursively) is split off, and the primitive parts
-    go through a pseudo-remainder sequence over the integers in which each
-    remainder is made primitive, its integer content and its content in the
-    main variable divided out (Collins, JACM 14 (1967); Brown, JACM 18
-    (1971)).
+    Coprime inputs, the common case, are proven so by univariate images
+    (:func:`_coprime_by_images`).  Otherwise the content of each input in
+    its main variable (the gcd of its coefficients there, recursively) is
+    split off, and the primitive parts go through the subresultant
+    pseudo-remainder sequence (Collins, JACM 14 (1967); Brown, JACM 18
+    (1971)): each pseudo-remainder is divided exactly by a factor known from
+    the previous leading coefficients, which bounds coefficient growth
+    without a gcd per step.  The last nonzero remainder made primitive in
+    the main variable, times the gcd of the contents, is the gcd.  Constants
+    do not change a gcd over the rationals, and the integer coefficients of
+    the stored form make every division exact over the integers.
 
     Arithmetic never calls it: a :class:`RationalScalar` runs it once per
     distinct denominator factor when it leaves arithmetic, against that one
@@ -635,42 +551,42 @@ def poly_gcd(a: PolyScalar, b: PolyScalar) -> PolyScalar:
         return _monic_grlex(b)
     if b.is_zero():
         return _monic_grlex(a)
-    if a.is_constant() or b.is_constant() or _coprime_by_images(a, b):
-        return PolyScalar.const(a.vars, 1)
-    a, b = _primitive(a), _primitive(b)
     live = [i for i in range(len(a.vars)) if a.depends_on(i) or b.depends_on(i)]
-    h = _heuristic_gcd(a, b, live)
-    # a common divisor is the gcd when images prove its cofactors coprime
-    if h is not None and _coprime_by_images(poly_quotient(a, h), poly_quotient(b, h)):
-        return _monic_grlex(h)
+    # images are univariate, so a univariate pair goes straight to the sequence
+    if a.is_constant() or b.is_constant() or len(live) > 1 and _coprime_by_images(a, b):
+        return PolyScalar.const(a.vars, 1)
     main = live[-1]
     if not a.depends_on(main):
         return poly_gcd(a, _content_in(b, main))
     if not b.depends_on(main):
         return poly_gcd(_content_in(a, main), b)
     ca, cb = _content_in(a, main), _content_in(b, main)
-    A, B = _primitive(poly_quotient(a, ca)), _primitive(poly_quotient(b, cb))
-    while not B.is_zero():
+    content = poly_gcd(ca, cb)
+    A, B = poly_quotient(a, ca), poly_quotient(b, cb)
+    if _degree_in(A, main) < _degree_in(B, main):
+        A, B = B, A
+    g = h = PolyScalar.const(a.vars, 1)
+    while True:
+        delta = _degree_in(A, main) - _degree_in(B, main)
         R = _pseudo_rem(A, B, main)
-        if not R.is_zero():
-            R = _primitive(R)
-            content = _content_in(R, main)
-            if not content.is_constant():
-                R = _primitive(poly_quotient(R, content))
-        A, B = B, R
-    if not A.depends_on(main):
-        return poly_gcd(ca, cb)
-    return _monic_grlex(poly_gcd(ca, cb) * A)
+        if R.is_zero():
+            break
+        if not R.depends_on(main):
+            return content
+        A, B = B, poly_quotient(R, g * h**delta)
+        g = _leading_in(A, main)
+        h = h if delta == 0 else poly_quotient(g**delta, h ** (delta - 1))
+    return _monic_grlex(content * poly_quotient(B, _content_in(B, main)))
 
 
 def _pseudo_rem(a: PolyScalar, b: PolyScalar, main):
-    """a times a power of b's leading coefficient in x_main, reduced by
-    multiples of b to a degree in x_main below b's."""
+    """lc(b)^(deg a - deg b + 1) * a reduced modulo b in x_main, lc(b) the
+    leading coefficient of b in x_main."""
     db, lc_b, x = _degree_in(b, main), _leading_in(b, main), PolyScalar.coordinate(a.vars, main)
-    r = a
+    r, k = a, _degree_in(a, main) - db + 1
     while not r.is_zero() and (dr := _degree_in(r, main)) >= db:
-        r = lc_b * r - _leading_in(r, main) * x ** (dr - db) * b
-    return r
+        r, k = lc_b * r - _leading_in(r, main) * x ** (dr - db) * b, k - 1
+    return r * lc_b**k
 
 
 # -- factor multisets: {key: (monic nonconstant factor, multiplicity)} ----------
@@ -992,7 +908,7 @@ def _sum_block(j, p: PolyScalar, namespace):
     order = sorted(p.ints, key=_grlex_key, reverse=True)
     one_sign = len(order) < 2 or (len({p.ints[expo] > 0 for expo in order}) == 1
                                   and all(e % 2 == 0 for expo in order for e in expo))
-    terms, coefficients = [], p.terms
+    terms, coefficients = [], p.fraction_terms()
     for k, expo in enumerate(order):
         # the float of the exact coefficient, never float(content) * n
         namespace[f"c{j}_{k}"] = float(coefficients[expo])
@@ -1509,7 +1425,7 @@ class NumericExpr:
 
 def from_poly(p: PolyScalar) -> NumericExpr:
     """Rebuild a polynomial as an expression tree on the same chart."""
-    total, terms = NumericExpr.zero(p.vars), p.terms
+    total, terms = NumericExpr.zero(p.vars), p.fraction_terms()
     for expo in sorted(terms, key=_grlex_key):
         term = NumericExpr.const(p.vars, terms[expo])
         for i, e in enumerate(expo):

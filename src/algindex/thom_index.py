@@ -161,7 +161,7 @@ class IntegrationResult:
 
 def _poly_box_integral(p: PolyScalar, bounds) -> Fraction:
     total = Fraction(0)
-    for expo, coeff in p.terms.items():
+    for expo, coeff in p.fraction_terms().items():
         term = coeff
         for (lo, hi), e in zip(bounds, expo):
             term *= (hi ** (e + 1) - lo ** (e + 1)) / (e + 1)
@@ -190,9 +190,9 @@ def _quadrature_key(pairing, domain, tol, budget):
     if isinstance(pairing, NumericExpr):
         integrand = pairing.node
     elif isinstance(pairing, RationalScalar):
-        integrand = (pairing.num.terms, pairing.den.terms)
+        integrand = (pairing.num.fraction_terms(), pairing.den.fraction_terms())
     else:
-        integrand = pairing.terms
+        integrand = pairing.fraction_terms()
     bounds = tuple(domain.bounds) if isinstance(domain, BoxDomain) else None
     # the cheap fields first: a tuple compares item by item and stops at a difference
     return tol, budget, bounds, integrand

@@ -143,7 +143,7 @@ def test_numeric_derivative_vs_central_differences():
 
 def test_no_zero_terms_stored():
     p = P("x") - P("x")
-    assert p.terms == {}
+    assert p.fraction_terms() == {}
     assert p.is_zero()
 
 
@@ -165,7 +165,7 @@ def test_arithmetic_builds_clean_terms():
                    (a * 3, "*3"), (a.derive(0), "d0"), (b.derive(1), "d1")]
         for value, _ in results:
             assert value.vars == XY
-            for expo, coeff in value.terms.items():
+            for expo, coeff in value.fraction_terms().items():
                 assert type(coeff) is Fraction and coeff != 0
                 assert len(expo) == 2 and all(type(e) is int for e in expo)
         if sympy is None:
@@ -174,7 +174,7 @@ def test_arithmetic_builds_clean_terms():
 
         def expanded(p):
             return sum((sympy.Rational(c.numerator, c.denominator) * sx**i * sy**j
-                        for (i, j), c in p.terms.items()), sympy.Integer(0))
+                        for (i, j), c in p.fraction_terms().items()), sympy.Integer(0))
 
         sa, sb = expanded(a), expanded(b)
         want = {"+": sa + sb, "-": sa - sb, "*": sa * sb, "neg": -sa, "2-": 2 - sa,
@@ -318,7 +318,7 @@ def _uncompiled_eval_float(p, point):
         return _exact_float(p.eval(point))
     try:
         total = largest = 0.0
-        values, terms = [float(v) for v in point], p.terms
+        values, terms = [float(v) for v in point], p.fraction_terms()
         for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
             term = float(terms[expo])
             for v, e in zip(values, expo):
@@ -416,7 +416,7 @@ def test_compiled_float_overflow_falls_back_to_exact():
 
 def test_compiled_float_cancellation_falls_back_to_exact():
     p = P("(x - 1)^8")  # expanded: nine terms of size up to 70 cancel near x = 1
-    assert len(p.terms) == 9
+    assert len(p.fraction_terms()) == 9
     point = (1 + 2.0**-10, 0.25)
     assert assert_same_bits(p, point) == 2.0**-80
     assert assert_same_bits(p / P("1 + y^2"), point) == float((p / P("1 + y^2")).eval(point))
@@ -498,7 +498,7 @@ def test_generated_evaluator_of_twelve_thousand_terms():
     terms = {(i, j): Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 5))
              for i in range(110) for j in range(110)}
     p = PolyScalar(XY, terms)
-    assert len(p.terms) == 12100
+    assert len(p.fraction_terms()) == 12100
     for point in [(0.5, -0.25), (1.5, -0.0)]:
         assert_same_bits(p, point)
 
@@ -547,7 +547,7 @@ def _reference_sum(p, point):
     coefficient times its powers in coordinate order; trusted when finite
     and at least 1e-8 times its largest |term|."""
     try:
-        xs, terms = [float(v) for v in point], p.terms
+        xs, terms = [float(v) for v in point], p.fraction_terms()
         total = largest = 0.0
         for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
             term = float(terms[expo])
@@ -565,7 +565,7 @@ def _reference_exact(p, point):
     """The exact value of ``p`` at ``point``, summed in Fractions."""
     values = [Fraction(v) for v in point]
     total = Fraction(0)
-    for expo, coeff in p.terms.items():
+    for expo, coeff in p.fraction_terms().items():
         term = Fraction(coeff)
         for v, e in zip(values, expo):
             term *= v**e
@@ -922,6 +922,30 @@ def test_gcd_of_a_power_and_its_derivative_within_budget():
     assert elapsed < 0.5, f"took {elapsed:.2f}s (budget 0.5s)"
 
 
+# (coordinates, a, b, their graded-lex-monic gcd), checked against sympy.gcd
+GCD_CASES = [
+    (("w", "x", "y", "z"), f"({FOUND_PAIR[0]})*(w - x*y + 2)", f"({FOUND_PAIR[1]})*(w - x*y + 2)",
+     "x*y - w - 2"),
+    (("x", "y", "z"), "(x + y*z)^2*(1 + x - z)", "(x + y*z)*(x^2 - y)", "x + y*z"),
+    (("x", "y", "z"), "(2*x*y - 3*z^2 + 1)^2*(x^3 - y*z)", "(2*x*y - 3*z^2 + 1)^3*(y^2 + z + 5)",
+     "(x*y - 3/2*z^2 + 1/2)^2"),
+    (("x", "y", "z"), "(x*y*z - 1/2)*(x^2 + y^2 + z^2 - 1)", "(x*y*z - 1/2)*(x + y + z)^2",
+     "x*y*z - 1/2"),
+    (("x", "y", "z"), "-5/9*x^3*y*z*(6*x^3*y^3*z^2 + 19/12*x*y^3*z^3 - 7*x)",
+     "-5/9*x^3*y*z*(8/5*y^3*z^3 - 3/7*x*y^2*z^2 + 8/3*y^3*z)", "x^3*y*z"),
+    # coprime, but at x = 2 both images share y, so the sequence decides
+    (XY, "y + x - 2", "y^2 + y + x - 2", "1"),
+]
+
+
+@pytest.mark.parametrize("names, a, b, want", GCD_CASES)
+def test_gcd_keeps_the_shared_factor(names, a, b, want):
+    chart = Chart(names)
+    a, b = chart.parse(a), chart.parse(b)
+    assert poly_gcd(a, b) == chart.parse(want)
+    assert poly_gcd(b, a) == chart.parse(want)
+
+
 # -- the integer form against Fraction-coefficient arithmetic ----------------------
 
 _COEFFICIENTS = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -948,26 +972,25 @@ def _product(a, b):
 
 def _assert_canonical(p):
     """Primitive integers with a positive graded-lex leading value, the
-    content carrying the rest; terms is content times the integers."""
+    content carrying the rest; fraction_terms() is content times the integers."""
     assert type(p.content) is Fraction
     if not p.ints:
-        assert p.content == 0 and p.terms == {}
+        assert p.content == 0 and p.fraction_terms() == {}
         return
     assert p.content != 0
     assert all(type(n) is int and n != 0 for n in p.ints.values())
     assert all(len(e) == len(p.vars) and all(type(k) is int for k in e) for e in p.ints)
     assert math.gcd(*p.ints.values()) == 1
     assert p.ints[max(p.ints, key=lambda e: (sum(e), e))] > 0
-    assert p.terms == {e: p.content * n for e, n in p.ints.items()}
+    assert p.fraction_terms() == {e: p.content * n for e, n in p.ints.items()}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from([XY, ("x", "y", "z")]).flatmap(
-    lambda names: st.tuples(_polys(names), _polys(names), _polys(names),
-                            st.integers(0, 3), _COEFFICIENTS)))
+    lambda names: st.tuples(_polys(names), _polys(names), st.integers(0, 3), _COEFFICIENTS)))
 def test_every_arithmetic_result_is_canonical(case):
-    a, b, c, k, q = case
-    ta, tb = a.terms, b.terms
+    a, b, k, q = case
+    ta, tb = a.fraction_terms(), b.fraction_terms()
     power = {(0,) * len(a.vars): Fraction(1)}
     for _ in range(k):
         power = _product(power, ta)
@@ -980,14 +1003,22 @@ def test_every_arithmetic_result_is_canonical(case):
         results.append((poly_quotient(a * b, b), ta))
     for value, want in results:
         _assert_canonical(value)
-        assert value.terms == want
-    # the gcd divides both inputs, is divided by every common factor, and is monic
-    if not (a * c).is_zero() and not (b * c).is_zero():
-        g = poly_gcd(a * c, b * c)
-        _assert_canonical(g)
-        assert g.content * g.ints[max(g.ints, key=lambda e: (sum(e), e))] == 1  # monic
-        assert poly_quotient(a * c, g) is not None and poly_quotient(b * c, g) is not None
-        assert poly_quotient(g, c) is not None
+        assert value.fraction_terms() == want
+
+
+# Two coordinates: the remainder sequence settles these in milliseconds, while
+# three-coordinate factors of this size can take seconds (see GCD_CASES for
+# three and four coordinates).
+@settings(max_examples=100, deadline=2000)
+@given(_polys(XY), _polys(XY), _polys(XY))
+def test_gcd_divides_both_and_keeps_every_common_factor(a, b, c):
+    if (a * c).is_zero() or (b * c).is_zero():
+        return
+    g = poly_gcd(a * c, b * c)
+    _assert_canonical(g)
+    assert g.content * g.ints[max(g.ints, key=lambda e: (sum(e), e))] == 1  # monic
+    assert poly_quotient(a * c, g) is not None and poly_quotient(b * c, g) is not None
+    assert poly_quotient(g, c) is not None
 
 
 def test_divisor_groups_are_divided_in_turn():
