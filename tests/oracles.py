@@ -210,3 +210,103 @@ def central_difference(f, point, index, h=1e-6):
     plus[index] += h
     minus[index] -= h
     return (f(plus) - f(minus)) / (2 * h)
+
+
+# -- Lie algebroid and morphism checks by index loops ------------------------
+#
+# The bracket-morphism, Jacobi and morphism identities expanded over frame
+# indices, as the library checked them before validation became d o d = 0.
+# Each returns the violations (kind, 1-based indices, residual) in report
+# order; only chart scalars and the presentation's arrays are used.
+
+
+def _apply(A, a, f):
+    """rho(e_a)(f) = sum_i rho^i_a df/dx_i."""
+    out = A.chart.zero()
+    for i, coeff in enumerate(A.anchor[a]):
+        if not coeff.is_zero():
+            out = out + coeff * f.derive(i)
+    return out
+
+
+def _bracket(A, a, b):
+    zero = [A.chart.zero()] * A.rank
+    if a < b:
+        return list(A.structure.get((a, b), zero))
+    return [-c for c in A.structure.get((b, a), zero)]
+
+
+def algebroid_violations(A):
+    found = []
+    # rho([e_a, e_b])^i = rho(e_a)(rho^i_b) - rho(e_b)(rho^i_a)
+    for a, b in combinations(range(A.rank), 2):
+        coeffs = _bracket(A, a, b)
+        for i in range(A.chart.dim):
+            lhs = A.chart.zero()
+            for c in range(A.rank):
+                if not coeffs[c].is_zero():
+                    lhs = lhs + coeffs[c] * A.anchor[c][i]
+            residual = lhs - (_apply(A, a, A.anchor[b][i]) - _apply(A, b, A.anchor[a][i]))
+            if not residual.is_zero():
+                found.append(("anchor-morphism", (a + 1, b + 1, i + 1), residual))
+    # [[e_a, e_b], e_c] + cyclic, with [f e_d, e_z] = f [e_d, e_z] - rho(e_z)(f) e_d;
+    # the first nonzero component is reported
+    for a, b, c in combinations(range(A.rank), 3):
+        total = {}
+        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
+            for d, coeff in enumerate(_bracket(A, x, y)):
+                if coeff.is_zero():
+                    continue
+                for e, value in enumerate(_bracket(A, d, z)):
+                    if not value.is_zero():
+                        total[e] = total.get(e, A.chart.zero()) + coeff * value
+                if A.chart.dim:
+                    total[d] = total.get(d, A.chart.zero()) - _apply(A, z, coeff)
+        for e in sorted(total):
+            if not total[e].is_zero():
+                found.append(("jacobi", (a + 1, b + 1, c + 1), total[e]))
+                break
+    return found
+
+
+def morphism_violations(morphism):
+    src, tgt = morphism.source, morphism.target
+    phi, zero = morphism.bundle_map, src.chart.zero()
+
+    def compose(scalar):
+        return scalar.substitute(morphism.base_map)
+
+    found = []
+    # rho_2(phi(e_a))^i o f = rho_1(e_a)(f^i)
+    for a in range(src.rank):
+        for i in range(tgt.chart.dim):
+            lhs = zero
+            for b in range(tgt.rank):
+                if not phi[a][b].is_zero():
+                    lhs = lhs + phi[a][b] * compose(tgt.anchor[b][i])
+            residual = lhs - _apply(src, a, morphism.base_map[i])
+            if not residual.is_zero():
+                found.append(("anchor-compatibility", (a + 1, i + 1), residual))
+    # phi([e_a, e_b]) = sum phi^c_a phi^d_b [e_c, e_d] o f
+    #                   + rho_1(e_a)(phi^d_b) e_d - rho_1(e_b)(phi^c_a) e_c
+    for a, b in combinations(range(src.rank), 2):
+        lhs = [zero] * tgt.rank
+        for c, coeff in enumerate(_bracket(src, a, b)):
+            if not coeff.is_zero():
+                for d in range(tgt.rank):
+                    if not phi[c][d].is_zero():
+                        lhs[d] = lhs[d] + coeff * phi[c][d]
+        rhs = [zero] * tgt.rank
+        for c in range(tgt.rank):
+            for d in range(tgt.rank):
+                if phi[a][c].is_zero() or phi[b][d].is_zero():
+                    continue
+                for e, value in enumerate(_bracket(tgt, c, d)):
+                    if not value.is_zero():
+                        rhs[e] = rhs[e] + phi[a][c] * phi[b][d] * compose(value)
+        for d in range(tgt.rank):
+            rhs[d] = rhs[d] + _apply(src, a, phi[b][d]) - _apply(src, b, phi[a][d])
+            residual = lhs[d] - rhs[d]
+            if not residual.is_zero():
+                found.append(("bracket-compatibility", (a + 1, b + 1, d + 1), residual))
+    return found

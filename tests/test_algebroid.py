@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -79,6 +80,61 @@ def test_antisymmetry_is_structural(su2):
         alg.AlgebroidPresentation(
             Chart((), "poly"), 2, [[], []], {(0, 0): [1, 0]}, "diag"
         )
+
+
+def _random_poly(rng, chart):
+    """A small polynomial in x, y: up to three terms of degree <= 2, or zero."""
+    x, y = chart.coord(0), chart.coord(1)
+    out = chart.zero()
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        out = out + rng.randint(-2, 2) * x ** rng.randint(0, 2) * y ** rng.randint(0, 1)
+    return out
+
+
+def _random_presentation(rng, chart, name):
+    rank = rng.randint(2, 4)
+    anchor = [[_random_poly(rng, chart) for _ in range(2)] for _ in range(rank)]
+    structure = {(a, b): [_random_poly(rng, chart) for _ in range(rank)]
+                 for a in range(rank) for b in range(a + 1, rank) if rng.random() < 0.7}
+    return alg.AlgebroidPresentation(chart, rank, anchor, structure, name)
+
+
+def _violations(report):
+    return [(v.kind, v.indices, str(v.residual)) for v in report.violations]
+
+
+def _expected(found):
+    return [(kind, indices, str(residual)) for kind, indices, residual in found]
+
+
+def test_validate_matches_the_index_loop_oracle():
+    # mostly invalid presentations: every residual, its indices and its place
+    # in the report agree with the expansion over frame indices
+    rng = random.Random(2905)
+    chart = Chart(("x", "y"))
+    seen = 0
+    for n in range(40):
+        A = _random_presentation(rng, chart, f"random{n}")
+        expected = _expected(oracles.algebroid_violations(A))
+        assert _violations(A.validate()) == expected, A.structure
+        seen += len(expected)
+    assert seen > 100
+
+
+def test_morphism_validate_matches_the_index_loop_oracle():
+    rng = random.Random(2906)
+    chart = Chart(("x", "y"))
+    seen = 0
+    for n in range(20):
+        src = _random_presentation(rng, chart, "source")
+        tgt = _random_presentation(rng, chart, "target")
+        base = [_random_poly(rng, chart) for _ in range(2)]
+        bundle = [[_random_poly(rng, chart) for _ in range(tgt.rank)] for _ in range(src.rank)]
+        morphism = alg.AlgebroidMorphism(src, tgt, base, bundle, f"random{n}")
+        expected = _expected(oracles.morphism_violations(morphism))
+        assert _violations(morphism.validate()) == expected
+        seen += len(expected)
+    assert seen > 100
 
 
 # -- constructions ---------------------------------------------------------------

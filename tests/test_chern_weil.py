@@ -135,6 +135,33 @@ def test_levi_civita_round_sphere_against_finite_differences(t2, sphere_metric):
                 assert abs(koszul - got) <= 1e-5
 
 
+def test_residuals_of_a_connection_with_torsion(t2, su2):
+    # T(e_a, e_b)^c = Gamma_a[c][b] - Gamma_b[c][a] - C^c_ab, pinned per pair
+    x, y = t2.chart.coord(0), t2.chart.coord(1)
+    conn = cw.GConnection(t2, 2, [[[x, x * x], [1, y]], [[1, x * y], [2, 0]]])
+    torsion = cw.torsion_residuals(conn)
+    assert {k: [str(v) for v in vs] for k, vs in torsion.items()} == {
+        (0, 1): ["x1^2 - 1", "x2 - 2"]}
+    # the zero connection on su2 has torsion -[e_a, e_b]
+    torsion = cw.torsion_residuals(cw.GConnection.zero(su2, 3))
+    assert {k: [str(v) for v in vs] for k, vs in torsion.items()} == {
+        (0, 1): ["0", "0", "-1"], (0, 2): ["0", "1", "0"], (1, 2): ["-1", "0", "0"]}
+    metric = cw.metric_residuals(conn, cw.Metric.identity(t2))
+    assert {k: str(v) for k, v in metric.items()} == {
+        (0, 0, 0): "-2*x1", (0, 0, 1): "-x1^2 - 1", (0, 1, 0): "-x1^2 - 1",
+        (0, 1, 1): "-2*x2", (1, 0, 0): "-2", (1, 0, 1): "-x1*x2 - 2",
+        (1, 1, 0): "-x1*x2 - 2"}
+
+
+@pytest.mark.parametrize("residuals", [
+    cw.torsion_residuals,
+    lambda conn: cw.metric_residuals(conn, cw.Metric.identity(conn.algebroid)),
+], ids=["torsion", "metric"])
+def test_residuals_refuse_a_bundle_of_another_rank(t2, residuals):
+    with pytest.raises(AlgindexError, match="bundle rank"):
+        residuals(cw.GConnection.zero(t2, 1))
+
+
 def test_levi_civita_rejects_singular_metric(aff1):
     entries = [[1, 1], [1, 1]]
     with pytest.raises(ValueError):

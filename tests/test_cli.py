@@ -71,7 +71,9 @@ def test_every_bundled_job_has_goldens():
 # back to the exact quotient, pull-backs and products on either backend,
 # which print the scalars each construction lifts onto its chart, a box
 # whose two axes share every span but not their powers, on either backend,
-# and the full Lie algebra cohomology of gl(4) and so(5)
+# the full Lie algebra cohomology of gl(4) and so(5), and the validation
+# reports of a presentation that breaks both algebroid identities, on either
+# backend; a document with failed computations exits 1
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -79,7 +81,8 @@ DOCUMENTS = Path(__file__).parent / "documents"
 @pytest.mark.parametrize("name", sorted(p.stem for p in DOCUMENTS.glob("*.yaml")))
 def test_document_matches_golden(name, fmt):
     proc = run_cli(["--format", fmt, "run", str(DOCUMENTS / f"{name}.yaml")])
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    failures = json.loads((DOCUMENTS / f"{name}.json").read_text())["failures"]
+    assert proc.returncode == (1 if failures else 0), proc.stdout + proc.stderr
     assert proc.stdout == (DOCUMENTS / f"{name}.{fmt}").read_text()
 
 
@@ -332,6 +335,26 @@ def test_algebroids_may_name_one_declared_after_them(tmp_path, capsys):
     reports = json.loads(capsys.readouterr().out)["results"][0]["result"]
     assert {name: report["status"] for name, report in reports.items()} == {
         "both": "valid", "dual": "valid", "line": "valid"}
+
+
+def test_validate_of_a_chain_of_100_pullbacks_within_budget(tmp_path):
+    # each level adds a coordinate and a vertical field, so the top one has
+    # rank 101 over 100 coordinates; its validation must not grow with the
+    # cube of the rank
+    names = [f"a{k:03d}" for k in range(101)]
+    doc = _algebroids_document(
+        tmp_path,
+        f"  {names[0]}: {{kind: lie_algebra, rank: 1}}\n" + "".join(
+            f"  {b}: {{kind: pullback, parent: {a}, fiber_dim: 1}}\n"
+            for a, b in zip(names, names[1:])),
+        f"computations:\n  - {{op: validate, algebroid: {names[-1]}}}\n")
+    start = time.monotonic()
+    proc = run_cli(["--format", "json", "run", doc])
+    elapsed = time.monotonic() - start
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["results"][0]["result"] == {
+        names[-1]: {"status": "valid", "violations": []}}
+    assert elapsed < 6.0, f"the 100-level chain took {elapsed:.2f}s (budget 6s)"
 
 
 @pytest.mark.parametrize("algebroids", [
