@@ -6,11 +6,12 @@ frame e_1..e_r over chart coordinates x_1..x_n:
     rho(e_a) = sum_i anchor[a][i] d/dx_i
     [e_a, e_b] = sum_c C^c_ab e_c        (C stored for a < b only)
 
-``validate`` checks antisymmetry (structural), the anchor bracket-morphism
-identity and the Jacobi identity by exact symbolic expansion and reports
-every nonzero residual.  Direct products and morphisms (with their two
-compatibility conditions) live here as well, and so do trivial-fibration
-pull-backs, which are products with the tangent algebroid of the fiber.
+Antisymmetry is structural; ``validate`` reports every nonzero value of
+d o d on the coordinates and the dual frame, where the Koszul differential
+``forms.d_g`` squares to zero exactly on Lie algebroids.  Direct products
+and morphisms (valid when pull-back commutes with d) live here as well, and
+so do trivial-fibration pull-backs, which are products with the tangent
+algebroid of the fiber.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count, islice
 
+from .forms import AlgForm, d_g, pullback_form
 from .scalars import AlgindexError, Chart
 
 
@@ -92,6 +94,8 @@ class AlgebroidPresentation:
             if len(row) != chart.dim:
                 raise PresentationError("anchor rows must match the chart dimension")
         self.structure = {}
+        # structure_into[c]: (a, b, C^c_ab) for a < b and C^c_ab != 0
+        self.structure_into = [[] for _ in range(self.rank)]
         for key, coeffs in structure.items():
             a, b = key
             if not (0 <= a < self.rank and 0 <= b < self.rank):
@@ -105,8 +109,10 @@ class AlgebroidPresentation:
                 a, b, coeffs = b, a, [-c for c in coeffs]
             if (a, b) in self.structure:
                 raise PresentationError(f"duplicate structure entry for {(a, b)}")
-            if any(not c.is_zero() for c in coeffs):
-                self.structure[(a, b)] = coeffs
+            for c, value in enumerate(coeffs):
+                if not value.is_zero():
+                    self.structure[(a, b)] = coeffs
+                    self.structure_into[c].append((a, b, value))
 
     @property
     def base_dim(self):
@@ -137,54 +143,26 @@ class AlgebroidPresentation:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> ValidationReport:
+        """A presentation is a Lie algebroid exactly when d o d = 0 on the
+        coordinates x_i and the dual frame e^c (Vaintrob, Lie algebroids and
+        homological vector fields, Russian Math. Surveys 52, 1997), where
+
+            -(d^2 x_i)(e_a, e_b) = rho([e_a, e_b]) x_i - [rho(e_a), rho(e_b)] x_i
+            (d^2 e^e)(e_a, e_b, e_c) = ([[e_a, e_b], e_c] + cyclic)^e.
+
+        An ``anchor-morphism`` violation (a, b, i) reports the first and a
+        ``jacobi`` violation (a, b, c) the second, at the first e where it
+        is nonzero.
+        """
         report = ValidationReport(self.name)
-        self._check_anchor_morphism(report)
-        self._check_jacobi(report)
+        anchor = [((a + 1, b + 1, i + 1), -value) for i in range(self.base_dim) for (a, b), value
+                  in d_g(d_g(AlgForm.constant(self, self.chart.coord(i)))).coeffs.items()]
+        for indices, residual in sorted(anchor, key=lambda item: item[0]):
+            report.add("anchor-morphism", indices, residual)
+        jacobi = [d_g(d_g(AlgForm.dual_basis(self, (e,)))).coeffs for e in range(self.rank)]
+        for T in sorted(set().union(*jacobi)):
+            report.add("jacobi", [t + 1 for t in T], next(dd[T] for dd in jacobi if T in dd))
         return report
-
-    def _check_anchor_morphism(self, report):
-        # rho([e_a,e_b])^i = rho(e_a)(rho^i_b) - rho(e_b)(rho^i_a)
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                coeffs = self.bracket(a, b)
-                for i in range(self.base_dim):
-                    lhs = self.chart.zero()
-                    for c in range(self.rank):
-                        if not coeffs[c].is_zero():
-                            lhs = lhs + coeffs[c] * self.anchor[c][i]
-                    rhs = self.anchor_apply(a, self.anchor[b][i]) - self.anchor_apply(
-                        b, self.anchor[a][i]
-                    )
-                    residual = lhs - rhs
-                    if not residual.is_zero():
-                        report.add("anchor-morphism", (a + 1, b + 1, i + 1), residual)
-
-    def _jacobiator(self, a, b, c, brackets):
-        """[[e_a,e_b],e_c] + cyclic as ``{index: value}``, by the Leibniz rule."""
-        zero = self.chart.zero()
-        total = {}
-        for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-            for d, coeff in brackets.get((x, y), ()):
-                for e, value in brackets.get((d, z), ()):
-                    total[e] = total.get(e, zero) + coeff * value
-                # [f e_d, e_z] = f [e_d,e_z] - rho(e_z)(f) e_d
-                if self.base_dim:
-                    total[d] = total.get(d, zero) - self.anchor_apply(z, coeff)
-        return total
-
-    def _check_jacobi(self, report):
-        brackets = {}
-        for (a, b), coeffs in self.structure.items():
-            brackets[(a, b)] = [(c, v) for c, v in enumerate(coeffs) if not v.is_zero()]
-            brackets[(b, a)] = [(c, -v) for c, v in brackets[(a, b)]]
-        for a in range(self.rank):
-            for b in range(a + 1, self.rank):
-                for c in range(b + 1, self.rank):
-                    residual = self._jacobiator(a, b, c, brackets)
-                    for e in sorted(residual):
-                        if not residual[e].is_zero():
-                            report.add("jacobi", (a + 1, b + 1, c + 1), residual[e])
-                            break
 
     def __repr__(self):
         return (
@@ -339,51 +317,29 @@ class AlgebroidMorphism:
         return scalar.substitute(self.base_map)
 
     def validate(self) -> ValidationReport:
+        """A bundle map is a morphism exactly when its pull-back is a chain
+        map, phi* d = d phi* (Bojowald, Kotov and Strobl, J. Geom. Phys. 54,
+        2005); on the target's coordinates and dual frame, phi* d - d phi* is
+
+            (phi*(dx_i) - d(f^i))(e_a) = rho_2(phi(e_a)) x_i o f - rho_1(e_a)(f^i)
+            (phi*(de^d) - d(phi* e^d))(e_a, e_b) = (phi([e_a, e_b]) - [phi(e_a), phi(e_b)])^d,
+
+        reported as ``anchor-compatibility`` (a, i) and
+        ``bracket-compatibility`` (a, b, d).
+        """
         report = ValidationReport(self.name)
-        src, tgt = self.source, self.target
-        phi = self.bundle_map
-        # anchors: rho_2(phi(e_a))^i = sum_j rho_1(e_a)^j d f^i/dx_j
-        for a in range(src.rank):
-            for i in range(tgt.base_dim):
-                lhs = src.chart.zero()
-                for b in range(tgt.rank):
-                    if not phi[a][b].is_zero():
-                        lhs = lhs + phi[a][b] * self.compose_scalar(tgt.anchor[b][i])
-                rhs = src.anchor_apply(a, self.base_map[i])
-                residual = lhs - rhs
-                if not residual.is_zero():
-                    report.add("anchor-compatibility", (a + 1, i + 1), residual)
-        # brackets: phi([e_a,e_b]) = sum phi^c_a phi^d_b [e_c,e_d] o f
-        #           + rho_1(e_a)(phi^d_b) e_d - rho_1(e_b)(phi^c_a) e_c
-        for a in range(src.rank):
-            for b in range(a + 1, src.rank):
-                lhs = [src.chart.zero()] * tgt.rank
-                for c, coeff in enumerate(src.bracket(a, b)):
-                    if coeff.is_zero():
-                        continue
-                    for d in range(tgt.rank):
-                        if not phi[c][d].is_zero():
-                            lhs[d] = lhs[d] + coeff * phi[c][d]
-                rhs = [src.chart.zero()] * tgt.rank
-                for c in range(tgt.rank):
-                    if phi[a][c].is_zero():
-                        continue
-                    for d in range(tgt.rank):
-                        if phi[b][d].is_zero():
-                            continue
-                        target_bracket = tgt.bracket(c, d)
-                        for e in range(tgt.rank):
-                            if not target_bracket[e].is_zero():
-                                rhs[e] = rhs[e] + phi[a][c] * phi[b][d] * (
-                                    self.compose_scalar(target_bracket[e])
-                                )
-                for d in range(tgt.rank):
-                    rhs[d] = rhs[d] + src.anchor_apply(a, phi[b][d])
-                    rhs[d] = rhs[d] - src.anchor_apply(b, phi[a][d])
-                for d in range(tgt.rank):
-                    residual = lhs[d] - rhs[d]
-                    if not residual.is_zero():
-                        report.add("bracket-compatibility", (a + 1, b + 1, d + 1), residual)
+        tgt = self.target
+
+        def defect(form):
+            return (pullback_form(self, d_g(form)) - d_g(pullback_form(self, form))).coeffs
+
+        anchor = [((a + 1, i + 1), value) for i in range(tgt.base_dim)
+                  for (a,), value in defect(AlgForm.constant(tgt, tgt.chart.coord(i))).items()]
+        bracket = [((a + 1, b + 1, d + 1), value) for d in range(tgt.rank)
+                   for (a, b), value in defect(AlgForm.dual_basis(tgt, (d,))).items()]
+        for kind, found in (("anchor-compatibility", anchor), ("bracket-compatibility", bracket)):
+            for indices, residual in sorted(found, key=lambda item: item[0]):
+                report.add(kind, indices, residual)
         return report
 
     def __repr__(self):

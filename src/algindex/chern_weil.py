@@ -22,7 +22,7 @@ from math import factorial
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, GConnection, _scalar_det, d_g
+from .forms import AlgForm, GConnection, _scalar_det, d_g, d_nabla
 from .scalars import AlgindexError, Chart, PolyScalar
 
 
@@ -279,25 +279,21 @@ def levi_civita(A: AlgebroidPresentation, metric: Metric) -> GConnection:
 
 
 def torsion_residuals(conn: GConnection):
-    """nabla_a e_b - nabla_b e_a - [e_a, e_b], per frame pair."""
+    """nabla_a e_b - nabla_b e_a - [e_a, e_b] per frame pair (a, b) where it
+    is not zero, as a list over c: by Cartan's first structure equation the
+    torsion is d_nabla of the solder form theta = (e^1, ..., e^r)
+    (Kobayashi and Nomizu, Foundations of Differential Geometry I, ch. III)."""
     A = conn.algebroid
-    out = {}
-    for a in range(A.rank):
-        for b in range(a + 1, A.rank):
-            bracket = A.bracket(a, b)
-            res = []
-            for c in range(A.rank):
-                res.append(
-                    conn.matrices[a][c][b] - conn.matrices[b][c][a] - bracket[c]
-                )
-            if any(not v.is_zero() for v in res):
-                out[(a, b)] = res
-    return out
+    torsion = d_nabla([AlgForm.dual_basis(A, (c,)) for c in range(A.rank)], conn)
+    return {pair: [t.value_on(pair) for t in torsion]
+            for pair in sorted(set().union(*(t.coeffs for t in torsion)))}
 
 
 def metric_residuals(conn: GConnection, metric: Metric):
     """rho(e_a)<e_b,e_c> - <nabla_a e_b, e_c> - <e_b, nabla_a e_c>."""
     A = conn.algebroid
+    if conn.bundle_rank != A.rank:
+        raise AlgindexError("the connection's bundle rank is not the algebroid's rank")
     g = metric.entries
     out = {}
     for a in range(A.rank):

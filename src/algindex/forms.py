@@ -8,10 +8,12 @@ recovered with the sorting sign.  The differential
     d w(X_0..X_k) = sum_i (-1)^i  rho(X_i) w(.. X_i omitted ..)
                   + sum_{i<j} (-1)^{i+j} w([X_i,X_j], .. X_i, X_j omitted ..)
 
-acts degree by degree and is the unique sign arrangement with d o d = 0
-(enforced by the test suite); on the tangent algebroid it is the de Rham
-differential, over a point it is the Chevalley-Eilenberg differential.
-Pull-back also acts degree by degree.
+is a derivation, so :func:`d_g` walks the form's nonzero terms only, with
+d f = sum_a rho(e_a)(f) e^a and de^c = -sum_{a<b} C^c_ab e^a ^ e^b; on the
+tangent algebroid it is the de Rham differential, over a point it is the
+Chevalley-Eilenberg differential.  d o d = 0 on the coordinates and the
+dual frame is what makes a presentation a Lie algebroid, and that is how
+``algebroid`` validates one.  Pull-back acts degree by degree.
 
 A form with values in a trivialized rank-m bundle is a list of m forms; a
 connection acts on it as d + Gamma^ (:func:`d_nabla`), whose square is
@@ -20,12 +22,12 @@ R^ for the curvature R of ``chern_weil.curvature``.
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
 
 from . import linalg
-from .algebroid import AlgebroidPresentation, AlgebroidMorphism
 from .scalars import AlgindexError, PolyScalar
 
 
@@ -46,7 +48,7 @@ class AlgForm:
     """A scalar algebroid form, homogeneous or not: the degree of a term is
     the length of its frame-index tuple."""
 
-    def __init__(self, algebroid: AlgebroidPresentation, coeffs=None):
+    def __init__(self, algebroid, coeffs=None):
         self.algebroid = algebroid
         self.coeffs = {}
         for indices, value in (coeffs or {}).items():
@@ -225,28 +227,28 @@ class GConnection:
 
 
 def d_g(form: AlgForm) -> AlgForm:
-    """The Koszul differential of a scalar form, taken degree by degree."""
+    """The Koszul differential of a scalar form, term by term: d(w e^T) =
+    sum_a rho(e_a)(w) e^a ^ e^T + w sum_j (-1)^j e^T<j ^ de^T_j ^ e^T>j; moving
+    a new e^a past the p indices below it to its sorted place gives (-1)^p."""
     A = form.algebroid
-    zero = A.chart.zero()
     out = {}
-    for k in form.degrees():
-        for T in combinations(range(A.rank), k + 1):
-            total = zero
-            for i, alpha in enumerate(T):
-                rest = T[:i] + T[i + 1 :]
-                term = A.anchor_apply(alpha, form.value_on(rest))
-                total = total + term if i % 2 == 0 else total - term
-            for i in range(k + 1):
-                for j in range(i + 1, k + 1):
-                    rest = tuple(T[l] for l in range(k + 1) if l != i and l != j)
-                    coeffs = A.bracket(T[i], T[j])
-                    for gamma in range(A.rank):
-                        if coeffs[gamma].is_zero():
-                            continue
-                        term = coeffs[gamma] * form.value_on((gamma,) + rest)
-                        total = total + term if (i + j) % 2 == 0 else total - term
-            if not total.is_zero():
-                out[T] = total
+
+    def add(key, value):
+        out[key] = out[key] + value if key in out else value
+
+    for T, w in form.coeffs.items():
+        if not w.is_constant():
+            for a in range(A.rank):
+                if a not in T:
+                    p, value = bisect(T, a), A.anchor_apply(a, w)
+                    add(T[:p] + (a,) + T[p:], -value if p % 2 else value)
+        for j, t in enumerate(T):
+            rest = T[:j] + T[j + 1:]
+            for a, b, c in A.structure_into[t]:  # de^t = -sum C^t_ab e^a ^ e^b
+                if a not in rest and b not in rest:
+                    p, q, value = bisect(rest, a), bisect(rest, b), w * c
+                    add(rest[:p] + (a,) + rest[p:q] + (b,) + rest[q:],
+                        value if (j + p + q) % 2 else -value)
     return AlgForm(A, out)
 
 
@@ -279,7 +281,7 @@ def _scalar_det(rows, chart):
     return total
 
 
-def pullback_form(morphism: AlgebroidMorphism, form: AlgForm) -> AlgForm:
+def pullback_form(morphism, form: AlgForm) -> AlgForm:
     """(f, phi)* of a form, degree by degree; commutes with the differential."""
     if form.algebroid is not morphism.target:
         raise AlgindexError("form does not live on the morphism target")

@@ -1491,9 +1491,6 @@ class Chart:
             return self.const(value)
         raise TypeError(f"cannot coerce {value!r} onto chart {self.names}")
 
-    def extended(self, extra_names):
-        return Chart(self.names + tuple(extra_names), self.backend)
-
     def __eq__(self, other):
         return (
             isinstance(other, Chart)

@@ -82,8 +82,8 @@ def test_c_and_pure_loaders_give_equal_data():
         assert json.dumps(fast) == json.dumps(yaml.safe_load(text)), name
 
 
-# the bundled jobs' exit codes; every document under tests/documents exits 0
-EXIT_CODES = {"aff1": 1, "su2-invalid": 1}
+# the documents that exit 1, with failed computations; every other one exits 0
+EXIT_CODES = {"aff1": 1, "su2-invalid": 1, "invalid-structure": 1, "invalid-structure-numeric": 1}
 
 
 def test_pure_loader_output_matches_goldens(monkeypatch, capsys):
