@@ -94,7 +94,7 @@ class AlgebroidPresentation:
             if len(row) != chart.dim:
                 raise PresentationError("anchor rows must match the chart dimension")
         self.structure = {}
-        # structure_into[c]: (a, b, C^c_ab) for a < b and C^c_ab != 0
+        # structure_into[c]: (a, b, C^c_ab, -C^c_ab), a < b, C^c_ab != 0; d_g takes either sign
         self.structure_into = [[] for _ in range(self.rank)]
         for key, coeffs in structure.items():
             a, b = key
@@ -112,7 +112,7 @@ class AlgebroidPresentation:
             for c, value in enumerate(coeffs):
                 if not value.is_zero():
                     self.structure[(a, b)] = coeffs
-                    self.structure_into[c].append((a, b, value))
+                    self.structure_into[c].append((a, b, value, -value))
 
     @property
     def base_dim(self):

@@ -227,7 +227,7 @@ class GConnection:
 
 
 def d_g(form: AlgForm) -> AlgForm:
-    """The Koszul differential of a scalar form, term by term: d(w e^T) =
+    """The Koszul differential of a scalar form over its nonzero terms: d(w e^T) =
     sum_a rho(e_a)(w) e^a ^ e^T + w sum_j (-1)^j e^T<j ^ de^T_j ^ e^T>j; moving
     a new e^a past the p indices below it to its sorted place gives (-1)^p."""
     A = form.algebroid
@@ -244,12 +244,14 @@ def d_g(form: AlgForm) -> AlgForm:
                     add(T[:p] + (a,) + T[p:], -value if p % 2 else value)
         for j, t in enumerate(T):
             rest = T[:j] + T[j + 1:]
-            for a, b, c in A.structure_into[t]:  # de^t = -sum C^t_ab e^a ^ e^b
+            for a, b, c, minus_c in A.structure_into[t]:  # de^t = -sum C^t_ab e^a ^ e^b
                 if a not in rest and b not in rest:
-                    p, q, value = bisect(rest, a), bisect(rest, b), w * c
+                    p, q = bisect(rest, a), bisect(rest, b)
                     add(rest[:p] + (a,) + rest[p:q] + (b,) + rest[q:],
-                        value if (j + p + q) % 2 else -value)
-    return AlgForm(A, out)
+                        w * (c if (j + p + q) % 2 else minus_c))
+    result = AlgForm(A)  # its keys are sorted and in range by construction
+    result.coeffs = {key: value for key, value in out.items() if not value.is_zero()}
+    return result
 
 
 def d_nabla(forms, conn: GConnection):
