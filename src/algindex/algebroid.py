@@ -93,6 +93,9 @@ class AlgebroidPresentation:
         for row in self.anchor:
             if len(row) != chart.dim:
                 raise PresentationError("anchor rows must match the chart dimension")
+        # anchor_terms[a]: (i, rho^i_a) where rho^i_a != 0, the terms of anchor_apply
+        self.anchor_terms = [[(i, v) for i, v in enumerate(row) if not v.is_zero()]
+                             for row in self.anchor]
         self.structure = {}
         # structure_into[c]: (a, b, C^c_ab, -C^c_ab), a < b, C^c_ab != 0; d_g takes either sign
         self.structure_into = [[] for _ in range(self.rank)]
@@ -133,12 +136,8 @@ class AlgebroidPresentation:
 
     def anchor_apply(self, a, scalar):
         """Derivation rho(e_a) acting on a chart scalar."""
-        out = self.chart.zero()
-        for i in range(self.base_dim):
-            coeff = self.anchor[a][i]
-            if not coeff.is_zero():
-                out = out + coeff * scalar.derive(i)
-        return out
+        return sum((coeff * scalar.derive(i) for i, coeff in self.anchor_terms[a]),
+                   self.chart.zero())
 
     # -- validation ----------------------------------------------------------
 

@@ -22,7 +22,7 @@ from math import factorial
 
 from . import linalg
 from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, GConnection, _scalar_det, d_g, d_nabla
+from .forms import AlgForm, GConnection, _scalar_det, d_g, d_nabla, pullback_form
 from .scalars import AlgindexError, Chart, PolyScalar
 
 
@@ -43,17 +43,7 @@ class FormMatrix:
                     raise AlgindexError("form matrix entries must have even degree")
 
     def matmul(self, other: "FormMatrix") -> "FormMatrix":
-        out = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                acc = None
-                for k in range(self.size):
-                    term = self.entries[i][k].wedge(other.entries[k][j])
-                    acc = term if acc is None else acc + term
-                row.append(acc)
-            out.append(row)
-        return FormMatrix(self.algebroid, out)
+        return FormMatrix(self.algebroid, _wedge_sum(self.entries, other.entries))
 
     def trace(self) -> AlgForm:
         acc = self.entries[0][0]
@@ -66,6 +56,14 @@ class FormMatrix:
 
     def __repr__(self):
         return f"FormMatrix({self.size}x{self.size} on {self.algebroid.name})"
+
+
+def _wedge_sum(P, Q):
+    """The matrix product of two square matrices of forms, sum_k P_ik ^ Q_kj,
+    summed in the order of k."""
+    n = len(Q)
+    return [[sum((row[k].wedge(Q[k][j]) for k in range(1, n)), row[0].wedge(Q[0][j]))
+             for j in range(n)] for row in P]
 
 
 class Metric:
@@ -197,37 +195,13 @@ def _positivity_grid(n):
 
 
 def curvature(conn: GConnection) -> FormMatrix:
-    """R_ab = d_rho(e_a) Gamma_b - d_rho(e_b) Gamma_a + [Gamma_a, Gamma_b] - C^c_ab Gamma_c."""
-    A = conn.algebroid
-    m = conn.bundle_rank
-    zero = A.chart.zero()
-    component = {}
-    for a in range(A.rank):
-        for b in range(a + 1, A.rank):
-            mat = [[zero] * m for _ in range(m)]
-            ga, gb = conn.matrices[a], conn.matrices[b]
-            bracket = A.bracket(a, b)
-            for i in range(m):
-                for j in range(m):
-                    value = A.anchor_apply(a, gb[i][j]) - A.anchor_apply(b, ga[i][j])
-                    for k in range(m):
-                        value = value + ga[i][k] * gb[k][j] - gb[i][k] * ga[k][j]
-                    for c in range(A.rank):
-                        if not bracket[c].is_zero():
-                            value = value - bracket[c] * conn.matrices[c][i][j]
-                    mat[i][j] = value
-            component[(a, b)] = mat
-    entries = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            coeffs = {}
-            for key, mat in component.items():
-                if not mat[i][j].is_zero():
-                    coeffs[key] = mat[i][j]
-            row.append(AlgForm(A, coeffs))
-        entries.append(row)
-    return FormMatrix(A, entries)
+    """R = d Gamma + Gamma ^ Gamma, the square of d_nabla (Cartan's second
+    structure equation; Kobayashi and Nomizu, Foundations of Differential
+    Geometry I, ch. III), for the connection 1-forms Gamma of ``one_forms``:
+    R_ab = rho(e_a) Gamma_b - rho(e_b) Gamma_a + [Gamma_a, Gamma_b] - C^c_ab Gamma_c."""
+    gamma = conn.one_forms()
+    return FormMatrix(conn.algebroid, [[d_g(w) + s for w, s in zip(*rows)]
+                                       for rows in zip(gamma, _wedge_sum(gamma, gamma))])
 
 
 def validate_representation(rep: GConnection):
@@ -290,44 +264,31 @@ def torsion_residuals(conn: GConnection):
 
 
 def metric_residuals(conn: GConnection, metric: Metric):
-    """rho(e_a)<e_b,e_c> - <nabla_a e_b, e_c> - <e_b, nabla_a e_c>."""
+    """rho(e_a)<e_b,e_c> - <nabla_a e_b, e_c> - <e_b, nabla_a e_c> at each
+    (a, b, c) where it is not zero: the e^a component of dg - Gamma^T g - g Gamma,
+    with g a matrix of 0-forms."""
     A = conn.algebroid
     if conn.bundle_rank != A.rank:
         raise AlgindexError("the connection's bundle rank is not the algebroid's rank")
-    g = metric.entries
-    out = {}
-    for a in range(A.rank):
-        for b in range(A.rank):
-            for c in range(A.rank):
-                value = A.anchor_apply(a, g[b][c])
-                for d in range(A.rank):
-                    value = value - conn.matrices[a][d][b] * g[d][c]
-                    value = value - conn.matrices[a][d][c] * g[b][d]
-                if not value.is_zero():
-                    out[(a, b, c)] = value
-    return out
+    g = [[AlgForm.constant(A, v) for v in row] for row in metric.entries]
+    gamma = conn.one_forms()
+    gamma_t = [list(col) for col in zip(*gamma)]
+    residual = [[d_g(w) - x - y for w, x, y in zip(*rows)]
+                for rows in zip(g, _wedge_sum(gamma_t, g), _wedge_sum(g, gamma))]
+    out = {(a, b, c): value for b, row in enumerate(residual) for c, form in enumerate(row)
+           for (a,), value in form.coeffs.items()}
+    return dict(sorted(out.items()))
 
 
 def connection_pullback(morphism: AlgebroidMorphism, conn: GConnection) -> GConnection:
-    """Pull a g-connection back along a morphism (bundle kept trivialized)."""
+    """Pull a g-connection back along a morphism (bundle kept trivialized):
+    ``pullback_form`` of each connection 1-form, read on the source frame."""
     if conn.algebroid is not morphism.target:
         raise AlgindexError("connection does not live on the morphism target")
-    src = morphism.source
-    m = conn.bundle_rank
-    mats = []
-    for a in range(src.rank):
-        mat = [[src.chart.zero()] * m for _ in range(m)]
-        for b in range(morphism.target.rank):
-            coeff = morphism.bundle_map[a][b]
-            if coeff.is_zero():
-                continue
-            for i in range(m):
-                for j in range(m):
-                    mat[i][j] = mat[i][j] + coeff * morphism.compose_scalar(
-                        conn.matrices[b][i][j]
-                    )
-        mats.append(mat)
-    return GConnection(src, m, mats)
+    src, zero = morphism.source, morphism.source.chart.zero()
+    pulled = [[pullback_form(morphism, w) for w in row] for row in conn.one_forms()]
+    return GConnection(src, conn.bundle_rank, [[[w.coeffs.get((a,), zero) for w in row]
+                                                for row in pulled] for a in range(src.rank)])
 
 
 def direct_sum(c1: GConnection, c2: GConnection) -> GConnection:
@@ -379,11 +340,8 @@ def covariant_exterior_derivative(R: FormMatrix, conn: GConnection):
     if R.size != m:
         raise AlgindexError("form matrix and connection have different bundle ranks")
     gamma, r = conn.one_forms(), R.entries
-    return [
-        [sum((gamma[i][k].wedge(r[k][j]) - r[i][k].wedge(gamma[k][j]) for k in range(m)),
-             d_g(r[i][j])) for j in range(m)]
-        for i in range(m)
-    ]
+    return [[d_g(w) + x - y for w, x, y in zip(*rows)]
+            for rows in zip(r, _wedge_sum(gamma, r), _wedge_sum(r, gamma))]
 
 
 # ---------------------------------------------------------------------------
@@ -520,20 +478,13 @@ def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
     m = R.size
     if m % 2:
         return AlgForm.zero(A)
-    metric = metric or Metric.identity(A)
-    lowered = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            acc = None
-            for k in range(m):
-                g = metric.entries[i][k]
-                if g.is_zero():
-                    continue
-                term = R.entries[k][j].scale(g)
-                acc = term if acc is None else acc + term
-            row.append(acc if acc is not None else AlgForm.zero(A))
-        lowered.append(row)
+    if metric is None:  # the identity metric lowers nothing
+        lowered = R.entries
+    elif len(metric.entries) != m:
+        raise AlgindexError("the metric's rank is not the curvature's size")
+    else:
+        lowered = _wedge_sum([[AlgForm.constant(A, v) for v in row] for row in metric.entries],
+                             R.entries)
     for i in range(m):
         for j in range(i, m):
             if not (lowered[i][j] + lowered[j][i]).is_zero():

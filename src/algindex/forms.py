@@ -16,14 +16,17 @@ dual frame is what makes a presentation a Lie algebroid, and that is how
 ``algebroid`` validates one.  Pull-back acts degree by degree.
 
 A form with values in a trivialized rank-m bundle is a list of m forms; a
-connection acts on it as d + Gamma^ (:func:`d_nabla`), whose square is
-R^ for the curvature R of ``chern_weil.curvature``.
+connection acts on it as d + Gamma^ (:func:`d_nabla`), whose square is R^
+for the curvature R = d Gamma + Gamma ^ Gamma of ``chern_weil.curvature``
+(Cartan's second structure equation; Kobayashi and Nomizu, Foundations of
+Differential Geometry I, ch. III).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
 
@@ -31,8 +34,10 @@ from . import linalg
 from .scalars import AlgindexError, PolyScalar
 
 
+@lru_cache(maxsize=4096)
 def _sort_sign(indices):
-    """(sign, sorted tuple) of an index tuple, or (0, None) on repeats."""
+    """(sign, sorted tuple) of an index tuple, or (0, None) on repeats;
+    remembered, since a wedge asks it once per pair of terms."""
     indices = list(indices)
     if len(set(indices)) != len(indices):
         return 0, None
@@ -109,7 +114,7 @@ class AlgForm:
         out = dict(self.coeffs)
         for k, value in other.coeffs.items():
             out[k] = out[k] + value if k in out else value
-        return AlgForm(self.algebroid, out)
+        return _nonzero(self.algebroid, out)
 
     def __neg__(self):
         return self.scale(-1)
@@ -119,11 +124,11 @@ class AlgForm:
 
     def scale(self, scalar):
         scalar = self.algebroid.scalar(scalar)
-        return AlgForm(self.algebroid, {k: scalar * v for k, v in self.coeffs.items()})
+        return _nonzero(self.algebroid, {k: scalar * v for k, v in self.coeffs.items()})
 
     def value_on(self, indices):
         """Value on a frame tuple in any order; repeats give zero."""
-        sign, key = _sort_sign(indices)
+        sign, key = _sort_sign(tuple(indices))
         if sign == 0 or key not in self.coeffs:
             return self.algebroid.chart.zero()
         value = self.coeffs[key]
@@ -132,6 +137,8 @@ class AlgForm:
     def wedge(self, other: "AlgForm") -> "AlgForm":
         if self.algebroid is not other.algebroid:
             raise AlgindexError("forms live on different algebroids")
+        if self is other and all(len(k) % 2 for k in self.coeffs):
+            return AlgForm(self.algebroid)  # w ^ w = 0 when every term of w has odd degree
         out = {}
         for left, lv in self.coeffs.items():
             for right, rv in other.coeffs.items():
@@ -140,7 +147,7 @@ class AlgForm:
                     continue
                 value = lv * rv if sign > 0 else -(lv * rv)
                 out[key] = out[key] + value if key in out else value
-        return AlgForm(self.algebroid, out)
+        return _nonzero(self.algebroid, out)
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.coeffs.values())
@@ -169,6 +176,15 @@ class AlgForm:
 
     def __repr__(self):
         return f"AlgForm({self})"
+
+
+def _nonzero(algebroid, coeffs) -> AlgForm:
+    """The form of the nonzero ``coeffs``, whose keys are sorted index tuples
+    in range and whose values are chart scalars, so the checks of
+    ``AlgForm.__init__`` are skipped."""
+    form = AlgForm(algebroid)
+    form.coeffs = {key: value for key, value in coeffs.items() if not value.is_zero()}
+    return form
 
 
 def wedge(a: AlgForm, b: AlgForm) -> AlgForm:
@@ -222,7 +238,7 @@ class GConnection:
     def one_forms(self):
         """The m x m matrix of connection 1-forms Gamma_jl = sum_a Gamma_a[j][l] e^a."""
         m = self.bundle_rank
-        return [[AlgForm(self.algebroid, {(a,): mat[j][l] for a, mat in enumerate(self.matrices)})
+        return [[_nonzero(self.algebroid, {(a,): mat[j][l] for a, mat in enumerate(self.matrices)})
                  for l in range(m)] for j in range(m)]
 
 
@@ -249,9 +265,7 @@ def d_g(form: AlgForm) -> AlgForm:
                     p, q = bisect(rest, a), bisect(rest, b)
                     add(rest[:p] + (a,) + rest[p:q] + (b,) + rest[q:],
                         w * (c if (j + p + q) % 2 else minus_c))
-    result = AlgForm(A)  # its keys are sorted and in range by construction
-    result.coeffs = {key: value for key, value in out.items() if not value.is_zero()}
-    return result
+    return _nonzero(A, out)
 
 
 def d_nabla(forms, conn: GConnection):

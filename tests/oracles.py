@@ -310,3 +310,67 @@ def morphism_violations(morphism):
             if not residual.is_zero():
                 found.append(("bracket-compatibility", (a + 1, b + 1, d + 1), residual))
     return found
+
+
+# -- connection identities by index loops -------------------------------------
+#
+# Curvature, metric compatibility and the pulled-back connection expanded over
+# frame and bundle indices, as the library computed them before it read them
+# off the forms layer (R = d Gamma + Gamma ^ Gamma); only chart scalars and the
+# connection's coefficient matrices are used.
+
+
+def curvature_components(conn):
+    """{(i, j): {(a, b): value}} over the nonzero components, a < b, of
+    R_ab = rho(e_a) Gamma_b - rho(e_b) Gamma_a + [Gamma_a, Gamma_b] - C^c_ab Gamma_c."""
+    A, m, gamma = conn.algebroid, conn.bundle_rank, conn.matrices
+    out = {(i, j): {} for i in range(m) for j in range(m)}
+    for a, b in combinations(range(A.rank), 2):
+        bracket = _bracket(A, a, b)
+        for i in range(m):
+            for j in range(m):
+                value = _apply(A, a, gamma[b][i][j]) - _apply(A, b, gamma[a][i][j])
+                for k in range(m):
+                    value = (value + gamma[a][i][k] * gamma[b][k][j]
+                             - gamma[b][i][k] * gamma[a][k][j])
+                for c in range(A.rank):
+                    if not bracket[c].is_zero():
+                        value = value - bracket[c] * gamma[c][i][j]
+                if not value.is_zero():
+                    out[(i, j)][(a, b)] = value
+    return out
+
+
+def metric_compatibility(conn, metric):
+    """{(a, b, c): rho(e_a)<e_b,e_c> - <nabla_a e_b, e_c> - <e_b, nabla_a e_c>}
+    over the nonzero values, in the order of (a, b, c)."""
+    A, g, gamma = conn.algebroid, metric.entries, conn.matrices
+    out = {}
+    for a in range(A.rank):
+        for b in range(A.rank):
+            for c in range(A.rank):
+                value = _apply(A, a, g[b][c])
+                for d in range(A.rank):
+                    value = value - gamma[a][d][b] * g[d][c]
+                    value = value - gamma[a][d][c] * g[b][d]
+                if not value.is_zero():
+                    out[(a, b, c)] = value
+    return out
+
+
+def pulled_back_matrices(morphism, conn):
+    """The source frame's coefficient matrices of the pulled-back connection,
+    sum_b phi^b_a (Gamma_b o f)."""
+    src, m, phi = morphism.source, conn.bundle_rank, morphism.bundle_map
+    mats = []
+    for a in range(src.rank):
+        mat = [[src.chart.zero()] * m for _ in range(m)]
+        for b in range(morphism.target.rank):
+            if phi[a][b].is_zero():
+                continue
+            for i in range(m):
+                for j in range(m):
+                    mat[i][j] = mat[i][j] + phi[a][b] * conn.matrices[b][i][j].substitute(
+                        morphism.base_map)
+        mats.append(mat)
+    return mats

@@ -313,6 +313,14 @@ def test_pfaffian_2x2_block():
     assert cw.pfaffian_form(R) == a
 
 
+def test_pfaffian_refuses_a_metric_of_another_rank():
+    # a rank-4 bundle on the plane cannot be lowered by the plane's metric
+    plane = alg.tangent(2)
+    R = cw.curvature(cw.GConnection.zero(plane, 4))
+    with pytest.raises(AlgindexError, match="metric's rank"):
+        cw.pfaffian_form(R, cw.Metric.identity(plane))
+
+
 def test_pfaffian_odd_rank_vanishes_silently(su2):
     A = alg.abelian_bundle(0, 3)
     z = AlgForm.zero(A)
@@ -564,3 +572,158 @@ def test_characteristic_forms_are_closed():
     lc = cw.levi_civita(su2, metric)
     for genus in ("ch", "todd"):
         assert d_g(cw.char_class(lc, genus)).is_zero()
+
+
+# -- connection identities against the index-loop oracles ----------------------------
+
+
+def _flow(backend):
+    """The action algebroid ``flow`` of tests/documents/numeric-chart.yaml:
+    [e_1, e_2] = (1 - x) e_1 + e_2.  On ``poly`` the anchor's exp(x) becomes 0,
+    which keeps it a Lie algebroid."""
+    anchor = [["1", "0"], ["x", "exp(x)" if backend == "numeric" else "0"]]
+    return alg.action_algebroid({(0, 1): ["1 - x", "1"]}, anchor,
+                                Chart(("x", "y"), backend), "flow")
+
+
+def _sheared_plane():
+    """The plane in the frame (d/dx, d/dy + x^2 y d/dx): [e_1, e_2] = 2xy e_1."""
+    chart = Chart(("x", "y"))
+    x, y = chart.coord(0), chart.coord(1)
+    A = alg.AlgebroidPresentation(chart, 2, [[1, 0], [x * x * y, 1]],
+                                  {(0, 1): [2 * x * y, 0]}, "sheared")
+    assert A.validate().ok
+    return A
+
+
+def _oracle_algebroids(su2, so3_action):
+    return [alg.tangent(3), su2, so3_action, _flow("poly"), _sheared_plane()]
+
+
+def _random_connection(rng, A, m):
+    return cw.GConnection(A, m, [
+        [[_random_poly(rng, A.chart) for _ in range(m)] for _ in range(m)]
+        for _ in range(A.rank)
+    ])
+
+
+def _random_symmetric(rng, A):
+    g = [[None] * A.rank for _ in range(A.rank)]
+    for i in range(A.rank):
+        for j in range(i, A.rank):
+            g[i][j] = g[j][i] = _random_poly(rng, A.chart)
+    return cw.Metric(A, g)
+
+
+def _strings(coeffs):
+    return [(key, str(value)) for key, value in coeffs.items()]
+
+
+def test_curvature_matches_the_index_loop_oracle(su2, so3_action, t2, sphere_metric):
+    # entry by entry and string by string; the round sphere's Levi-Civita
+    # connection runs on rational functions
+    rng = random.Random(3001)
+    connections = [_random_connection(rng, A, m)
+                   for A in _oracle_algebroids(su2, so3_action) for m in (1, 2, 3)]
+    connections.append(cw.levi_civita(t2, sphere_metric))
+    seen = 0
+    for conn in connections:
+        R = cw.curvature(conn)
+        for (i, j), expected in oracles.curvature_components(conn).items():
+            assert sorted(_strings(R.entries[i][j].coeffs)) == sorted(_strings(expected)), (
+                conn.algebroid.name, conn.bundle_rank, i, j)
+            seen += len(expected)
+    assert seen > 100
+
+
+def test_metric_residuals_match_the_index_loop_oracle(su2, so3_action, t2, sphere_metric):
+    rng = random.Random(3002)
+    cases = [(_random_connection(rng, A, A.rank), _random_symmetric(rng, A))
+             for A in _oracle_algebroids(su2, so3_action) for _ in range(2)]
+    cases.append((_random_connection(rng, t2, 2), sphere_metric))
+    cases.append((cw.levi_civita(t2, sphere_metric), sphere_metric))
+    seen = 0
+    for conn, metric in cases:
+        expected = oracles.metric_compatibility(conn, metric)
+        assert _strings(cw.metric_residuals(conn, metric)) == _strings(expected), (
+            conn.algebroid.name)
+        seen += len(expected)
+    assert seen > 100
+
+
+def _random_morphisms(rng, su2, so3_action):
+    chart = Chart(("x", "y"))
+    sources = [alg.tangent(2, chart, name="plane"), alg.abelian_bundle(2, 3, chart)]
+    targets = [alg.tangent(3), so3_action, _flow("poly"), _sheared_plane()]
+    for src in sources:
+        for tgt in targets:
+            base = [_random_poly(rng, chart) for _ in range(tgt.base_dim)]
+            bundle = [[_random_poly(rng, chart) if rng.random() < 0.7 else 0
+                       for _ in range(tgt.rank)] for _ in range(src.rank)]
+            yield alg.AlgebroidMorphism(src, tgt, base, bundle, f"{src.name}->{tgt.name}")
+    point = Chart(())
+    yield alg.AlgebroidMorphism(alg.abelian_bundle(0, 2, point), su2, [],
+                                [[1, 2, 0], [0, -1, 3]], "point->su2")
+
+
+def test_connection_pullback_matches_the_index_loop_oracle(su2, so3_action, shear_morphism):
+    rng = random.Random(3003)
+    morphisms = list(_random_morphisms(rng, su2, so3_action)) + [shear_morphism]
+    seen = 0
+    for morphism in morphisms:
+        for m in (1, 2):
+            conn = _random_connection(rng, morphism.target, m)
+            pulled = cw.connection_pullback(morphism, conn)
+            assert pulled.algebroid is morphism.source and pulled.bundle_rank == m
+            expected = oracles.pulled_back_matrices(morphism, conn)
+            assert [[[str(v) for v in row] for row in mat] for mat in pulled.matrices] == [
+                [[str(v) for v in row] for row in mat] for mat in expected], morphism.name
+            seen += sum(not v.is_zero() for mat in expected for row in mat for v in row)
+    assert seen > 100
+
+
+_NUMERIC_ENTRIES = ["sin(x)*y", "exp(x*y/4)", "1/(2 + sin(x))", "x^2 - y", "0.5", "0",
+                    "cos(y) - x"]
+_SAMPLE_POINTS = [(0.3, -0.7), (1.1, 0.4), (-1.5, 1.9), (0.0, 0.25), (1.75, -1.25)]
+
+
+def _agree(got, expected):
+    for point in _SAMPLE_POINTS:
+        a, b = got.eval(point), expected.eval(point)
+        assert abs(a - b) <= 1e-9 * max(1.0, abs(b)), (point, a, b)
+
+
+def test_connection_identities_match_the_oracles_on_numeric():
+    # the numeric-chart document's algebroids; trees differ in the order of
+    # their sums, so values are compared at sample points
+    rng = random.Random(3004)
+    flow = _flow("numeric")
+    plane = alg.tangent(2, flow.chart, name="plane")
+    bumpy = cw.Metric.conformal(plane, "exp(x*y/4) + 1/(2 + sin(x))")
+
+    def connection(A, m):
+        return cw.GConnection(A, m, [[[rng.choice(_NUMERIC_ENTRIES) for _ in range(m)]
+                                      for _ in range(m)] for _ in range(A.rank)])
+
+    cases = [connection(flow, 2), connection(flow, 3), connection(plane, 2),
+             cw.levi_civita(plane, bumpy)]
+    for conn in cases:
+        R = cw.curvature(conn)
+        for (i, j), expected in oracles.curvature_components(conn).items():
+            assert R.entries[i][j].coeffs.keys() == expected.keys()
+            for key, value in expected.items():
+                _agree(R.entries[i][j].coeffs[key], value)
+    for conn, metric in ((connection(plane, 2), bumpy), (cases[-1], bumpy),
+                         (connection(flow, 2), cw.Metric(flow, [["1", "x"], ["x", "2"]]))):
+        got, expected = cw.metric_residuals(conn, metric), oracles.metric_compatibility(conn, metric)
+        assert list(got) == list(expected)
+        for key, value in expected.items():
+            _agree(got[key], value)
+    morphism = alg.AlgebroidMorphism(plane, flow, ["x + sin(y)", "y"],
+                                     [["1", "0"], ["y", "exp(x)"]], "plane->flow")
+    conn = connection(flow, 2)
+    pulled = cw.connection_pullback(morphism, conn)
+    for got, expected in zip(pulled.matrices, oracles.pulled_back_matrices(morphism, conn)):
+        for got_row, expected_row in zip(got, expected):
+            for value, oracle in zip(got_row, expected_row):
+                _agree(value, oracle)
