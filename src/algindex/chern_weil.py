@@ -480,6 +480,8 @@ def pfaffian_form(R: FormMatrix, metric: Metric | None = None) -> AlgForm:
         return AlgForm.zero(A)
     if metric is None:  # the identity metric lowers nothing
         lowered = R.entries
+    elif metric.algebroid is not A:
+        raise AlgindexError("metric lives on a different algebroid")
     elif len(metric.entries) != m:
         raise AlgindexError("the metric's rank is not the curvature's size")
     else:

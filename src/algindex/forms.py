@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import lcm
 
@@ -34,19 +33,16 @@ from . import linalg
 from .scalars import AlgindexError, PolyScalar
 
 
-@lru_cache(maxsize=4096)
 def _sort_sign(indices):
-    """(sign, sorted tuple) of an index tuple, or (0, None) on repeats;
-    remembered, since a wedge asks it once per pair of terms."""
-    indices = list(indices)
-    if len(set(indices)) != len(indices):
+    """(sign, sorted tuple) of an index tuple, or (0, None) on repeats."""
+    key = tuple(sorted(indices))
+    if len(set(key)) != len(key):
         return 0, None
     sign = 1
-    for i in range(len(indices)):
-        for j in range(i + 1, len(indices)):
-            if indices[i] > indices[j]:
-                sign = -sign
-    return sign, tuple(sorted(indices))
+    for a, b in combinations(indices, 2):
+        if a > b:
+            sign = -sign
+    return sign, key
 
 
 class AlgForm:
@@ -128,7 +124,7 @@ class AlgForm:
 
     def value_on(self, indices):
         """Value on a frame tuple in any order; repeats give zero."""
-        sign, key = _sort_sign(tuple(indices))
+        sign, key = _sort_sign(indices)
         if sign == 0 or key not in self.coeffs:
             return self.algebroid.chart.zero()
         value = self.coeffs[key]

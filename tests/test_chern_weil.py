@@ -313,12 +313,16 @@ def test_pfaffian_2x2_block():
     assert cw.pfaffian_form(R) == a
 
 
-def test_pfaffian_refuses_a_metric_of_another_rank():
-    # a rank-4 bundle on the plane cannot be lowered by the plane's metric
+@pytest.mark.parametrize("bundle_rank, other_plane, message", [
+    (4, False, "metric's rank"),  # a rank-4 bundle on the plane, the plane's metric
+    (2, True, "different algebroid"),  # the right rank, declared on another plane
+])
+def test_pfaffian_refuses_a_metric_it_cannot_lower(bundle_rank, other_plane, message):
     plane = alg.tangent(2)
-    R = cw.curvature(cw.GConnection.zero(plane, 4))
-    with pytest.raises(AlgindexError, match="metric's rank"):
-        cw.pfaffian_form(R, cw.Metric.identity(plane))
+    R = cw.curvature(cw.GConnection.zero(plane, bundle_rank))
+    metric = cw.Metric.identity(alg.tangent(2) if other_plane else plane)
+    with pytest.raises(AlgindexError, match=message):
+        cw.pfaffian_form(R, metric)
 
 
 def test_pfaffian_odd_rank_vanishes_silently(su2):

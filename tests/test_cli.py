@@ -1072,6 +1072,31 @@ def test_all_zero_forms_have_degree_zero(tmp_path, capsys):
     ]
 
 
+def test_pfaffian_with_a_metric_of_another_algebroid_fails_its_computation(tmp_path, capsys):
+    # two tangent algebroids on one chart: the metric of one cannot lower the
+    # curvature of a connection on the other, whatever its rank
+    doc = tmp_path / "doc.yaml"
+    doc.write_text(yaml.safe_dump({
+        "version": 1, "coordinates": ["x", "y"],
+        "algebroids": {"plane": {"kind": "tangent"}, "other": {"kind": "tangent"}},
+        "metrics": {"bumpy": {"algebroid": "plane", "kind": "conformal", "factor": "1 + x^2 + y^2"},
+                    "seven": {"algebroid": "other", "kind": "conformal", "factor": "7"}},
+        "connections": {"lc": {"algebroid": "plane", "kind": "levi_civita", "metric": "bumpy"}},
+        "computations": [
+            {"op": "charclass", "label": "pf-foreign", "genus": "pfaffian",
+             "connection": "lc", "metric": "seven"},
+            {"op": "charclass", "label": "pf-own", "genus": "pfaffian",
+             "connection": "lc", "metric": "bumpy"},
+        ],
+    }))
+    assert cli.main(["run", str(doc)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        'FAIL charclass pf-foreign: "metric lives on a different algebroid"',
+        'ok charclass pf-own: {"class": {"2": [["1,2", "(-2)/(x^2 + y^2 + 1)"]]}}',
+        "1/2 computations succeeded",
+    ]
+
+
 @pytest.mark.parametrize("tolerance", [float("nan"), float("inf")])
 def test_non_finite_document_tolerance_is_a_document_error(tmp_path, tolerance):
     # the schema's exclusiveMinimum lets NaN and infinity through
