@@ -8,20 +8,15 @@ to the final quadrature.
 """
 
 from .algebroid import (
-    AlgebroidMorphism,
     AlgebroidPresentation,
     abelian_bundle,
     action_algebroid,
     aff1,
-    anchor_morphism,
-    fiber_inclusion_morphism,
-    identity_morphism,
     lie_algebra,
     product,
     pullback,
     su2,
     tangent,
-    zero_section_morphism,
 )
 from .chern_weil import (
     FormMatrix,
@@ -39,13 +34,8 @@ from .forms import (
     AlgForm,
     GConnection,
     basis_forms,
-    coboundary_witness,
     cohomology_const,
     d_g,
-    d_nabla,
-    is_cocycle,
-    pullback_form,
-    wedge,
 )
 from .groupoid import (
     FiniteGroupoid,

@@ -9,9 +9,8 @@ frame e_1..e_r over chart coordinates x_1..x_n:
 Antisymmetry is structural; ``validate`` reports every nonzero value of
 d o d on the coordinates and the dual frame, where the Koszul differential
 ``forms.d_g`` squares to zero exactly on Lie algebroids.  Direct products
-and morphisms (valid when pull-back commutes with d) live here as well, and
-so do trivial-fibration pull-backs, which are products with the tangent
-algebroid of the fiber.
+live here as well, and so do trivial-fibration pull-backs, which are
+products with the tangent algebroid of the fiber.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import count, islice
 
-from .forms import AlgForm, d_g, pullback_form
+from .forms import AlgForm, d_g
 from .scalars import AlgindexError, Chart
 
 
@@ -281,118 +280,3 @@ def pullback(A: AlgebroidPresentation, fiber_dim, name=None):
     r, n = A.rank, A.base_dim
     out.pullback_data = PullbackData(A, fiber, tuple(range(r, r + m)), tuple(range(n, n + m)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# morphisms
-# ---------------------------------------------------------------------------
-
-
-class AlgebroidMorphism:
-    """A base map plus a bundle map expressing phi(e_a) in the target frame.
-
-    ``base_map[i]`` gives the i-th target coordinate as a scalar on the
-    source chart; ``bundle_map[a][b]`` is the coefficient of the target frame
-    element e_b in phi(e_a), again a scalar on the source chart.
-    """
-
-    def __init__(self, source, target, base_map, bundle_map, name="morphism"):
-        self.source = source
-        self.target = target
-        self.name = name
-        self.base_map = [source.chart.coerce(c) for c in base_map]
-        if len(self.base_map) != target.base_dim:
-            raise PresentationError("base map needs one component per target coordinate")
-        self.bundle_map = [
-            [source.chart.coerce(c) for c in row] for row in bundle_map
-        ]
-        if len(self.bundle_map) != source.rank or any(
-            len(row) != target.rank for row in self.bundle_map
-        ):
-            raise PresentationError("bundle map must be source_rank x target_rank")
-
-    def compose_scalar(self, scalar):
-        """Pull a target-chart scalar back along the base map."""
-        return scalar.substitute(self.base_map)
-
-    def validate(self) -> ValidationReport:
-        """A bundle map is a morphism exactly when its pull-back is a chain
-        map, phi* d = d phi* (Bojowald, Kotov and Strobl, J. Geom. Phys. 54,
-        2005); on the target's coordinates and dual frame, phi* d - d phi* is
-
-            (phi*(dx_i) - d(f^i))(e_a) = rho_2(phi(e_a)) x_i o f - rho_1(e_a)(f^i)
-            (phi*(de^d) - d(phi* e^d))(e_a, e_b) = (phi([e_a, e_b]) - [phi(e_a), phi(e_b)])^d,
-
-        reported as ``anchor-compatibility`` (a, i) and
-        ``bracket-compatibility`` (a, b, d).
-        """
-        report = ValidationReport(self.name)
-        tgt = self.target
-
-        def defect(form):
-            return (pullback_form(self, d_g(form)) - d_g(pullback_form(self, form))).coeffs
-
-        anchor = [((a + 1, i + 1), value) for i in range(tgt.base_dim)
-                  for (a,), value in defect(AlgForm.constant(tgt, tgt.chart.coord(i))).items()]
-        bracket = [((a + 1, b + 1, d + 1), value) for d in range(tgt.rank)
-                   for (a, b), value in defect(AlgForm.dual_basis(tgt, (d,))).items()]
-        for kind, found in (("anchor-compatibility", anchor), ("bracket-compatibility", bracket)):
-            for indices, residual in sorted(found, key=lambda item: item[0]):
-                report.add(kind, indices, residual)
-        return report
-
-    def __repr__(self):
-        return f"AlgebroidMorphism({self.name!r}: {self.source.name} -> {self.target.name})"
-
-
-def identity_morphism(A: AlgebroidPresentation):
-    base = [A.chart.coord(i) for i in range(A.base_dim)]
-    bundle = [
-        [A.chart.one() if i == j else A.chart.zero() for j in range(A.rank)]
-        for i in range(A.rank)
-    ]
-    return AlgebroidMorphism(A, A, base, bundle, name=f"id_{A.name}")
-
-
-def anchor_morphism(A: AlgebroidPresentation, target=None):
-    """The anchor as a morphism A -> tangent(base) over the identity."""
-    target = target or tangent(A.base_dim, A.chart, name=f"T({A.name})")
-    if target.chart != A.chart:
-        raise PresentationError("anchor morphism requires a shared chart")
-    base = [A.chart.coord(i) for i in range(A.base_dim)]
-    bundle = [list(row) for row in A.anchor]
-    return AlgebroidMorphism(A, target, base, bundle, name=f"anchor_{A.name}")
-
-
-def zero_section_morphism(pb: AlgebroidPresentation):
-    """The inclusion X -> (X, rho(X)) of A into its trivial-fibration pull-back."""
-    data = pb.pullback_data
-    if data is None:
-        raise PresentationError("target is not a pull-back presentation")
-    A = data.parent
-    base = [A.chart.coord(i) for i in range(A.base_dim)] + [
-        A.chart.zero() for _ in range(data.fiber_dim)
-    ]
-    bundle = []
-    for a in range(A.rank):
-        bundle.append(
-            [A.chart.one() if h == a else A.chart.zero() for h in range(pb.rank)]
-        )
-    return AlgebroidMorphism(A, pb, base, bundle, name=f"zero_section_{A.name}")
-
-
-def fiber_inclusion_morphism(pb: AlgebroidPresentation, base_point):
-    """Tangent algebroid of one fiber, included at a fixed base point."""
-    data = pb.pullback_data
-    if data is None:
-        raise PresentationError("target is not a pull-back presentation")
-    fiber = data.fiber
-    base_point = [fiber.chart.coerce(p) for p in base_point]
-    if len(base_point) != data.parent.base_dim:
-        raise PresentationError("base point must match the parent base dimension")
-    base = base_point + [fiber.chart.coord(j) for j in range(fiber.rank)]
-    bundle = [
-        [fiber.chart.one() if k == v else fiber.chart.zero() for k in range(pb.rank)]
-        for v in data.vertical
-    ]
-    return AlgebroidMorphism(fiber, pb, base, bundle, name=f"fiber_inclusion_{pb.name}")

@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .algebroid import AlgebroidPresentation, AlgebroidMorphism
-from .forms import AlgForm, GConnection, _scalar_det, d_g, d_nabla, pullback_form
+from .algebroid import AlgebroidPresentation
+from .forms import AlgForm, GConnection, _scalar_det, d_g
 from .scalars import AlgindexError, Chart, PolyScalar
 
 
@@ -195,7 +195,7 @@ def _positivity_grid(n):
 
 
 def curvature(conn: GConnection) -> FormMatrix:
-    """R = d Gamma + Gamma ^ Gamma, the square of d_nabla (Cartan's second
+    """R = d Gamma + Gamma ^ Gamma, the square of d + Gamma^ (Cartan's second
     structure equation; Kobayashi and Nomizu, Foundations of Differential
     Geometry I, ch. III), for the connection 1-forms Gamma of ``one_forms``:
     R_ab = rho(e_a) Gamma_b - rho(e_b) Gamma_a + [Gamma_a, Gamma_b] - C^c_ab Gamma_c."""
@@ -250,98 +250,6 @@ def levi_civita(A: AlgebroidPresentation, metric: Metric) -> GConnection:
                 mat[c][b] = value / 2
         mats.append(mat)
     return GConnection(A, r, mats)
-
-
-def torsion_residuals(conn: GConnection):
-    """nabla_a e_b - nabla_b e_a - [e_a, e_b] per frame pair (a, b) where it
-    is not zero, as a list over c: by Cartan's first structure equation the
-    torsion is d_nabla of the solder form theta = (e^1, ..., e^r)
-    (Kobayashi and Nomizu, Foundations of Differential Geometry I, ch. III)."""
-    A = conn.algebroid
-    torsion = d_nabla([AlgForm.dual_basis(A, (c,)) for c in range(A.rank)], conn)
-    return {pair: [t.value_on(pair) for t in torsion]
-            for pair in sorted(set().union(*(t.coeffs for t in torsion)))}
-
-
-def metric_residuals(conn: GConnection, metric: Metric):
-    """rho(e_a)<e_b,e_c> - <nabla_a e_b, e_c> - <e_b, nabla_a e_c> at each
-    (a, b, c) where it is not zero: the e^a component of dg - Gamma^T g - g Gamma,
-    with g a matrix of 0-forms."""
-    A = conn.algebroid
-    if conn.bundle_rank != A.rank:
-        raise AlgindexError("the connection's bundle rank is not the algebroid's rank")
-    g = [[AlgForm.constant(A, v) for v in row] for row in metric.entries]
-    gamma = conn.one_forms()
-    gamma_t = [list(col) for col in zip(*gamma)]
-    residual = [[d_g(w) - x - y for w, x, y in zip(*rows)]
-                for rows in zip(g, _wedge_sum(gamma_t, g), _wedge_sum(g, gamma))]
-    out = {(a, b, c): value for b, row in enumerate(residual) for c, form in enumerate(row)
-           for (a,), value in form.coeffs.items()}
-    return dict(sorted(out.items()))
-
-
-def connection_pullback(morphism: AlgebroidMorphism, conn: GConnection) -> GConnection:
-    """Pull a g-connection back along a morphism (bundle kept trivialized):
-    ``pullback_form`` of each connection 1-form, read on the source frame."""
-    if conn.algebroid is not morphism.target:
-        raise AlgindexError("connection does not live on the morphism target")
-    src, zero = morphism.source, morphism.source.chart.zero()
-    pulled = [[pullback_form(morphism, w) for w in row] for row in conn.one_forms()]
-    return GConnection(src, conn.bundle_rank, [[[w.coeffs.get((a,), zero) for w in row]
-                                                for row in pulled] for a in range(src.rank)])
-
-
-def direct_sum(c1: GConnection, c2: GConnection) -> GConnection:
-    if c1.algebroid is not c2.algebroid:
-        raise AlgindexError("connections live on different algebroids")
-    A = c1.algebroid
-    z = A.chart.zero()
-    m1, m2 = c1.bundle_rank, c2.bundle_rank
-    mats = []
-    for a in range(A.rank):
-        mat = [[z] * (m1 + m2) for _ in range(m1 + m2)]
-        for i in range(m1):
-            for j in range(m1):
-                mat[i][j] = c1.matrices[a][i][j]
-        for i in range(m2):
-            for j in range(m2):
-                mat[m1 + i][m1 + j] = c2.matrices[a][i][j]
-        mats.append(mat)
-    return GConnection(A, m1 + m2, mats)
-
-
-def tensor_product(c1: GConnection, c2: GConnection) -> GConnection:
-    if c1.algebroid is not c2.algebroid:
-        raise AlgindexError("connections live on different algebroids")
-    A = c1.algebroid
-    z = A.chart.zero()
-    m1, m2 = c1.bundle_rank, c2.bundle_rank
-    mats = []
-    for a in range(A.rank):
-        mat = [[z] * (m1 * m2) for _ in range(m1 * m2)]
-        for i in range(m1):
-            for j in range(m1):
-                for k in range(m2):
-                    for l in range(m2):
-                        value = z
-                        if k == l:
-                            value = value + c1.matrices[a][i][j]
-                        if i == j:
-                            value = value + c2.matrices[a][k][l]
-                        mat[i * m2 + k][j * m2 + l] = value
-        mats.append(mat)
-    return GConnection(A, m1 * m2, mats)
-
-
-def covariant_exterior_derivative(R: FormMatrix, conn: GConnection):
-    """d^nabla of an End-valued even-degree form, dR + Gamma^R - R^Gamma, as
-    rows of forms; zero for the curvature of ``conn`` (Bianchi)."""
-    m = conn.bundle_rank
-    if R.size != m:
-        raise AlgindexError("form matrix and connection have different bundle ranks")
-    gamma, r = conn.one_forms(), R.entries
-    return [[d_g(w) + x - y for w, x, y in zip(*rows)]
-            for rows in zip(r, _wedge_sum(gamma, r), _wedge_sum(r, gamma))]
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,23 @@ d f = sum_a rho(e_a)(f) e^a and de^c = -sum_{a<b} C^c_ab e^a ^ e^b; on the
 tangent algebroid it is the de Rham differential, over a point it is the
 Chevalley-Eilenberg differential.  d o d = 0 on the coordinates and the
 dual frame is what makes a presentation a Lie algebroid, and that is how
-``algebroid`` validates one.  Pull-back acts degree by degree.
+``algebroid`` validates one.
 
 A form with values in a trivialized rank-m bundle is a list of m forms; a
-connection acts on it as d + Gamma^ (:func:`d_nabla`), whose square is R^
-for the curvature R = d Gamma + Gamma ^ Gamma of ``chern_weil.curvature``
-(Cartan's second structure equation; Kobayashi and Nomizu, Foundations of
-Differential Geometry I, ch. III).
+connection acts on it as d + Gamma^, whose square is R^ for the curvature
+R = d Gamma + Gamma ^ Gamma of ``chern_weil.curvature`` (Cartan's second
+structure equation; Kobayashi and Nomizu, Foundations of Differential
+Geometry I, ch. III).
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, permutations
 from math import lcm
 
 from . import linalg
-from .scalars import AlgindexError, PolyScalar
+from .scalars import AlgindexError
 
 
 def _sort_sign(indices):
@@ -43,6 +42,18 @@ def _sort_sign(indices):
         if a > b:
             sign = -sign
     return sign, key
+
+
+def _scalar_det(rows, chart):
+    """Determinant of a small matrix of chart scalars (Leibniz expansion)."""
+    total = chart.zero()
+    for perm in permutations(range(len(rows))):
+        sign, _ = _sort_sign(perm)
+        term = chart.one()
+        for row, j in zip(rows, perm):
+            term = term * row[j]
+        total = total + term if sign > 0 else total - term
+    return total
 
 
 class AlgForm:
@@ -133,8 +144,6 @@ class AlgForm:
     def wedge(self, other: "AlgForm") -> "AlgForm":
         if self.algebroid is not other.algebroid:
             raise AlgindexError("forms live on different algebroids")
-        if self is other and all(len(k) % 2 for k in self.coeffs):
-            return AlgForm(self.algebroid)  # w ^ w = 0 when every term of w has odd degree
         out = {}
         for left, lv in self.coeffs.items():
             for right, rv in other.coeffs.items():
@@ -156,9 +165,6 @@ class AlgForm:
         return (self - other).is_zero()
 
     __hash__ = None
-
-    def is_constant(self) -> bool:
-        return all(v.is_constant() for v in self.coeffs.values())
 
     def __str__(self):
         if not self.coeffs:
@@ -183,10 +189,6 @@ def _nonzero(algebroid, coeffs) -> AlgForm:
     return form
 
 
-def wedge(a: AlgForm, b: AlgForm) -> AlgForm:
-    return a.wedge(b)
-
-
 def basis_forms(algebroid, degree):
     """All basis forms e^T of a degree."""
     return [AlgForm(algebroid, {T: algebroid.chart.one()})
@@ -203,9 +205,9 @@ class GConnection:
     declaring nabla_{e_a} s = rho(e_a)s + Gamma_a s.
 
     A bundle-valued form is the list of its m component forms, on which the
-    connection acts as :func:`d_nabla`.  A flat connection (zero curvature,
-    see chern_weil.validate_representation) is a representation, the
-    precondition for d_nabla o d_nabla = 0.
+    connection acts as d + Gamma^.  A flat connection (zero curvature, see
+    chern_weil.validate_representation) is a representation, the
+    precondition for (d + Gamma^)^2 = 0.
     """
 
     def __init__(self, algebroid, bundle_rank, matrices):
@@ -262,56 +264,6 @@ def d_g(form: AlgForm) -> AlgForm:
                     add(rest[:p] + (a,) + rest[p:q] + (b,) + rest[q:],
                         w * (c if (j + p + q) % 2 else minus_c))
     return _nonzero(A, out)
-
-
-def d_nabla(forms, conn: GConnection):
-    """d + Gamma^ on a form with values in the connection's bundle, given as
-    the list of its components: [d_g(w_j) + sum_l Gamma_jl ^ w_l]."""
-    A = conn.algebroid
-    if len(forms) != conn.bundle_rank:
-        raise AlgindexError("bundle ranks of form and representation differ")
-    if any(w.algebroid is not A for w in forms):
-        raise AlgindexError("form and representation live on different algebroids")
-    return [sum((g.wedge(w) for g, w in zip(row, forms)), d_g(forms[j]))
-            for j, row in enumerate(conn.one_forms())]
-
-
-# ---------------------------------------------------------------------------
-# pull-back of forms along morphisms
-# ---------------------------------------------------------------------------
-
-
-def _scalar_det(rows, chart):
-    """Determinant of a small matrix of chart scalars (Leibniz expansion)."""
-    total = chart.zero()
-    for perm in permutations(range(len(rows))):
-        sign, _ = _sort_sign(perm)
-        term = chart.one()
-        for row, j in zip(rows, perm):
-            term = term * row[j]
-        total = total + term if sign > 0 else total - term
-    return total
-
-
-def pullback_form(morphism, form: AlgForm) -> AlgForm:
-    """(f, phi)* of a form, degree by degree; commutes with the differential."""
-    if form.algebroid is not morphism.target:
-        raise AlgindexError("form does not live on the morphism target")
-    src = morphism.source
-    phi = morphism.bundle_map
-    out = {}
-    for k in form.degrees():
-        terms = [(beta, coeff) for beta, coeff in form.coeffs.items() if len(beta) == k]
-        for alpha in combinations(range(src.rank), k):
-            value = src.chart.zero()
-            for beta, coeff in terms:
-                rows = [[phi[a][b] for b in beta] for a in alpha]
-                minor = _scalar_det(rows, src.chart)
-                if not minor.is_zero():
-                    value = value + morphism.compose_scalar(coeff) * minor
-            if not value.is_zero():
-                out[alpha] = value
-    return AlgForm(src, out)
 
 
 # ---------------------------------------------------------------------------
@@ -440,70 +392,3 @@ def cohomology_const(algebroid, rep=None, max_degree=None):
     ranks = [linalg.rank(list(_differential_matrix(constants, bases[k + 1], bases[k])))
              if k < r else 0 for k in range(max_degree + 1)]
     return linalg.betti_numbers(dims[:max_degree + 1], ranks)
-
-
-def is_cocycle(form: AlgForm) -> bool:
-    return d_g(form).is_zero()
-
-
-def coboundary_witness(form: AlgForm, ansatz_degree=None):
-    """Search for beta with d beta = form.
-
-    In the constant case this solves the exact linear system and the answer
-    is definitive.  Over a chart it searches polynomial coefficients up to
-    ``ansatz_degree`` and returning None then only means "not found within
-    the ansatz", never "not exact".  The zero form is d of the zero form; a
-    form of mixed degree raises :class:`AlgindexError`.
-    """
-    A = form.algebroid
-    if form.is_zero():
-        return AlgForm.zero(A)
-    if form.degree == 0:
-        return None
-    k = form.degree - 1
-    if A.base_dim == 0 and form.is_constant():
-        candidates = basis_forms(A, k)
-    else:
-        if ansatz_degree is None:
-            raise AlgindexError("chart-case coboundary search needs an ansatz degree")
-        monomials = _monomials_up_to(A.chart, ansatz_degree)
-        candidates = [base.scale(mono) for base in basis_forms(A, k) for mono in monomials]
-
-    def _flat(w):
-        # one linear equation per (tuple, monomial)
-        return {(T, expo): c for T, v in w.coeffs.items() for expo, c in _poly_terms(v)}
-
-    images = [_flat(d_g(c)) for c in candidates]
-    target = _flat(form)
-    keys = sorted(set(target).union(*images))
-    matrix = [[image.get(key, Fraction(0)) for image in images] for key in keys]
-    solution = linalg.solve(matrix, [target.get(key, Fraction(0)) for key in keys])
-    if solution is None:
-        return None
-    witness = AlgForm.zero(A)
-    for coeff, candidate in zip(solution, candidates):
-        if coeff:
-            witness = witness + candidate.scale(coeff)
-    return witness
-
-
-def _monomials_up_to(chart, degree):
-    out = []
-    for expo in product(range(degree + 1), repeat=chart.dim):
-        if sum(expo) <= degree:
-            mono = chart.one()
-            for i, e in enumerate(expo):
-                for _ in range(e):
-                    mono = mono * chart.coord(i)
-            out.append(mono)
-    return out
-
-
-def _poly_terms(scalar):
-    if isinstance(scalar, PolyScalar):
-        return list(scalar.fraction_terms().items())
-    if scalar.is_constant():
-        value = scalar.constant_value()
-        expo = (0,) * len(scalar.vars)
-        return [(expo, value)] if value else []
-    raise AlgindexError("exact coefficient matching needs polynomial scalars")

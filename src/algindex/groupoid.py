@@ -134,24 +134,6 @@ class FiniteGroupoid:
             tuples = extended
         return tuples
 
-    def orbits(self):
-        parent = {x: x for x in self.objects}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.arrows:
-            a, b = find(self.source[g]), find(self.target[g])
-            if a != b:
-                parent[a] = b
-        groups = {}
-        for x in self.objects:
-            groups.setdefault(find(x), []).append(x)
-        return list(groups.values())
-
     def __repr__(self):
         return f"FiniteGroupoid({len(self.objects)} objects, {len(self.arrows)} arrows)"
 
@@ -180,19 +162,6 @@ def cyclic_group_groupoid(n) -> FiniteGroupoid:
                           lambda g, h: (g + h) % n)
 
 
-def disjoint_union(g1: FiniteGroupoid, g2: FiniteGroupoid) -> FiniteGroupoid:
-    """Objects and arrows of part i are tagged (i, item); each part composes its own."""
-    parts = (g1, g2)
-    objects = [(i, x) for i, G in enumerate(parts) for x in G.objects]
-    arrows = [(i, g) for i, G in enumerate(parts) for g in G.arrows]
-    source = {(i, g): (i, parts[i].source[g]) for i, g in arrows}
-    target = {(i, g): (i, parts[i].target[g]) for i, g in arrows}
-    inverse = {(i, g): (i, parts[i].inverse[g]) for i, g in arrows}
-    unit = {(i, x): (i, parts[i].unit[x]) for i, x in objects}
-    return FiniteGroupoid(objects, arrows, source, target, unit, inverse,
-                          lambda a, b: (a[0], parts[a[0]].compose(a[1], b[1])))
-
-
 class FiniteRep:
     """Per-object dimensions and per-arrow matrices over exact rationals.
 
@@ -203,7 +172,7 @@ class FiniteRep:
     def __init__(self, groupoid: FiniteGroupoid, dims, matrices):
         self.groupoid = groupoid
         self.dims = dict(dims)
-        self.matrices = {g: linalg.mat(m) for g, m in matrices.items()}
+        self.matrices = {g: [[Fraction(v) for v in row] for row in m] for g, m in matrices.items()}
         self._validate()
 
     @classmethod

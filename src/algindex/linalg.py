@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
 ``rank`` takes the sparse rows ``{column: value}`` that the cohomology
-builders make; ``det``, ``solve`` and ``nullspace`` take dense lists of rows.
-All four run on one sparse, fraction-free forward elimination, ``_eliminate``.
+builders make; ``det`` takes dense lists of rows.  Both run on one sparse,
+fraction-free forward elimination, ``_eliminate``.
 """
 
 from __future__ import annotations
@@ -22,10 +22,6 @@ def check_size(entries, what):
         raise AlgindexError(
             f"{what} would have {entries} entries, above the limit of 2^24 = {MAX_ENTRIES}"
         )
-
-
-def mat(rows):
-    return [[Fraction(v) for v in row] for row in rows]
 
 
 def identity(n):
@@ -119,13 +115,6 @@ def _eliminate(rows, n_cols):
     return pivots, columns, order, [scales[p] for p in order]
 
 
-def _back_substitute(pivots, columns, x):
-    """Set x on the pivot columns so that every pivot row annihilates x."""
-    for row, col in zip(reversed(pivots), reversed(columns)):
-        x[col] = -sum((v * x[j] for j, v in row.items() if j != col), Fraction(0)) / row[col]
-    return x
-
-
 def exact(v):
     """v as an int if it is integral, else as a Fraction."""
     v = Fraction(v)
@@ -161,32 +150,6 @@ def det(a) -> Fraction:
     for row, col, scale in zip(pivots, columns, scales):
         result *= row[col] / scale
     return result
-
-
-def solve(a, b):
-    """One exact solution of A x = b, or None if inconsistent.
-
-    Free variables are set to zero, so the answer is deterministic.
-    """
-    n_cols = len(a[0]) if a else 0
-    pivots, columns, _, _ = _eliminate(*_sparse([list(row) + [b_i] for row, b_i in zip(a, b)]))
-    if columns and columns[-1] == n_cols:
-        return None
-    # the right-hand side is column n_cols, with x = -1 there
-    x = [Fraction(0)] * n_cols + [Fraction(-1)]
-    return _back_substitute(pivots, columns, x)[:n_cols]
-
-
-def nullspace(a):
-    """Basis of ker A, deterministic (one vector per free column)."""
-    rows, n_cols = _sparse(a)
-    pivots, columns, _, _ = _eliminate(rows, n_cols)
-    basis = []
-    for free in sorted(set(range(n_cols)) - set(columns)):
-        x = [Fraction(0)] * n_cols
-        x[free] = Fraction(1)
-        basis.append(_back_substitute(pivots, columns, x))
-    return basis
 
 
 def betti_numbers(dims, ranks):

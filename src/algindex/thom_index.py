@@ -20,13 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import quadrature
-from .algebroid import (
-    AlgebroidPresentation,
-    AlgebroidMorphism,
-    PresentationError,
-    pullback,
-    zero_section_morphism,
-)
+from .algebroid import AlgebroidPresentation, PresentationError, pullback
 from .chern_weil import (
     GConnection,
     Metric,
@@ -35,7 +29,7 @@ from .chern_weil import (
     levi_civita,
     pfaffian_form,
 )
-from .forms import AlgForm, d_g, pullback_form
+from .forms import AlgForm, d_g
 from .scalars import (
     AlgindexError,
     DomainError,
@@ -366,18 +360,11 @@ class ThomExtendedForm:
     def fiber_rank(self):
         return self.pullback.pullback_data.fiber_dim
 
-    def __add__(self, other):
-        self._check(other)
-        return ThomExtendedForm(self.pullback, self.free + other.free, self.thom + other.thom)
-
-    def _check(self, other):
-        if not isinstance(other, ThomExtendedForm) or other.pullback is not self.pullback:
-            raise AlgindexError("operands live on different pull-backs")
-
     def wedge(self, other) -> "ThomExtendedForm":
         if isinstance(other, AlgForm):
             other = ThomExtendedForm(self.pullback, other)
-        self._check(other)
+        if not isinstance(other, ThomExtendedForm) or other.pullback is not self.pullback:
+            raise AlgindexError("operands live on different pull-backs")
         r = self.fiber_rank
         free = self.free.wedge(other.free)
         thom = self.free.wedge(other.thom)
@@ -387,22 +374,8 @@ class ThomExtendedForm:
             thom = thom + (extra.scale(-1) if (r * degree) % 2 else extra)
         return ThomExtendedForm(self.pullback, free, thom)
 
-    def scale(self, scalar):
-        return ThomExtendedForm(self.pullback, self.free.scale(scalar), self.thom.scale(scalar))
-
     def is_zero(self):
         return self.free.is_zero() and self.thom.is_zero()
-
-    def __eq__(self, other):
-        if not isinstance(other, ThomExtendedForm):
-            return NotImplemented
-        return (
-            self.pullback is other.pullback
-            and self.free == other.free
-            and self.thom == other.thom
-        )
-
-    __hash__ = None
 
     def __str__(self):
         return f"({self.free}) + ({self.thom}) ^ Th"
@@ -463,58 +436,6 @@ def fiber_integrate(t: ThomExtendedForm):
                 )
         coeffs[T] = value.substitute(restriction)
     return AlgForm(A, coeffs)
-
-
-def lift_morphism_to_pullbacks(
-    morphism: AlgebroidMorphism, pb_src: AlgebroidPresentation, pb_tgt: AlgebroidPresentation
-) -> AlgebroidMorphism:
-    """Lift a base morphism to the pull-backs of a shared trivial bundle."""
-    src_data, tgt_data = pb_src.pullback_data, pb_tgt.pullback_data
-    if src_data is None or tgt_data is None:
-        raise PresentationError("both presentations must be pull-backs")
-    if src_data.parent is not morphism.source or tgt_data.parent is not morphism.target:
-        raise PresentationError("morphism does not connect the parents")
-    if src_data.fiber_dim != tgt_data.fiber_dim:
-        raise PresentationError("fiber dimensions differ")
-    chart = pb_src.chart
-    base = [f.extend_vars(chart.names) for f in morphism.base_map] + [
-        chart.coord(i) for i in src_data.fiber_coords
-    ]
-    bundle = [
-        [c.extend_vars(chart.names) for c in row] + [chart.zero()] * tgt_data.fiber_dim
-        for row in morphism.bundle_map
-    ]
-    for j in range(src_data.fiber_dim):
-        row = [chart.zero()] * pb_tgt.rank
-        row[tgt_data.vertical[j]] = chart.one()
-        bundle.append(row)
-    return AlgebroidMorphism(
-        pb_src, pb_tgt, base, bundle, name=f"{morphism.name}^!"
-    )
-
-
-def pullback_extended(
-    lifted: AlgebroidMorphism, t: ThomExtendedForm, pb_src: AlgebroidPresentation
-) -> ThomExtendedForm:
-    """Naturality: pull a Thom-extended form back along a lifted morphism."""
-    return ThomExtendedForm(
-        pb_src, pullback_form(lifted, t.free), pullback_form(lifted, t.thom)
-    )
-
-
-def restrict_extended(morphism: AlgebroidMorphism, t: ThomExtendedForm):
-    """(free, thom) parts pulled back along an arbitrary morphism into the
-    pull-back; the Th symbol itself is left to the caller's interpretation
-    (fiber generator for fiber inclusions, Euler form for the zero section).
-    """
-    return pullback_form(morphism, t.free), pullback_form(morphism, t.thom)
-
-
-def zero_section_restrict(t: ThomExtendedForm, euler_form: AlgForm) -> AlgForm:
-    """Restrict along the zero section, substituting the Euler form for Th."""
-    zs = zero_section_morphism(t.pullback)
-    free, thom = restrict_extended(zs, t)
-    return free + thom.wedge(euler_form)
 
 
 # ---------------------------------------------------------------------------

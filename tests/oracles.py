@@ -1,17 +1,25 @@
-"""Independent oracles used to freeze expected values.
+"""Independent oracles used to freeze expected values, and the test-side
+scaffolding that the identity tests share.
 
-Everything here is deliberately self-contained: the Chevalley-Eilenberg rank
+The oracles are deliberately self-contained: the Chevalley-Eilenberg rank
 oracle builds differential matrices straight from structure constants with
 its own sign bookkeeping and its own row reduction, the Euler-characteristic
 oracle counts simplices, the groupoid Betti oracle builds the full cochain
 complex, degenerate chains included, and the determinant expansion used
 against the Pfaffian is a direct Leibniz sum.  None of it calls the library
 paths it is used to check.  ``dense`` reads the library's sparse rows as the
-dense lists these oracles work on.
+dense lists these oracles work on.  The scaffolding at the end builds on the
+forms layer, so it states identities of that layer rather than checking it
+independently.
 """
 
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
+
+from algindex.chern_weil import Metric
+from algindex.forms import AlgForm, GConnection, d_g
+from algindex.groupoid import FiniteGroupoid
 
 
 def row_reduce_rank(matrix):
@@ -214,10 +222,11 @@ def central_difference(f, point, index, h=1e-6):
 
 # -- Lie algebroid and morphism checks by index loops ------------------------
 #
-# The bracket-morphism, Jacobi and morphism identities expanded over frame
-# indices, as the library checked them before validation became d o d = 0.
-# Each returns the violations (kind, 1-based indices, residual) in report
-# order; only chart scalars and the presentation's arrays are used.
+# The bracket-morphism and Jacobi identities expanded over frame indices, as
+# the library checked them before validation became d o d = 0, and the
+# morphism identities, which only the tests check.  Each returns the
+# violations (kind, 1-based indices, residual) in report order; only chart
+# scalars and the presentation's arrays are used.
 
 
 def _apply(A, a, f):
@@ -314,9 +323,8 @@ def morphism_violations(morphism):
 
 # -- connection identities by index loops -------------------------------------
 #
-# Curvature, metric compatibility and the pulled-back connection expanded over
-# frame and bundle indices, as the library computed them before it read them
-# off the forms layer (R = d Gamma + Gamma ^ Gamma); only chart scalars and the
+# Curvature, torsion, metric compatibility and the pulled-back connection
+# expanded over frame and bundle indices; only chart scalars and the
 # connection's coefficient matrices are used.
 
 
@@ -338,6 +346,19 @@ def curvature_components(conn):
                         value = value - bracket[c] * gamma[c][i][j]
                 if not value.is_zero():
                     out[(i, j)][(a, b)] = value
+    return out
+
+
+def torsion_components(conn):
+    """{(a, b): [T^c_ab for each c]} over the pairs a < b where the torsion
+    nabla_a e_b - nabla_b e_a - [e_a, e_b] is not zero, with nabla_a e_b =
+    sum_c Gamma_a[c][b] e_c."""
+    A, gamma = conn.algebroid, conn.matrices
+    out = {}
+    for a, b in combinations(range(A.rank), 2):
+        values = [gamma[a][c][b] - gamma[b][c][a] - v for c, v in enumerate(_bracket(A, a, b))]
+        if not all(v.is_zero() for v in values):
+            out[(a, b)] = values
     return out
 
 
@@ -374,3 +395,130 @@ def pulled_back_matrices(morphism, conn):
                         morphism.base_map)
         mats.append(mat)
     return mats
+
+
+# -- scaffolding on the forms layer ---------------------------------------------
+
+
+class Morphism:
+    """A bundle map over a base map: ``base_map[i]`` is the i-th target
+    coordinate as a scalar on the source chart, ``bundle_map[a][b]`` the
+    coefficient of e_b in phi(e_a).  ``morphism_violations`` checks one."""
+
+    def __init__(self, source, target, base_map, bundle_map, name="morphism"):
+        self.source, self.target, self.name = source, target, name
+        self.base_map = [source.chart.coerce(c) for c in base_map]
+        self.bundle_map = [[source.chart.coerce(c) for c in row] for row in bundle_map]
+
+
+def anchor_map(A, target):
+    """The anchor of A into ``target``, the tangent algebroid of A's chart."""
+    return Morphism(A, target, [A.chart.coord(i) for i in range(A.base_dim)], A.anchor)
+
+
+def zero_section(pb):
+    """X -> (X, rho(X)): the parent of the pull-back ``pb`` included at u = 0."""
+    data = pb.pullback_data
+    A = data.parent
+    base = [A.chart.coord(i) for i in range(A.base_dim)] + [0] * data.fiber_dim
+    return Morphism(A, pb, base, [[int(h == a) for h in range(pb.rank)] for a in range(A.rank)])
+
+
+def fiber_inclusion(pb, base_point):
+    """The tangent algebroid of the fiber of ``pb`` over ``base_point``."""
+    data = pb.pullback_data
+    fiber = data.fiber
+    base = list(base_point) + [fiber.chart.coord(j) for j in range(fiber.rank)]
+    return Morphism(fiber, pb, base, [[int(k == v) for k in range(pb.rank)] for v in data.vertical])
+
+
+def pullback_form(morphism, form):
+    """(f, phi)* of a form: on a source tuple alpha it is the sum over the
+    target tuples beta of (w_beta o f) times the minor of phi on (alpha, beta)."""
+    src, phi = morphism.source, morphism.bundle_map
+    coeffs = {}
+    for beta, value in form.coeffs.items():
+        value = value.substitute(morphism.base_map)
+        for alpha in combinations(range(src.rank), len(beta)):
+            minor = [[phi[a][b] for b in beta] for a in alpha]
+            term = value * leibniz_determinant(minor, operator.mul, operator.add,
+                                               src.chart.zero()) if beta else value
+            coeffs[alpha] = coeffs[alpha] + term if alpha in coeffs else term
+    return AlgForm(src, coeffs)
+
+
+def d_nabla(forms, conn):
+    """d + Gamma^ on a bundle-valued form, given as the list of its components."""
+    return [sum((g.wedge(w) for g, w in zip(row, forms)), d_g(w_j))
+            for row, w_j in zip(conn.one_forms(), forms)]
+
+
+def covariant_derivative(R, conn):
+    """dR + Gamma ^ R - R ^ Gamma on a matrix of even forms, entry by entry;
+    zero for the curvature of ``conn`` (Bianchi)."""
+    gamma, r, m = conn.one_forms(), R.entries, R.size
+    return [[sum((gamma[i][k].wedge(r[k][j]) - r[i][k].wedge(gamma[k][j]) for k in range(m)),
+                 d_g(r[i][j])) for j in range(m)] for i in range(m)]
+
+
+def direct_sum(c1, c2):
+    """The block-diagonal connection on E1 + E2."""
+    z, m1, m2 = c1.algebroid.chart.zero(), c1.bundle_rank, c2.bundle_rank
+    return GConnection(c1.algebroid, m1 + m2, [
+        [row + [z] * m2 for row in g1] + [[z] * m1 + row for row in g2]
+        for g1, g2 in zip(c1.matrices, c2.matrices)])
+
+
+def tensor_product(c1, c2):
+    """Gamma1 x 1 + 1 x Gamma2 on E1 x E2, whose basis vector e_i x f_k is
+    number i * m2 + k."""
+    z, pairs = c1.algebroid.chart.zero(), [(i, k) for i in range(c1.bundle_rank)
+                                            for k in range(c2.bundle_rank)]
+    return GConnection(c1.algebroid, len(pairs), [
+        [[(g1[i][j] if k == l else z) + (g2[k][l] if i == j else z) for j, l in pairs]
+         for i, k in pairs] for g1, g2 in zip(c1.matrices, c2.matrices)])
+
+
+def form_det(R):
+    """Determinant of a form matrix by the Leibniz expansion."""
+    return leibniz_determinant(R.entries, lambda a, b: a.wedge(b), lambda a, b: a + b,
+                               AlgForm.zero(R.algebroid))
+
+
+def random_spd_metric(rng, A):
+    """B^T B + 2 I for a random integer matrix B, kept once it passes the positivity check."""
+    r = A.rank
+    while True:
+        B = [[Fraction(rng.randint(-2, 2)) for _ in range(r)] for _ in range(r)]
+        metric = Metric(A, [[sum(B[k][i] * B[k][j] for k in range(r)) + (2 if i == j else 0)
+                             for j in range(r)] for i in range(r)])
+        if metric.check_positive_definite():
+            return metric
+
+
+def disjoint_union(g1, g2):
+    """Objects and arrows of part i are tagged (i, item); each part composes its own."""
+    parts = (g1, g2)
+    objects = [(i, x) for i, G in enumerate(parts) for x in G.objects]
+    arrows = [(i, g) for i, G in enumerate(parts) for g in G.arrows]
+
+    def tagged(table, items):
+        return {(i, item): (i, getattr(parts[i], table)[item]) for i, item in items}
+
+    return FiniteGroupoid(objects, arrows, tagged("source", arrows), tagged("target", arrows),
+                          tagged("unit", objects), tagged("inverse", arrows),
+                          lambda a, b: (a[0], parts[a[0]].compose(a[1], b[1])))
+
+
+def orbit_count(G):
+    """The number of orbits of a finite groupoid, flooding along its arrows."""
+    seen, count = set(), 0
+    for x in G.objects:
+        if x not in seen:
+            count, stack = count + 1, [x]
+            while stack:
+                y = stack.pop()
+                if y not in seen:
+                    seen.add(y)
+                    stack.extend(G.target[g] for g in G.leaving[y])
+    return count

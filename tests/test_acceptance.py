@@ -19,7 +19,6 @@ from algindex.forms import AlgForm, basis_forms, cohomology_const, d_g
 from algindex.scalars import Chart
 
 import oracles
-from test_chern_weil import form_det, random_spd_metric
 
 
 def report(number, text):
@@ -123,7 +122,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
     cases = 0
     for A in (alg.aff1(), alg.product(alg.aff1(), alg.aff1())):
         for _ in range(3):
-            metric = random_spd_metric(rng, A)
+            metric = oracles.random_spd_metric(rng, A)
             R = cw.curvature(cw.levi_civita(A, metric))
             lowered = [
                 [
@@ -137,7 +136,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
                 for i in range(A.rank)
             ]
             pf = cw.pfaffian_form(R, metric)
-            assert pf.wedge(pf) == form_det(cw.FormMatrix(A, lowered))
+            assert pf.wedge(pf) == oracles.form_det(cw.FormMatrix(A, lowered))
             cases += 1
     # the same identity with non-truncating (degree-zero) indeterminates,
     # where both sides are nonzero
@@ -155,7 +154,7 @@ def test_criterion_4_pfaffian_squared_is_determinant():
         R = cw.FormMatrix(B, entries)
         pf = cw.pfaffian_form(R)
         assert not pf.is_zero()
-        assert pf.wedge(pf) == form_det(R)
+        assert pf.wedge(pf) == oracles.form_det(R)
     report(4, f"Pf(R)^2 = det(R) exactly for {cases} Levi-Civita curvatures "
               f"(rank 2 and 4) and for generic antisymmetric matrices")
 

@@ -49,7 +49,7 @@ def test_pair_groupoid_axioms_hold(pair3):
 @pytest.mark.parametrize("G", [
     *(gp.pair_groupoid(n) for n in range(2, 5)),
     *(gp.cyclic_group_groupoid(n) for n in range(2, 6)),
-    gp.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(3)),
+    oracles.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(3)),
 ], ids=repr)
 def test_formula_compositions_pass_the_full_table_check(G):
     H = from_own_table(G)
@@ -100,11 +100,11 @@ def test_pair3_betti(pair3):
 
 
 def test_disjoint_union_counts_orbits():
-    union = gp.disjoint_union(gp.pair_groupoid(2), gp.pair_groupoid(3))
+    union = oracles.disjoint_union(gp.pair_groupoid(2), gp.pair_groupoid(3))
     rep = gp.FiniteRep.trivial(union)
     betti = gp.groupoid_cohomology(union, rep, 2)
     assert betti == [2, 0, 0]
-    assert betti[0] == len(union.orbits())
+    assert betti[0] == oracles.orbit_count(union)
 
 
 def test_z2_betti_rational_coefficients(z2):
@@ -115,11 +115,11 @@ def test_z2_betti_rational_coefficients(z2):
 def test_b0_counts_orbits_for_trivial_rep():
     for G in (
         gp.pair_groupoid(4),
-        gp.disjoint_union(gp.cyclic_group_groupoid(2), gp.pair_groupoid(2)),
+        oracles.disjoint_union(gp.cyclic_group_groupoid(2), gp.pair_groupoid(2)),
     ):
         rep = gp.FiniteRep.trivial(G)
         betti = gp.groupoid_cohomology(G, rep, 1)
-        assert betti[0] == len(G.orbits())
+        assert betti[0] == oracles.orbit_count(G)
 
 
 def test_sign_representation_of_z2_has_no_cohomology(z2):
@@ -143,7 +143,7 @@ def _sign_rep_of_z2():
     lambda: gp.FiniteRep.trivial(gp.cyclic_group_groupoid(3)),
     lambda: gp.FiniteRep.trivial(gp.cyclic_group_groupoid(4)),
     lambda: gp.FiniteRep.trivial(
-        gp.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(2))),
+        oracles.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(2))),
     _sign_rep_of_z2,
     lambda: gp.FiniteRep.trivial(gp.pair_groupoid(2), 2),
 ], ids=["pair2", "pair3", "cyclic3", "cyclic4", "pair2+cyclic2", "z2-sign", "pair2-fibre2"])
@@ -157,11 +157,9 @@ def test_betti_numbers_match_the_full_complex_oracle(make_rep):
 def test_h0_is_invariant_sections(pair3):
     rep = gp.FiniteRep.trivial(pair3)
     d0 = _dense_differential(pair3, rep, 0)
-    kernel = linalg.nullspace(d0)
-    assert len(kernel) == 1
+    assert len(d0[0]) - oracles.row_reduce_rank(d0) == 1
     # the invariant section is constant across objects
-    vec = kernel[0]
-    assert all(v == vec[0] for v in vec)
+    assert all(sum(row) == 0 for row in d0)
 
 
 def test_d_squared_is_zero_exact(pair3, z2):
@@ -220,7 +218,7 @@ def test_convolution_associative(pair3, z2):
 @pytest.mark.parametrize("G", [
     gp.pair_groupoid(3),
     gp.cyclic_group_groupoid(4),
-    gp.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(2)),
+    oracles.disjoint_union(gp.pair_groupoid(2), gp.cyclic_group_groupoid(2)),
 ], ids=repr)
 def test_convolution_table_matches_convolved_deltas(G):
     ctx = SimpleNamespace(ref=lambda kind, name: G)
@@ -294,7 +292,7 @@ def test_non_invariant_weights_rejected_with_counterexample(pair3):
 
 
 def test_invariant_weights_constant_on_orbits_only():
-    union = gp.disjoint_union(gp.pair_groupoid(2), gp.pair_groupoid(2))
+    union = oracles.disjoint_union(gp.pair_groupoid(2), gp.pair_groupoid(2))
     weights = {x: Fraction(1 if x[0] == 0 else 5) for x in union.objects}
     assert gp.is_invariant_weight(union, weights)
     f = {g: Fraction(1) for g in union.arrows}

@@ -1,5 +1,5 @@
-"""The exact elimination behind rank, det, solve and nullspace, against the
-independent row reduction and Leibniz determinant of ``oracles``."""
+"""The exact elimination behind rank and det, against the independent row
+reduction and Leibniz determinant of ``oracles``."""
 
 import operator
 import random
@@ -49,17 +49,6 @@ def _matrices(seed, count=150, max_size=7):
         _random_matrix(rng, rng.randint(1, max_size), rng.randint(1, max_size))
         for _ in range(count)
     ]
-
-
-def _apply(a, x):
-    return [sum((v * w for v, w in zip(row, x)), Fraction(0)) for row in a]
-
-
-def _oracle_pivot_columns(a):
-    """Column j is a pivot column iff the rank rises when j is added."""
-    n_cols = len(a[0]) if a else 0
-    ranks = [oracles.row_reduce_rank([row[:j] for row in a]) for j in range(n_cols + 1)]
-    return [j for j in range(n_cols) if ranks[j + 1] > ranks[j]]
 
 
 def _sparse(m):
@@ -137,37 +126,6 @@ def test_det_matches_leibniz():
         expected = oracles.leibniz_determinant(m, operator.mul, operator.add, Fraction(0))
         assert linalg.det(m) == expected, m
     assert linalg.det([]) == 1
-
-
-@pytest.mark.parametrize("consistent", [True, False])
-def test_solve_zeroes_free_columns(consistent):
-    rng = random.Random(303 + consistent)
-    for a in _matrices(304 + consistent):
-        n_cols = len(a[0]) if a else 0
-        if consistent:
-            b = _apply(a, [Fraction(rng.randint(-3, 3)) for _ in range(n_cols)])
-        else:
-            b = [Fraction(rng.randint(-3, 3)) for _ in a]
-        x = linalg.solve(a, b)
-        augmented = [row + [v] for row, v in zip(a, b)]
-        if oracles.row_reduce_rank(augmented) > oracles.row_reduce_rank(a):
-            assert x is None, (a, b)
-            continue
-        assert x is not None and len(x) == n_cols, (a, b)
-        assert _apply(a, x) == b
-        pivots = _oracle_pivot_columns(a)
-        assert all(x[j] == 0 for j in range(n_cols) if j not in pivots), (a, b, x)
-
-
-def test_nullspace_has_one_unit_vector_per_free_column():
-    for a in _matrices(404):
-        n_cols = len(a[0]) if a else 0
-        basis = linalg.nullspace(a)
-        assert len(basis) == n_cols - oracles.row_reduce_rank(a)
-        free = [j for j in range(n_cols) if j not in _oracle_pivot_columns(a)]
-        for v, j in zip(basis, free):
-            assert _apply(a, v) == [0] * len(a)
-            assert [v[k] for k in free] == [int(k == j) for k in free]
 
 
 def test_det_tracks_row_scales():

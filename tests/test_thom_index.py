@@ -17,7 +17,7 @@ from algindex import algebroid as alg
 from algindex import chern_weil as cw
 from algindex import cli, quadrature
 from algindex import thom_index as ti
-from algindex.forms import AlgForm, basis_forms, d_g, pullback_form
+from algindex.forms import AlgForm, basis_forms, d_g
 from algindex.scalars import AlgindexError, Chart, RationalScalar
 
 import oracles
@@ -317,31 +317,10 @@ def test_vertical_factors_die_against_thom(pullback_su2):
 
 
 def test_fiber_restriction_gives_generator(pullback_su2):
-    inclusion = alg.fiber_inclusion_morphism(pullback_su2, [])
-    free, thom = ti.restrict_extended(inclusion, ti.thom_class(pullback_su2))
-    fiber = inclusion.source
-    assert free.is_zero()
-    assert thom == AlgForm.constant(fiber, 1)
-
-
-def test_thom_pullback_along_identity(pullback_su2, su2):
-    lifted = ti.lift_morphism_to_pullbacks(
-        alg.identity_morphism(su2), pullback_su2, pullback_su2
-    )
-    assert lifted.validate().ok
-    t = ti.thom_map(AlgForm.dual_basis(su2, (0, 1)), pullback_su2)
-    assert ti.pullback_extended(lifted, t, pullback_su2) == t
-
-
-def test_thom_naturality_along_anchor(so3_action):
-    tangent = alg.tangent(3, so3_action.chart, name="T(R3)")
-    anchor = alg.anchor_morphism(so3_action, tangent)
-    pb_src = alg.pullback(so3_action, 3)
-    pb_tgt = alg.pullback(tangent, 3)
-    lifted = ti.lift_morphism_to_pullbacks(anchor, pb_src, pb_tgt)
-    assert lifted.validate().ok
-    pulled = ti.pullback_extended(lifted, ti.thom_class(pb_tgt), pb_src)
-    assert pulled == ti.thom_class(pb_src)
+    inclusion = oracles.fiber_inclusion(pullback_su2, [])  # a morphism: see test_algebroid
+    th = ti.thom_class(pullback_su2)
+    assert oracles.pullback_form(inclusion, th.free).is_zero()
+    assert oracles.pullback_form(inclusion, th.thom) == AlgForm.constant(inclusion.source, 1)
 
 
 def test_fiber_integrate_roundtrip(su2, t2):
@@ -382,11 +361,13 @@ def test_fiber_integrate_rejects_fiber_dependent_thom_part(pullback_su2):
 def test_zero_section_restriction_substitutes_euler_form(t2, sphere_metric):
     pb = alg.pullback(t2, 2)
     e = ti.euler_class(t2, sphere_metric)
-    restricted = ti.zero_section_restrict(ti.thom_class(pb), e)
+    zs = oracles.zero_section(pb)
+    assert oracles.morphism_violations(zs) == []
+    th = ti.thom_class(pb)
+    restricted = oracles.pullback_form(zs, th.free) + oracles.pullback_form(zs, th.thom).wedge(e)
     assert restricted == e
     # consistent with pulling the lifted representative back along the section
-    zs = alg.zero_section_morphism(pb)
-    assert pullback_form(zs, ti.pi_star(e, pb)) == e
+    assert oracles.pullback_form(zs, ti.pi_star(e, pb)) == e
 
 
 # -- Thom / integration compatibility ---------------------------------------------------
@@ -469,10 +450,6 @@ def test_euler_class_round_sphere_is_gauss_curvature_form(t2, sphere_metric):
     lam = sphere_metric.entries[0][0]
     expected = AlgForm.dual_basis(t2, (0, 1)).scale(lam)
     assert e == expected
-    # pull-back along the (identity) anchor morphism of the tangent algebroid
-    anchor = alg.anchor_morphism(t2, alg.tangent(2, t2.chart, name="T"))
-    lifted = AlgForm(anchor.target, {(0, 1): lam})
-    assert pullback_form(anchor, lifted) == e
 
 
 def test_euler_class_of_the_round_s4_chart():
