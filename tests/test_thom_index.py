@@ -725,6 +725,9 @@ def test_line_box_quadrature_is_pinned(monkeypatch, backend, text, bounds, raw, 
     # (x - y)^2 cancels on the diagonal: some nodes take the exact fallback
     ("poly", "(x^2 - 2*x*y + y^2 + 1)/(1 + x^2 + y^2)^3", ti.PlaneDomain(), 1e-8, 6000,
      3.1415926537653016, 2.6171181269764242e-08, 109),
+    # the shifted round chart's Euler form: its denominator has mixed signs
+    ("poly", "4/(x^2 + y^2 - 2*y + 2)^2", ti.PlaneDomain(), 1e-8, 6000,
+     12.56637061820651, 1.2042788034613542e-07, 127),
 ])
 def test_plane_quadrature_is_pinned(monkeypatch, backend, text, domain, tol, budget,
                                     raw, error, panels):
