@@ -35,16 +35,17 @@ multipliers (a Jacobian) and weights, once per span of an integral;
 Kronrod and Gauss sums, each value times its multipliers and weights.
 
 For an exact scalar, a row holds the powers of its node, each by the same
-``**`` call a per-term loop would make, and each term's product through
-its first axis; the panel multiplies it through each later axis once per
-node of that axis.  A term is its float coefficient times its powers in
+``**`` call a per-term loop would make, and each term's product through its
+first axis; the panel multiplies it through each later axis once per node
+of that axis.  A term is its float coefficient times its powers in
 coordinate order, multiplied left to right, and the terms are added in
 print order.  So the float bits depend only on the value and the point.  A
 coordinate or power beyond float range enters as inf, so only the sums that
 use it fail.  A polynomial is its float sum where that sum is finite and
-lost at most eight digits to cancellation, else its exact value.  A
-quotient follows one rule: each part is its float sum where that part's own
-check passes, else its exact value; the value is their ratio where the
+lost at most eight digits to cancellation, else its exact value, decided by
+one bound per group of terms (exact, as rounding is monotone).  A quotient
+follows one rule: each part is its float sum where that part's own check
+passes, else its exact value; the value is their ratio where the
 denominator is nonzero and the ratio finite; otherwise, or where a part's
 exact value is beyond float range, it is the exact quotient, and at a pole
 that raises :class:`DomainError`.  Coefficients are bound as floats in the
@@ -897,26 +898,37 @@ class RationalScalar:
 
 
 def _sum_block(j, p: PolyScalar, namespace):
-    """``(j, terms, trust, tracked)`` of the float sum ``t{j}`` of ``p``:
-    the terms ``(c{j}_{k}, [(i, e), ...])`` in print order, each coefficient
-    bound in ``namespace`` (OverflowError beyond float range).  A finite sum
-    has finite terms, so its largest |term| is max(h, -l) for the tracked
-    largest term h and smallest l; when all terms have one sign (one term,
-    or coefficients of one sign on even exponents) |t| is at least that,
-    and only finiteness is tested (``t - t == 0.0``, false for inf and NaN).
+    """``(j, terms, trust, bounds)`` of the float sum ``t{j}`` of ``p``: the
+    terms ``(c{j}_{k}, [(i, e), ...])`` in print order, coefficients bound
+    in ``namespace`` (OverflowError beyond float range), the check ``trust``
+    and the row fields it reads, name -> (axis, source).  A sum of one sign
+    (one term, or coefficients of one sign on even exponents) tests only
+    finiteness, ``t - t == 0.0``; else ``s{j} = |t|`` must reach 1e-8 times
+    each group's largest |term|.  A group's terms start on axis i as ``p = c
+    * x_i ** e`` and share their later powers ``y``: row i keeps
+    ``lim{j}_{i} = 1e-8 * max|p|`` if ``y`` is 1 (the constant joins axis
+    0's), else ``u{j}_{n} = max|p|`` for ``1e-8 * (u * |y|)``, odd powers as
+    ``ax{a}_{e}``.  As rounding is monotone and symmetric in sign, these are
+    exactly each group's rounded 1e-8 * max|term| where ``t`` is finite.
     """
     order = sorted(p.ints, key=_grlex_key, reverse=True)
     one_sign = len(order) < 2 or (len({p.ints[expo] > 0 for expo in order}) == 1
                                   and all(e % 2 == 0 for expo in order for e in expo))
-    terms, coefficients = [], p.fraction_terms()
+    terms, coefficients, groups = [], p.fraction_terms(), {}
     for k, expo in enumerate(order):
         # the float of the exact coefficient, never float(content) * n
         namespace[f"c{j}_{k}"] = float(coefficients[expo])
         terms.append((f"c{j}_{k}", [(i, e) for i, e in enumerate(expo) if e]))
-    if one_sign:
-        return j, terms, f"t{j} - t{j} == 0.0", False
-    largest = f"(h{j} if h{j} >= -l{j} else -l{j})"
-    return j, terms, f"t{j} - t{j} == 0.0 and abs(t{j}) >= 1e-8 * {largest}", True
+        (i, e), *later = terms[-1][1] or [(0, 0)]
+        groups.setdefault((i, tuple(later)), []).append(f"p{j}_{k}_{i}, " if e else f"c{j}_{k}, ")
+    checks, bounds = [f"t{j} - t{j} == 0.0"], {}
+    for n, ((i, later), members) in enumerate([] if one_sign else groups.items()):
+        name = f"u{j}_{n}" if later else f"lim{j}_{i}"
+        bounds[name] = i, f"{'' if later else '1e-8 * '}max(map(abs, ({''.join(members)})))"
+        bounds.update({f"ax{a}_{e}": (a, f"abs(x{a}_{e})") for a, e in later if e % 2})
+        factors = "".join(f" * {'a' if e % 2 else ''}x{a}_{e}" for a, e in later)
+        checks.append(f"s{j} >= 1e-8 * ({name}{factors})" if later else f"s{j} >= {name}")
+    return j, terms, " and ".join(checks), bounds
 
 
 def _powers(v, exps):
@@ -954,36 +966,39 @@ def _program(n_vars, blocks, tail, value, namespace):
 
     ``rows[i](axis)`` maps each node ``(v, m, k, g)`` of ``axis`` -- the
     node, its multiplier, its Kronrod and Gauss weights (None at a
-    Kronrod-only node) -- to ``(v, x ** e, ..., p, ..., m, k, g)``: the
-    powers of v that later loops multiply by (:func:`_powers`) and ``c * x
-    ** e`` for each term whose first coordinate is axis i.  ``panel(rows)``
-    walks ``product(*rows)``: the loop over axis i multiplies each started
-    term's product through axis i; the innermost loop adds the finished
-    terms into ``t{j}`` in print order, 32 to a statement where nothing is
-    tracked, runs ``tail`` and takes ``value`` at the point.  It returns
-    ``(kron, gauss)``: from 0.0, in product order, ``kron += k0 * k1 * y``
-    for ``y = value * m0 * m1``, and ``gauss`` likewise at the points where
-    no ``g`` is None.  Reference counting frees both functions.
+    Kronrod-only node) -- to ``(v, x ** e, ..., p, ..., b, ..., m, k, g)``:
+    the powers of v that later loops multiply by (:func:`_powers`), ``c * x
+    ** e`` for each term whose first coordinate is axis i and the blocks'
+    ``bounds`` b on axis i.  ``panel(rows)`` walks ``product(*rows)``: the
+    loop over axis i multiplies each started term's product through axis i;
+    the innermost loop adds the finished terms into ``t{j}`` in print order,
+    32 to a statement, sets ``s{j} = |t{j}|`` if it has bounds, runs
+    ``tail`` and takes ``value`` at the point.  It returns ``(kron, gauss)``:
+    from 0.0, in product order, ``kron += k0 * k1 * y`` for ``y = value * m0
+    * m1``, and ``gauss`` likewise at the points where no ``g`` is None.
+    Reference counting frees both functions.
     """
     prefix, started, carried = {}, [{} for _ in range(n_vars)], [set() for _ in range(n_vars)]
-    for j, terms, _, _ in blocks:
+    for j, terms, _, bounds in blocks:
         for k, (c, powers) in enumerate(terms):
             prefix[j, k] = c
             if powers:
                 (i, e), *later = powers
                 prefix[j, k] = f"p{j}_{k}_{i}"
-                started[i][prefix[j, k]] = c, e
+                started[i][prefix[j, k]] = f"{c} * x{i}_{e}", e
                 for axis, e in later:
                     carried[axis].add(e)
+        for name, (i, source) in bounds.items():
+            started[i][name] = source, None
     # the names each node of axis i carries between v and m, in row and loop
     fields = [[*(f"x{i}_{e}" for e in sorted(carried[i])), *started[i]] for i in range(n_vars)]
     lines = []
     for i in range(n_vars):
-        exps = sorted(carried[i] | {e for _, e in started[i].values()})
+        exps = sorted(carried[i] | {e for _, e in started[i].values() if e})
         lines += [f"def row{i}(axis):", "    out = []", "    for v, m, k, g in axis:"]
         if exps:
             lines.append(f"        {''.join(f'x{i}_{e}, ' for e in exps)}= powers(v, {tuple(exps)})")
-        lines += [f"        {name} = {c} * x{i}_{e}" for name, (c, e) in started[i].items()]
+        lines += [f"        {name} = {source}" for name, (source, _) in started[i].items()]
         lines += [f"        out.append(({', '.join(['v', *fields[i], 'm', 'k', 'g'])}))",
                   "    return out"]
     lines += ["def panel(rows):", "    kron = gauss = 0.0"]
@@ -1000,16 +1015,13 @@ def _program(n_vars, blocks, tail, value, namespace):
                         lines.append(f"{indent}p{j}_{k}_{i} = {prefix[j, k]}")
                         prefix[j, k] = f"p{j}_{k}_{i}"
     body = []
-    for j, terms, _, tracked in blocks:
+    for j, terms, _, bounds in blocks:
         finished = [prefix[j, k] for k in range(len(terms))]
         body.append(f"t{j} = 0.0")
-        if not tracked:
-            body += [" + ".join([f"t{j} = t{j}", *finished[c:c + 32]])
-                     for c in range(0, len(terms), 32)]
-            continue
-        for k, term in enumerate(finished):
-            body += [f"a = {term}", f"t{j} += a"] + ([f"h{j} = l{j} = a"] if k == 0 else [
-                f"if a > h{j}:", f"    h{j} = a", f"elif a < l{j}:", f"    l{j} = a"])
+        body += [" + ".join([f"t{j} = t{j}", *finished[c:c + 32]])
+                 for c in range(0, len(terms), 32)]
+        if bounds:
+            body.append(f"s{j} = t{j} if t{j} >= 0.0 else -t{j}")
     axes = range(n_vars)
     gauss = " and ".join(f"g{i} is not None" for i in reversed(axes)) or "True"
     lines += [f"{indent}{line}" for line in body + tail]
@@ -1201,8 +1213,6 @@ class NumericExpr:
             return other
         if isinstance(other, (int, Fraction, float)):
             return NumericExpr.const(self.vars, other)
-        if isinstance(other, PolyScalar):
-            return from_poly(other)
         return None
 
     def _binary(self, op, other, reflected=False):
@@ -1421,18 +1431,6 @@ class NumericExpr:
 
     def __repr__(self):
         return f"NumericExpr({self})"
-
-
-def from_poly(p: PolyScalar) -> NumericExpr:
-    """Rebuild a polynomial as an expression tree on the same chart."""
-    total, terms = NumericExpr.zero(p.vars), p.fraction_terms()
-    for expo in sorted(terms, key=_grlex_key):
-        term = NumericExpr.const(p.vars, terms[expo])
-        for i, e in enumerate(expo):
-            if e:
-                term = term * NumericExpr.coordinate(p.vars, i) ** e
-        total = total + term
-    return total
 
 
 # ---------------------------------------------------------------------------

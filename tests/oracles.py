@@ -20,6 +20,7 @@ from itertools import combinations, permutations
 from algindex.chern_weil import Metric
 from algindex.forms import AlgForm, GConnection, d_g
 from algindex.groupoid import FiniteGroupoid
+from algindex.scalars import NumericExpr
 
 
 def row_reduce_rank(matrix):
@@ -209,6 +210,19 @@ def leibniz_determinant(entries, mul, add, zero):
         if _perm_sign(perm) < 0:
             term = -term
         total = add(total, term)
+    return total
+
+
+def from_poly(p):
+    """A polynomial rebuilt as a NumericExpr tree on the same chart, term by
+    term in graded-lex order: the numeric backend's view of the same value."""
+    total, terms = NumericExpr.zero(p.vars), p.fraction_terms()
+    for expo in sorted(terms, key=lambda e: (sum(e), e)):
+        term = NumericExpr.const(p.vars, terms[expo])
+        for i, e in enumerate(expo):
+            if e:
+                term = term * NumericExpr.coordinate(p.vars, i) ** e
+        total = total + term
     return total
 
 

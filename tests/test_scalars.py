@@ -19,7 +19,6 @@ from algindex.scalars import (
     DomainError,
     PolyScalar,
     RationalScalar,
-    from_poly,
     poly_gcd,
     poly_quotient,
 )
@@ -107,11 +106,20 @@ def test_poly_vs_numeric_eval_agreement():
     rng = random.Random(303)
     for _ in range(100):
         p = random_poly(rng)
-        expr = from_poly(p)
+        expr = oracles.from_poly(p)
         point = tuple(rng.uniform(-2, 2) for _ in XY)
         exact = float(p.eval(point))
         approx = expr.eval(point)
         assert abs(exact - approx) <= 1e-12 * max(1.0, abs(exact))
+
+
+def test_arithmetic_refuses_mixed_backends():
+    # a document has one backend, so no operation converts between them
+    expr, poly = Chart(XY, "numeric").coord(0), P("x + 1")
+    for combine in (operator.add, operator.sub, operator.mul, operator.truediv):
+        for a, b in ((expr, poly), (poly, expr)):
+            with pytest.raises(TypeError):
+                combine(a, b)
 
 
 def test_numeric_derivative_vs_central_differences():
@@ -541,23 +549,32 @@ def test_an_integrand_compiles_one_program(backend, text, beyond, monkeypatch):
 # -- the panel program against an independent per-point reference ------------
 
 
+def _reference_terms(p, point):
+    """The float terms of ``p`` at ``point`` in print order, each its float
+    coefficient times its powers in coordinate order (OverflowError beyond
+    float range)."""
+    xs, terms, out = [float(v) for v in point], p.fraction_terms(), []
+    for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
+        term = float(terms[expo])
+        for x, e in zip(xs, expo):
+            if e:
+                term *= x**e
+        out.append(term)
+    return out
+
+
 def _reference_sum(p, point):
     """The float sum of ``p`` at ``point`` by the per-term rule, or None
-    where it is not trusted: terms summed in print order, each its float
-    coefficient times its powers in coordinate order; trusted when finite
-    and at least 1e-8 times its largest |term|."""
+    where it is not trusted: the terms summed in print order, trusted when
+    finite and at least 1e-8 times the largest |term|."""
     try:
-        xs, terms = [float(v) for v in point], p.fraction_terms()
-        total = largest = 0.0
-        for expo in sorted(terms, key=lambda e: (sum(e), e), reverse=True):
-            term = float(terms[expo])
-            for x, e in zip(xs, expo):
-                if e:
-                    term *= x**e
-            total += term
-            largest = max(largest, abs(term))
+        terms = _reference_terms(p, point)
     except OverflowError:
         return None
+    total = largest = 0.0
+    for term in terms:
+        total += term
+        largest = max(largest, abs(term))
     return total if math.isfinite(total) and abs(total) >= 1e-8 * largest else None
 
 
@@ -715,6 +732,59 @@ def test_grid_evaluator_overflow_cancellation_and_pole():
     kron, gauss = assert_panel_matches_reference(line, axes, [[1.0, 1e308, 1.0]], wk,
                                                  [[0.5, None, 0.25]])
     assert kron == math.inf and gauss == 0.5 * 1.25 + 0.25 * 10.0
+
+
+@pytest.mark.parametrize("variables,text", [
+    (("x", "y"), "x^2 - 3*x*y + y^2 - 1"),
+    (("x", "y"), "x*y^3 - y^3 + x^2"),
+    (("x", "y"), "x^3*y - 2*x*y^2 + y - 4"),
+    (("x",), "x^3 - 2*x^2 + x - 1/1024"),
+    (("x", "y", "z"), "x^2*y*z - 2*x*y*z^3 + y^2*z^5 - y^3 + z"),
+])
+def test_cancellation_check_as_the_largest_term_moves_between_groups(variables, text):
+    # the largest |term| lies now in a group of one axis, now in a product
+    # group; the nodes near 1 and of both signs put some points on either
+    # side of the 1e-8 * max|term| threshold, odd later powers among them
+    rng = random.Random(1761 + len(text))
+    scalar = Chart(variables).parse(text)
+    near = [1.0, -1.0, 1 + 2.0**-30, 1 - 2.0**-29, -(1 + 2.0**-28), 1 + 3e-9, 2.0**10,
+            -(2.0**10), 2.0**-10, 0.0, 2.618033988749895]
+    for _ in range(12):
+        axes = [rng.sample(near, 3) + [rng.uniform(-30, 30)] for _ in variables]
+        assert_panel_matches_reference(scalar, axes, *_panel_inputs(rng, axes))
+
+
+@pytest.mark.parametrize("variables,text,point", [
+    # the largest |term| in a product group: 2*x*y
+    (("x", "y"), "x^2 - 2*x*y + y^2", (1 + 2.0**-30, 1.0)),
+    # in a group of axis 0 (2*x^2), with a product group x*y of 2^-200 beside it
+    (("x", "y"), "x^3 - 2*x^2 + x*y + x", (1 + 2.0**-30, 2.0**-200)),
+    # in a group of axis 1 (2*y^2), the constant in axis 0's
+    (("x", "y"), "y^3 - 2*y^2 + y", (5.0, 1 + 2.0**-30)),
+    # an odd later power at a negative node: 2*x*y^3
+    (("x", "y"), "x^2 - 2*x*y^3 + y^6", (-1 - 2.0**-30, -1.0)),
+    (("x",), "x^3 - 2*x^2 + x", (1 + 2.0**-30,)),
+    # 2*x*y*z, a product through two later axes
+    (("x", "y", "z"), "x^2 - 2*x*y*z + y^2*z^2", (1 + 2.0**-30, 1.0, 1.0)),
+])
+def test_cancellation_check_one_ulp_either_side_of_its_threshold(variables, text, point):
+    # the float sum of q cancels to exactly 0.0 where its exact value does
+    # not, so q + c sums to c, and the exact fallback gives another value:
+    # |c| one ulp below 1e-8 * max|term| is not trusted, at or one ulp above it is
+    q = Chart(variables).parse(text)
+    terms = _reference_terms(q, point)
+    assert sum(terms) == 0.0 != _reference_exact(q, point)
+    bound = 1e-8 * max(abs(term) for term in terms)
+    below, above = math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)
+    ones = [[1.0] for _ in point]
+    for c, trusted in [(below, False), (bound, True), (above, True)]:
+        for sign in (1, -1):
+            p = q + Fraction(sign * c)
+            exact = float(_reference_exact(p, point))
+            assert exact != sign * c
+            assert _at_one_point(p, point) == (sign * c if trusted else exact)
+            axes = [[v, v + 0.5] for v in point]
+            assert_panel_matches_reference(p, axes, *_panel_inputs(random.Random(1777), axes))
 
 
 @pytest.mark.parametrize("variables,text,axes", [
