@@ -35,9 +35,9 @@ multipliers (a Jacobian) and weights, once per span of an integral;
 Kronrod and Gauss sums, each value times its multipliers and weights.
 
 For an exact scalar, a row holds the powers of its node, each by the same
-``**`` call a per-term loop would make, and each term's product through its
-first axis; the panel multiplies it through each later axis once per node
-of that axis.  A term is its float coefficient times its powers in
+``**`` call a per-term loop would make, and each term's product through
+its first axis; the panel multiplies it through each later axis once per
+node of that axis.  A term is its float coefficient times its powers in
 coordinate order, multiplied left to right, and the terms are added in
 print order.  So the float bits depend only on the value and the point.  A
 coordinate or power beyond float range enters as inf, so only the sums that

@@ -776,14 +776,13 @@ def test_cancellation_check_one_ulp_either_side_of_its_threshold(variables, text
     assert sum(terms) == 0.0 != _reference_exact(q, point)
     bound = 1e-8 * max(abs(term) for term in terms)
     below, above = math.nextafter(bound, 0.0), math.nextafter(bound, math.inf)
-    ones = [[1.0] for _ in point]
+    axes = [[v, v + 0.5] for v in point]
     for c, trusted in [(below, False), (bound, True), (above, True)]:
         for sign in (1, -1):
             p = q + Fraction(sign * c)
             exact = float(_reference_exact(p, point))
             assert exact != sign * c
             assert _at_one_point(p, point) == (sign * c if trusted else exact)
-            axes = [[v, v + 0.5] for v in point]
             assert_panel_matches_reference(p, axes, *_panel_inputs(random.Random(1777), axes))
 
 
