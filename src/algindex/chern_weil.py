@@ -225,20 +225,23 @@ def levi_civita(A: AlgebroidPresentation, metric: Metric) -> GConnection:
                 out = out + coeff * g[d][c]
         return out
 
+    # rho(e_a) once per entry object (g keeps each alive), not per (b, c): g[c][b] may differ
+    distinct = {id(f): f for row in g for f in row}.values()
+    rho = {(a, id(f)): A.anchor_apply(a, f) for a in range(r) for f in distinct}
+
     # 2<nabla_a e_b, e_c> by the Koszul formula
     koszul = {}
     for a in range(r):
         for b in range(r):
             for c in range(r):
-                value = (
-                    A.anchor_apply(a, g[b][c])
-                    + A.anchor_apply(b, g[a][c])
-                    - A.anchor_apply(c, g[a][b])
+                koszul[a, b, c] = (
+                    rho[a, id(g[b][c])]
+                    + rho[b, id(g[a][c])]
+                    - rho[c, id(g[a][b])]
                     + inner_bracket(a, b, c)
                     - inner_bracket(a, c, b)
                     - inner_bracket(b, c, a)
                 )
-                koszul[(a, b, c)] = value
     mats = []
     for a in range(r):
         mat = [[A.chart.zero()] * r for _ in range(r)]

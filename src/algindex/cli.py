@@ -17,7 +17,8 @@ an integer >= 0, ``--budget`` an integer >= 1 and ``--tolerance`` a finite
 number > 0; any other value is a usage error.  A document's ``tolerance``
 that is not finite is a document error.
 
-Exit codes: 0 success, 1 a failed computation, 2 usage or document error.
+Exit codes: 0 success, 1 a failed computation, 2 usage or document error,
+3 stdout closed before the output was written, with nothing on stderr.
 
 A document is parsed by libyaml where PyYAML was built with it, with every
 parse error worded by the pure-Python loader, and is checked against
@@ -37,6 +38,7 @@ import functools
 import json
 import math
 import operator
+import os
 import re
 import sys
 from fractions import Fraction
@@ -840,7 +842,12 @@ def main(argv=None):
     except DocumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _emit(results, failures, args.format)
+    try:
+        _emit(results, failures, args.format)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the rest goes to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3
     return 1 if failures else 0
 
 

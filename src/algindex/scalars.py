@@ -8,8 +8,9 @@ Two families of scalars share one arithmetic interface:
   the library runs on these (or on their quotients, :class:`RationalScalar`),
   so equality-to-zero is decidable and exact.  A quotient keeps its
   denominator as a product of the factors that entered through division
-  and cancels by trial division (:func:`poly_quotient`); :func:`poly_gcd`
-  runs only when a quotient leaves arithmetic (printing, ``compile_panel``,
+  and cancels by trial division (:func:`poly_quotient`: a test at one integer
+  point, then leading terms taken from a heap); :func:`poly_gcd` runs only
+  when a quotient leaves arithmetic (printing, ``compile_panel``,
   ``num``/``den``), once per distinct factor, to find a divisor that a
   reducible factor shares with the numerator.  It keeps its name because
   the benchmark's span recorder wraps it by name.
@@ -62,6 +63,7 @@ error.  ``eval`` is the point evaluator of every backend.
 
 from __future__ import annotations
 
+import heapq
 import math
 import operator
 import random
@@ -435,24 +437,37 @@ def _monic_grlex(p: PolyScalar):
     return _poly(p.vars, p.ints, Fraction(1, p.ints[_lead(p.ints)]))
 
 
+def _heap_key(expo):  # least for the graded-lex greatest exponent
+    return -sum(expo), tuple(map(operator.neg, expo)), expo
+
+
+def _value_at(ints, point) -> int:
+    return sum(n * math.prod(map(pow, point, expo)) for expo, n in ints.items())
+
+
 def poly_quotient(num: PolyScalar, den: PolyScalar):
     """num / den when den divides num, else None.
 
-    Division by graded-lex leading terms, on the integer parts.  den's
-    integer part is primitive, so by Gauss's lemma an exact quotient has
-    integer coefficients, and the division stops at the first leading term
-    of the remainder that den's leading term does not divide over the
-    integers.  The quotient of primitive parts is primitive with a positive
-    leading value; its terms are stored in graded-lex-descending order, the
-    order in which they are found.
+    den's integer part is primitive, so by Gauss's lemma an exact quotient q
+    is integral and num(a) = den(a) q(a) at a = (2, 3, ...): a den(a) != 0
+    that does not divide num(a) refuses at once.  Else the integer parts are
+    divided by graded-lex leading terms, popped from a heap of the remainder's
+    exponents (Johnson, SIGSAM Bull. 8 (1974); Monagan & Pearce, CASC 2007),
+    until one that den's does not divide.  The quotient is primitive with a
+    positive leading value, its terms stored graded-lex descending, as found.
     """
     if den.is_zero():
         raise DomainError("division by the zero polynomial")
+    point = tuple(range(2, len(num.vars) + 2))
+    if (at := _value_at(den.ints, point)) and _value_at(num.ints, point) % at:
+        return None
     lead_e = _lead(den.ints)
     lead_n = den.ints[lead_e]
     remainder, quotient = dict(num.ints), {}
-    while remainder:
-        expo = max(remainder, key=_grlex_key)
+    heap = sorted(map(_heap_key, remainder))  # a sorted list is a heap
+    while heap:
+        if (expo := heapq.heappop(heap)[2]) not in remainder:
+            continue
         shift = tuple(map(operator.sub, expo, lead_e))
         q, r = divmod(remainder[expo], lead_n)
         if r or any(d < 0 for d in shift):
@@ -462,6 +477,8 @@ def poly_quotient(num: PolyScalar, den: PolyScalar):
             term = tuple(map(operator.add, shift, e))
             value = remainder.get(term, 0) - q * c
             if value:
+                if term not in remainder:
+                    heapq.heappush(heap, _heap_key(term))
                 remainder[term] = value
             else:
                 del remainder[term]
@@ -1049,6 +1066,9 @@ def _float_program(num: PolyScalar, den: PolyScalar | None = None, exact=None):
         namespace[f"exact{j}"] = p.eval
         values.append(f"exact_float(exact{j}, {point})")
         try:
+            if p.is_constant():  # no sum and no check: 0.0 + c is c for a finite c
+                namespace[f"c{j}_0"], values[j] = float(p.content), f"c{j}_0"
+                continue
             blocks.append(_sum_block(j, p, namespace))
         except OverflowError:  # a coefficient beyond float range: always exact
             continue

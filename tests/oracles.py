@@ -6,8 +6,9 @@ oracle builds differential matrices straight from structure constants with
 its own sign bookkeeping and its own row reduction, the Euler-characteristic
 oracle counts simplices, the groupoid Betti oracle builds the full cochain
 complex, degenerate chains included, and the determinant expansion used
-against the Pfaffian is a direct Leibniz sum.  None of it calls the library
-paths it is used to check.  ``dense`` reads the library's sparse rows as the
+against the Pfaffian is a direct Leibniz sum, and the polynomial division
+reference scans the whole remainder for each leading term.  None of it calls
+the library paths it is used to check.  ``dense`` reads the library's sparse rows as the
 dense lists these oracles work on.  The scaffolding at the end builds on the
 forms layer, so it states identities of that layer rather than checking it
 independently.
@@ -20,7 +21,7 @@ from itertools import combinations, permutations
 from algindex.chern_weil import Metric
 from algindex.forms import AlgForm, GConnection, d_g
 from algindex.groupoid import FiniteGroupoid
-from algindex.scalars import NumericExpr
+from algindex.scalars import NumericExpr, PolyScalar
 
 
 def row_reduce_rank(matrix):
@@ -224,6 +225,36 @@ def from_poly(p):
                 term = term * NumericExpr.coordinate(p.vars, i) ** e
         total = total + term
     return total
+
+
+def _grlex(expo):
+    return sum(expo), expo
+
+
+def scan_quotient(num, den):
+    """num / den when den divides num, else None: division by graded-lex
+    leading terms on the integer parts, each leading term found by a scan of
+    the whole remainder, and no test before dividing.  The quotient is
+    rebuilt through ``PolyScalar``'s constructor from Fraction terms."""
+    lead_e = max(den.ints, key=_grlex)
+    lead_n = den.ints[lead_e]
+    remainder, quotient = dict(num.ints), {}
+    while remainder:
+        expo = max(remainder, key=_grlex)
+        shift = tuple(map(operator.sub, expo, lead_e))
+        q, r = divmod(remainder[expo], lead_n)
+        if r or any(d < 0 for d in shift):
+            return None
+        quotient[shift] = q
+        for e, c in den.ints.items():
+            term = tuple(map(operator.add, shift, e))
+            value = remainder.get(term, 0) - q * c
+            if value:
+                remainder[term] = value
+            else:
+                del remainder[term]
+    content = num.content / den.content
+    return PolyScalar(num.vars, {e: content * n for e, n in quotient.items()})
 
 
 def central_difference(f, point, index, h=1e-6):

@@ -1,9 +1,12 @@
 import random
+import time
 import warnings
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
+import yaml
 
 from algindex import algebroid as alg
 from algindex import chern_weil as cw
@@ -128,6 +131,50 @@ def test_residuals_of_a_connection_with_torsion(t2, su2):
         (0, 0, 0): "-2*x1", (0, 0, 1): "-x1^2 - 1", (0, 1, 0): "-x1^2 - 1",
         (0, 1, 1): "-2*x2", (1, 0, 0): "-2", (1, 0, 1): "-x1*x2 - 2",
         (1, 1, 0): "-x1*x2 - 2"}
+
+
+def test_levi_civita_differentiates_each_distinct_entry_once(monkeypatch):
+    # a conformal metric holds two entry objects, its factor and one zero, so
+    # the Koszul sum's 3 r^3 = 24 derivatives are 2 per direction
+    t2 = alg.tangent(2)
+    x, y = t2.chart.coord(0), t2.chart.coord(1)
+    metric = cw.Metric.conformal(t2, t2.chart.const(4) / (1 + x * x + y * y) ** 2)
+    expected = cw.levi_civita(t2, metric)
+    calls = []
+    anchor_apply = t2.anchor_apply
+    monkeypatch.setattr(t2, "anchor_apply", lambda a, f: calls.append(a) or anchor_apply(a, f))
+    got = cw.levi_civita(t2, metric)
+    assert sorted(calls) == [0, 0, 1, 1]
+    assert all(str(u) == str(v) for a, b in zip(got.matrices, expected.matrices)
+               for row_a, row_b in zip(a, b) for u, v in zip(row_a, row_b))
+
+
+# The conjugate Fubini-Study chart of tests/documents/conjugate-fubini-study.yaml
+# (a matrix metric [[A, C], [-C, A]], positive definite and not homogeneous),
+# its entries parsed one by one as the document's are
+CONJUGATE_FS = Path(__file__).parent / "documents" / "conjugate-fubini-study.yaml"
+
+
+def test_conjugate_fubini_study_l_genus_and_pfaffian_within_budget():
+    spec = yaml.safe_load(CONJUGATE_FS.read_text())
+    chart = Chart(spec["coordinates"])
+    A = alg.tangent(4, chart)
+    entries = [[chart.parse(v) for v in row] for row in spec["metrics"]["g"]["entries"]]
+    metric = cw.Metric(A, entries)
+    R = cw.curvature(cw.levi_civita(A, metric))
+    start = time.perf_counter()
+    L = cw.char_class(R, "l_genus")
+    pf = cw.pfaffian_form(R, metric)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 6.0, f"took {elapsed:.2f}s (budget 6s)"
+    assert L.degrees() == [0, 4] and pf.degrees() == [4]
+    # [[A, -C], [C, A]], the off-diagonal blocks negated, is Fubini-Study
+    # itself: its L top is -8/rho^3 in this orientation
+    fubini_study = cw.Metric(A, [[v if (i < 2) == (j < 2) else -v for j, v in enumerate(row)]
+                                 for i, row in enumerate(entries)])
+    rho = chart.parse("1 + x1^2 + x2^2 + y1^2 + y2^2")
+    L = cw.char_class(cw.levi_civita(A, fubini_study), "l_genus")
+    assert L.degree_part(4).value_on((0, 1, 2, 3)) == -8 / rho**3
 
 
 def test_levi_civita_rejects_singular_metric(aff1):

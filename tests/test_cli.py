@@ -71,9 +71,10 @@ def test_every_bundled_job_has_goldens():
 # back to the exact quotient, pull-backs and products on either backend,
 # which print the scalars each construction lifts onto its chart, a box
 # whose two axes share every span but not their powers, on either backend,
-# the full Lie algebra cohomology of gl(4) and so(5), and the validation
+# the full Lie algebra cohomology of gl(4) and so(5), the validation
 # reports of a presentation that breaks both algebroid identities, on either
-# backend; a document with failed computations exits 1
+# backend, and the L-genus of a 4-D matrix metric without symmetry (the
+# conjugate Fubini-Study chart); a document with failed computations exits 1
 DOCUMENTS = Path(__file__).parent / "documents"
 
 
@@ -222,6 +223,18 @@ def test_parse_error_exit_code(tmp_path):
         '  in "<unicode string>", line 3, column 1:\n'
         "    \n"
         "    ^\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_stdout_closed_by_the_reader_exits_3_without_a_traceback(fmt):
+    # the reader is gone before the job prints: a write to the pipe raises
+    # BrokenPipeError, which used to print a traceback and exit 1
+    proc = subprocess.Popen([sys.executable, "-m", "algindex", "--format", fmt, "run",
+                             job_path("aff1")], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=300), stderr) == (3, b"")
 
 
 def test_schema_violation_exit_code(tmp_path):

@@ -1075,6 +1075,53 @@ def test_every_arithmetic_result_is_canonical(case):
         assert value.fraction_terms() == want
 
 
+# divisors that vanish at poly_quotient's integer point (2, 3, 4, 5), where its
+# test before dividing cannot refuse and the division itself must decide
+_VANISHING = {1: ["x - 2", "x^2 - 4"], 2: ["x*y - 6", "x + y - 5", "x^2*y - 3*x - 6"],
+              3: ["x*z - 8", "x + y + z - 9"], 4: ["x*w - 10", "w - y - 2", "x*y*z*w - 120"]}
+
+
+def test_division_agrees_with_the_scan_reference():
+    try:
+        import sympy
+    except ImportError:
+        sympy = None
+    rng, names = random.Random(20261022), ("x", "y", "z", "w")
+    for case in range(240):
+        chart = Chart(names[:1 + case % 4])
+        a, r = random_poly(rng, chart.names), random_poly(rng, chart.names)
+        b = (chart.parse(rng.choice(_VANISHING[chart.dim])) if case % 3 == 0
+             else random_poly(rng, chart.names, max_deg=2))
+        if b.is_zero():
+            continue
+        # a*b + (x - 2)*(y - 3) has a*b's value at the point, so it passes the
+        # test before dividing, and b divides it only if b divides the product
+        passing = a * b + chart.parse("(x - 2)*(y - 3)" if chart.dim > 1 else "x - 2")
+        assert poly_quotient(a * b, b) == a
+        for num in (a * b, a * b + r, passing):
+            got, want = poly_quotient(num, b), oracles.scan_quotient(num, b)
+            assert (got is None) == (want is None), (num, b)
+            if got is None:
+                continue
+            _assert_canonical(got)
+            assert got == want
+            assert list(got.ints) == sorted(got.ints, key=lambda e: (sum(e), e), reverse=True)
+        if sympy is not None and case % 2 == 0:
+            symbols = sympy.symbols(chart.names)
+
+            def expr(p):
+                return sum((sympy.Rational(c.numerator, c.denominator)
+                            * sympy.Mul(*(s**e for s, e in zip(symbols, expo)))
+                            for expo, c in p.fraction_terms().items()), sympy.Integer(0))
+
+            for num in (a * b + r, passing):
+                quotient, rest = sympy.div(expr(num), expr(b), *symbols)
+                got = poly_quotient(num, b)
+                assert (got is not None) == (rest == 0), (num, b)
+                if got is not None:
+                    assert sympy.expand(quotient - expr(got)) == 0
+
+
 # Two coordinates: the remainder sequence settles these in milliseconds, while
 # three-coordinate factors of this size can take seconds (see GCD_CASES for
 # three and four coordinates).
