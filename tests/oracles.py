@@ -5,13 +5,13 @@ The oracles are deliberately self-contained: the Chevalley-Eilenberg rank
 oracle builds differential matrices straight from structure constants with
 its own sign bookkeeping and its own row reduction, the Euler-characteristic
 oracle counts simplices, the groupoid Betti oracle builds the full cochain
-complex, degenerate chains included, and the determinant expansion used
+complex, degenerate chains included, the determinant expansion used
 against the Pfaffian is a direct Leibniz sum, and the polynomial division
 reference scans the whole remainder for each leading term.  None of it calls
-the library paths it is used to check.  ``dense`` reads the library's sparse rows as the
-dense lists these oracles work on.  The scaffolding at the end builds on the
-forms layer, so it states identities of that layer rather than checking it
-independently.
+the library paths it is used to check.  ``dense`` reads the library's sparse
+rows as the dense lists these oracles work on.  The scaffolding at the end
+builds on the forms layer, so it states identities of that layer rather than
+checking it independently.
 """
 
 import operator

@@ -139,14 +139,11 @@ def test_levi_civita_differentiates_each_distinct_entry_once(monkeypatch):
     t2 = alg.tangent(2)
     x, y = t2.chart.coord(0), t2.chart.coord(1)
     metric = cw.Metric.conformal(t2, t2.chart.const(4) / (1 + x * x + y * y) ** 2)
-    expected = cw.levi_civita(t2, metric)
     calls = []
     anchor_apply = t2.anchor_apply
     monkeypatch.setattr(t2, "anchor_apply", lambda a, f: calls.append(a) or anchor_apply(a, f))
-    got = cw.levi_civita(t2, metric)
+    cw.levi_civita(t2, metric)
     assert sorted(calls) == [0, 0, 1, 1]
-    assert all(str(u) == str(v) for a, b in zip(got.matrices, expected.matrices)
-               for row_a, row_b in zip(a, b) for u, v in zip(row_a, row_b))
 
 
 # The conjugate Fubini-Study chart of tests/documents/conjugate-fubini-study.yaml
